@@ -19,6 +19,7 @@ import string
 from dataclasses import dataclass
 from functools import cached_property
 
+from .arith import factorize, parse_int
 from .errors import (
     EnumerationFailed,
     IllDefinedAction,
@@ -196,11 +197,11 @@ class ModuleAction:
     @staticmethod
     def from_json(obj: dict) -> "ModuleAction":
         module = AbelianStructure(
-            int(obj["module"]["free"]),
-            tuple(int(d) for d in obj["module"]["torsion"]),
+            parse_int(obj["module"]["free"]),
+            tuple(parse_int(d) for d in obj["module"]["torsion"]),
         )
         return ModuleAction(
-            int(obj["generators"]),
+            parse_int(obj["generators"]),
             tuple(obj["relators"]),
             module,
             tuple(IntMatrix.from_json(m) for m in obj["action"]),
@@ -272,10 +273,7 @@ def z1(act: ModuleAction) -> CocycleSpace:
 
 def b1(act: ModuleAction) -> CocycleSpace:
     """Principal crossed homomorphisms m -> (psi(g_i) m - m)_i."""
-    K = _cocycle_lattice(act)
     B = _coboundary_lattice(act)
-    for row in B.basis.data:
-        assert K.contains(row), "coboundary escaped the cocycle lattice"
     structure, gens = quotient_with_generators(B, _ambient_torsion(act))
     return CocycleSpace(structure, tuple(_split(act, g) for _, g in gens))
 
@@ -412,18 +410,6 @@ def _structure_from_subgroup_counts(zset: set, bset: set, module: AbelianStructu
             for t, d in enumerate(torsion):
                 out[i * dim + free + t] %= d
         return tuple(out)
-
-    def factorize(n):
-        out = {}
-        d = 2
-        while d * d <= n:
-            while n % d == 0:
-                out[d] = out.get(d, 0) + 1
-                n //= d
-            d += 1
-        if n > 1:
-            out[n] = out.get(n, 0) + 1
-        return out
 
     partitions: dict[int, list[int]] = {}
     for p in factorize(order):

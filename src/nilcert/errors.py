@@ -80,3 +80,7 @@ class ZeroEuler(NilcertError):
 
 class UnresolvableReference(NilcertError):
     """Certificate references a group or shape that cannot be rebuilt."""
+
+
+class SelfCheckFailed(NilcertError):
+    """A computed result failed the package's own consistency check."""

@@ -12,6 +12,7 @@ import functools
 from dataclasses import dataclass
 
 from . import nilpotent2, semidirect
+from .arith import is_prime
 from .certificates import (
     KIND_SOL3,
     KIND_TWO_STEP,
@@ -22,6 +23,7 @@ from .certificates import (
 from .errors import (
     InvalidParameters,
     NilcertError,
+    SelfCheckFailed,
     UnresolvableReference,
     UnsupportedGroupShape,
     ZeroEuler,
@@ -31,21 +33,9 @@ from .linalg import (
     Lattice,
     preimage_lattice,
     snf,
-    unimodular_inverse,
 )
 from .nilpotent2 import NilSublattice, TwoStepLattice
 from .semidirect import SemidirectGroup, SemidirectLattice
-
-
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def minkowski_bound(n: int) -> int:
@@ -61,7 +51,7 @@ def minkowski_bound(n: int) -> int:
     result = 1
     p = 2
     while p - 1 <= n:
-        if _is_prime(p):
+        if is_prime(p):
             e = 0
             q = p - 1
             while q <= n:
@@ -119,7 +109,7 @@ def _induced_quotient_holonomy(B: IntMatrix, fixed: Lattice) -> IntMatrix:
     # coordinates the row action of B is y -> y * (V^{-1} B^T V) and the
     # first k coordinates are preserved.  The quotient action is the
     # trailing block, transposed back to the column convention.
-    conj = unimodular_inverse(V) * B.transpose() * V
+    conj = form.V_inv * B.transpose() * V
     block = [[conj.data[i][j] for j in range(k, n)] for i in range(k, n)]
     return IntMatrix(block, cols=n - k).transpose()
 
@@ -133,7 +123,8 @@ def _semidirect_inn_center_rank(G: SemidirectLattice) -> int:
     rows = []
     for row in G.L.basis.data:
         coords = G.L.coords_of(Am.apply(row))
-        assert coords is not None
+        if coords is None:
+            raise SelfCheckFailed("fiber lattice is not invariant under A^m")
         rows.append(coords)
     B = IntMatrix(rows, cols=n).transpose()
     fixed = preimage_lattice(B - IntMatrix.identity(n), Lattice.zero(n))

@@ -5,14 +5,26 @@ immutable.  Matrices act on column vectors; lattices are stored as row bases
 in canonical row Hermite normal form, which makes lattice equality a plain
 ``==`` on the basis.  The two normal forms carry their unimodular transforms
 so every downstream claim can be re-verified by multiplying back.
+
+Entries are validated once, where they enter: the public ``IntMatrix(...)``
+constructor, ``Lattice.from_rows`` and every ``from_json``.  Matrices this
+module computes from already-validated ones are built by
+``IntMatrix._trusted`` without re-checking each entry.  Transforms are
+accumulated only for callers that read them: ``hnf`` always returns ``U``,
+while lattice construction runs the same elimination without one, and
+``snf`` carries ``V^-1`` alongside ``V`` so quotient generators need no
+second normal form.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
-from .errors import DimensionMismatch, NotASublattice
+from .arith import parse_int
+from .errors import DimensionMismatch, InvalidParameters, NotASublattice
 
 Row = tuple[int, ...]
 
@@ -23,13 +35,24 @@ def _as_int(x) -> int:
     return x
 
 
+def _parse_rows(obj) -> list[list[int]]:
+    """JSON rows (lists of ints or decimal strings) as lists of ints."""
+    if not isinstance(obj, list) or not all(isinstance(row, list) for row in obj):
+        raise InvalidParameters("a matrix must be a JSON list of rows")
+    return [[parse_int(x) for x in row] for row in obj]
+
+
 class IntMatrix:
     """Dense matrix of arbitrary-precision integers (row-major)."""
 
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, data: Iterable[Iterable[int]], cols: Optional[int] = None):
-        rows = tuple(tuple(_as_int(x) for x in row) for row in data)
+        rows = tuple(map(tuple, data))
+        for row in rows:
+            for x in row:
+                if type(x) is not int:
+                    _as_int(x)
         if rows:
             ncols = len(rows[0])
             if any(len(r) != ncols for r in rows):
@@ -45,16 +68,28 @@ class IntMatrix:
     # -- constructors -----------------------------------------------------
 
     @staticmethod
+    def _trusted(rows: Iterable[Iterable[int]], cols: int) -> "IntMatrix":
+        """Matrix of rows this module computed: plain ints, all of width ``cols``.
+
+        Skips the per-entry checks of the public constructor.
+        """
+        M = object.__new__(IntMatrix)
+        M.data = tuple(map(tuple, rows))
+        M.rows = len(M.data)
+        M.cols = cols
+        return M
+
+    @staticmethod
     def identity(n: int) -> "IntMatrix":
-        return IntMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return IntMatrix._trusted(_identity_rows(n), n)
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "IntMatrix":
-        return IntMatrix([[0] * cols for _ in range(rows)], cols=cols)
+        return IntMatrix._trusted(((0,) * cols,) * rows, cols)
 
     @staticmethod
     def from_json(obj) -> "IntMatrix":
-        return IntMatrix([[int(x) for x in row] for row in obj])
+        return IntMatrix(_parse_rows(obj))
 
     # -- basic queries -----------------------------------------------------
 
@@ -92,27 +127,19 @@ class IntMatrix:
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("matrix addition shape mismatch")
-        return IntMatrix(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.data, other.data)
-            ],
-            cols=self.cols,
+        return IntMatrix._trusted(
+            [map(operator.add, ra, rb) for ra, rb in zip(self.data, other.data)], self.cols
         )
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("matrix subtraction shape mismatch")
-        return IntMatrix(
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.data, other.data)
-            ],
-            cols=self.cols,
+        return IntMatrix._trusted(
+            [map(operator.sub, ra, rb) for ra, rb in zip(self.data, other.data)], self.cols
         )
 
     def __neg__(self) -> "IntMatrix":
-        return IntMatrix([[-x for x in row] for row in self.data], cols=self.cols)
+        return IntMatrix._trusted([map(operator.neg, row) for row in self.data], self.cols)
 
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
@@ -121,18 +148,18 @@ class IntMatrix:
                 % (self.rows, self.cols, other.rows, other.cols)
             )
         bt = list(zip(*other.data)) if other.data else [()] * other.cols
-        out = []
-        for ra in self.data:
-            out.append([sum(a * b for a, b in zip(ra, col)) for col in bt])
-        return IntMatrix(out, cols=other.cols)
+        return IntMatrix._trusted(
+            [[sum(map(operator.mul, ra, col)) for col in bt] for ra in self.data], other.cols
+        )
 
     def transpose(self) -> "IntMatrix":
         if not self.data:
-            return IntMatrix([[] for _ in range(self.cols)], cols=0)
-        return IntMatrix(list(zip(*self.data)), cols=self.rows)
+            return IntMatrix._trusted([()] * self.cols, 0)
+        return IntMatrix._trusted(zip(*self.data), self.rows)
 
     def scale(self, c: int) -> "IntMatrix":
-        return IntMatrix([[c * x for x in row] for row in self.data], cols=self.cols)
+        c = _as_int(c)
+        return IntMatrix._trusted([[c * x for x in row] for row in self.data], self.cols)
 
     def apply(self, v: Sequence[int]) -> Row:
         """Matrix times column vector."""
@@ -185,13 +212,22 @@ class IntMatrix:
         return [[str(x) for x in row] for row in self.data]
 
 
+@lru_cache(maxsize=None)
+def _identity_rows(n: int) -> tuple[Row, ...]:
+    return tuple(tuple([1 if i == j else 0 for j in range(n)]) for i in range(n))
+
+
+def _eye(n: int) -> list[list[int]]:
+    """A fresh mutable identity, the start of a transform accumulator."""
+    return [list(row) for row in _identity_rows(n)]
+
+
 def hstack(mats: Sequence[IntMatrix]) -> IntMatrix:
     rows = mats[0].rows
     if any(m.rows != rows for m in mats):
         raise DimensionMismatch("hstack row mismatch")
-    return IntMatrix(
-        [sum((list(m.data[i]) for m in mats), []) for i in range(rows)],
-        cols=sum(m.cols for m in mats),
+    return IntMatrix._trusted(
+        [sum((m.data[i] for m in mats), ()) for i in range(rows)], sum(m.cols for m in mats)
     )
 
 
@@ -199,10 +235,7 @@ def vstack(mats: Sequence[IntMatrix]) -> IntMatrix:
     cols = mats[0].cols
     if any(m.cols != cols for m in mats):
         raise DimensionMismatch("vstack column mismatch")
-    data: list[Sequence[int]] = []
-    for m in mats:
-        data.extend(m.data)
-    return IntMatrix(data, cols=cols)
+    return IntMatrix._trusted([row for m in mats for row in m.data], cols)
 
 
 # ---------------------------------------------------------------------------
@@ -218,18 +251,16 @@ class HermiteForm:
     U: IntMatrix
 
 
-def hnf(A: IntMatrix) -> HermiteForm:
-    """Canonical row Hermite normal form.
+def _echelon(w: list[list[int]], n: int, u: Optional[list[list[int]]] = None) -> int:
+    """Reduce the rows ``w`` (width ``n``) in place to canonical row HNF.
 
     Pivots are positive, entries above each pivot are reduced into
-    ``[0, pivot)`` and zero rows sink to the bottom, so the output is the
-    unique representative of the row span.  ``U`` records every row
-    operation; it is unimodular by construction (swaps, negations and
-    integer row additions only).
+    ``[0, pivot)`` and zero rows sink to the bottom, so the result is the
+    unique representative of the row span.  Every row operation (swaps,
+    negations and integer row additions) is repeated on ``u`` when one is
+    given.  Returns the rank, i.e. the number of nonzero rows.
     """
-    m, n = A.rows, A.cols
-    w = [list(row) for row in A.data]
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    m = len(w)
     r = 0
     for j in range(n):
         if r >= m:
@@ -242,41 +273,53 @@ def hnf(A: IntMatrix) -> HermiteForm:
             i0 = min(nz, key=lambda i: abs(w[i][j]))
             if i0 != r:
                 w[r], w[i0] = w[i0], w[r]
-                u[r], u[i0] = u[i0], u[r]
-            p = w[r][j]
+                if u is not None:
+                    u[r], u[i0] = u[i0], u[r]
+            wr = w[r]
+            p = wr[j]
             done = True
             for i in range(r + 1, m):
-                if w[i][j] == 0:
+                wi = w[i]
+                if wi[j] == 0:
                     continue
-                q = w[i][j] // p
+                q = wi[j] // p
                 if q:
-                    wi, wr = w[i], w[r]
-                    for col in range(j, n):
-                        wi[col] -= q * wr[col]
-                    ui, ur = u[i], u[r]
-                    for col in range(m):
-                        ui[col] -= q * ur[col]
-                if w[i][j] != 0:
+                    # Rows r.. are zero left of column j, so whole rows can be combined.
+                    wi = w[i] = [a - q * b for a, b in zip(wi, wr)]
+                    if u is not None:
+                        u[i] = [a - q * b for a, b in zip(u[i], u[r])]
+                if wi[j] != 0:
                     done = False
             if done:
                 break
-        if w[r][j] == 0:
+        wr = w[r]
+        if wr[j] == 0:
             continue
-        if w[r][j] < 0:
-            w[r] = [-x for x in w[r]]
-            u[r] = [-x for x in u[r]]
-        p = w[r][j]
+        if wr[j] < 0:
+            wr = w[r] = [-x for x in wr]
+            if u is not None:
+                u[r] = [-x for x in u[r]]
+        p = wr[j]
         for i in range(r):
             q = w[i][j] // p
             if q:
-                wi, wr = w[i], w[r]
-                for col in range(j, n):
-                    wi[col] -= q * wr[col]
-                ui, ur = u[i], u[r]
-                for col in range(m):
-                    ui[col] -= q * ur[col]
+                w[i] = [a - q * b for a, b in zip(w[i], wr)]
+                if u is not None:
+                    u[i] = [a - q * b for a, b in zip(u[i], u[r])]
         r += 1
-    return HermiteForm(IntMatrix(w, cols=n), IntMatrix(u, cols=m))
+    return r
+
+
+def hnf(A: IntMatrix) -> HermiteForm:
+    """Canonical row Hermite normal form with its transform ``U``.
+
+    See :func:`_echelon` for the normalization; ``U`` records every row
+    operation and is unimodular by construction.
+    """
+    w = [list(row) for row in A.data]
+    u = _eye(A.rows)
+    _echelon(w, A.cols, u)
+    return HermiteForm(IntMatrix._trusted(w, A.cols), IntMatrix._trusted(u, A.rows))
 
 
 def unimodular_inverse(M: IntMatrix) -> IntMatrix:
@@ -297,39 +340,42 @@ class SmithForm:
     """Diagonal ``S`` with unimodular ``U``, ``V`` satisfying ``U*A*V = S``.
 
     ``factors`` lists the positive diagonal entries d1 | d2 | ... with zeros
-    dropped (they remain visible as zero rows/columns of ``S``).
+    dropped (they remain visible as zero rows/columns of ``S``).  ``V_inv``
+    is the exact inverse of ``V``, accumulated alongside it.
     """
 
     S: IntMatrix
     U: IntMatrix
     V: IntMatrix
     factors: tuple[int, ...]
+    V_inv: IntMatrix
 
 
 def snf(A: IntMatrix) -> SmithForm:
     """Smith normal form with minimal-absolute-value pivoting.
 
     Pivoting on the smallest nonzero entry bounds coefficient growth; the
-    divisibility sweep after each pivot guarantees d_i | d_{i+1}.
+    divisibility sweep after each pivot guarantees d_i | d_{i+1}.  Each
+    column operation on ``V`` is mirrored by the inverse row operation on
+    ``V_inv``, so ``V_inv * V = I`` throughout.
     """
     m, n = A.rows, A.cols
     s = [list(row) for row in A.data]
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    u = _eye(m)
+    v = _eye(n)
+    vi = _eye(n)
 
     def row_sub(i, q, k):
-        si, sk = s[i], s[k]
-        for col in range(n):
-            si[col] -= q * sk[col]
-        ui, uk = u[i], u[k]
-        for col in range(m):
-            ui[col] -= q * uk[col]
+        s[i] = [a - q * b for a, b in zip(s[i], s[k])]
+        u[i] = [a - q * b for a, b in zip(u[i], u[k])]
 
     def col_sub(j, q, k):
+        # column j -= q * column k; the inverse is row k += q * row j.
         for row in s:
             row[j] -= q * row[k]
         for row in v:
             row[j] -= q * row[k]
+        vi[k] = [a + q * b for a, b in zip(vi[k], vi[j])]
 
     t = 0
     while t < min(m, n):
@@ -352,6 +398,7 @@ def snf(A: IntMatrix) -> SmithForm:
                 row[t], row[pj] = row[pj], row[t]
             for row in v:
                 row[t], row[pj] = row[pj], row[t]
+            vi[t], vi[pj] = vi[pj], vi[t]
         p = s[t][t]
         dirty = False
         for i in range(t + 1, m):
@@ -390,7 +437,8 @@ def snf(A: IntMatrix) -> SmithForm:
         t += 1
 
     factors = tuple(s[i][i] for i in range(min(m, n)) if s[i][i] != 0)
-    return SmithForm(IntMatrix(s, cols=n), IntMatrix(u, cols=m), IntMatrix(v, cols=n), factors)
+    trusted = IntMatrix._trusted
+    return SmithForm(trusted(s, n), trusted(u, m), trusted(v, n), factors, trusted(vi, n))
 
 
 # ---------------------------------------------------------------------------
@@ -401,8 +449,8 @@ def snf(A: IntMatrix) -> SmithForm:
 def left_kernel(A: IntMatrix) -> IntMatrix:
     """Basis (rows) of ``{v : v*A = 0}``; always a saturated lattice."""
     form = hnf(A)
-    zero_rows = [i for i in range(A.rows) if all(x == 0 for x in form.H.data[i])]
-    return IntMatrix([form.U.data[i] for i in zero_rows], cols=A.rows)
+    rank = sum(1 for row in form.H.data if any(row))
+    return IntMatrix._trusted(form.U.data[rank:], A.rows)
 
 
 def solve_row_combination(R: IntMatrix, target: Sequence[int]) -> Optional[Row]:
@@ -483,12 +531,19 @@ class AbelianStructure:
 
     @staticmethod
     def from_json(obj) -> "AbelianStructure":
-        return AbelianStructure(int(obj["free_rank"]), tuple(int(d) for d in obj["torsion"]))
+        return AbelianStructure(
+            parse_int(obj["free_rank"]), tuple(parse_int(d) for d in obj["torsion"])
+        )
 
 
 # ---------------------------------------------------------------------------
 # Lattices
 # ---------------------------------------------------------------------------
+
+
+def _combine(coeffs: Sequence[int], rows: Sequence[Row]) -> Row:
+    """The row vector ``coeffs * rows`` for a nonempty list of rows."""
+    return tuple([sum([c * x for c, x in zip(coeffs, col)]) for col in zip(*rows)])
 
 
 class Lattice:
@@ -498,20 +553,27 @@ class Lattice:
     basis matrices.  Saturation is always explicit, never implied.
     """
 
-    __slots__ = ("ambient_dim", "basis")
+    __slots__ = ("ambient_dim", "basis", "_pivots")
 
     def __init__(self, ambient_dim: int, basis: IntMatrix):
         if basis.cols != ambient_dim:
             raise DimensionMismatch("basis width != ambient dimension")
+        pivots = []
+        for row in basis.data:
+            for j, x in enumerate(row):
+                if x:
+                    pivots.append(j)
+                    break
+            else:
+                raise InvalidParameters("lattice basis rows must be nonzero")
         self.ambient_dim = ambient_dim
         self.basis = basis
+        # The basis is immutable row HNF, so its pivot columns are fixed.
+        self._pivots = tuple(pivots)
 
     @staticmethod
     def from_rows(ambient_dim: int, rows: Iterable[Sequence[int]]) -> "Lattice":
-        mat = IntMatrix(rows, cols=ambient_dim)
-        h = hnf(mat).H
-        kept = [row for row in h.data if any(x != 0 for x in row)]
-        return Lattice(ambient_dim, IntMatrix(kept, cols=ambient_dim))
+        return _span(ambient_dim, IntMatrix(rows, cols=ambient_dim).data)
 
     @staticmethod
     def standard(n: int) -> "Lattice":
@@ -525,7 +587,7 @@ class Lattice:
 
     @staticmethod
     def zero(n: int) -> "Lattice":
-        return Lattice(n, IntMatrix([], cols=n))
+        return Lattice(n, IntMatrix._trusted((), n))
 
     @property
     def rank(self) -> int:
@@ -547,12 +609,6 @@ class Lattice:
     def __repr__(self):
         return "Lattice(%d, %r)" % (self.ambient_dim, list(map(list, self.basis.data)))
 
-    def _pivots(self) -> list[int]:
-        return [
-            next(k for k, x in enumerate(row) if x != 0)
-            for row in self.basis.data
-        ]
-
     def contains(self, v: Sequence[int]) -> bool:
         return self.coords_of(v) is not None
 
@@ -560,17 +616,16 @@ class Lattice:
         """Integer coordinates of ``v`` in the HNF basis, or None."""
         if len(v) != self.ambient_dim:
             raise DimensionMismatch("vector length mismatch")
-        w = list(v)
+        w = v
         coords = []
-        for row, j in zip(self.basis.data, self._pivots()):
-            if w[j] % row[j] != 0:
+        for row, j in zip(self.basis.data, self._pivots):
+            q, rem = divmod(w[j], row[j])
+            if rem:
                 return None
-            q = w[j] // row[j]
             coords.append(q)
             if q:
-                for k in range(j, self.ambient_dim):
-                    w[k] -= q * row[k]
-        if any(x != 0 for x in w):
+                w = [a - q * b for a, b in zip(w, row)]
+        if any(w):
             return None
         return tuple(coords)
 
@@ -578,12 +633,11 @@ class Lattice:
         """Canonical coset representative of ``v`` modulo this lattice."""
         if len(v) != self.ambient_dim:
             raise DimensionMismatch("vector length mismatch")
-        w = list(v)
-        for row, j in zip(self.basis.data, self._pivots()):
+        w = v
+        for row, j in zip(self.basis.data, self._pivots):
             q = w[j] // row[j]
             if q:
-                for k in range(j, self.ambient_dim):
-                    w[k] -= q * row[k]
+                w = [a - q * b for a, b in zip(w, row)]
         return tuple(w)
 
     def is_sublattice_of(self, other: "Lattice") -> bool:
@@ -594,27 +648,35 @@ class Lattice:
     def sum(self, other: "Lattice") -> "Lattice":
         if self.ambient_dim != other.ambient_dim:
             raise DimensionMismatch("ambient dimensions differ")
-        return Lattice.from_rows(self.ambient_dim, list(self.basis.data) + list(other.basis.data))
+        return _span(self.ambient_dim, self.basis.data + other.basis.data)
 
     def intersect(self, other: "Lattice") -> "Lattice":
         if self.ambient_dim != other.ambient_dim:
             raise DimensionMismatch("ambient dimensions differ")
         if self.rank == 0 or other.rank == 0:
             return Lattice.zero(self.ambient_dim)
-        stacked = vstack([self.basis, -other.basis])
-        ker = left_kernel(stacked)
-        rows = [
-            IntMatrix([k[: self.rank]], cols=self.rank) * self.basis
-            for k in ker.data
-        ]
-        return Lattice.from_rows(self.ambient_dim, [r.data[0] for r in rows])
+        ker = left_kernel(vstack([self.basis, -other.basis]))
+        return _span(
+            self.ambient_dim, [_combine(k[: self.rank], self.basis.data) for k in ker.data]
+        )
 
     def to_json(self) -> list[list[str]]:
         return self.basis.to_json()
 
     @staticmethod
     def from_json(ambient_dim: int, obj) -> "Lattice":
-        return Lattice.from_rows(ambient_dim, [[int(x) for x in row] for row in obj])
+        return Lattice.from_rows(ambient_dim, _parse_rows(obj))
+
+
+def _span(n: int, rows: Iterable[Sequence[int]]) -> Lattice:
+    """Lattice spanned by rows of ints of width ``n`` that need no checking.
+
+    Runs the Hermite elimination without a transform: a lattice keeps only
+    the nonzero rows of ``H``.
+    """
+    w = [list(row) for row in rows]
+    rank = _echelon(w, n)
+    return Lattice(n, IntMatrix._trusted(w[:rank], n))
 
 
 def saturate(L: Lattice) -> Lattice:
@@ -629,7 +691,7 @@ def saturate(L: Lattice) -> Lattice:
     comp = left_kernel(L.basis.transpose())
     if comp.rows == 0:
         return Lattice.standard(n)
-    return Lattice.from_rows(n, left_kernel(comp.transpose()).data)
+    return _span(n, left_kernel(comp.transpose()).data)
 
 
 def preimage_lattice(M: IntMatrix, L: Lattice) -> Lattice:
@@ -639,10 +701,9 @@ def preimage_lattice(M: IntMatrix, L: Lattice) -> Lattice:
     n = M.cols
     mt = M.transpose()
     if L.rank == 0:
-        return Lattice.from_rows(n, left_kernel(mt).data)
-    stacked = vstack([mt, -L.basis])
-    ker = left_kernel(stacked)
-    return Lattice.from_rows(n, [row[:n] for row in ker.data])
+        return _span(n, left_kernel(mt).data)
+    ker = left_kernel(vstack([mt, -L.basis]))
+    return _span(n, [row[:n] for row in ker.data])
 
 
 def quotient_structure(sup: Lattice, sub: Lattice) -> AbelianStructure:
@@ -667,21 +728,20 @@ def quotient_with_generators(
             raise NotASublattice("basis vector %r is not in the ambient lattice" % (row,))
         coord_rows.append(c)
     r_sup = sup.rank
-    C = IntMatrix(coord_rows, cols=r_sup)
-    form = snf(C)
-    vinv = unimodular_inverse(form.V)
+    form = snf(IntMatrix._trusted(coord_rows, r_sup))
+    vinv = form.V_inv
     gens: list[tuple[int, Row]] = []
     torsion = []
     for i in range(r_sup):
-        d = form.S.data[i][i] if i < C.rows else 0
+        d = form.S.data[i][i] if i < len(coord_rows) else 0
         if d == 1:
             continue
-        lift = IntMatrix([vinv.data[i]], cols=r_sup) * sup.basis
+        lift = _combine(vinv.data[i], sup.basis.data)
         if d == 0:
-            gens.append((0, lift.data[0]))
+            gens.append((0, lift))
         else:
             torsion.append(d)
-            gens.append((d, lift.data[0]))
+            gens.append((d, lift))
     free = r_sup - len(form.factors)
     structure = AbelianStructure(free, tuple(sorted(torsion)))
     # Emit torsion generators first (in factor order), free ones last.

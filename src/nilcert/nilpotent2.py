@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from .arith import is_prime, parse_int
 from .certificates import (
     KIND_TWO_STEP,
     KIND_WITNESS,
@@ -34,6 +35,7 @@ from .errors import (
     NotFiniteIndex,
     NotNormal,
     QuotientTooLarge,
+    SelfCheckFailed,
 )
 from .linalg import (
     AbelianStructure,
@@ -141,8 +143,8 @@ class TwoStepLattice:
         if obj.get("type") != "twostep":
             raise InvalidParameters("not a twostep group description")
         return TwoStepLattice(
-            int(obj["f"]),
-            int(obj["b"]),
+            parse_int(obj["f"]),
+            parse_int(obj["b"]),
             [IntMatrix.from_json(C) for C in obj["forms"]],
         )
 
@@ -194,9 +196,7 @@ def nil_power(g: NilElement, x: int) -> NilElement:
 def nil_commutator(g: NilElement, h: NilElement) -> NilElement:
     """[g, h] = (0, C(u_g, u_h)): every commutator is central."""
     G = _same_parent(g, h)
-    closed = NilElement(G, (0,) * G.b, G.cvalue(g.u, h.u))
-    assert closed == nil_mul(nil_mul(nil_mul(g, h), nil_inv(g)), nil_inv(h))
-    return closed
+    return NilElement(G, (0,) * G.b, G.cvalue(g.u, h.u))
 
 
 # ---------------------------------------------------------------------------
@@ -380,12 +380,12 @@ def box_quotient(P: NilSublattice, Q: NilSublattice) -> AbelianStructure:
     )
 
 
-def central_layer(upper: NilSublattice, lower: NilSublattice) -> bool:
-    """Is upper generated over lower by central elements of the ambient group?"""
-    G = upper.parent
-    _, kernel = center(G)
-    grown = lower.U.sum(kernel)
-    return upper.U.is_sublattice_of(grown)
+def central_layer(upper: NilSublattice, lower: NilSublattice, kernel: Lattice) -> bool:
+    """Is upper generated over lower by central elements of the ambient group?
+
+    ``kernel`` is the u part of the ambient center, as :func:`center` returns.
+    """
+    return upper.U.is_sublattice_of(lower.U.sum(kernel))
 
 
 def subnormal_series(
@@ -425,7 +425,7 @@ def subnormal_series(
                 quotient=a1,
                 index=a1.order(),
                 normality_verified=True,
-                central=central_layer(lam1, sub),
+                central=central_layer(lam1, sub, kernel),
             )
         )
     if not a2.is_trivial:
@@ -435,7 +435,7 @@ def subnormal_series(
                 quotient=a2,
                 index=a2.order(),
                 normality_verified=True,
-                central=central_layer(full, lam1),
+                central=central_layer(full, lam1, kernel),
             )
         )
     max_q = max((l.index for l in chain), default=1)
@@ -447,7 +447,8 @@ def subnormal_series(
         min_length=1 if index > 1 else 0,
         max_quotient_order=max_q,
     )
-    assert cert.structural_ok()
+    if not cert.structural_ok():
+        raise SelfCheckFailed("certificate failed its structural check")
     return cert
 
 
@@ -505,17 +506,6 @@ class RationalScale:
         return NilSublattice(ambient, U, W)
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def heisenberg_witness(k: int, p: int, a: int) -> SeriesCertificate:
     """Overlattice chain Gamma < Lambda < Lambda' realizing the (1, 2) profile.
 
@@ -526,7 +516,7 @@ def heisenberg_witness(k: int, p: int, a: int) -> SeriesCertificate:
     """
     if k < 1:
         raise InvalidParameters("k must be >= 1")
-    if not _is_prime(p):
+    if not is_prime(p):
         raise InvalidParameters("p must be prime")
     if a < 2:
         raise InvalidParameters("a must be >= 2 (second-layer forms k*p^(a-2))")
@@ -538,6 +528,7 @@ def heisenberg_witness(k: int, p: int, a: int) -> SeriesCertificate:
     gamma = scale_full.embedded_sublattice(ambient)
     lam = NilSublattice(ambient, gamma.U, Lattice.standard(1))
     lam_prime = NilSublattice.full(ambient)
+    _, kernel = center(ambient)
 
     a1 = box_quotient(lam, gamma)
     a2 = box_quotient(lam_prime, lam)
@@ -552,14 +543,14 @@ def heisenberg_witness(k: int, p: int, a: int) -> SeriesCertificate:
             quotient=a1,
             index=p**a,
             normality_verified=True,
-            central=central_layer(lam, gamma),
+            central=central_layer(lam, gamma, kernel),
         ),
         ChainLevel(
             subgroup=lam.to_json(),
             quotient=a2,
             index=p**2,
             normality_verified=True,
-            central=central_layer(lam_prime, lam),
+            central=central_layer(lam_prime, lam, kernel),
         ),
     )
     cert = SeriesCertificate(
@@ -573,7 +564,8 @@ def heisenberg_witness(k: int, p: int, a: int) -> SeriesCertificate:
         min_length=1,
         max_quotient_order=max(p**a, p**2),
     )
-    assert cert.structural_ok()
+    if not cert.structural_ok():
+        raise SelfCheckFailed("certificate failed its structural check")
     return cert
 
 

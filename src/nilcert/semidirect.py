@@ -16,6 +16,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
+from .arith import parse_int
 from .certificates import (
     KIND_SOL3,
     ChainLevel,
@@ -29,6 +30,7 @@ from .errors import (
     NotNormal,
     NotAbelianQuotient,
     QuotientTooLarge,
+    SelfCheckFailed,
     UnsupportedSubgroupShape,
 )
 from .linalg import (
@@ -146,9 +148,7 @@ def conj(g: SemidirectElement, h: SemidirectElement) -> SemidirectElement:
     s = h.t
     left = (IntMatrix.identity(G.n) - G.power(s)).apply(g.v)
     right = G.power(g.t).apply(h.v)
-    result = SemidirectElement(G, tuple(a + b for a, b in zip(left, right)), s)
-    assert result == mul(mul(g, h), inv(g))
-    return result
+    return SemidirectElement(G, tuple(a + b for a, b in zip(left, right)), s)
 
 
 def commutator(g: SemidirectElement, h: SemidirectElement) -> SemidirectElement:
@@ -218,16 +218,12 @@ class SemidirectLattice:
     def from_json(obj: dict) -> "SemidirectLattice":
         if obj.get("type") != "semidirect":
             raise InvalidParameters("not a semidirect group description")
-        n = int(obj["n"])
+        n = parse_int(obj["n"])
         group = SemidirectGroup(IntMatrix.from_json(obj["matrix"]))
         if group.n != n:
             raise DimensionMismatch("matrix size does not match declared rank")
         L = Lattice.from_json(n, obj.get("sublattice") or IntMatrix.identity(n).to_json())
-        return SemidirectLattice(group, L, int(obj.get("m", 1)))
-
-
-def contains(S: SemidirectLattice, g: SemidirectElement) -> bool:
-    return S.contains(g)
+        return SemidirectLattice(group, L, parse_int(obj.get("m", 1)))
 
 
 def group_index(G: SemidirectLattice, S: SemidirectLattice):
@@ -258,7 +254,8 @@ def normalizer(G: SemidirectLattice, S: SemidirectLattice) -> SemidirectLattice:
     # S must be normal in the result (generator conjugation, both directions).
     for g in result.generators():
         for s in S.generators():
-            assert S.contains(conj(g, s)) and S.contains(conj(inv(g), s))
+            if not (S.contains(conj(g, s)) and S.contains(conj(inv(g), s))):
+                raise NotNormal("S is not normal in its computed normalizer")
     return result
 
 
@@ -328,7 +325,10 @@ def intermediates(
         reps.add(S.L.reduce(v))
     t_reps = list(range(0, S.m, G.m))
     elements = [(v, t) for v in sorted(reps) for t in t_reps]
-    assert len(elements) == index
+    if len(elements) != index:
+        raise SelfCheckFailed(
+            "enumerated %d cosets for a quotient of order %d" % (len(elements), index)
+        )
     lookup = {e: i for i, e in enumerate(elements)}
 
     def emul(i, j):
@@ -483,7 +483,8 @@ def sol3_tower(k: int) -> SeriesCertificate:
         min_length=length_lower_bound(total, max_q) if k else 0,
         max_quotient_order=max_q,
     )
-    assert cert.structural_ok()
+    if not cert.structural_ok():
+        raise SelfCheckFailed("certificate failed its structural check")
     return cert
 
 

@@ -197,6 +197,28 @@ class TestExitCodes:
         assert code == 1
         assert json.loads(out)["error"]["type"] == "InputError"
 
+    @pytest.mark.parametrize("verb", ["snf", "hnf"])
+    @pytest.mark.parametrize(
+        "matrix", ["[[1.5,2],[3,4]]", "[[true,0],[0,2]]", '[["a"]]'], ids=["float", "bool", "word"]
+    )
+    def test_malformed_matrix_is_a_structured_error(self, capsys, verb, matrix):
+        code, out, err = invoke(capsys, verb, "--input", matrix)
+        assert code == 1
+        report = json.loads(out)
+        assert report["error"]["type"] == "InvalidParameters"
+        assert "result" not in report and err == ""
+
+    def test_malformed_group_entries(self, capsys):
+        heis = {"type": "twostep", "f": 1, "b": 2, "forms": [[["0", "1"], ["-1", "0"]]]}
+        for bad in (dict(heis, f=1.0), dict(heis, forms=[[["0", "1.5"], ["-1", "0"]]])):
+            code, out, _ = invoke(capsys, "center", "--input", json.dumps(bad))
+            assert code == 1
+            assert json.loads(out)["error"]["type"] == "InvalidParameters"
+        gamma = json.dumps({"U": [["2", "0"], ["0", True]], "W": [["4"]]})
+        code, out, _ = invoke(capsys, "series", "--input", json.dumps(heis), "--gamma", gamma)
+        assert code == 1
+        assert json.loads(out)["error"]["type"] == "InvalidParameters"
+
     def test_summary_on_stderr(self, capsys):
         code, out, err = invoke(capsys, "minkowski", "--n", "2", "--summary")
         assert code == 0

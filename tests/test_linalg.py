@@ -3,11 +3,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nilcert.errors import DimensionMismatch, NotASublattice
+from nilcert.arith import parse_int
+from nilcert.errors import DimensionMismatch, InvalidParameters, NotASublattice
 from nilcert.linalg import (
     AbelianStructure,
     IntMatrix,
     Lattice,
+    _echelon,
     hnf,
     lattice_index,
     left_kernel,
@@ -129,6 +131,7 @@ class TestSNF:
             assert form.U * A * form.V == form.S
             assert abs(form.U.det()) == 1
             assert abs(form.V.det()) == 1
+            assert (form.V_inv * form.V).is_identity()
             for a, b in zip(form.factors, form.factors[1:]):
                 assert b % a == 0
 
@@ -333,3 +336,116 @@ class TestAbelianStructure:
     def test_json_round_trip(self):
         a = AbelianStructure(2, (3, 9))
         assert AbelianStructure.from_json(a.to_json()) == a
+
+
+class TestTransformFreeCore:
+    """The elimination without a transform and the cached pivots."""
+
+    @settings(max_examples=80)
+    @given(small_matrices)
+    def test_kernel_without_transform_matches_hnf(self, A):
+        w = [list(row) for row in A.data]
+        rank = _echelon(w, A.cols)
+        H = hnf(A).H
+        assert tuple(map(tuple, w)) == H.data
+        assert rank == sum(1 for row in H.data if any(row))
+        assert Lattice.from_rows(A.cols, A.data).basis.data == H.data[:rank]
+
+    def test_pivots_unchanged_by_sum_and_intersect(self):
+        rng = random.Random(19)
+
+        def pivots(L):
+            return tuple(next(k for k, x in enumerate(row) if x) for row in L.basis.data)
+
+        for _ in range(100):
+            n = rng.randint(1, 4)
+            a = Lattice.from_rows(n, rand_matrix(rng, lo=-5, hi=5, cols=n).data)
+            b = Lattice.from_rows(n, rand_matrix(rng, lo=-5, hi=5, cols=n).data)
+            before = (a._pivots, b._pivots)
+            for L in (a.sum(b), a.intersect(b)):
+                assert L._pivots == pivots(L)
+            assert (a._pivots, b._pivots) == before == (pivots(a), pivots(b))
+
+    def test_internal_arithmetic_keeps_plain_int_rows(self):
+        A = IntMatrix([[1, 2], [3, 4]])
+        for M in (A + A, A - A, -A, A * A, A.transpose(), A.scale(3), hnf(A).U, snf(A).V_inv):
+            assert isinstance(M.data, tuple)
+            assert all(isinstance(row, tuple) and len(row) == M.cols for row in M.data)
+            assert all(type(x) is int for row in M.data for x in row)
+
+    def test_public_constructor_still_validates(self):
+        with pytest.raises(TypeError):
+            IntMatrix([[1.5, 2]])
+        with pytest.raises(TypeError):
+            IntMatrix([[True, 0]])
+        with pytest.raises(DimensionMismatch):
+            IntMatrix([[1, 2], [3]])
+        with pytest.raises(TypeError):
+            Lattice.from_rows(2, [[1, 0.5]])
+        with pytest.raises(TypeError):
+            IntMatrix.identity(2).scale(0.5)
+
+
+class TestStrictParser:
+    def test_accepts_ints_and_decimal_strings(self):
+        assert parse_int(7) == 7
+        assert parse_int("-12") == -12
+        assert parse_int("007") == 7
+        assert IntMatrix.from_json([["1", -2], [3, "4"]]) == IntMatrix([[1, -2], [3, 4]])
+        assert Lattice.from_json(2, [["2", "0"], [0, 2]]) == Lattice.scaled(2, 2)
+
+    @pytest.mark.parametrize(
+        "bad", [1.5, 2.0, True, False, None, "a", "1.5", "+3", " 3", "1_000", "", "٣", [1]]
+    )
+    def test_rejects_everything_else(self, bad):
+        with pytest.raises(InvalidParameters):
+            parse_int(bad)
+        with pytest.raises(InvalidParameters):
+            IntMatrix.from_json([[bad]])
+        with pytest.raises(InvalidParameters):
+            Lattice.from_json(1, [[bad]])
+        with pytest.raises(InvalidParameters):
+            AbelianStructure.from_json({"free_rank": bad, "torsion": []})
+        with pytest.raises(InvalidParameters):
+            AbelianStructure.from_json({"free_rank": 0, "torsion": [bad]})
+
+    @pytest.mark.parametrize("bad", [5, "ab", [1, 2], {"a": 1}, [[1], 2]])
+    def test_rejects_non_matrices(self, bad):
+        with pytest.raises(InvalidParameters):
+            IntMatrix.from_json(bad)
+
+    def test_digit_limit_is_a_structured_error(self):
+        with pytest.raises(InvalidParameters):
+            parse_int("9" * 5000)
+
+
+class TestSympyOracle:
+    """``sympy.matrices.normalforms`` as an independent implementation."""
+
+    def test_smith_factors(self):
+        sympy = pytest.importorskip("sympy")
+        from sympy.matrices.normalforms import smith_normal_form
+
+        rng = random.Random(29)
+        for _ in range(150):
+            A = rand_matrix(rng, maxdim=5)
+            S = smith_normal_form(sympy.Matrix(A.data), domain=sympy.ZZ)
+            diag = [abs(int(S[i, i])) for i in range(min(S.rows, S.cols))]
+            assert snf(A).factors == tuple(d for d in diag if d)
+
+    def test_hermite_spans_the_same_lattice(self):
+        sympy = pytest.importorskip("sympy")
+        from sympy.matrices.normalforms import hermite_normal_form
+
+        rng = random.Random(37)
+        for _ in range(150):
+            A = rand_matrix(rng, maxdim=5)
+            # sympy's form is column-style: the columns of HNF(A^T) span
+            # the row lattice of A.
+            cols = hermite_normal_form(sympy.Matrix(A.data).T)
+            theirs = [tuple(int(x) for x in cols.col(j)) for j in range(cols.cols)]
+            basis = [row for row in hnf(A).H.data if any(row)]
+            ours = Lattice(A.cols, IntMatrix(basis, cols=A.cols))
+            assert all(ours.contains(v) for v in theirs)
+            span = Lattice.from_rows(A.cols, theirs)
+            assert all(span.contains(row) for row in ours.basis.data)

@@ -125,6 +125,8 @@ class TestGroupLaw:
         for _ in range(500):
             g, h, k2 = (rand_nil(rng, G, span=4) for _ in range(3))
             c = nil_commutator(g, h)
+            # the closed form C(u, u') against the group law
+            assert c == nil_mul(nil_mul(nil_mul(g, h), nil_inv(g)), nil_inv(h))
             assert nil_commutator(c, k2).is_identity()
 
     def test_power_formula(self):

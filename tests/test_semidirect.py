@@ -18,7 +18,6 @@ from nilcert.semidirect import (
     center_rank,
     commutator,
     conj,
-    contains,
     group_index,
     intermediates,
     inv,
@@ -37,6 +36,18 @@ from nilcert.semidirect import (
 @pytest.fixture(scope="module")
 def G():
     return sol3_group()
+
+
+def rand_unimodular(rng, n, steps=6):
+    m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    for _ in range(steps):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i != j:
+            q = rng.randint(-2, 2)
+            m[i] = [a + q * b for a, b in zip(m[i], m[j])]
+    if rng.random() < 0.5:
+        m[0] = [-x for x in m[0]]
+    return IntMatrix(m)
 
 
 def rand_element(rng, G, span=12):
@@ -67,7 +78,7 @@ class TestGroupLaw:
         assert inv(w) == G.element((-4, 7), 0)
 
     def test_conjugation_closed_formula(self, G):
-        # oracle: (Id - A)(1,0) = (-4,-2), cross-checked inside conj itself
+        # oracle: (Id - A)(1,0) = (-4,-2)
         got = conj(G.element((1, 0), 0), G.element((0, 0), 1))
         assert got == G.element((-4, -2), 1)
         assert conj(G.identity(), G.element((2, 3), -1)) == G.element((2, 3), -1)
@@ -88,24 +99,28 @@ class TestGroupLaw:
             assert mul(inv(a), a).is_identity()
 
     def test_conj_equals_triple_product_sampled(self, G):
+        # conj uses a closed formula; the group law is the oracle
         rng = random.Random(77)
-        for _ in range(2000):
-            g, h = rand_element(rng, G), rand_element(rng, G)
-            assert conj(g, h) == mul(mul(g, h), inv(g))
+        groups = [G] + [SemidirectGroup(rand_unimodular(rng, n)) for n in (1, 2, 2, 3, 3, 3)]
+        for H in groups:
+            for _ in range(400):
+                g, h = rand_element(rng, H), rand_element(rng, H)
+                assert conj(g, h) == mul(mul(g, h), inv(g))
+                assert commutator(g, h) == mul(mul(mul(g, h), inv(g)), inv(h))
 
 
 class TestLatticeSubgroups:
     def test_contains(self, G):
         g1 = sol3_gamma(1)
-        assert contains(g1, G.element((2, 0), 5))
-        assert not contains(g1, G.element((1, 0), 0))
+        assert g1.contains(G.element((2, 0), 5))
+        assert not g1.contains(G.element((1, 0), 0))
 
     def test_contains_mixed_form(self, G):
         # v in 2Z^2 with v1 + v2 in 4Z
         L = Lattice.from_rows(2, [[2, 2], [0, 4]])
         S = SemidirectLattice(G, L, 1)
-        assert contains(S, G.element((2, 2), 0))
-        assert not contains(S, G.element((2, 0), 0))
+        assert S.contains(G.element((2, 2), 0))
+        assert not S.contains(G.element((2, 0), 0))
 
     def test_invariance_enforced(self, G):
         # A maps (0, 1) to (2, 1), which leaves 3Z x Z
@@ -114,8 +129,8 @@ class TestLatticeSubgroups:
 
     def test_translation_divisibility(self, G):
         S = SemidirectLattice(G, Lattice.standard(2), 3)
-        assert not contains(S, G.element((0, 0), 2))
-        assert contains(S, G.element((0, 0), -6))
+        assert not S.contains(G.element((0, 0), 2))
+        assert S.contains(G.element((0, 0), -6))
 
     def test_json_round_trip(self, G):
         S = sol3_gamma(2)
@@ -175,8 +190,8 @@ class TestNormalizer:
             assert S.is_subgroup_of(N)
             for g in N.generators():
                 for s in S.generators():
-                    assert contains(S, conj(g, s))
-                    assert contains(S, conj(inv(g), s))
+                    assert S.contains(conj(g, s))
+                    assert S.contains(conj(inv(g), s))
 
 
 class TestQuotient:
