@@ -3,8 +3,10 @@
 ``parse_int`` is the input boundary for every integer read from JSON: it
 accepts a plain ``int`` or a decimal string and nothing else, so a float,
 a boolean or a stray word becomes a structured error instead of a silent
-truncation.  ``factorize`` is the one trial-division routine behind the
-primality tests and the p-power counts.
+truncation.  ``json_field`` is the matching boundary for object keys: a
+missing field is a structured error naming it, not a ``KeyError``.
+``factorize`` is the one trial-division routine behind the primality tests,
+the p-power counts and the Minkowski bound.
 """
 
 from __future__ import annotations
@@ -28,6 +30,19 @@ def parse_int(x) -> int:
     raise InvalidParameters("expected an integer or a decimal string, got %r" % (x,))
 
 
+def json_field(obj, key: str, kind: type = object):
+    """``obj[key]`` for a JSON object whose field holds a ``kind``, else InvalidParameters.
+
+    Pass ``kind=list`` for a field that is read by iterating over it, so a
+    string such as ``"22"`` is not taken for the list ``["2", "2"]``.
+    """
+    if not (isinstance(obj, dict) and key in obj):
+        raise InvalidParameters("missing field %r in %.60r" % (key, obj))
+    if not isinstance(obj[key], kind):
+        raise InvalidParameters("field %r must be a JSON %s" % (key, kind.__name__))
+    return obj[key]
+
+
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization of ``n >= 1`` by trial division: {prime: exponent}."""
     out: dict[int, int] = {}
@@ -44,3 +59,27 @@ def factorize(n: int) -> dict[int, int]:
 
 def is_prime(p: int) -> bool:
     return p >= 2 and factorize(p) == {p: 1}
+
+
+def minkowski_bound(n: int) -> int:
+    """The classical Minkowski constant M(n) for GL(n, Z).
+
+    M(n) = prod_p p^(e_p) with e_p = sum_{i >= 0} floor(n / (p^i (p - 1))).
+    Every finite subgroup of GL(n, Z) has order dividing M(n); the bound need
+    not be attained (the largest finite subgroup of GL(2, Z) has order 12,
+    while M(2) = 24).
+    """
+    if n < 1:
+        raise InvalidParameters("n must be >= 1")
+    result = 1
+    p = 2
+    while p - 1 <= n:
+        if is_prime(p):
+            e = 0
+            q = p - 1
+            while q <= n:
+                e += n // q
+                q *= p
+            result *= p**e
+        p += 1
+    return result

@@ -4,7 +4,9 @@ A :class:`SeriesCertificate` stores everything needed to re-derive its claims
 from scratch: the ambient group description, each chain level's subgroup
 description plus the verified quotient structure, and the certified length
 data.  Certificates are plain JSON (integers as decimal strings) so they can
-be archived and diffed; re-verification lives in :mod:`nilcert.invariants`.
+be archived and diffed.  Every certificate is made by :func:`sealed`, and
+re-verification (:mod:`nilcert.invariants`) rebuilds it from its own inputs
+and compares.
 
 Only the Sol3 tower kind carries a genuine lower bound on series length: the
 normalizer-chain argument caps every quotient order at ``max_quotient_order``,
@@ -18,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from .arith import json_field, parse_int
+from .errors import InvalidParameters, SelfCheckFailed
 from .linalg import AbelianStructure
 
 SCHEMA = "nilcert/1"
@@ -52,18 +56,27 @@ class ChainLevel:
 
     @staticmethod
     def from_json_dict(obj: dict) -> "ChainLevel":
+        subgroup = json_field(obj, "subgroup")
         quotient = AbelianStructure(
-            int(obj.get("quotient_free_rank", 0)),
-            tuple(int(d) for d in obj["quotient_factors"]),
+            parse_int(obj.get("quotient_free_rank", 0)),
+            tuple(parse_int(d) for d in json_field(obj, "quotient_factors", list)),
         )
-        flag = obj.get("normalizer_verified", obj.get("normality_verified"))
+        flag_key = "normalizer_verified" if "normalizer_verified" in obj else "normality_verified"
         return ChainLevel(
-            subgroup=obj["subgroup"],
+            subgroup=subgroup,
             quotient=quotient,
-            index=int(obj["index"]),
-            normality_verified=bool(flag),
-            central=obj.get("central"),
+            index=parse_int(json_field(obj, "index")),
+            normality_verified=bool(_flag(obj, flag_key)),
+            central=_flag(obj, "central"),
         )
+
+
+def _flag(obj: dict, key: str) -> Optional[bool]:
+    """A JSON boolean, or None when the flag is absent or null."""
+    value = obj.get(key)
+    if value is not None and not isinstance(value, bool):
+        raise InvalidParameters("field %r must be a JSON boolean, got %r" % (key, value))
+    return value
 
 
 @dataclass(frozen=True)
@@ -115,13 +128,34 @@ class SeriesCertificate:
     def from_json_dict(obj: dict) -> "SeriesCertificate":
         levels = obj.get("levels", obj.get("chain", []))
         return SeriesCertificate(
-            kind=obj["kind"],
-            group_ref=obj["group"],
+            kind=json_field(obj, "kind"),
+            group_ref=json_field(obj, "group"),
             chain=tuple(ChainLevel.from_json_dict(l) for l in levels),
-            total_index=int(obj["total_index"]),
-            min_length=int(obj["min_length"]),
-            max_quotient_order=int(obj["max_quotient_order"]),
+            total_index=parse_int(json_field(obj, "total_index")),
+            min_length=parse_int(json_field(obj, "min_length")),
+            max_quotient_order=parse_int(json_field(obj, "max_quotient_order")),
         )
+
+
+def sealed(kind: str, group_ref: dict, chain, total_index: int, min_length: int) -> SeriesCertificate:
+    """The certificate of a verified chain, checked for internal consistency.
+
+    ``max_quotient_order`` is the largest level index (1 for an empty
+    chain).  Every builder ends here, so a re-verification that rebuilds a
+    certificate from its inputs recomputes every field the same way.
+    """
+    chain = tuple(chain)
+    cert = SeriesCertificate(
+        kind=kind,
+        group_ref=group_ref,
+        chain=chain,
+        total_index=total_index,
+        min_length=min_length,
+        max_quotient_order=max((level.index for level in chain), default=1),
+    )
+    if not cert.structural_ok():
+        raise SelfCheckFailed("certificate failed its structural check")
+    return cert
 
 
 def length_lower_bound(total_index: int, max_quotient_order: int) -> int:

@@ -22,7 +22,7 @@ from .errors import (
     QuotientTooLarge,
     UnsupportedGroupShape,
 )
-from .linalg import IntMatrix, Lattice, hnf, snf
+from .linalg import IntMatrix, hnf, snf
 from .nilpotent2 import NilSublattice, TwoStepLattice
 from .semidirect import SemidirectLattice
 
@@ -196,12 +196,7 @@ def _cmd_series(args):
     group = _group_from_description(_load_json_arg(args.input))
     if not isinstance(group, TwoStepLattice):
         raise UnsupportedGroupShape("series needs a twostep group")
-    gamma_desc = _load_json_arg(args.gamma)
-    sub = NilSublattice(
-        group,
-        Lattice.from_json(group.b, gamma_desc["U"]),
-        Lattice.from_json(group.f, gamma_desc["W"]),
-    )
+    sub = NilSublattice.from_json(group, _load_json_arg(args.gamma))
     cert = nilpotent2.subnormal_series(group, sub, max_index=args.max_index)
     return cert.to_json_dict()
 
@@ -240,7 +235,8 @@ def _cmd_discsym2(args):
 
 
 def _cmd_sol3_tower(args):
-    if args.k >= 0 and 4**args.k > args.max_index:
+    # 4^k has 2k + 1 bits: compare bit lengths before forming the power.
+    if args.k >= 0 and (2 * args.k > args.max_index.bit_length() or 4**args.k > args.max_index):
         raise QuotientTooLarge(
             "tower index 4^%d exceeds --max-index %d" % (args.k, args.max_index)
         )
@@ -248,7 +244,12 @@ def _cmd_sol3_tower(args):
 
 
 def _cmd_witness(args):
-    if args.p >= 1 and args.a >= 0 and args.p ** (args.a + 2) > args.max_index:
+    # p^(a+2) has more than (a+2)(bits(p) - 1) bits: compare bit lengths
+    # before forming the power, which then has at most twice the guard's bits.
+    e = args.a + 2
+    if args.p >= 1 and args.a >= 0 and (
+        e * (args.p.bit_length() - 1) >= args.max_index.bit_length() or args.p**e > args.max_index
+    ):
         raise QuotientTooLarge(
             "witness index p^(a+2) exceeds --max-index %d" % args.max_index
         )

@@ -19,7 +19,7 @@ import string
 from dataclasses import dataclass
 from functools import cached_property
 
-from .arith import factorize, parse_int
+from .arith import factorize, json_field, parse_int
 from .errors import (
     EnumerationFailed,
     IllDefinedAction,
@@ -30,10 +30,10 @@ from .linalg import (
     AbelianStructure,
     IntMatrix,
     Lattice,
+    hnf,
     preimage_lattice,
     quotient_structure,
     quotient_with_generators,
-    solve_row_combination,
     vstack,
 )
 
@@ -82,7 +82,7 @@ class ModuleAction:
     def dim(self) -> int:
         return self.module.free_rank + len(self.module.torsion)
 
-    @property
+    @cached_property
     def torsion_lattice(self) -> Lattice:
         rows = []
         free = self.module.free_rank
@@ -109,17 +109,19 @@ class ModuleAction:
         )
 
     def _module_inverse(self, psi: IntMatrix) -> IntMatrix:
-        """Matrix acting as the inverse module map, if one exists."""
+        """Matrix acting as the inverse module map, if one exists.
+
+        psi is invertible on the module exactly when the rows of psi^T and
+        the torsion relations span Z^dim, that is when their Hermite form is
+        the identity on top; row j of the transform then writes e_j in those
+        rows, and its psi^T part is column j of the inverse.
+        """
         dim = self.dim
-        stacked = vstack([psi.transpose(), self.torsion_lattice.basis]) if self.torsion_lattice.rank else psi.transpose()
-        cols = []
-        for j in range(dim):
-            target = tuple(1 if i == j else 0 for i in range(dim))
-            coeff = solve_row_combination(stacked, target)
-            if coeff is None:
-                raise IllDefinedAction("generator action is not invertible on the module")
-            cols.append(coeff[:dim])
-        return IntMatrix(cols, cols=dim).transpose()
+        lat = self.torsion_lattice
+        form = hnf(vstack([psi.transpose(), lat.basis]) if lat.rank else psi.transpose())
+        if form.H.data[:dim] != IntMatrix.identity(dim).data:
+            raise IllDefinedAction("generator action is not invertible on the module")
+        return IntMatrix([row[:dim] for row in form.U.data[:dim]], cols=dim).transpose()
 
     @cached_property
     def inverses(self) -> tuple[IntMatrix, ...]:
@@ -196,15 +198,16 @@ class ModuleAction:
 
     @staticmethod
     def from_json(obj: dict) -> "ModuleAction":
+        spec = json_field(obj, "module")
         module = AbelianStructure(
-            parse_int(obj["module"]["free"]),
-            tuple(parse_int(d) for d in obj["module"]["torsion"]),
+            parse_int(json_field(spec, "free")),
+            tuple(parse_int(d) for d in json_field(spec, "torsion", list)),
         )
         return ModuleAction(
-            parse_int(obj["generators"]),
-            tuple(obj["relators"]),
+            parse_int(json_field(obj, "generators")),
+            tuple(json_field(obj, "relators", list)),
             module,
-            tuple(IntMatrix.from_json(m) for m in obj["action"]),
+            tuple(IntMatrix.from_json(m) for m in json_field(obj, "action")),
         )
 
 

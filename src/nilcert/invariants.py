@@ -8,18 +8,14 @@ certificate kind produced by this package.
 
 from __future__ import annotations
 
+import contextlib
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import nilpotent2, semidirect
-from .arith import is_prime
-from .certificates import (
-    KIND_SOL3,
-    KIND_TWO_STEP,
-    KIND_WITNESS,
-    SeriesCertificate,
-    length_lower_bound,
-)
+from .arith import json_field, parse_int
+from .arith import minkowski_bound  # noqa: F401  (public name of this module)
+from .certificates import KIND_SOL3, KIND_TWO_STEP, KIND_WITNESS, SeriesCertificate
 from .errors import (
     InvalidParameters,
     NilcertError,
@@ -36,30 +32,6 @@ from .linalg import (
 )
 from .nilpotent2 import NilSublattice, TwoStepLattice
 from .semidirect import SemidirectGroup, SemidirectLattice
-
-
-def minkowski_bound(n: int) -> int:
-    """The classical Minkowski constant M(n) for GL(n, Z).
-
-    M(n) = prod_p p^(e_p) with e_p = sum_{i >= 0} floor(n / (p^i (p - 1))).
-    Every finite subgroup of GL(n, Z) has order dividing M(n); the bound need
-    not be attained (the largest finite subgroup of GL(2, Z) has order 12,
-    while M(2) = 24).
-    """
-    if n < 1:
-        raise InvalidParameters("n must be >= 1")
-    result = 1
-    p = 2
-    while p - 1 <= n:
-        if is_prime(p):
-            e = 0
-            q = p - 1
-            while q <= n:
-                e += n // q
-                q *= p
-            result *= p**e
-        p += 1
-    return result
 
 
 def euler_length_bound(chi: int) -> int:
@@ -163,88 +135,70 @@ def discsym2_upper(G) -> DiscSym2Bound:
 # ---------------------------------------------------------------------------
 
 
-def _parse_certificate(cert) -> SeriesCertificate:
-    if isinstance(cert, SeriesCertificate):
-        return cert
-    if isinstance(cert, dict):
-        try:
-            return SeriesCertificate.from_json_dict(cert)
-        except (KeyError, ValueError, TypeError) as exc:
-            raise UnresolvableReference("malformed certificate: %s" % exc)
-    raise UnresolvableReference("certificate must be a dict or SeriesCertificate")
-
-
-def _verify_sol3(cert: SeriesCertificate) -> bool:
+@contextlib.contextmanager
+def _resolving(what: str):
+    """Inputs a certificate names that cannot be read at all are unresolvable."""
     try:
-        gamma = SemidirectLattice.from_json(cert.group_ref)
-    except NilcertError as exc:
-        raise UnresolvableReference("cannot rebuild ambient group: %s" % exc)
-    prev = gamma
-    total = 1
-    try:
-        for level in cert.chain:
-            sub = SemidirectLattice.from_json(level.subgroup)
-            if sub.parent != gamma.parent:
-                return False
-            if semidirect.normalizer(gamma, sub) != prev:
-                return False
-            q = semidirect.quotient(prev, sub)
-            if q != level.quotient or q.order() != level.index:
-                return False
-            total *= level.index
-            prev = sub
-    except NilcertError:
-        return False
-    if total != cert.total_index:
-        return False
-    expected_max = max((l.index for l in cert.chain), default=1)
-    if cert.max_quotient_order != expected_max:
-        return False
-    return cert.min_length == length_lower_bound(cert.total_index, cert.max_quotient_order)
-
-
-def _verify_witness(cert: SeriesCertificate) -> bool:
-    params = cert.group_ref.get("witness")
-    if not params:
-        raise UnresolvableReference("witness certificate lacks its parameters")
-    try:
-        fresh = nilpotent2.heisenberg_witness(
-            int(params["k"]), int(params["p"]), int(params["a"])
-        )
-    except (KeyError, ValueError, TypeError) as exc:
-        raise UnresolvableReference("malformed witness parameters: %s" % exc)
-    except NilcertError:
-        return False
-    return fresh == cert
-
-
-def _verify_two_step(cert: SeriesCertificate) -> bool:
-    try:
-        parent = TwoStepLattice.from_json(cert.group_ref)
-        sub = NilSublattice.from_json(parent, cert.group_ref["gamma"])
+        yield
     except (NilcertError, KeyError, ValueError, TypeError) as exc:
-        raise UnresolvableReference("cannot rebuild series data: %s" % exc)
-    try:
-        fresh = nilpotent2.subnormal_series(parent, sub)
-    except NilcertError:
-        return False
-    return fresh == cert
+        raise UnresolvableReference("cannot rebuild %s: %s" % (what, exc))
+
+
+def _rebuild_sol3(cert: SeriesCertificate) -> SeriesCertificate:
+    with _resolving("ambient group"):
+        gamma = SemidirectLattice.from_json(cert.group_ref)
+    subs = [SemidirectLattice.from_json(level.subgroup) for level in cert.chain]
+    fresh = semidirect.tower_certificate(gamma, subs, cert.group_ref)
+    # The subgroup descriptions are inputs, not claims: keep their spelling.
+    chain = tuple(replace(new, subgroup=old.subgroup) for new, old in zip(fresh.chain, cert.chain))
+    return replace(fresh, chain=chain)
+
+
+def _rebuild_witness(cert: SeriesCertificate) -> SeriesCertificate:
+    with _resolving("witness parameters"):
+        params = json_field(cert.group_ref, "witness")
+        k, p, a = (parse_int(json_field(params, key)) for key in ("k", "p", "a"))
+    return nilpotent2.heisenberg_witness(k, p, a)
+
+
+def _rebuild_two_step(cert: SeriesCertificate) -> SeriesCertificate:
+    with _resolving("series data"):
+        parent = TwoStepLattice.from_json(cert.group_ref)
+        sub = NilSublattice.from_json(parent, json_field(cert.group_ref, "gamma"))
+    return nilpotent2.subnormal_series(parent, sub)
+
+
+_REBUILD = {
+    KIND_SOL3: _rebuild_sol3,
+    KIND_WITNESS: _rebuild_witness,
+    KIND_TWO_STEP: _rebuild_two_step,
+}
 
 
 def verify_certificate(cert) -> bool:
     """Re-derive every claim in a certificate from scratch.
 
-    Returns True only when all embedded normality, quotient, index and
-    length claims recompute exactly.  Raises UnresolvableReference when the
-    referenced groups cannot be rebuilt at all.
+    The certificate is rebuilt from its own inputs (ambient group, chain
+    subgroups or witness parameters) by the routine that built it, and the
+    result must equal it field for field.  Returns False when any claim
+    differs or the rebuild fails; raises UnresolvableReference when the
+    certificate or the groups it names cannot be read at all.
     """
-    parsed = _parse_certificate(cert)
-    if not parsed.structural_ok():
+    if isinstance(cert, dict):
+        try:
+            cert = SeriesCertificate.from_json_dict(cert)
+        except (NilcertError, ValueError, TypeError) as exc:
+            raise UnresolvableReference("malformed certificate: %s" % exc)
+    elif not isinstance(cert, SeriesCertificate):
+        raise UnresolvableReference("certificate must be a dict or SeriesCertificate")
+    if not cert.structural_ok():
         return False
-    if parsed.kind == KIND_SOL3:
-        return _verify_sol3(parsed)
-    if parsed.kind == KIND_WITNESS:
-        return _verify_witness(parsed)
-    if parsed.kind == KIND_TWO_STEP:
-        return _verify_two_step(parsed)
-    raise UnresolvableReference("unknown certificate kind %r" % parsed.kind)
+    rebuild = _REBUILD.get(cert.kind)
+    if rebuild is None:
+        raise UnresolvableReference("unknown certificate kind %r" % cert.kind)
+    try:
+        return rebuild(cert) == cert
+    except UnresolvableReference:
+        raise
+    except NilcertError:
+        return False

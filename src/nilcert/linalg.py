@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
-from .arith import parse_int
+from .arith import json_field, parse_int
 from .errors import DimensionMismatch, InvalidParameters, NotASublattice
 
 Row = tuple[int, ...]
@@ -532,7 +532,8 @@ class AbelianStructure:
     @staticmethod
     def from_json(obj) -> "AbelianStructure":
         return AbelianStructure(
-            parse_int(obj["free_rank"]), tuple(parse_int(d) for d in obj["torsion"])
+            parse_int(json_field(obj, "free_rank")),
+            tuple(parse_int(d) for d in json_field(obj, "torsion", list)),
         )
 
 

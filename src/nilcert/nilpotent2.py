@@ -17,12 +17,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .arith import is_prime, parse_int
+from .arith import is_prime, json_field, parse_int
 from .certificates import (
     KIND_TWO_STEP,
     KIND_WITNESS,
     ChainLevel,
     SeriesCertificate,
+    sealed,
 )
 from .errors import (
     ClosureViolation,
@@ -35,7 +36,6 @@ from .errors import (
     NotFiniteIndex,
     NotNormal,
     QuotientTooLarge,
-    SelfCheckFailed,
 )
 from .linalg import (
     AbelianStructure,
@@ -140,12 +140,12 @@ class TwoStepLattice:
 
     @staticmethod
     def from_json(obj: dict) -> "TwoStepLattice":
-        if obj.get("type") != "twostep":
+        if not isinstance(obj, dict) or obj.get("type") != "twostep":
             raise InvalidParameters("not a twostep group description")
         return TwoStepLattice(
-            parse_int(obj["f"]),
-            parse_int(obj["b"]),
-            [IntMatrix.from_json(C) for C in obj["forms"]],
+            parse_int(json_field(obj, "f")),
+            parse_int(json_field(obj, "b")),
+            [IntMatrix.from_json(C) for C in json_field(obj, "forms")],
         )
 
 
@@ -316,8 +316,8 @@ class NilSublattice:
     def from_json(parent: TwoStepLattice, obj: dict) -> "NilSublattice":
         return NilSublattice(
             parent,
-            Lattice.from_json(parent.b, obj["U"]),
-            Lattice.from_json(parent.f, obj["W"]),
+            Lattice.from_json(parent.b, json_field(obj, "U")),
+            Lattice.from_json(parent.f, json_field(obj, "W")),
         )
 
 
@@ -346,9 +346,6 @@ def box_quotient(P: NilSublattice, Q: NilSublattice) -> AbelianStructure:
         raise NotASubgroup("Q is not contained in P")
     if not box_normal_in(Q, P):
         raise NotNormal("Q is not normal in P")
-    for ri, rj in itertools.combinations(P.U.basis.data, 2):
-        if not Q.W.contains(G.cvalue(ri, rj)):
-            raise NotAbelianQuotient("commutators of P do not land in Q")
 
     r = P.U.rank
     s = P.W.rank
@@ -361,7 +358,10 @@ def box_quotient(P: NilSublattice, Q: NilSublattice) -> AbelianStructure:
         return list(y)
 
     for ri, rj in itertools.combinations(P.U.basis.data, 2):
-        relations.append([0] * r + w_coords(G.cvalue(ri, rj)))
+        c = G.cvalue(ri, rj)
+        if not Q.W.contains(c):
+            raise NotAbelianQuotient("commutators of P do not land in Q")
+        relations.append([0] * r + w_coords(c))
     ugens = [G.element(row, (0,) * G.f) for row in P.U.basis.data]
     for qu in Q.U.basis.data:
         x = P.U.coords_of(qu)
@@ -388,6 +388,28 @@ def central_layer(upper: NilSublattice, lower: NilSublattice, kernel: Lattice) -
     return upper.U.is_sublattice_of(lower.U.sum(kernel))
 
 
+def box_chain(boxes, kernel: Lattice) -> list[ChainLevel]:
+    """Chain levels for nested boxes boxes[0] <= boxes[1] <= ...
+
+    Level j records boxes[j] with the abelian quotient boxes[j+1]/boxes[j]
+    and whether that layer is central; ``kernel`` is as for
+    :func:`central_layer`.
+    """
+    levels = []
+    for lower, upper in zip(boxes, boxes[1:]):
+        q = box_quotient(upper, lower)
+        levels.append(
+            ChainLevel(
+                subgroup=lower.to_json(),
+                quotient=q,
+                index=q.order(),
+                normality_verified=True,
+                central=central_layer(upper, lower, kernel),
+            )
+        )
+    return levels
+
+
 def subnormal_series(
     L: TwoStepLattice, sub: NilSublattice, max_index: int | None = None
 ) -> SeriesCertificate:
@@ -407,49 +429,17 @@ def subnormal_series(
         raise QuotientTooLarge("index %d exceeds guard %d" % (index, max_index))
 
     crank, kernel = center(L)
-    b1 = crank
-    b2 = L.b - kernel.rank
     lam1 = NilSublattice(L, sub.U.sum(kernel), Lattice.standard(L.f))
-    full = NilSublattice.full(L)
-
-    a1 = box_quotient(lam1, sub)
-    a2 = box_quotient(full, lam1)
-    if a1.rank() > b1 or a2.rank() > b2:
+    first, second = box_chain([sub, lam1, NilSublattice.full(L)], kernel)
+    if first.quotient.rank() > crank or second.quotient.rank() > L.b - kernel.rank:
         raise NotAbelianQuotient("layer rank exceeds the upper central series bound")
-
-    chain = []
-    if not a1.is_trivial:
-        chain.append(
-            ChainLevel(
-                subgroup=sub.to_json(),
-                quotient=a1,
-                index=a1.order(),
-                normality_verified=True,
-                central=central_layer(lam1, sub, kernel),
-            )
-        )
-    if not a2.is_trivial:
-        chain.append(
-            ChainLevel(
-                subgroup=lam1.to_json(),
-                quotient=a2,
-                index=a2.order(),
-                normality_verified=True,
-                central=central_layer(full, lam1, kernel),
-            )
-        )
-    max_q = max((l.index for l in chain), default=1)
-    cert = SeriesCertificate(
-        kind=KIND_TWO_STEP,
-        group_ref=dict(L.to_json(), gamma=sub.to_json()),
-        chain=tuple(chain),
-        total_index=index,
-        min_length=1 if index > 1 else 0,
-        max_quotient_order=max_q,
+    return sealed(
+        KIND_TWO_STEP,
+        dict(L.to_json(), gamma=sub.to_json()),
+        [level for level in (first, second) if not level.quotient.is_trivial],
+        index,
+        1 if index > 1 else 0,
     )
-    if not cert.structural_ok():
-        raise SelfCheckFailed("certificate failed its structural check")
-    return cert
 
 
 # ---------------------------------------------------------------------------
@@ -527,46 +517,18 @@ def heisenberg_witness(k: int, p: int, a: int) -> SeriesCertificate:
 
     gamma = scale_full.embedded_sublattice(ambient)
     lam = NilSublattice(ambient, gamma.U, Lattice.standard(1))
-    lam_prime = NilSublattice.full(ambient)
     _, kernel = center(ambient)
-
-    a1 = box_quotient(lam, gamma)
-    a2 = box_quotient(lam_prime, lam)
-    expected1 = AbelianStructure(0, (p**a,))
-    expected2 = AbelianStructure(0, (p, p))
-    if a1 != expected1 or a2 != expected2:
+    chain = box_chain([gamma, lam, NilSublattice.full(ambient)], kernel)
+    expected = [AbelianStructure(0, (p**a,)), AbelianStructure(0, (p, p))]
+    if [level.quotient for level in chain] != expected:
         raise InvalidParameters("witness quotients did not verify")
-
-    chain = (
-        ChainLevel(
-            subgroup=gamma.to_json(),
-            quotient=a1,
-            index=p**a,
-            normality_verified=True,
-            central=central_layer(lam, gamma, kernel),
-        ),
-        ChainLevel(
-            subgroup=lam.to_json(),
-            quotient=a2,
-            index=p**2,
-            normality_verified=True,
-            central=central_layer(lam_prime, lam, kernel),
-        ),
+    return sealed(
+        KIND_WITNESS,
+        dict(ambient.to_json(), witness={"k": k, "p": p, "a": a, "profile": [1, 2]}),
+        chain,
+        p ** (a + 2),
+        1,
     )
-    cert = SeriesCertificate(
-        kind=KIND_WITNESS,
-        group_ref=dict(
-            ambient.to_json(),
-            witness={"k": k, "p": p, "a": a, "profile": [1, 2]},
-        ),
-        chain=chain,
-        total_index=p ** (a + 2),
-        min_length=1,
-        max_quotient_order=max(p**a, p**2),
-    )
-    if not cert.structural_ok():
-        raise SelfCheckFailed("certificate failed its structural check")
-    return cert
 
 
 # ---------------------------------------------------------------------------

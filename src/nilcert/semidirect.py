@@ -16,12 +16,13 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .arith import parse_int
+from .arith import json_field, minkowski_bound, parse_int
 from .certificates import (
     KIND_SOL3,
     ChainLevel,
     SeriesCertificate,
     length_lower_bound,
+    sealed,
 )
 from .errors import (
     DimensionMismatch,
@@ -87,8 +88,6 @@ class SemidirectGroup:
         every power trace into [-n, n] (a sum of n roots of unity), which
         bails out fast on hyperbolic holonomies before entries blow up.
         """
-        from .invariants import minkowski_bound
-
         cap = minkowski_bound(self.n) if self.n >= 1 else 1
         acc = IntMatrix.identity(self.n)
         for k in range(1, cap + 1):
@@ -216,10 +215,10 @@ class SemidirectLattice:
 
     @staticmethod
     def from_json(obj: dict) -> "SemidirectLattice":
-        if obj.get("type") != "semidirect":
+        if not isinstance(obj, dict) or obj.get("type") != "semidirect":
             raise InvalidParameters("not a semidirect group description")
-        n = parse_int(obj["n"])
-        group = SemidirectGroup(IntMatrix.from_json(obj["matrix"]))
+        n = parse_int(json_field(obj, "n"))
+        group = SemidirectGroup(IntMatrix.from_json(json_field(obj, "matrix")))
         if group.n != n:
             raise DimensionMismatch("matrix size does not match declared rank")
         L = Lattice.from_json(n, obj.get("sublattice") or IntMatrix.identity(n).to_json())
@@ -251,15 +250,12 @@ def normalizer(G: SemidirectLattice, S: SemidirectLattice) -> SemidirectLattice:
     condition = preimage_lattice(IntMatrix.identity(G.parent.n) - A, S.L)
     LN = condition.intersect(G.L)
     result = SemidirectLattice(G.parent, LN, 1)
-    # S must be normal in the result (generator conjugation, both directions).
-    for g in result.generators():
-        for s in S.generators():
-            if not (S.contains(conj(g, s)) and S.contains(conj(inv(g), s))):
-                raise NotNormal("S is not normal in its computed normalizer")
+    _check_normal(result, S)
     return result
 
 
 def _check_normal(G: SemidirectLattice, S: SemidirectLattice) -> None:
+    """S <= G and S is normal in G (generator conjugation, both directions)."""
     if not S.is_subgroup_of(G):
         raise NotASubgroup("S is not contained in G")
     for g in G.generators():
@@ -281,10 +277,6 @@ def quotient(G: SemidirectLattice, S: SemidirectLattice) -> AbelianStructure:
     for a, b in itertools.combinations(gens, 2):
         if not S.contains(commutator(a, b)):
             raise NotAbelianQuotient("commutator of generators of G is not in S")
-    return _quotient_structure_unchecked(G, S)
-
-
-def _quotient_structure_unchecked(G: SemidirectLattice, S: SemidirectLattice) -> AbelianStructure:
     n = G.parent.n
     rows = []
     for row in S.L.basis.data:
@@ -441,51 +433,42 @@ def sol3_intermediate_forms(k: int, group: SemidirectGroup | None = None) -> lis
     return [SemidirectLattice(group, L, 1) for L in forms]
 
 
+def tower_certificate(gamma: SemidirectLattice, subs, group_ref: dict) -> SeriesCertificate:
+    """Certificate for a normalizer chain gamma = S_0 >= S_1 >= ... >= S_k.
+
+    Verifies N_gamma(S_j) = S_{j-1} at every level and records the abelian
+    quotient S_{j-1}/S_j.  Every subnormal series from S_k up to gamma then
+    has quotients of order at most the largest level index, which bounds its
+    length from below.
+    """
+    levels = []
+    prev = gamma
+    for j, sub in enumerate(subs, 1):
+        if normalizer(gamma, sub) != prev:
+            raise NotNormal("normalizer chain broke at level %d" % j)
+        q = quotient(prev, sub)
+        levels.append(
+            ChainLevel(subgroup=sub.to_json(), quotient=q, index=q.order(), normality_verified=True)
+        )
+        prev = sub
+    total = math.prod(level.index for level in levels)
+    max_q = max((level.index for level in levels), default=1)
+    return sealed(KIND_SOL3, group_ref, levels, total, length_lower_bound(total, max_q))
+
+
 def sol3_tower(k: int) -> SeriesCertificate:
     """Certificate for the length-k Sol3 tower Gamma >= Gamma_1 >= ... >= Gamma_k.
 
-    Verifies N_Gamma(Gamma_j) = Gamma_{j-1} and Gamma_{j-1}/Gamma_j of type
-    [2, 2] at every level.  Since each level's normalizer has index 4 over it,
-    any subnormal series from Gamma_k to Gamma has quotients of order at most
-    4, hence length at least k.
+    Each Gamma_{j-1}/Gamma_j has type [2, 2]: every normalizer has index 4
+    over its level, so any subnormal series from Gamma_k to Gamma has
+    quotients of order at most 4, hence length at least k.
     """
     if k < 0:
         raise InvalidParameters("k must be >= 0")
     group = sol3_group()
     gamma = sol3_gamma(0, group)
-    levels = []
-    total = 1
-    prev = gamma
-    for j in range(1, k + 1):
-        sub = sol3_gamma(j, group)
-        norm = normalizer(gamma, sub)
-        if norm != prev:
-            raise NotNormal("normalizer chain broke at level %d" % j)
-        q = quotient(prev, sub)
-        idx = q.order()
-        total *= idx
-        levels.append(
-            ChainLevel(
-                subgroup=sub.to_json(),
-                quotient=q,
-                index=idx,
-                normality_verified=True,
-                central=None,
-            )
-        )
-        prev = sub
-    max_q = max((level.index for level in levels), default=1)
-    cert = SeriesCertificate(
-        kind=KIND_SOL3,
-        group_ref=dict(gamma.to_json(), k=k),
-        chain=tuple(levels),
-        total_index=total,
-        min_length=length_lower_bound(total, max_q) if k else 0,
-        max_quotient_order=max_q,
-    )
-    if not cert.structural_ok():
-        raise SelfCheckFailed("certificate failed its structural check")
-    return cert
+    subs = [sol3_gamma(j, group) for j in range(1, k + 1)]
+    return tower_certificate(gamma, subs, dict(gamma.to_json(), k=k))
 
 
 def scaling_map_check(c: int, target: SemidirectLattice) -> bool:

@@ -219,6 +219,51 @@ class TestExitCodes:
         assert code == 1
         assert json.loads(out)["error"]["type"] == "InvalidParameters"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["normalizer", "--group", '{"type":"semidirect"}', "--subgroup", '{"type":"semidirect"}'],
+            ["series", "--input", json.dumps(preset_description("heisenberg")),
+             "--gamma", '{"U": [["2", "0"], ["0", "2"]]}'],
+            ["cohomology", "--input", '{"generators":1}'],
+        ],
+        ids=["normalizer", "series", "cohomology"],
+    )
+    def test_missing_field_is_a_structured_error(self, capsys, argv):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 1
+        report = json.loads(out)
+        assert report["error"]["type"] == "InvalidParameters"
+        assert "missing field" in report["error"]["message"]
+        assert err == ""
+
+    def test_verify_with_unreadable_level_subgroup(self, capsys):
+        cert = result_of(capsys, "sol3-tower", "--k", "2")
+        cert["levels"][0]["subgroup"] = {"type": "semidirect"}
+        assert result_of(capsys, "verify", "--input", json.dumps(cert)) == {"verified": False}
+
+    def test_guards_compare_bit_lengths(self, capsys):
+        # forming 4^k or p^(a+2) here would take hours and all of memory
+        for argv in (
+            ["sol3-tower", "--k", "1000000000000"],
+            ["heisenberg-witness", "--k", "1", "--p", "3", "--a", "1000000000000"],
+        ):
+            code, out, _ = invoke(capsys, *argv)
+            assert code == 1
+            assert json.loads(out)["error"]["type"] == "QuotientTooLarge"
+
+    def test_guards_at_the_boundary(self, capsys):
+        # 4^3 = 64 and 3^4 = 81: equal to the guard passes, one below fails
+        for argv, index in (
+            (["sol3-tower", "--k", "3"], 64),
+            (["heisenberg-witness", "--k", "1", "--p", "3", "--a", "2"], 81),
+        ):
+            code, _, _ = invoke(capsys, *argv, "--max-index", str(index))
+            assert code == 0
+            code, out, _ = invoke(capsys, *argv, "--max-index", str(index - 1))
+            assert code == 1
+            assert json.loads(out)["error"]["type"] == "QuotientTooLarge"
+
     def test_summary_on_stderr(self, capsys):
         code, out, err = invoke(capsys, "minkowski", "--n", "2", "--summary")
         assert code == 0

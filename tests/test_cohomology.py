@@ -12,8 +12,8 @@ from nilcert.cohomology import (
     h1_brute,
     z1,
 )
-from nilcert.errors import EnumerationFailed, IllDefinedAction, TooLarge
-from nilcert.linalg import AbelianStructure, IntMatrix
+from nilcert.errors import EnumerationFailed, IllDefinedAction, InvalidParameters, TooLarge
+from nilcert.linalg import AbelianStructure, IntMatrix, solve_row_combination, vstack
 
 Z = AbelianStructure(1, ())
 I1 = IntMatrix.identity(1)
@@ -69,9 +69,47 @@ class TestActionValidation:
         act = act_cyclic(2, IntMatrix([[3]]), AbelianStructure(0, (8,)))
         assert act.word_matrix("aa").data[0][0] % 8 == 1
 
+    def test_module_inverse_matches_column_solve(self):
+        # oracle: solve c * [psi^T; torsion] = e_j one column at a time
+        cases = [
+            (AbelianStructure(0, (8,)), IntMatrix([[3]])),
+            (AbelianStructure(2, ()), IntMatrix([[0, -1], [1, -1]])),
+            (AbelianStructure(1, (4,)), IntMatrix([[-1, 0], [1, 3]])),
+            (AbelianStructure(0, (2, 6)), IntMatrix([[1, 1], [0, 5]])),
+        ]
+        for module, psi in cases:
+            act = ModuleAction(1, (), module, (psi,))
+            lat = act.torsion_lattice
+            stacked = vstack([psi.transpose(), lat.basis]) if lat.rank else psi.transpose()
+            cols = [
+                solve_row_combination(stacked, [int(i == j) for i in range(act.dim)])[: act.dim]
+                for j in range(act.dim)
+            ]
+            assert act.inverses[0] == IntMatrix(cols, cols=act.dim).transpose()
+
+    def test_non_invertible_action_rejected(self):
+        for module, psi in [
+            (AbelianStructure(0, (8,)), IntMatrix([[2]])),
+            (AbelianStructure(1, ()), IntMatrix([[3]])),
+            (AbelianStructure(0, (2, 6)), IntMatrix([[1, 1], [3, 1]])),
+        ]:
+            with pytest.raises(IllDefinedAction, match="not invertible"):
+                ModuleAction(1, (), module, (psi,))
+
     def test_json_round_trip(self):
         act = ModuleAction(2, ("aa", "bb", "abAB"), AbelianStructure(0, (2,)), (I1, I1))
         assert ModuleAction.from_json(act.to_json()) == act
+
+    def test_from_json_needs_lists_and_fields(self):
+        # a string would otherwise be read letter by letter as a list
+        good = act_cyclic(2, NEG, Z).to_json()
+        for bad in (
+            dict(good, relators="aa"),
+            dict(good, module={"free": 0, "torsion": "22"}),
+            {"generators": 1},
+        ):
+            with pytest.raises(InvalidParameters):
+                ModuleAction.from_json(bad)
 
 
 class TestZ1:

@@ -1,3 +1,4 @@
+import copy
 import math
 import random
 
@@ -201,3 +202,136 @@ class TestVerifyCertificate:
         )
         assert broken.structural_ok() is False
         assert verify_certificate(broken) is False
+
+
+def _two_step_cert():
+    H = TwoStepLattice.heisenberg(1)
+    return subnormal_series(H, NilSublattice(H, Lattice.scaled(2, 2), Lattice.scaled(1, 4)))
+
+
+# One certificate of each kind; the last level of each has two factors.
+KINDS = {
+    "sol3": lambda: sol3_tower(3),
+    "witness": lambda: heisenberg_witness(1, 3, 2),
+    "two-step": _two_step_cert,
+}
+
+
+def _levels(d):
+    return d["chain"] if "chain" in d else d["levels"]
+
+
+def _tamper(d, field):
+    last = _levels(d)[-1]
+    index = int(last["index"])
+    if field == "quotient_factors":
+        last["quotient_factors"] = [str(index)]  # same order, other structure
+    elif field == "index":
+        last["index"] = str(2 * index)
+    elif field == "consistent_index":
+        # every structural relation still holds; only the rebuild sees the lie
+        last["quotient_factors"] = last["quotient_factors"][:-1] + [str(2 * int(last["quotient_factors"][-1]))]
+        last["index"] = str(2 * index)
+        d["total_index"] = str(2 * int(d["total_index"]))
+        d["max_quotient_order"] = str(max(int(d["max_quotient_order"]), 2 * index))
+    elif field in ("total_index", "max_quotient_order"):
+        d[field] = str(2 * int(d[field]))
+    elif field == "min_length":
+        d["min_length"] -= 1
+    else:
+        flag = "normalizer_verified" if "normalizer_verified" in last else "normality_verified"
+        last[flag] = False
+
+
+def _sol3_dict(matrix, sublattices, k):
+    desc = {"type": "semidirect", "n": 2, "matrix": matrix, "m": 1}
+    level = lambda L: {
+        "subgroup": dict(desc, sublattice=L), "quotient_factors": ["2", "2"],
+        "index": "4", "normalizer_verified": True,
+    }
+    return {
+        "schema": "nilcert/1", "kind": "sol3-tower",
+        "group": dict(desc, sublattice=[["1", "0"], ["0", "1"]], k=k),
+        "levels": [level(L) for L in sublattices],
+        "total_index": str(4 ** len(sublattices)), "min_length": len(sublattices),
+        "max_quotient_order": "4",
+    }
+
+
+class TestRebuildAndCompare:
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    @pytest.mark.parametrize(
+        "field",
+        ["quotient_factors", "index", "consistent_index", "total_index",
+         "max_quotient_order", "min_length", "flag"],
+    )
+    def test_each_recomputed_field_is_checked(self, kind, field):
+        d = KINDS[kind]().to_json_dict()
+        assert verify_certificate(copy.deepcopy(d)) is True
+        _tamper(d, field)
+        assert verify_certificate(d) is False
+
+    def test_sol3_kind_rebuilds_from_its_own_inputs(self):
+        # another hyperbolic holonomy, congruent to Id mod 2: the same 2^j
+        # chain is a normalizer chain there too, and k plays no part
+        A = [["3", "2"], ["4", "3"]]
+        chain = [[[str(2**j), "0"], ["0", str(2**j)]] for j in (1, 2, 3)]
+        assert verify_certificate(_sol3_dict(A, chain, k=3)) is True
+        assert verify_certificate(_sol3_dict(A, chain, k=99)) is True
+        assert verify_certificate(_sol3_dict(A, chain[:2] + [chain[1]], k=3)) is False
+
+    def test_non_canonical_subgroup_description_verifies(self):
+        d = sol3_tower(2).to_json_dict()
+        d["levels"][0]["subgroup"]["sublattice"] = [["2", "0"], ["2", "2"]]
+        d["levels"][1]["subgroup"]["m"] = "1"
+        assert verify_certificate(d) is True
+        sol3 = [["5", "2"], ["2", "1"]]
+        assert verify_certificate(_sol3_dict(sol3, [[["2", "2"], ["0", "2"]]], k=1)) is True
+
+    def test_central_key_on_a_tower_level_is_rejected(self):
+        d = sol3_tower(2).to_json_dict()
+        d["levels"][0]["central"] = True
+        assert verify_certificate(d) is False
+
+    def test_unreadable_level_subgroup_is_rejected(self):
+        d = sol3_tower(2).to_json_dict()
+        d["levels"][1]["subgroup"] = {"type": "semidirect"}
+        assert verify_certificate(d) is False
+
+
+class TestStrictCertificateParsing:
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda d: d.update(total_index=16.9),
+            lambda d: d["levels"][0].update(index=4.2),
+            lambda d: d.update(min_length=True),
+            lambda d: d["levels"][0].update(quotient_factors=[2.0, "2"]),
+            lambda d: d["levels"][0].update(quotient_factors="22"),
+            lambda d: d["levels"][0].update(normalizer_verified="false"),
+            lambda d: d["levels"][0].update(normalizer_verified=1),
+            lambda d: d["levels"][0].pop("index"),
+            lambda d: d.pop("max_quotient_order"),
+        ],
+        ids=["float-total", "float-index", "bool-length", "float-factor", "string-factors",
+             "string-flag", "int-flag", "no-index", "no-max"],
+    )
+    def test_malformed_field_is_unresolvable(self, edit):
+        d = sol3_tower(2).to_json_dict()
+        edit(d)
+        with pytest.raises(UnresolvableReference):
+            verify_certificate(d)
+
+    def test_float_index_and_total_together(self):
+        # int() would truncate these to the true values 16 and 4
+        d = sol3_tower(2).to_json_dict()
+        d["total_index"] = 16.9
+        d["levels"][0]["index"] = 4.2
+        with pytest.raises(UnresolvableReference):
+            verify_certificate(d)
+
+    def test_witness_parameters_must_be_integers(self):
+        d = heisenberg_witness(1, 3, 2).to_json_dict()
+        d["group"]["witness"]["a"] = 2.0
+        with pytest.raises(UnresolvableReference):
+            verify_certificate(d)
