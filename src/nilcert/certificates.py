@@ -17,6 +17,7 @@ report ``min_length`` 1 (or 0 for a trivial chain).
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from typing import Optional
 
@@ -29,6 +30,12 @@ SCHEMA = "nilcert/1"
 KIND_SOL3 = "sol3-tower"
 KIND_WITNESS = "heisenberg-witness"
 KIND_TWO_STEP = "two-step-series"
+
+
+def canonical_json(obj) -> str:
+    """Sorted keys, no whitespace: equal texts mean equal JSON values, and
+    ``true`` or ``1.0`` never pass for ``1``."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 
 
 @dataclass(frozen=True)
@@ -126,10 +133,19 @@ class SeriesCertificate:
 
     @staticmethod
     def from_json_dict(obj: dict) -> "SeriesCertificate":
+        if obj.get("schema", SCHEMA) != SCHEMA:
+            raise InvalidParameters("unknown certificate schema %r" % (obj["schema"],))
+        kind = json_field(obj, "kind", str)
+        group_ref = json_field(obj, "group", dict)
+        if kind == KIND_WITNESS and "profile" in obj:
+            # The top-level profile repeats the witness's, which the rebuild checks.
+            claimed = json_field(json_field(group_ref, "witness"), "profile")
+            if canonical_json(obj["profile"]) != canonical_json(claimed):
+                raise InvalidParameters("profile differs from the witness profile")
         levels = obj.get("levels", obj.get("chain", []))
         return SeriesCertificate(
-            kind=json_field(obj, "kind"),
-            group_ref=json_field(obj, "group"),
+            kind=kind,
+            group_ref=group_ref,
             chain=tuple(ChainLevel.from_json_dict(l) for l in levels),
             total_index=parse_int(json_field(obj, "total_index")),
             min_length=parse_int(json_field(obj, "min_length")),

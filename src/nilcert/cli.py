@@ -15,7 +15,7 @@ import os
 import sys
 
 from . import cohomology, invariants, nilpotent2, semidirect
-from .certificates import SCHEMA
+from .certificates import SCHEMA, canonical_json
 from .errors import (
     InvalidParameters,
     NilcertError,
@@ -28,10 +28,9 @@ from .semidirect import SemidirectLattice
 
 DEFAULT_MAX_INDEX = 10**6
 DEFAULT_MAX_ENUM = 10**4
-
-
-def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+# The largest n whose M(n) has at most 4300 decimal digits, the interpreter's
+# default limit for printing an int (M(1331) has 4294 digits, M(1332) 4308).
+MAX_MINKOWSKI_N = 1331
 
 
 # ---------------------------------------------------------------------------
@@ -104,6 +103,8 @@ def _load_json_arg(value: str):
 
 
 def _group_from_description(desc: dict):
+    if not isinstance(desc, dict):
+        raise InvalidParameters("a group description must be a JSON object")
     kind = desc.get("type")
     if kind == "semidirect":
         return SemidirectLattice.from_json(desc)
@@ -222,6 +223,10 @@ def _cmd_cohomology(args):
 
 
 def _cmd_minkowski(args):
+    if args.n > MAX_MINKOWSKI_N:
+        raise InvalidParameters(
+            "n must be at most %d: M(n) would not print in 4300 digits" % MAX_MINKOWSKI_N
+        )
     return {"n": args.n, "bound": invariants.minkowski_bound(args.n)}
 
 
@@ -330,7 +335,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--op", choices=["z1", "b1", "h1", "h1-brute"], default="h1")
 
     p = add("minkowski", _cmd_minkowski, help="Minkowski bound for GL(n, Z)")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=int, required=True, help="1 <= n <= %d" % MAX_MINKOWSKI_N)
 
     p = add("euler-bound", _cmd_euler_bound, help="log2 length bound from the Euler characteristic")
     p.add_argument("--chi", type=int, required=True)

@@ -203,11 +203,14 @@ class ModuleAction:
             parse_int(json_field(spec, "free")),
             tuple(parse_int(d) for d in json_field(spec, "torsion", list)),
         )
+        relators = tuple(json_field(obj, "relators", list))
+        if not all(isinstance(word, str) for word in relators):
+            raise InvalidParameters("each relator must be a JSON string")
         return ModuleAction(
             parse_int(json_field(obj, "generators")),
-            tuple(json_field(obj, "relators", list)),
+            relators,
             module,
-            tuple(IntMatrix.from_json(m) for m in json_field(obj, "action")),
+            tuple(IntMatrix.from_json(m) for m in json_field(obj, "action", list)),
         )
 
 

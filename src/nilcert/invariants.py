@@ -15,7 +15,13 @@ from dataclasses import dataclass, replace
 from . import nilpotent2, semidirect
 from .arith import json_field, parse_int
 from .arith import minkowski_bound  # noqa: F401  (public name of this module)
-from .certificates import KIND_SOL3, KIND_TWO_STEP, KIND_WITNESS, SeriesCertificate
+from .certificates import (
+    KIND_SOL3,
+    KIND_TWO_STEP,
+    KIND_WITNESS,
+    SeriesCertificate,
+    canonical_json,
+)
 from .errors import (
     InvalidParameters,
     NilcertError,
@@ -180,9 +186,9 @@ def verify_certificate(cert) -> bool:
 
     The certificate is rebuilt from its own inputs (ambient group, chain
     subgroups or witness parameters) by the routine that built it, and the
-    result must equal it field for field.  Returns False when any claim
-    differs or the rebuild fails; raises UnresolvableReference when the
-    certificate or the groups it names cannot be read at all.
+    result must equal it field for field, as canonical JSON.  Returns False
+    when any claim differs or the rebuild fails; raises UnresolvableReference
+    when the certificate or the groups it names cannot be read at all.
     """
     if isinstance(cert, dict):
         try:
@@ -197,8 +203,10 @@ def verify_certificate(cert) -> bool:
     if rebuild is None:
         raise UnresolvableReference("unknown certificate kind %r" % cert.kind)
     try:
-        return rebuild(cert) == cert
+        fresh = rebuild(cert)
     except UnresolvableReference:
         raise
     except NilcertError:
         return False
+    # Compared as JSON text, so that true or 1.0 in the inputs never pass for 1.
+    return canonical_json(fresh.to_json_dict()) == canonical_json(cert.to_json_dict())

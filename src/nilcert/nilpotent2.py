@@ -9,12 +9,15 @@ upper parts of C_l), which turn multiplication into the closed polynomial
 
 Subgroups are restricted to box shapes U x W (closed exactly when
 beta(U, U) is contained in W); every series layer produced here has that
-shape after the basis choice.
+shape after the basis choice.  A box keeps the Gram table of beta on its U
+basis, from which its commutators and the collected w-parts of its
+elements are read without multiplying out.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .arith import is_prime, json_field, parse_int
@@ -42,7 +45,6 @@ from .linalg import (
     IntMatrix,
     Lattice,
     hstack,
-    lattice_index,
     left_kernel,
     quotient_structure,
     saturate,
@@ -51,17 +53,18 @@ from .linalg import (
 Vec = tuple[int, ...]
 
 
-def _strict_upper(C: IntMatrix) -> IntMatrix:
-    return IntMatrix(
-        [[C.data[i][j] if j > i else 0 for j in range(C.cols)] for i in range(C.rows)],
-        cols=C.cols,
+def _table_terms(C: IntMatrix) -> tuple[tuple[int, int, int], ...]:
+    """Nonzero entries (i, j, T[i][j]) of the collection table T, the strict
+    upper part of C."""
+    return tuple(
+        (i, j, x) for i, row in enumerate(C.data) for j, x in enumerate(row) if j > i and x
     )
 
 
 class TwoStepLattice:
     """A finitely generated torsion-free 2-step nilpotent group."""
 
-    __slots__ = ("f", "b", "forms", "tables")
+    __slots__ = ("f", "b", "forms", "terms")
 
     def __init__(self, f: int, b: int, forms):
         forms = tuple(forms)
@@ -75,7 +78,7 @@ class TwoStepLattice:
         self.f = f
         self.b = b
         self.forms = forms
-        self.tables = tuple(_strict_upper(C) for C in forms)
+        self.terms = tuple(_table_terms(C) for C in forms)
 
     @staticmethod
     def heisenberg(k: int) -> "TwoStepLattice":
@@ -100,21 +103,13 @@ class TwoStepLattice:
 
     def beta(self, u: Vec, up: Vec) -> Vec:
         """Collection bilinear form, one value per central coordinate."""
-        out = []
-        for T in self.tables:
-            acc = 0
-            for i, ui in enumerate(u):
-                if ui:
-                    row = T.data[i]
-                    acc += ui * sum(r * x for r, x in zip(row, up))
-            out.append(acc)
-        return tuple(out)
+        return tuple(sum(x * u[i] * up[j] for i, j, x in terms) for terms in self.terms)
 
     def cvalue(self, u: Vec, up: Vec) -> Vec:
         """Commutator pairing C(u, u') = beta(u, u') - beta(u', u)."""
-        a = self.beta(u, up)
-        bb = self.beta(up, u)
-        return tuple(x - y for x, y in zip(a, bb))
+        return tuple(
+            sum(x * (u[i] * up[j] - u[j] * up[i]) for i, j, x in terms) for terms in self.terms
+        )
 
     def __eq__(self, other):
         return (
@@ -145,7 +140,7 @@ class TwoStepLattice:
         return TwoStepLattice(
             parse_int(json_field(obj, "f")),
             parse_int(json_field(obj, "b")),
-            [IntMatrix.from_json(C) for C in json_field(obj, "forms")],
+            [IntMatrix.from_json(C) for C in json_field(obj, "forms", list)],
         )
 
 
@@ -262,21 +257,33 @@ def hbar1(G: TwoStepLattice) -> AbelianStructure:
 # ---------------------------------------------------------------------------
 
 
-class NilSublattice:
-    """Box subgroup U x W; closed under the law iff beta(U, U) lies in W."""
+def _full_index(L: Lattice):
+    """[Z^n : L] from the diagonal of its row HNF basis, or None if infinite."""
+    if not L.is_full_rank():
+        return None
+    return math.prod(row[i] for i, row in enumerate(L.basis.data))
 
-    __slots__ = ("parent", "U", "W")
+
+class NilSublattice:
+    """Box subgroup U x W; closed under the law iff beta(U, U) lies in W.
+
+    ``gram[i][j]`` is beta(r_i, r_j) for the rows r_i of the U basis.
+    """
+
+    __slots__ = ("parent", "U", "W", "gram")
 
     def __init__(self, parent: TwoStepLattice, U: Lattice, W: Lattice):
         if U.ambient_dim != parent.b or W.ambient_dim != parent.f:
             raise DimensionMismatch("box data must live in Z^b x Z^f")
-        for ru in U.basis.data:
-            for rv in U.basis.data:
-                if not W.contains(parent.beta(ru, rv)):
+        gram = tuple(tuple(parent.beta(ru, rv) for rv in U.basis.data) for ru in U.basis.data)
+        for row in gram:
+            for value in row:
+                if not W.contains(value):
                     raise ClosureViolation("beta(U, U) is not contained in W")
         self.parent = parent
         self.U = U
         self.W = W
+        self.gram = gram
 
     @staticmethod
     def full(parent: TwoStepLattice) -> "NilSublattice":
@@ -287,12 +294,26 @@ class NilSublattice:
             raise DimensionMismatch("element of a different parent group")
         return self.U.contains(g.u) and self.W.contains(g.w)
 
-    def is_subgroup_of(self, other: "NilSublattice") -> bool:
-        return self.U.is_sublattice_of(other.U) and self.W.is_sublattice_of(other.W)
+    def collected_w(self, x) -> Vec:
+        """The w-part of prod_i (r_i, 0)^(x_i) over the U basis, in basis order.
+
+        Collecting the product gives
+        sum_i x_i(x_i-1)/2 g[i][i] + sum_(i<j) x_i x_j g[i][j]: the power for
+        j contributes x_j(x_j-1)/2 beta(r_j, r_j), and multiplying it on adds
+        beta of the u-part sum_(i<j) x_i r_i collected before it with x_j r_j.
+        """
+        g = self.gram
+        w = [0] * self.parent.f
+        for i, xi in enumerate(x):
+            for j in range(i, len(x)):
+                e = xi * (xi - 1) // 2 if j == i else xi * x[j]
+                if e:
+                    w = [a + e * b for a, b in zip(w, g[i][j])]
+        return tuple(w)
 
     def index_in_full(self):
-        iu = lattice_index(Lattice.standard(self.parent.b), self.U)
-        iw = lattice_index(Lattice.standard(self.parent.f), self.W)
+        iu = _full_index(self.U)
+        iw = _full_index(self.W)
         return None if iu is None or iw is None else iu * iw
 
     def __eq__(self, other):
@@ -335,49 +356,35 @@ def box_quotient(P: NilSublattice, Q: NilSublattice) -> AbelianStructure:
     """Structure of the abelian quotient P/Q of two box subgroups.
 
     The abelianization of P is Z^(rank U_P + rank W_P) modulo the commutator
-    values; Q's generators are rewritten in those coordinates by actually
-    multiplying out the u part, which accounts for the collection
-    corrections.
+    values; Q's generators are rewritten in those coordinates, a U row
+    sum_i x_i r_i as prod_i (r_i, 0)^(x_i) corrected by its collected w-part.
+    With g the Gram table of P the commutator of basis rows i, j is
+    g[i][j] - g[j][i].  These values lie in W_Q, so their relations are
+    already spanned by those of Q's W rows.
     """
-    G = P.parent
-    if G != Q.parent:
+    if P.parent != Q.parent:
         raise DimensionMismatch("different parent groups")
-    if not Q.is_subgroup_of(P):
+    # Coordinates of Q's U and W rows in P, also the subgroup test.
+    xs = [P.U.coords_of(qu) for qu in Q.U.basis.data]
+    ys = [P.W.coords_of(qw) for qw in Q.W.basis.data]
+    if None in xs or None in ys:
         raise NotASubgroup("Q is not contained in P")
-    if not box_normal_in(Q, P):
-        raise NotNormal("Q is not normal in P")
-
     r = P.U.rank
-    s = P.W.rank
-    relations = []
-
-    def w_coords(wvec) -> list[int]:
-        y = P.W.coords_of(wvec)
-        if y is None:
-            raise NotASubgroup("w-part escapes the box")
-        return list(y)
-
-    for ri, rj in itertools.combinations(P.U.basis.data, 2):
-        c = G.cvalue(ri, rj)
-        if not Q.W.contains(c):
+    g = P.gram
+    for i, j in itertools.combinations(range(r), 2):
+        if not Q.W.contains(tuple(a - b for a, b in zip(g[i][j], g[j][i]))):
+            # [P, P] inside Q makes Q normal in P, so normality is only
+            # asked to name the failure.
+            if not box_normal_in(Q, P):
+                raise NotNormal("Q is not normal in P")
             raise NotAbelianQuotient("commutators of P do not land in Q")
-        relations.append([0] * r + w_coords(c))
-    ugens = [G.element(row, (0,) * G.f) for row in P.U.basis.data]
-    for qu in Q.U.basis.data:
-        x = P.U.coords_of(qu)
-        if x is None:
-            raise NotASubgroup("Q fiber escapes P fiber")
-        acc = G.identity()
-        for gen, e in zip(ugens, x):
-            acc = nil_mul(acc, nil_power(gen, e))
-        delta = tuple(-c for c in acc.w)
-        relations.append(list(x) + w_coords(delta))
-    for qw in Q.W.basis.data:
-        relations.append([0] * r + w_coords(qw))
 
-    return quotient_structure(
-        Lattice.standard(r + s), Lattice.from_rows(r + s, relations)
-    )
+    # P is closed, so the collected w-parts lie in W_P.
+    relations = [x + P.W.coords_of(tuple(-a for a in P.collected_w(x))) for x in xs]
+    zeros = (0,) * r
+    relations.extend(zeros + y for y in ys)
+    n = r + P.W.rank
+    return quotient_structure(Lattice.standard(n), Lattice.from_rows(n, relations))
 
 
 def central_layer(upper: NilSublattice, lower: NilSublattice, kernel: Lattice) -> bool:

@@ -221,7 +221,7 @@ class SemidirectLattice:
         group = SemidirectGroup(IntMatrix.from_json(json_field(obj, "matrix")))
         if group.n != n:
             raise DimensionMismatch("matrix size does not match declared rank")
-        L = Lattice.from_json(n, obj.get("sublattice") or IntMatrix.identity(n).to_json())
+        L = Lattice.from_json(n, obj["sublattice"]) if "sublattice" in obj else Lattice.standard(n)
         return SemidirectLattice(group, L, parse_int(obj.get("m", 1)))
 
 

@@ -1,13 +1,26 @@
+import contextlib
+import copy
+import io
 import json
 import pathlib
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from nilcert.cli import preset_description, presets, run
-from nilcert.nilpotent2 import TwoStepLattice
-from nilcert.semidirect import SemidirectLattice, sol3_gamma
+from nilcert.linalg import Lattice
+from nilcert.nilpotent2 import NilSublattice, TwoStepLattice, heisenberg_witness, subnormal_series
+from nilcert.semidirect import SemidirectLattice, sol3_gamma, sol3_tower
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+HEIS_DESC = {"type": "twostep", "f": 1, "b": 2, "forms": [[["0", "1"], ["-1", "0"]]]}
+SOL3_DESC = sol3_gamma(0).to_json()
+ACTION_DESC = {
+    "generators": 1,
+    "relators": ["aa"],
+    "module": {"free": 1, "torsion": []},
+    "action": [[["-1"]]],
+}
 
 
 def invoke(capsys, *argv):
@@ -237,6 +250,19 @@ class TestExitCodes:
         assert "missing field" in report["error"]["message"]
         assert err == ""
 
+    @pytest.mark.parametrize("desc", ["[1]", "[]", '[{"type": "twostep"}]'])
+    def test_group_description_must_be_an_object(self, capsys, desc):
+        code, out, err = invoke(capsys, "center", "--input", desc)
+        assert code == 1 and err == ""
+        assert json.loads(out)["error"]["type"] == "InvalidParameters"
+
+    @pytest.mark.parametrize("relator", [5, ["a", "a"], None])
+    def test_relators_must_be_strings(self, capsys, relator):
+        action = dict(ACTION_DESC, relators=[relator])
+        code, out, err = invoke(capsys, "cohomology", "--input", json.dumps(action))
+        assert code == 1 and err == ""
+        assert json.loads(out)["error"]["type"] == "InvalidParameters"
+
     def test_verify_with_unreadable_level_subgroup(self, capsys):
         cert = result_of(capsys, "sol3-tower", "--k", "2")
         cert["levels"][0]["subgroup"] = {"type": "semidirect"}
@@ -263,6 +289,18 @@ class TestExitCodes:
             code, out, _ = invoke(capsys, *argv, "--max-index", str(index - 1))
             assert code == 1
             assert json.loads(out)["error"]["type"] == "QuotientTooLarge"
+
+    def test_minkowski_guard_at_the_boundary(self, capsys):
+        # M(1331) has 4294 digits; M(1332) would pass the 4300-digit print limit
+        result = result_of(capsys, "minkowski", "--n", "1331")
+        assert len(str(result["bound"])) == 4294
+        code, out, _ = invoke(capsys, "minkowski", "--n", "1332")
+        assert code == 1
+        assert json.loads(out)["error"]["type"] == "InvalidParameters"
+        # far past the guard it fails at once, without trial divisions up to n
+        code, out, _ = invoke(capsys, "minkowski", "--n", str(10**12))
+        assert code == 1
+        assert json.loads(out)["error"]["type"] == "InvalidParameters"
 
     def test_summary_on_stderr(self, capsys):
         code, out, err = invoke(capsys, "minkowski", "--n", "2", "--summary")
@@ -299,3 +337,129 @@ class TestPresets:
         assert torus == TwoStepLattice.free_abelian(3, 0)
         kxs1 = SemidirectLattice.from_json(preset_description("kxs1"))
         assert kxs1.parent.holonomy_order() == 2
+
+
+# ---------------------------------------------------------------------------
+# Malformed input: valid descriptions with one value swapped for another shape
+# ---------------------------------------------------------------------------
+
+# The tower's "k" is a label the rebuild ignores by design (any k verifies,
+# see test_invariants.py), so it is left out rather than mutated.
+SOL3_TOWER_CERT = sol3_tower(2).to_json_dict()
+del SOL3_TOWER_CERT["group"]["k"]
+# verb -> the JSON-valued flags of one valid call
+MALFORMED_TEMPLATES = [
+    ("hnf", {"--input": [["2", "4"], ["0", "2"]]}),
+    ("snf", {"--input": [["4", "2"], ["2", "0"]]}),
+    ("center", {"--input": HEIS_DESC}),
+    ("center", {"--input": SOL3_DESC}),
+    ("isolator", {"--input": HEIS_DESC}),
+    ("hbar1", {"--input": HEIS_DESC}),
+    ("discsym2-bound", {"--input": SOL3_DESC}),
+    ("normalizer", {"--group": SOL3_DESC, "--subgroup": sol3_gamma(2).to_json()}),
+    ("quotient", {"--group": SOL3_DESC, "--subgroup": sol3_gamma(1).to_json()}),
+    ("intermediates", {"--group": SOL3_DESC, "--subgroup": sol3_gamma(1).to_json()}),
+    ("series", {"--input": HEIS_DESC, "--gamma": {"U": [["2", "0"], ["0", "2"]], "W": [["4"]]}}),
+    ("cohomology", {"--input": ACTION_DESC}),
+    ("verify", {"--input": heisenberg_witness(1, 3, 2).to_json_dict()}),
+    ("verify", {"--input": SOL3_TOWER_CERT}),
+    ("verify", {"--input": subnormal_series(
+        TwoStepLattice.heisenberg(1),
+        NilSublattice(TwoStepLattice.heisenberg(1), Lattice.scaled(2, 2), Lattice.scaled(1, 4)),
+    ).to_json_dict()}),
+]
+
+
+def _shape(value) -> str:
+    """JSON shape of a value; an int and a decimal string are one shape."""
+    if isinstance(value, bool):
+        return "bool"
+    if isinstance(value, int) or (isinstance(value, str) and value.lstrip("-").isdigit()):
+        return "int"
+    return {str: "str", float: "float", list: "list", dict: "dict"}.get(type(value), "null")
+
+
+def _paths(value, path=()):
+    yield path
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield from _paths(child, path + (key,))
+
+
+def _replaced(value, path, new):
+    if not path:
+        return new
+    out = copy.deepcopy(value)
+    node = out
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = new
+    return out
+
+
+def _get(value, path):
+    for key in path:
+        value = value[key]
+    return value
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(-4, 4) | st.text("ab1-", max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["type", "f", "b", "U", "W", "n", "free"]), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def malformed_calls(draw):
+    """A verb and its JSON flags with one value swapped for another shape."""
+    verb, flags = draw(st.sampled_from(MALFORMED_TEMPLATES))
+    flag = draw(st.sampled_from(sorted(flags)))
+    path = draw(st.sampled_from(list(_paths(flags[flag]))))
+    old = _shape(_get(flags[flag], path))
+    values = _json_values
+    if not path:
+        # a top-level value that is not a list or an object names a file instead
+        values = st.lists(_json_values, max_size=3) | st.dictionaries(
+            st.text("UWab", max_size=2), _json_values, max_size=3
+        )
+    new = draw(values.filter(lambda v: _shape(v) != old))
+    return verb, dict(flags, **{flag: _replaced(flags[flag], path, new)})
+
+
+def run_captured(verb, flags):
+    argv = [verb]
+    for flag, value in flags.items():
+        argv += [flag, json.dumps(value)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("verb,flags", MALFORMED_TEMPLATES, ids=[v for v, _ in MALFORMED_TEMPLATES])
+def test_malformed_templates_are_valid_calls(verb, flags):
+    code, out, err = run_captured(verb, flags)
+    assert code == 0 and err == "", out
+    if verb == "verify":
+        assert json.loads(out)["result"] == {"verified": True}
+
+
+@settings(max_examples=300, deadline=None)
+@example(("center", {"--input": [1]}))
+@example(("cohomology", {"--input": dict(ACTION_DESC, relators=[5])}))
+@given(malformed_calls())
+def test_malformed_json_is_a_structured_error(call):
+    """Each verb that reads JSON exits 1 with an error report on a value of
+    the wrong shape; no exception escapes ``run``."""
+    verb, flags = call
+    code, out, err = run_captured(verb, flags)
+    report = json.loads(out)
+    if verb == "verify" and code == 0:
+        # a certificate whose inputs cannot be rebuilt is rejected, not an error
+        assert report["result"] == {"verified": False}, call
+        return
+    assert code == 1, (call, out)
+    assert set(report["error"]) == {"type", "message"} and "result" not in report
+    assert err == ""

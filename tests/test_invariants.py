@@ -335,3 +335,42 @@ class TestStrictCertificateParsing:
         d["group"]["witness"]["a"] = 2.0
         with pytest.raises(UnresolvableReference):
             verify_certificate(d)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda d: d.update(schema="nilcert/2"),
+            lambda d: d.update(schema=None),
+            lambda d: d.update(kind=["heisenberg-witness"]),
+            lambda d: d.update(group=[d["group"]]),
+            lambda d: d.update(profile=[1, 3]),
+            lambda d: d.update(profile=[True, 2]),
+        ],
+        ids=["other-schema", "null-schema", "list-kind", "list-group", "profile", "bool-profile"],
+    )
+    def test_unchecked_fields_are_read_strictly(self, edit):
+        d = heisenberg_witness(1, 3, 2).to_json_dict()
+        edit(d)
+        with pytest.raises(UnresolvableReference):
+            verify_certificate(d)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda g: g.update(f=True),
+            lambda g: g.update(b=2.0),
+            lambda g: g["witness"].update(profile=[True, 2]),
+        ],
+        ids=["bool-f", "float-b", "bool-profile"],
+    )
+    def test_group_values_compare_as_json(self, edit):
+        # true == 1 and 2.0 == 2 in Python; the rebuilt JSON says 1 and 2
+        d = heisenberg_witness(1, 3, 2).to_json_dict()
+        edit(d["group"])
+        d["profile"] = d["group"]["witness"]["profile"]
+        assert verify_certificate(d) is False
+
+    def test_certificate_without_schema_or_profile_verifies(self):
+        d = heisenberg_witness(1, 3, 2).to_json_dict()
+        del d["schema"], d["profile"]
+        assert verify_certificate(d) is True

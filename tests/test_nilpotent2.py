@@ -1,15 +1,27 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from nilcert.errors import (
     ClosureViolation,
     InfiniteOrder,
     InvalidParameters,
+    NotAbelianQuotient,
     NotAnAutomorphism,
+    NotASubgroup,
     NotFiniteIndex,
+    NotNormal,
 )
-from nilcert.linalg import AbelianStructure, IntMatrix, Lattice, snf
+from nilcert.linalg import (
+    AbelianStructure,
+    IntMatrix,
+    Lattice,
+    lattice_index,
+    quotient_structure,
+    snf,
+)
 from nilcert.nilpotent2 import (
     NilSublattice,
     RationalScale,
@@ -537,3 +549,164 @@ class TestNilpotencyCheck:
         # pair by one changes nothing, checked here on the matrix level
         H = TwoStepLattice.heisenberg(2)
         assert nilpotency_check(H, IntMatrix.identity(2), IntMatrix.identity(1), 1)
+
+
+# ---------------------------------------------------------------------------
+# The Gram-table box layer against the dense forms and the group law
+# ---------------------------------------------------------------------------
+
+
+def dense_beta(G, u, v):
+    """beta(u, v)_l = u^T T_l v with T_l the strict upper part of C_l."""
+    return tuple(
+        sum(u[i] * C.data[i][j] * v[j] for i in range(G.b) for j in range(i + 1, G.b))
+        for C in G.forms
+    )
+
+
+def dense_cvalue(G, u, v):
+    return tuple(a - b for a, b in zip(dense_beta(G, u, v), dense_beta(G, v, u)))
+
+
+def collected_box_quotient(P, Q):
+    """P/Q with the checks in their defining order and Q's U rows multiplied
+    out through nil_mul / nil_power, the way the group law gives them."""
+    G = P.parent
+    if not (Q.U.is_sublattice_of(P.U) and Q.W.is_sublattice_of(P.W)):
+        raise NotASubgroup("oracle")
+    if not all(Q.W.contains(dense_cvalue(G, a, b)) for a in P.U.basis.data for b in Q.U.basis.data):
+        raise NotNormal("oracle")
+    r, s = P.U.rank, P.W.rank
+    relations = []
+    for a, b in itertools.combinations(P.U.basis.data, 2):
+        c = dense_cvalue(G, a, b)
+        if not Q.W.contains(c):
+            raise NotAbelianQuotient("oracle")
+        relations.append([0] * r + list(P.W.coords_of(c)))
+    gens = [G.element(row, (0,) * G.f) for row in P.U.basis.data]
+    for qu in Q.U.basis.data:
+        acc = G.identity()
+        for gen, e in zip(gens, P.U.coords_of(qu)):
+            acc = nil_mul(acc, nil_power(gen, e))
+        assert acc.u == qu
+        relations.append(list(P.U.coords_of(qu)) + list(P.W.coords_of([-a for a in acc.w])))
+    for qw in Q.W.basis.data:
+        relations.append([0] * r + list(P.W.coords_of(qw)))
+    return quotient_structure(Lattice.standard(r + s), Lattice.from_rows(r + s, relations))
+
+
+small = st.integers(-3, 3)
+
+
+@st.composite
+def two_step_lattices(draw):
+    f, b = draw(st.integers(1, 2)), draw(st.integers(1, 4))
+    forms = []
+    for _ in range(f):
+        c = [[0] * b for _ in range(b)]
+        for i in range(b):
+            for j in range(i + 1, b):
+                c[i][j] = draw(small)
+                c[j][i] = -c[i][j]
+        forms.append(IntMatrix(c))
+    return TwoStepLattice(f, b, forms)
+
+
+def rows(n, count):
+    return st.lists(st.lists(small, min_size=n, max_size=n), min_size=0, max_size=count)
+
+
+def closed_box(G, u_rows, w_rows):
+    """U spanned by u_rows, W by beta(U, U) and w_rows: closed by construction."""
+    U = Lattice.from_rows(G.b, u_rows)
+    betas = [G.beta(a, c) for a in U.basis.data for c in U.basis.data]
+    return NilSublattice(G, U, Lattice.from_rows(G.f, betas + w_rows))
+
+
+@st.composite
+def box_pairs(draw):
+    """(P, Q): Q inside P (normal and abelian or not) or Q drawn on its own."""
+    G = draw(two_step_lattices())
+    P = closed_box(G, draw(rows(G.b, G.b + 1)), draw(rows(G.f, G.f)))
+    if draw(st.booleans()):
+        return P, closed_box(G, draw(rows(G.b, G.b + 1)), draw(rows(G.f, G.f)))
+    # integer combinations of P's rows keep Q inside P
+    u_rows = [_combine(c, P.U) for c in draw(rows(P.U.rank, G.b + 1))]
+    w_rows = [_combine(c, P.W) for c in draw(rows(P.W.rank, G.f + 1))]
+    return P, closed_box(G, u_rows, w_rows)
+
+
+def _combine(coeffs, L):
+    return [sum(c * row[k] for c, row in zip(coeffs, L.basis.data)) for k in range(L.ambient_dim)]
+
+
+def vectors(n):
+    return st.tuples(*[st.integers(-20, 20)] * n)
+
+
+class TestGramTable:
+    @settings(max_examples=200, deadline=None)
+    @given(two_step_lattices(), st.data())
+    def test_sparse_beta_and_cvalue_match_dense_forms(self, G, data):
+        u, v = data.draw(vectors(G.b)), data.draw(vectors(G.b))
+        assert G.beta(u, v) == dense_beta(G, u, v)
+        assert G.cvalue(u, v) == dense_cvalue(G, u, v)
+        # C(u, v) = u^T C_l v on the full alternating form
+        assert G.cvalue(u, v) == tuple(
+            sum(u[i] * C.data[i][j] * v[j] for i in range(G.b) for j in range(G.b)) for C in G.forms
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(two_step_lattices(), st.data())
+    def test_collected_w_matches_the_group_law(self, G, data):
+        box = closed_box(G, data.draw(rows(G.b, G.b + 1)), [])
+        assert box.gram == tuple(
+            tuple(dense_beta(G, a, c) for c in box.U.basis.data) for a in box.U.basis.data
+        )
+        x = data.draw(st.tuples(*[st.integers(-6, 6)] * box.U.rank))
+        acc = G.identity()
+        for row, e in zip(box.U.basis.data, x):
+            acc = nil_mul(acc, nil_power(G.element(row, (0,) * G.f), e))
+        assert box.collected_w(x) == acc.w
+
+    @settings(max_examples=200, deadline=None)
+    @given(two_step_lattices(), st.data())
+    def test_index_in_full_matches_lattice_index(self, G, data):
+        box = closed_box(G, data.draw(rows(G.b, G.b + 1)), data.draw(rows(G.f, G.f + 1)))
+        iu = lattice_index(Lattice.standard(G.b), box.U)
+        iw = lattice_index(Lattice.standard(G.f), box.W)
+        want = None if iu is None or iw is None else iu * iw
+        assert box.index_in_full() == want
+
+    def test_index_in_full_rank_deficient(self):
+        H = TwoStepLattice.heisenberg(1)
+        assert NilSublattice(H, Lattice.from_rows(2, [[2, 0]]), Lattice.standard(1)).index_in_full() is None
+        assert NilSublattice(H, Lattice.zero(2), Lattice.zero(1)).index_in_full() is None
+        assert NilSublattice(TwoStepLattice.free_abelian(1, 2), Lattice.scaled(2, 3), Lattice.zero(1)).index_in_full() is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(box_pairs())
+    def test_box_quotient_matches_the_collection(self, pair):
+        P, Q = pair
+        try:
+            want = collected_box_quotient(P, Q)
+        except (NotASubgroup, NotNormal, NotAbelianQuotient) as exc:
+            event(type(exc).__name__)
+            with pytest.raises(type(exc)):
+                box_quotient(P, Q)
+        else:
+            event("quotient")
+            assert box_quotient(P, Q) == want
+
+    def test_each_failure_is_named(self):
+        H = TwoStepLattice.heisenberg(1)
+        full = NilSublattice.full(H)
+        lam1 = NilSublattice(H, Lattice.scaled(2, 2), Lattice.standard(1))
+        gam = NilSublattice(H, Lattice.scaled(2, 2), Lattice.scaled(1, 4))
+        with pytest.raises(NotASubgroup):
+            box_quotient(lam1, full)
+        with pytest.raises(NotNormal):
+            box_quotient(full, gam)
+        # Q = 0 x 2Z is central, hence normal, but C(x, y) = 1 is not in 2Z
+        with pytest.raises(NotAbelianQuotient):
+            box_quotient(full, NilSublattice(H, Lattice.zero(2), Lattice.scaled(1, 2)))

@@ -136,6 +136,20 @@ class TestLatticeSubgroups:
         S = sol3_gamma(2)
         assert SemidirectLattice.from_json(S.to_json()) == S
 
+    def test_absent_sublattice_is_the_full_lattice(self):
+        desc = sol3_gamma(0).to_json()
+        del desc["sublattice"]
+        assert SemidirectLattice.from_json(desc) == sol3_gamma(0)
+
+    @pytest.mark.parametrize("value", [None, False, 0, {}, ""])
+    def test_present_sublattice_must_be_rows(self, value):
+        # these once read as "absent" and gave the full lattice
+        desc = dict(sol3_gamma(0).to_json(), sublattice=value)
+        with pytest.raises(InvalidParameters):
+            SemidirectLattice.from_json(desc)
+        with pytest.raises(UnsupportedSubgroupShape):
+            SemidirectLattice.from_json(dict(desc, sublattice=[]))
+
 
 class TestNormalizer:
     def test_paper_chain(self, G):
