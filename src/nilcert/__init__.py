@@ -22,6 +22,7 @@ from .linalg import (
     IntMatrix,
     Lattice,
     SmithForm,
+    cokernel,
     hnf,
     lattice_index,
     left_kernel,
@@ -74,6 +75,7 @@ __all__ = [
     "TwoStepLattice",
     "b1",
     "center_rank",
+    "cokernel",
     "discsym2_upper",
     "euler_length_bound",
     "h1",

@@ -15,6 +15,7 @@ import os
 import sys
 
 from . import cohomology, invariants, nilpotent2, semidirect
+from .arith import parse_int
 from .certificates import SCHEMA, canonical_json
 from .errors import (
     InvalidParameters,
@@ -284,8 +285,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--max-index",
         type=int,
-        default=int(os.environ.get("NILCERT_MAX_INDEX", DEFAULT_MAX_INDEX)),
-        help="guardrail for index computations (env NILCERT_MAX_INDEX)",
+        help="guardrail for index computations (default: env NILCERT_MAX_INDEX, else 10^6)",
     )
     common.add_argument(
         "--max-enum", type=int, default=DEFAULT_MAX_ENUM,
@@ -372,11 +372,25 @@ def _summarize(verb: str, result: dict) -> str:
     return "%s: ok" % verb
 
 
+def _max_index(flag: int | None) -> int:
+    """``--max-index``, else the ``NILCERT_MAX_INDEX`` environment value, else the default."""
+    if flag is not None:
+        return flag
+    env = os.environ.get("NILCERT_MAX_INDEX")
+    if env is None:
+        return DEFAULT_MAX_INDEX
+    try:
+        return parse_int(env)
+    except InvalidParameters as exc:
+        raise InvalidParameters("NILCERT_MAX_INDEX: %s" % exc) from None
+
+
 def run(argv: list[str]) -> int:
     """Parse argv, execute, and print the JSON report; returns the exit code."""
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        args.max_index = _max_index(args.max_index)
         result = args.fn(args)
     except NilcertError as exc:
         report = {

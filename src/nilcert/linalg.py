@@ -7,13 +7,14 @@ in canonical row Hermite normal form, which makes lattice equality a plain
 so every downstream claim can be re-verified by multiplying back.
 
 Entries are validated once, where they enter: the public ``IntMatrix(...)``
-constructor, ``Lattice.from_rows`` and every ``from_json``.  Matrices this
-module computes from already-validated ones are built by
+constructor, ``Lattice.from_rows``, ``cokernel`` and every ``from_json``.
+Matrices this module computes from already-validated ones are built by
 ``IntMatrix._trusted`` without re-checking each entry.  Transforms are
 accumulated only for callers that read them: ``hnf`` always returns ``U``,
-while lattice construction runs the same elimination without one, and
-``snf`` carries ``V^-1`` alongside ``V`` so quotient generators need no
-second normal form.
+while lattice construction runs the same elimination without one; ``snf``
+carries ``V^-1`` alongside ``V`` so quotient generators need no second
+normal form, and ``cokernel`` and ``quotient_structure`` run the same
+Smith elimination with no transform at all.
 """
 
 from __future__ import annotations
@@ -42,25 +43,31 @@ def _parse_rows(obj) -> list[list[int]]:
     return [[parse_int(x) for x in row] for row in obj]
 
 
+def _validated(data: Iterable[Iterable[int]], cols: Optional[int]) -> tuple[tuple[Row, ...], int]:
+    """Rows of plain ints, all of one width, and that width (``cols`` if given)."""
+    rows = tuple(map(tuple, data))
+    for row in rows:
+        for x in row:
+            if type(x) is not int:
+                _as_int(x)
+    if rows:
+        ncols = len(rows[0])
+        if any(len(r) != ncols for r in rows):
+            raise DimensionMismatch("ragged rows")
+    else:
+        ncols = 0 if cols is None else cols
+    if cols is not None and rows and cols != ncols:
+        raise DimensionMismatch("cols=%d but rows have length %d" % (cols, ncols))
+    return rows, ncols
+
+
 class IntMatrix:
     """Dense matrix of arbitrary-precision integers (row-major)."""
 
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, data: Iterable[Iterable[int]], cols: Optional[int] = None):
-        rows = tuple(map(tuple, data))
-        for row in rows:
-            for x in row:
-                if type(x) is not int:
-                    _as_int(x)
-        if rows:
-            ncols = len(rows[0])
-            if any(len(r) != ncols for r in rows):
-                raise DimensionMismatch("ragged rows")
-        else:
-            ncols = 0 if cols is None else cols
-        if cols is not None and rows and cols != ncols:
-            raise DimensionMismatch("cols=%d but rows have length %d" % (cols, ncols))
+        rows, ncols = _validated(data, cols)
         self.rows = len(rows)
         self.cols = ncols
         self.data = rows
@@ -351,32 +358,23 @@ class SmithForm:
     V_inv: IntMatrix
 
 
-def snf(A: IntMatrix) -> SmithForm:
-    """Smith normal form with minimal-absolute-value pivoting.
+def _smith(
+    s: list[list[int]],
+    n: int,
+    u: Optional[list[list[int]]] = None,
+    v: Optional[list[list[int]]] = None,
+    vi: Optional[list[list[int]]] = None,
+) -> tuple[int, ...]:
+    """Reduce the rows ``s`` (width ``n``) in place to Smith normal form.
 
     Pivoting on the smallest nonzero entry bounds coefficient growth; the
-    divisibility sweep after each pivot guarantees d_i | d_{i+1}.  Each
-    column operation on ``V`` is mirrored by the inverse row operation on
-    ``V_inv``, so ``V_inv * V = I`` throughout.
+    divisibility sweep after each pivot guarantees d_i | d_{i+1}.  Row
+    operations are repeated on ``u`` and column operations on ``v`` when
+    they are given; each column operation on ``v`` is mirrored by the
+    inverse row operation on ``vi``, so ``vi * v = I`` throughout.  Returns
+    the positive diagonal entries d1 | d2 | ... (zeros dropped).
     """
-    m, n = A.rows, A.cols
-    s = [list(row) for row in A.data]
-    u = _eye(m)
-    v = _eye(n)
-    vi = _eye(n)
-
-    def row_sub(i, q, k):
-        s[i] = [a - q * b for a, b in zip(s[i], s[k])]
-        u[i] = [a - q * b for a, b in zip(u[i], u[k])]
-
-    def col_sub(j, q, k):
-        # column j -= q * column k; the inverse is row k += q * row j.
-        for row in s:
-            row[j] -= q * row[k]
-        for row in v:
-            row[j] -= q * row[k]
-        vi[k] = [a + q * b for a, b in zip(vi[k], vi[j])]
-
+    m = len(s)
     t = 0
     while t < min(m, n):
         # Locate the minimal-absolute-value nonzero entry of the tail block.
@@ -392,51 +390,73 @@ def snf(A: IntMatrix) -> SmithForm:
         _, pi, pj = best
         if pi != t:
             s[t], s[pi] = s[pi], s[t]
-            u[t], u[pi] = u[pi], u[t]
+            if u is not None:
+                u[t], u[pi] = u[pi], u[t]
         if pj != t:
             for row in s:
                 row[t], row[pj] = row[pj], row[t]
-            for row in v:
-                row[t], row[pj] = row[pj], row[t]
-            vi[t], vi[pj] = vi[pj], vi[t]
-        p = s[t][t]
+            if v is not None:
+                for row in v:
+                    row[t], row[pj] = row[pj], row[t]
+                vi[t], vi[pj] = vi[pj], vi[t]
+        st = s[t]
+        p = st[t]
         dirty = False
         for i in range(t + 1, m):
-            if s[i][t] != 0:
-                q = s[i][t] // p
+            si = s[i]
+            if si[t] != 0:
+                q = si[t] // p
                 if q:
-                    row_sub(i, q, t)
-                if s[i][t] != 0:
+                    si = s[i] = [a - q * b for a, b in zip(si, st)]
+                    if u is not None:
+                        u[i] = [a - q * b for a, b in zip(u[i], u[t])]
+                if si[t] != 0:
                     dirty = True
         for j in range(t + 1, n):
-            if s[t][j] != 0:
-                q = s[t][j] // p
+            if st[j] != 0:
+                q = st[j] // p
                 if q:
-                    col_sub(j, q, t)
-                if s[t][j] != 0:
+                    # column j -= q * column t; the inverse is row t += q * row j.
+                    for row in s:
+                        row[j] -= q * row[t]
+                    if v is not None:
+                        for row in v:
+                            row[j] -= q * row[t]
+                        vi[t] = [a + q * b for a, b in zip(vi[t], vi[j])]
+                if st[j] != 0:
                     dirty = True
         if dirty:
             continue
         # Row and column are clear; force the divisibility chain.
-        p = s[t][t]
-        fix = None
-        for i in range(t + 1, m):
-            si = s[i]
-            for j in range(t + 1, n):
-                if si[j] % p != 0:
-                    fix = i
-                    break
-            if fix is not None:
-                break
+        fix = next(
+            (i for i in range(t + 1, m) if any(x % p for x in s[i][t + 1 :])), None
+        )
         if fix is not None:
-            row_sub(t, -1, fix)
+            s[t] = [a + b for a, b in zip(st, s[fix])]
+            if u is not None:
+                u[t] = [a + b for a, b in zip(u[t], u[fix])]
             continue
-        if s[t][t] < 0:
-            s[t] = [-x for x in s[t]]
-            u[t] = [-x for x in u[t]]
+        if p < 0:
+            s[t] = [-x for x in st]
+            if u is not None:
+                u[t] = [-x for x in u[t]]
         t += 1
+    return tuple(s[i][i] for i in range(min(m, n)) if s[i][i] != 0)
 
-    factors = tuple(s[i][i] for i in range(min(m, n)) if s[i][i] != 0)
+
+def snf(A: IntMatrix) -> SmithForm:
+    """Smith normal form with its transforms ``U``, ``V`` and ``V^-1``.
+
+    See :func:`_smith` for the elimination.  Callers that read only the
+    invariant factors use :func:`cokernel` or :func:`quotient_structure`,
+    which run it without transforms.
+    """
+    m, n = A.rows, A.cols
+    s = [list(row) for row in A.data]
+    u = _eye(m)
+    v = _eye(n)
+    vi = _eye(n)
+    factors = _smith(s, n, u, v, vi)
     trusted = IntMatrix._trusted
     return SmithForm(trusted(s, n), trusted(u, m), trusted(v, n), factors, trusted(vi, n))
 
@@ -551,10 +571,12 @@ class Lattice:
     """Sublattice of Z^n stored as a canonical row-HNF basis (no zero rows).
 
     Canonicality makes equality of lattices a byte-wise comparison of the
-    basis matrices.  Saturation is always explicit, never implied.
+    basis matrices.  Saturation is always explicit, never implied.  A basis
+    that is the identity (all of Z^n) is recorded once, so coordinates in
+    it are the vector itself.
     """
 
-    __slots__ = ("ambient_dim", "basis", "_pivots")
+    __slots__ = ("ambient_dim", "basis", "_pivots", "_identity")
 
     def __init__(self, ambient_dim: int, basis: IntMatrix):
         if basis.cols != ambient_dim:
@@ -571,6 +593,7 @@ class Lattice:
         self.basis = basis
         # The basis is immutable row HNF, so its pivot columns are fixed.
         self._pivots = tuple(pivots)
+        self._identity = len(pivots) == ambient_dim and basis.data == _identity_rows(ambient_dim)
 
     @staticmethod
     def from_rows(ambient_dim: int, rows: Iterable[Sequence[int]]) -> "Lattice":
@@ -617,6 +640,8 @@ class Lattice:
         """Integer coordinates of ``v`` in the HNF basis, or None."""
         if len(v) != self.ambient_dim:
             raise DimensionMismatch("vector length mismatch")
+        if self._identity:
+            return tuple(v)
         w = v
         coords = []
         for row, j in zip(self.basis.data, self._pivots):
@@ -707,9 +732,38 @@ def preimage_lattice(M: IntMatrix, L: Lattice) -> Lattice:
     return _span(n, [row[:n] for row in ker.data])
 
 
+def _structure(n: int, factors: Sequence[int]) -> AbelianStructure:
+    """``Z^n`` modulo a relation matrix with invariant factors ``factors``."""
+    return AbelianStructure(n - len(factors), tuple(d for d in factors if d != 1))
+
+
+def cokernel(n: int, rows: Iterable[Sequence[int]]) -> AbelianStructure:
+    """Structure of ``Z^n / span(rows)``.
+
+    One Smith elimination of the rows, with no transform and no Hermite
+    form first.  The rows are checked like those of ``Lattice.from_rows``.
+    """
+    s = [list(row) for row in _validated(rows, n)[0]]
+    return _structure(n, _smith(s, n))
+
+
+def _coordinate_rows(sup: Lattice, sub: Lattice) -> list[Row]:
+    """Coordinates of the basis of ``sub`` in the basis of ``sup``."""
+    if sup.ambient_dim != sub.ambient_dim:
+        raise DimensionMismatch("ambient dimensions differ")
+    coord_rows = []
+    for row in sub.basis.data:
+        c = sup.coords_of(row)
+        if c is None:
+            raise NotASublattice("basis vector %r is not in the ambient lattice" % (row,))
+        coord_rows.append(c)
+    return coord_rows
+
+
 def quotient_structure(sup: Lattice, sub: Lattice) -> AbelianStructure:
     """Invariant factors of ``sup / sub`` (requires ``sub`` inside ``sup``)."""
-    return quotient_with_generators(sup, sub)[0]
+    s = [list(c) for c in _coordinate_rows(sup, sub)]
+    return _structure(sup.rank, _smith(s, sup.rank))
 
 
 def quotient_with_generators(
@@ -720,34 +774,18 @@ def quotient_with_generators(
     Each generator comes as ``(order, vector)`` with order 0 for a free
     generator; trivial factors are dropped.
     """
-    if sup.ambient_dim != sub.ambient_dim:
-        raise DimensionMismatch("ambient dimensions differ")
-    coord_rows = []
-    for row in sub.basis.data:
-        c = sup.coords_of(row)
-        if c is None:
-            raise NotASublattice("basis vector %r is not in the ambient lattice" % (row,))
-        coord_rows.append(c)
+    coord_rows = _coordinate_rows(sup, sub)
     r_sup = sup.rank
     form = snf(IntMatrix._trusted(coord_rows, r_sup))
     vinv = form.V_inv
     gens: list[tuple[int, Row]] = []
-    torsion = []
     for i in range(r_sup):
         d = form.S.data[i][i] if i < len(coord_rows) else 0
-        if d == 1:
-            continue
-        lift = _combine(vinv.data[i], sup.basis.data)
-        if d == 0:
-            gens.append((0, lift))
-        else:
-            torsion.append(d)
-            gens.append((d, lift))
-    free = r_sup - len(form.factors)
-    structure = AbelianStructure(free, tuple(sorted(torsion)))
+        if d != 1:
+            gens.append((d, _combine(vinv.data[i], sup.basis.data)))
     # Emit torsion generators first (in factor order), free ones last.
     gens.sort(key=lambda g: (g[0] == 0, g[0]))
-    return structure, gens
+    return _structure(r_sup, form.factors), gens
 
 
 def lattice_index(sup: Lattice, sub: Lattice) -> Optional[int]:

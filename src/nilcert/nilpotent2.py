@@ -44,9 +44,9 @@ from .linalg import (
     AbelianStructure,
     IntMatrix,
     Lattice,
+    cokernel,
     hstack,
     left_kernel,
-    quotient_structure,
     saturate,
 )
 
@@ -246,10 +246,7 @@ def hbar1(G: TwoStepLattice) -> AbelianStructure:
     Computed as Hom(Z^b, Z^f) = Z^(b f) modulo the image of the commutator
     map u |-> C(u, -).
     """
-    image = commutator_image_matrix(G)
-    return quotient_structure(
-        Lattice.standard(G.b * G.f), Lattice.from_rows(G.b * G.f, image.data)
-    )
+    return cokernel(G.b * G.f, commutator_image_matrix(G).data)
 
 
 # ---------------------------------------------------------------------------
@@ -383,8 +380,7 @@ def box_quotient(P: NilSublattice, Q: NilSublattice) -> AbelianStructure:
     relations = [x + P.W.coords_of(tuple(-a for a in P.collected_w(x))) for x in xs]
     zeros = (0,) * r
     relations.extend(zeros + y for y in ys)
-    n = r + P.W.rank
-    return quotient_structure(Lattice.standard(n), Lattice.from_rows(n, relations))
+    return cokernel(r + P.W.rank, relations)
 
 
 def central_layer(upper: NilSublattice, lower: NilSublattice, kernel: Lattice) -> bool:

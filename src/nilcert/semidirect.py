@@ -38,9 +38,9 @@ from .linalg import (
     AbelianStructure,
     IntMatrix,
     Lattice,
+    cokernel,
     lattice_index,
     preimage_lattice,
-    quotient_structure,
     quotient_with_generators,
 )
 
@@ -285,7 +285,7 @@ def quotient(G: SemidirectLattice, S: SemidirectLattice) -> AbelianStructure:
             raise NotASubgroup("fiber of S is not inside fiber of G")
         rows.append(list(coords) + [0])
     rows.append([0] * n + [S.m // G.m])
-    return quotient_structure(Lattice.standard(n + 1), Lattice.from_rows(n + 1, rows))
+    return cokernel(n + 1, rows)
 
 
 def intermediates(

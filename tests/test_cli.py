@@ -322,6 +322,35 @@ class TestExitCodes:
         code, _, _ = invoke(capsys, "sol3-tower", "--k", "5")
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "value", ["abc", "1.5", "", "1" * 4301], ids=["word", "float", "empty", "4301-digits"]
+    )
+    def test_malformed_max_index_env_is_a_structured_error(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("NILCERT_MAX_INDEX", value)
+        for argv in (["presets"], ["sol3-tower", "--k", "1"]):
+            code, out, err = invoke(capsys, *argv)
+            assert code == 1
+            assert json.loads(out)["error"]["type"] == "InvalidParameters"
+            assert err == ""
+
+    def test_max_index_env_value_is_honoured(self, capsys, monkeypatch):
+        # 4^3 = 64: the environment value is the guard, inclusive
+        monkeypatch.setenv("NILCERT_MAX_INDEX", "64")
+        assert result_of(capsys, "sol3-tower", "--k", "3")["total_index"] == "64"
+        monkeypatch.setenv("NILCERT_MAX_INDEX", "63")
+        code, out, _ = invoke(capsys, "sol3-tower", "--k", "3")
+        assert code == 1
+        assert json.loads(out)["error"]["type"] == "QuotientTooLarge"
+
+    def test_max_index_flag_overrides_env(self, capsys, monkeypatch):
+        for env in ("63", "abc"):
+            monkeypatch.setenv("NILCERT_MAX_INDEX", env)
+            assert result_of(capsys, "sol3-tower", "--k", "3", "--max-index", "64")["total_index"] == "64"
+        monkeypatch.setenv("NILCERT_MAX_INDEX", "10000")
+        code, out, _ = invoke(capsys, "sol3-tower", "--k", "3", "--max-index", "63")
+        assert code == 1
+        assert json.loads(out)["error"]["type"] == "QuotientTooLarge"
+
 
 class TestPresets:
     def test_listing(self, capsys):

@@ -10,6 +10,7 @@ from nilcert.linalg import (
     IntMatrix,
     Lattice,
     _echelon,
+    cokernel,
     hnf,
     lattice_index,
     left_kernel,
@@ -384,6 +385,161 @@ class TestTransformFreeCore:
             Lattice.from_rows(2, [[1, 0.5]])
         with pytest.raises(TypeError):
             IntMatrix.identity(2).scale(0.5)
+
+
+def _eliminate(L, v):
+    """Coordinates of ``v`` in the basis of ``L`` by pivot elimination, or None."""
+    w, coords = list(v), []
+    for row in L.basis.data:
+        j = next(k for k, x in enumerate(row) if x)
+        q, rem = divmod(w[j], row[j])
+        if rem:
+            return None
+        coords.append(q)
+        w = [a - q * b for a, b in zip(w, row)]
+    return None if any(w) else tuple(coords)
+
+
+def _eliminate_reduce(L, v):
+    w = list(v)
+    for row in L.basis.data:
+        j = next(k for k, x in enumerate(row) if x)
+        q = w[j] // row[j]
+        w = [a - q * b for a, b in zip(w, row)]
+    return tuple(w)
+
+
+def _general_quotient_with_generators(sup, sub):
+    """quotient_with_generators with coordinates from pivot elimination."""
+    coords = [_eliminate(sup, row) for row in sub.basis.data]
+    form = snf(IntMatrix(coords, cols=sup.rank))
+    gens, torsion = [], []
+    for i in range(sup.rank):
+        d = form.S.data[i][i] if i < len(coords) else 0
+        if d == 1:
+            continue
+        lift = tuple(
+            sum(c * x for c, x in zip(form.V_inv.data[i], col)) for col in zip(*sup.basis.data)
+        )
+        gens.append((d, lift))
+        if d:
+            torsion.append(d)
+    gens.sort(key=lambda g: (g[0] == 0, g[0]))
+    return AbelianStructure(sup.rank - len(form.factors), tuple(sorted(torsion))), gens
+
+
+def _relations(rng):
+    """Random relation rows: empty, zero rows, rank-deficient, tall and wide."""
+    n = rng.randint(0, 5)
+    m = rng.choice([0, rng.randint(1, max(1, n)), rng.randint(n, n + 4)])
+    rows = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)]
+    if rows and rng.random() < 0.3:
+        rows.insert(rng.randrange(len(rows) + 1), [0] * n)
+    if len(rows) > 1 and rng.random() < 0.3:
+        a, b = rng.sample(range(len(rows)), 2)
+        c = rng.randint(-3, 3)
+        rows.append([x + c * y for x, y in zip(rows[a], rows[b])])
+    return n, rows
+
+
+class TestInvariantFactorsOnly:
+    """Structure-only quotients: the Smith elimination without transforms."""
+
+    SHAPES = [
+        (0, []),
+        (0, [[], []]),
+        (3, []),
+        (3, [[0, 0, 0]]),
+        (2, [[2, 4], [1, 2], [3, 6]]),
+        (4, [[2, 0, 0, 0], [0, 0, 3, 0]]),
+        (1, [[6], [4], [0], [10]]),
+    ]
+
+    def test_cokernel_matches_quotient_structure_and_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        from sympy.matrices.normalforms import smith_normal_form
+
+        rng = random.Random(53)
+        cases = self.SHAPES + [_relations(rng) for _ in range(300)]
+        for n, rows in cases:
+            got = cokernel(n, rows)
+            assert got == quotient_structure(Lattice.standard(n), Lattice.from_rows(n, rows))
+            if n and rows:
+                S = smith_normal_form(sympy.Matrix(rows), domain=sympy.ZZ)
+                diag = [abs(int(S[i, i])) for i in range(min(S.rows, S.cols))]
+                factors = [d for d in diag if d]
+            else:
+                factors = []
+            assert got == AbelianStructure(n - len(factors), tuple(d for d in factors if d > 1))
+
+    def test_cokernel_validates_like_from_rows(self):
+        for rows, exc in (
+            ([[1, 2, 3]], DimensionMismatch),
+            ([[1, 2], [3]], DimensionMismatch),
+            ([[1, 0.5]], TypeError),
+            ([[True, 0]], TypeError),
+        ):
+            with pytest.raises(exc):
+                Lattice.from_rows(2, rows)
+            with pytest.raises(exc):
+                cokernel(2, rows)
+
+    def test_quotient_structure_matches_snf_of_coordinates(self):
+        rng = random.Random(59)
+        for _ in range(200):
+            n = rng.randint(1, 4)
+            sup = Lattice.from_rows(n, rand_matrix(rng, lo=-4, hi=4, cols=n).data)
+            combos = rand_matrix(rng, lo=-3, hi=3, cols=sup.rank).data if sup.rank else []
+            sub = Lattice.from_rows(
+                n,
+                [[sum(c * x for c, x in zip(k, col)) for col in zip(*sup.basis.data)] for k in combos],
+            )
+            coords = [sup.coords_of(row) for row in sub.basis.data]
+            factors = snf(IntMatrix(coords, cols=sup.rank)).factors
+            expected = AbelianStructure(sup.rank - len(factors), tuple(d for d in factors if d > 1))
+            assert quotient_structure(sup, sub) == expected
+            assert lattice_index(sup, sub) == expected.order()
+            outside = tuple(rng.randint(-4, 4) for _ in range(n))
+            if not sup.contains(outside):
+                with pytest.raises(NotASublattice):
+                    quotient_structure(sup, sub.sum(Lattice.from_rows(n, [outside])))
+            with pytest.raises(DimensionMismatch):
+                quotient_structure(sup, Lattice.standard(n + 1))
+
+    def test_identity_basis_coordinates_match_elimination(self):
+        rng = random.Random(61)
+        lattices = [Lattice.standard(0), Lattice.from_rows(0, [])]
+        for _ in range(60):
+            n = rng.randint(1, 5)
+            lattices.append(Lattice.standard(n))
+            # an HNF of rows that span Z^n is the identity basis too
+            lattices.append(Lattice.from_rows(n, (rand_unimodular(rng, n) * IntMatrix.identity(n)).data))
+        for L in lattices:
+            n = L.ambient_dim
+            assert L._identity
+            assert L.basis == IntMatrix.identity(n)
+            for _ in range(5):
+                v = tuple(rng.randint(-9, 9) for _ in range(n))
+                assert L.coords_of(v) == _eliminate(L, v) == v
+                assert L.contains(v)
+                assert L.reduce(v) == _eliminate_reduce(L, v)
+            for method in (L.coords_of, L.contains, L.reduce):
+                with pytest.raises(DimensionMismatch):
+                    method((0,) * (n + 1))
+        for rows in ([[1, 0], [0, 2]], [[1, 0]], [[1, 1], [0, 1]], []):
+            L = Lattice.from_rows(2, rows)
+            assert L._identity == (L.basis == IntMatrix.identity(2))
+            for v in ((3, 4), (3, 3), (0, 0)):
+                assert L.coords_of(v) == _eliminate(L, v)
+                assert L.reduce(v) == _eliminate_reduce(L, v)
+
+    def test_generators_over_standard_match_general_coordinates(self):
+        rng = random.Random(67)
+        for _ in range(200):
+            n = rng.randint(1, 5)
+            L = Lattice.from_rows(n, rand_matrix(rng, lo=-6, hi=6, cols=n).data)
+            Z = Lattice.standard(n)
+            assert quotient_with_generators(Z, L) == _general_quotient_with_generators(Z, L)
 
 
 class TestStrictParser:

@@ -37,3 +37,44 @@ def test_no_imports_inside_functions():
         if isinstance(inner, (ast.Import, ast.ImportFrom))
     ]
     assert found == []
+
+
+def _calls(node, function=None):
+    """(innermost enclosing function name, call) for every call under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _calls(child, child.name)
+            continue
+        if isinstance(child, ast.Call):
+            yield function, child
+        yield from _calls(child, function)
+
+
+def _callee(call):
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def test_transforms_only_where_read():
+    # snf builds U, V and V^-1; a caller that reads only invariant factors
+    # uses cokernel or quotient_structure, which run the Smith elimination
+    # without them.  Z^n / L is cokernel(n, rows), not a quotient of
+    # Lattice.standard(n), which would add a Hermite form and coordinates.
+    snf_readers = {
+        ("linalg.py", "quotient_with_generators"),
+        ("invariants.py", "_induced_quotient_holonomy"),
+        ("cli.py", "_cmd_snf"),
+    }
+    found = []
+    for name, tree in _trees():
+        for function, call in _calls(tree):
+            callee = _callee(call)
+            if callee == "snf" and (name, function) not in snf_readers:
+                found.append("%s:%d snf in %s" % (name, call.lineno, function))
+            if callee in ("quotient_structure", "quotient_with_generators"):
+                sup = call.args[0] if call.args else next(
+                    (k.value for k in call.keywords if k.arg == "sup"), None
+                )
+                if isinstance(sup, ast.Call) and ast.unparse(sup.func).endswith("Lattice.standard"):
+                    found.append("%s:%d %s over Lattice.standard" % (name, call.lineno, callee))
+    assert found == []
