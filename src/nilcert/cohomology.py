@@ -31,6 +31,7 @@ from .linalg import (
     IntMatrix,
     Lattice,
     hnf,
+    maps_into,
     preimage_lattice,
     quotient_structure,
     quotient_with_generators,
@@ -101,11 +102,8 @@ class ModuleAction:
         return tuple(out)
 
     def _is_identity_map(self, R: IntMatrix) -> bool:
-        diff = R - IntMatrix.identity(self.dim)
-        lat = self.torsion_lattice
-        return all(
-            lat.contains(tuple(diff.data[i][j] for i in range(self.dim)))
-            for j in range(self.dim)
+        return maps_into(
+            R - IntMatrix.identity(self.dim), Lattice.standard(self.dim), self.torsion_lattice
         )
 
     def _module_inverse(self, psi: IntMatrix) -> IntMatrix:

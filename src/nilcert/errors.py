@@ -23,7 +23,7 @@ class NotASubgroup(NilcertError):
 
 
 class NotNormal(NilcertError):
-    """Subgroup fails the generator conjugation test for normality."""
+    """Subgroup is not normal: some conjugate of one of its elements leaves it."""
 
 
 class NotAbelianQuotient(NilcertError):

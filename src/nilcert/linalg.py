@@ -19,6 +19,7 @@ Smith elimination with no transform at all.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -178,15 +179,7 @@ class IntMatrix:
         """Integer power; negative exponents require a unimodular matrix."""
         if self.rows != self.cols:
             raise DimensionMismatch("power of a non-square matrix")
-        base = self if t >= 0 else unimodular_inverse(self)
-        t = abs(t)
-        result = IntMatrix.identity(self.rows)
-        while t:
-            if t & 1:
-                result = result * base
-            base = base * base
-            t >>= 1
-        return result
+        return power_mod(self if t >= 0 else unimodular_inverse(self), abs(t), 0)
 
     def det(self) -> int:
         """Exact determinant via fraction-free Bareiss elimination."""
@@ -222,6 +215,27 @@ class IntMatrix:
 @lru_cache(maxsize=None)
 def _identity_rows(n: int) -> tuple[Row, ...]:
     return tuple(tuple([1 if i == j else 0 for j in range(n)]) for i in range(n))
+
+
+def power_mod(M: IntMatrix, t: int, d: int) -> IntMatrix:
+    """``M^t`` for ``t >= 0`` by repeated squaring, every product reduced into
+    ``[0, d)``; ``d = 0`` keeps the entries exact (Z/0Z is Z)."""
+    if M.rows != M.cols:
+        raise DimensionMismatch("power of a non-square matrix")
+    if t < 0 or d < 0:
+        raise InvalidParameters("power_mod needs t >= 0 and d >= 0")
+
+    def reduced(X: IntMatrix) -> IntMatrix:
+        return IntMatrix._trusted([[x % d for x in row] for row in X.data], X.cols) if d else X
+
+    result, M = None, reduced(M)
+    while t:
+        if t & 1:
+            result = M if result is None else reduced(result * M)
+        t >>= 1
+        if t:
+            M = reduced(M * M)
+    return reduced(IntMatrix.identity(M.rows)) if result is None else result
 
 
 def _eye(n: int) -> list[list[int]]:
@@ -730,6 +744,22 @@ def preimage_lattice(M: IntMatrix, L: Lattice) -> Lattice:
         return _span(n, left_kernel(mt).data)
     ker = left_kernel(vstack([mt, -L.basis]))
     return _span(n, [row[:n] for row in ker.data])
+
+
+def maps_into(M: IntMatrix, src: Lattice, dst: Lattice) -> bool:
+    """Does ``M`` map ``src`` into ``dst``?  ``M`` acts on column vectors.
+
+    The image of ``src`` is spanned by the images of its basis rows, so it
+    is enough that each of those lies in ``dst``.
+    """
+    return all(dst.contains(M.apply(r)) for r in src.basis.data)
+
+
+def full_index(L: Lattice) -> Optional[int]:
+    """``[Z^n : L]`` from the diagonal of its row HNF basis, or None if infinite."""
+    if not L.is_full_rank():
+        return None
+    return math.prod(row[i] for i, row in enumerate(L.basis.data))
 
 
 def _structure(n: int, factors: Sequence[int]) -> AbelianStructure:

@@ -17,7 +17,6 @@ elements are read without multiplying out.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 from .arith import is_prime, json_field, parse_int
@@ -45,8 +44,10 @@ from .linalg import (
     IntMatrix,
     Lattice,
     cokernel,
+    full_index,
     hstack,
     left_kernel,
+    maps_into,
     saturate,
 )
 
@@ -254,13 +255,6 @@ def hbar1(G: TwoStepLattice) -> AbelianStructure:
 # ---------------------------------------------------------------------------
 
 
-def _full_index(L: Lattice):
-    """[Z^n : L] from the diagonal of its row HNF basis, or None if infinite."""
-    if not L.is_full_rank():
-        return None
-    return math.prod(row[i] for i, row in enumerate(L.basis.data))
-
-
 class NilSublattice:
     """Box subgroup U x W; closed under the law iff beta(U, U) lies in W.
 
@@ -309,8 +303,8 @@ class NilSublattice:
         return tuple(w)
 
     def index_in_full(self):
-        iu = _full_index(self.U)
-        iw = _full_index(self.W)
+        iu = full_index(self.U)
+        iw = full_index(self.W)
         return None if iu is None or iw is None else iu * iw
 
     def __eq__(self, other):
@@ -565,8 +559,4 @@ def nilpotency_check(G: TwoStepLattice, P: IntMatrix, Q: IntMatrix, order: int) 
     sqrt, _ = isolator(G)
     if not P.is_identity():
         return False
-    diff = Q - IntMatrix.identity(G.f)
-    return all(
-        sqrt.contains(tuple(diff.data[i][j] for i in range(G.f)))
-        for j in range(G.f)
-    )
+    return maps_into(Q - IntMatrix.identity(G.f), Lattice.standard(G.f), sqrt)

@@ -40,9 +40,9 @@ from nilcert.semidirect import (
     intermediates,
     normalizer,
     sol3_gamma,
-    sol3_intermediate_forms,
     sol3_tower,
 )
+from semidirect_oracle import sol3_intermediate_forms
 
 
 def _report(name, detail=""):

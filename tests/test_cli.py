@@ -83,6 +83,17 @@ class TestReports:
         result = result_of(capsys, "intermediates", "--group", g0, "--subgroup", g1)
         assert result["count"] == 3
 
+    def test_large_translation_index(self, capsys):
+        # S = 2Z^2 x| 10^9 Z: the checks take A^(10^9) modulo [Z^2 : 2Z^2] = 4,
+        # never the exact power, so both verbs answer at once.
+        g0 = json.dumps(sol3_gamma(0).to_json())
+        sub = json.dumps(dict(sol3_gamma(1).to_json(), m="1000000000"))
+        result = result_of(capsys, "quotient", "--group", g0, "--subgroup", sub)
+        assert result["quotient"] == {"free_rank": 0, "torsion": ["2", "2", "1000000000"]}
+        code, out, _ = invoke(capsys, "intermediates", "--group", g0, "--subgroup", sub)
+        assert code == 1
+        assert json.loads(out)["error"]["type"] == "QuotientTooLarge"
+
     def test_series(self, capsys):
         group = json.dumps(preset_description("heisenberg", k=1))
         gamma = json.dumps({"U": [["2", "0"], ["0", "2"]], "W": [["4"]]})

@@ -11,9 +11,12 @@ from nilcert.linalg import (
     Lattice,
     _echelon,
     cokernel,
+    full_index,
     hnf,
     lattice_index,
     left_kernel,
+    maps_into,
+    power_mod,
     preimage_lattice,
     quotient_structure,
     quotient_with_generators,
@@ -206,6 +209,39 @@ class TestLattice:
         a = Lattice.from_rows(2, [[2, 0]])
         b = Lattice.from_rows(2, [[0, 3]])
         assert a.sum(b) == Lattice.from_rows(2, [[2, 0], [0, 3]])
+
+
+class TestContainment:
+    def test_power_mod_matches_the_exact_power(self):
+        rng = random.Random(606)
+        for _ in range(200):
+            n = rng.randint(1, 3)
+            M = rand_matrix(rng, lo=-4, hi=4, rows=n, cols=n)
+            t, d = rng.randint(0, 12), rng.randint(1, 30)
+            exact = M.power(t)
+            assert power_mod(M, t, d).data == tuple(tuple(x % d for x in row) for row in exact.data)
+            assert power_mod(M, t, 0) == exact
+        with pytest.raises(InvalidParameters):
+            power_mod(IntMatrix.identity(2), -1, 3)
+        with pytest.raises(DimensionMismatch):
+            power_mod(IntMatrix([[1, 2]]), 2, 3)
+
+    def test_maps_into_is_containment_of_the_image(self):
+        rng = random.Random(607)
+        for _ in range(300):
+            n = rng.randint(1, 3)
+            M = rand_matrix(rng, lo=-3, hi=3, rows=n, cols=n)
+            src = Lattice.from_rows(n, rand_matrix(rng, lo=-4, hi=4, rows=rng.randint(0, 3), cols=n).data)
+            dst = Lattice.from_rows(n, rand_matrix(rng, lo=-4, hi=4, rows=rng.randint(1, 4), cols=n).data)
+            image = Lattice.from_rows(n, [M.apply(r) for r in src.basis.data])
+            assert maps_into(M, src, dst) == image.is_sublattice_of(dst)
+
+    def test_full_index(self):
+        rng = random.Random(608)
+        for _ in range(100):
+            n = rng.randint(1, 4)
+            L = Lattice.from_rows(n, rand_matrix(rng, rows=rng.randint(0, n + 1), cols=n).data)
+            assert full_index(L) == lattice_index(Lattice.standard(n), L)
 
 
 class TestSaturate:

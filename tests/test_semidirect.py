@@ -2,9 +2,13 @@ import itertools
 import random
 
 import pytest
+from hypothesis import event, example, given, settings, strategies as st
 
+import semidirect_oracle as oracle
+from nilcert import semidirect
 from nilcert.errors import (
     InvalidParameters,
+    NilcertError,
     NotAbelianQuotient,
     NotASubgroup,
     NotNormal,
@@ -16,7 +20,6 @@ from nilcert.semidirect import (
     SemidirectGroup,
     SemidirectLattice,
     center_rank,
-    commutator,
     conj,
     group_index,
     intermediates,
@@ -28,9 +31,9 @@ from nilcert.semidirect import (
     scaling_map_check,
     sol3_gamma,
     sol3_group,
-    sol3_intermediate_forms,
     sol3_tower,
 )
+from semidirect_oracle import commutator, sol3_intermediate_forms
 
 
 @pytest.fixture(scope="module")
@@ -562,3 +565,125 @@ class TestGroupValidation:
         for s in range(-8, 9):
             diff = Id - G.power(s)
             assert all(x % 2 == 0 for row in diff.data for x in row)
+
+
+# ---------------------------------------------------------------------------
+# Lattice containments against the element-wise checks
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def holonomies(draw):
+    """A in GL(n, Z), n = 2, 3: a row permutation of a product of elementary
+    matrices, so finite-order and hyperbolic ones both occur."""
+    n = draw(st.integers(2, 3))
+    m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(0, 5))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if i != j:
+            q = draw(st.integers(-2, 2))
+            m[i] = [a + q * b for a, b in zip(m[i], m[j])]
+    if draw(st.booleans()):
+        m[0] = [-x for x in m[0]]
+    return SemidirectGroup(IntMatrix([m[i] for i in draw(st.permutations(range(n)))]))
+
+
+def _combine(coeffs, rows):
+    return [sum(a * r[k] for a, r in zip(coeffs, rows)) for k in range(len(rows[0]))]
+
+
+def orbit_lattice(A, v, c):
+    """c Z^n plus the span of v, Av, ..., A^(n-1) v: A-invariant, because
+    A^n v is an integer combination of those (Cayley-Hamilton)."""
+    n = A.rows
+    rows = [tuple(v)]
+    for _ in range(n - 1):
+        rows.append(A.apply(rows[-1]))
+    return Lattice.from_rows(n, rows + [[c if i == j else 0 for j in range(n)] for i in range(n)])
+
+
+@st.composite
+def box_pairs(draw):
+    """(G, S, L): boxes with L_S inside L_G and m_G | m_S, or S drawn on its
+    own; L is a full-rank lattice that need not be A-invariant.
+
+    [L_G : L_S] divides c^n, and m_S / m_G is at most 32 / c^n, so |G/S| is
+    at most 32: the closure behind ``intermediates`` grows with the square
+    of the quotient's Cayley table, and both sides of the oracle run it.
+    """
+    K = draw(holonomies())
+    n = K.n
+    vec = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+    L_G = orbit_lattice(K.A, draw(vec), draw(st.integers(1, 2)))
+    c = draw(st.integers(2, 6 - n))
+    if draw(st.integers(0, 4)):
+        # the orbit of w in L_G plus c L_G
+        w = [draw(st.integers(0, 2)) * x for x in _combine(draw(vec), L_G.basis.data)]
+        L_S = orbit_lattice(K.A, w, 0).sum(Lattice.from_rows(n, [[c * x for x in r] for r in L_G.basis.data]))
+    else:
+        L_S = orbit_lattice(K.A, draw(vec), c)
+    m_G = draw(st.integers(1, 2))
+    G = SemidirectLattice(K, L_G, m_G)
+    S = SemidirectLattice(K, L_S, m_G * draw(st.integers(1, min(3, 32 // c**n))))
+    L = Lattice.from_rows(n, [draw(vec) for _ in range(n)] + [[2 if i == j else 0 for j in range(n)] for i in range(n)])
+    return G, S, L
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except NilcertError as exc:
+        return type(exc), str(exc)
+
+
+def verb_outcomes(G, S, L):
+    # Looked up on the module at call time, so elementwise() takes effect.
+    return [
+        outcome(semidirect.SemidirectLattice, G.parent, L, 1),
+        outcome(semidirect.quotient, G, S),
+        outcome(semidirect.normalizer, G, S),
+        outcome(semidirect.intermediates, G, S, 64),
+    ]
+
+
+# The swap holonomy: S = 2Z^2 x| 2Z is normal in Z^2 x| Z (A^2 = Id) but the
+# quotient is dihedral (A is not Id modulo 2).
+SWAP = SemidirectGroup(IntMatrix([[0, 1], [1, 0]]))
+
+
+class TestContainmentOracle:
+    @settings(max_examples=100, deadline=None)
+    @given(box_pairs())
+    @example(
+        (
+            SemidirectLattice(SWAP, Lattice.standard(2), 1),
+            SemidirectLattice(SWAP, Lattice.scaled(2, 2), 2),
+            Lattice.from_rows(2, [[2, 0], [0, 1]]),
+        )
+    )
+    @example(
+        # normal, not abelian, and |G/S| = 72 is past the guard of 64
+        (
+            SemidirectLattice(SWAP, Lattice.standard(2), 1),
+            SemidirectLattice(SWAP, Lattice.scaled(2, 6), 2),
+            Lattice.from_rows(2, [[1, 1], [0, 2]]),
+        )
+    )
+    def test_same_outcome_as_the_elementwise_checks(self, boxes):
+        G, S, L = boxes
+        with oracle.elementwise():
+            want = verb_outcomes(G, S, L)
+        got = verb_outcomes(G, S, L)
+        event("invariant" if not isinstance(want[0], tuple) else want[0][0].__name__)
+        event("quotient: " + ("ok" if isinstance(want[1], AbelianStructure) else want[1][0].__name__))
+        event("intermediates: " + ("%d" % len(want[3]) if isinstance(want[3], list) else want[3][0].__name__))
+        assert got == want
+
+    def test_elementwise_installs_and_restores_the_oracle(self):
+        # Without the swap the property test would compare the library with itself.
+        with oracle.elementwise():
+            assert semidirect.quotient is oracle.quotient
+            assert semidirect._check_normal is oracle.check_normal
+            assert semidirect.SemidirectLattice.__init__ is oracle.box_init
+        assert semidirect.quotient is quotient
+        assert semidirect.SemidirectLattice.__init__ is not oracle.box_init

@@ -78,3 +78,18 @@ def test_transforms_only_where_read():
                 if isinstance(sup, ast.Call) and ast.unparse(sup.func).endswith("Lattice.standard"):
                     found.append("%s:%d %s over Lattice.standard" % (name, call.lineno, callee))
     assert found == []
+
+
+def test_semidirect_checks_use_no_element_arithmetic():
+    # Invariance, normality and abelianness of box subgroups are lattice
+    # containments (linalg.maps_into); conjugates and inverses of elements
+    # appear only in the element arithmetic itself.
+    arithmetic = {"mul", "inv", "conj"}
+    found = [
+        "semidirect.py:%d %s in %s" % (call.lineno, _callee(call), function)
+        for name, tree in _trees()
+        if name == "semidirect.py"
+        for function, call in _calls(tree)
+        if _callee(call) in ("conj", "inv", "commutator") and function not in arithmetic
+    ]
+    assert found == []
