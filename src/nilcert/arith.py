@@ -5,6 +5,9 @@ accepts a plain ``int`` or a decimal string and nothing else, so a float,
 a boolean or a stray word becomes a structured error instead of a silent
 truncation.  ``json_field`` is the matching boundary for object keys: a
 missing field is a structured error naming it, not a ``KeyError``.
+``decimals`` is the output boundary: every integer printed in a report
+becomes a decimal string through it, and one past the interpreter's digit
+limit is a structured ``TooLarge`` instead of a ``ValueError`` traceback.
 ``factorize`` is the one trial-division routine behind the primality tests,
 the p-power counts and the Minkowski bound.
 """
@@ -12,8 +15,9 @@ the p-power counts and the Minkowski bound.
 from __future__ import annotations
 
 import re
+import sys
 
-from .errors import InvalidParameters
+from .errors import InvalidParameters, TooLarge
 
 _DECIMAL = re.compile(r"-?[0-9]+")
 
@@ -28,6 +32,21 @@ def parse_int(x) -> int:
         except ValueError as exc:  # beyond the interpreter's digit limit
             raise InvalidParameters("integer %.20s... is too long: %s" % (x, exc))
     raise InvalidParameters("expected an integer or a decimal string, got %r" % (x,))
+
+
+def decimals(values) -> list[str]:
+    """Decimal strings of the ints in ``values``, one row or vector at a time.
+
+    Raises TooLarge when one of them has more digits than
+    ``sys.get_int_max_str_digits()`` allows in a conversion.
+    """
+    try:
+        return list(map(str, values))
+    except ValueError:
+        raise TooLarge(
+            "integer exceeds the interpreter's %d-digit limit for decimal output"
+            % sys.get_int_max_str_digits()
+        ) from None
 
 
 def json_field(obj, key: str, kind: type = object):

@@ -21,7 +21,7 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
-from .arith import json_field, parse_int
+from .arith import decimals, json_field, parse_int
 from .errors import InvalidParameters, SelfCheckFailed
 from .linalg import AbelianStructure
 
@@ -49,10 +49,11 @@ class ChainLevel:
     central: Optional[bool] = None
 
     def to_json_dict(self, flag_key: str = "normality_verified") -> dict:
+        index, *factors = decimals((self.index, *self.quotient.torsion))
         out = {
             "subgroup": self.subgroup,
-            "quotient_factors": [str(d) for d in self.quotient.torsion],
-            "index": str(self.index),
+            "quotient_factors": factors,
+            "index": index,
             flag_key: self.normality_verified,
         }
         if self.quotient.free_rank:
@@ -118,14 +119,15 @@ class SeriesCertificate:
         levels_key = "chain" if self.kind == KIND_WITNESS else "levels"
         # the tower levels record a verified normalizer computation
         flag_key = "normalizer_verified" if self.kind == KIND_SOL3 else "normality_verified"
+        total_index, max_quotient_order = decimals((self.total_index, self.max_quotient_order))
         out = {
             "schema": SCHEMA,
             "kind": self.kind,
             "group": self.group_ref,
             levels_key: [level.to_json_dict(flag_key) for level in self.chain],
-            "total_index": str(self.total_index),
+            "total_index": total_index,
             "min_length": self.min_length,
-            "max_quotient_order": str(self.max_quotient_order),
+            "max_quotient_order": max_quotient_order,
         }
         if self.kind == KIND_WITNESS:
             out["profile"] = self.group_ref.get("witness", {}).get("profile", [])

@@ -15,7 +15,7 @@ import os
 import sys
 
 from . import cohomology, invariants, nilpotent2, semidirect
-from .arith import parse_int
+from .arith import decimals, parse_int
 from .certificates import SCHEMA, canonical_json
 from .errors import (
     InvalidParameters,
@@ -54,12 +54,13 @@ def preset_description(name: str, k: int | None = None, n: int | None = None) ->
         kk = 1 if k is None else k
         if kk < 1:
             raise InvalidParameters("heisenberg preset needs k >= 1")
+        k_text, minus_k_text = decimals((kk, -kk))
         return {
             "schema": SCHEMA,
             "type": "twostep",
             "f": 1,
             "b": 2,
-            "forms": [[["0", str(kk)], [str(-kk), "0"]]],
+            "forms": [[["0", k_text], [minus_k_text, "0"]]],
         }
     if name == "torus":
         nn = 3 if n is None else n
@@ -142,7 +143,7 @@ def _cmd_snf(args):
         "S": form.S.to_json(),
         "U": form.U.to_json(),
         "V": form.V.to_json(),
-        "factors": [str(d) for d in form.factors],
+        "factors": decimals(form.factors),
     }
 
 
@@ -217,9 +218,7 @@ def _cmd_cohomology(args):
     return {
         "op": op,
         "structure": space.structure.to_json(),
-        "basis": [
-            [[str(x) for x in vec] for vec in cocycle] for cocycle in space.basis
-        ],
+        "basis": [[decimals(vec) for vec in cocycle] for cocycle in space.basis],
     }
 
 

@@ -3,8 +3,10 @@
 Z^1, B^1 and H^1 of a group Q (given by generators and relator words) acting
 on a finitely generated abelian module M.  The cocycle condition is
 linearized with Fox derivatives of the relators, which handles arbitrary
-finitely presented Q uniformly; mixed free/torsion modules are encoded as
-Z^m plus congruence rows, so a single Hermite form solves both.
+finitely presented Q uniformly.  The module is Z^dim modulo one torsion
+lattice, and M^k is Z^(k dim) modulo its k-fold diagonal copy, so a single
+Hermite form solves mixed free/torsion modules.  Each relator is walked
+once, for both its Fox derivatives and its matrix.
 
 ``h1_brute`` is a deliberately independent oracle for finite inputs: it
 enumerates the group with a Todd-Coxeter coset table, enumerates candidate
@@ -19,7 +21,7 @@ import string
 from dataclasses import dataclass
 from functools import cached_property
 
-from .arith import factorize, json_field, parse_int
+from .arith import decimals, factorize, json_field, parse_int
 from .errors import (
     EnumerationFailed,
     IllDefinedAction,
@@ -31,6 +33,7 @@ from .linalg import (
     IntMatrix,
     Lattice,
     hnf,
+    hstack,
     maps_into,
     preimage_lattice,
     quotient_structure,
@@ -55,14 +58,21 @@ def _word_symbols(word: str, ngens: int) -> list[int]:
     return symbols
 
 
+def _side_by_side(blocks: list[IntMatrix], rows: int) -> IntMatrix:
+    """``hstack`` of one block per generator; ``rows`` x 0 when there are none."""
+    return hstack(blocks) if blocks else IntMatrix.zeros(rows, 0)
+
+
 @dataclass(frozen=True)
 class ModuleAction:
     """A finitely presented group acting on a finitely generated module.
 
-    The module Z^free + Z/d_1 + ... is carried in ambient coordinates, free
-    coordinates first.  Each generator acts by an integer matrix that must
-    respect the torsion coordinates and be invertible as a module map, and
-    every relator must evaluate to the identity map.
+    The module Z^free + Z/d_1 + ... is Z^dim modulo :attr:`torsion_lattice`,
+    carried in ambient coordinates, free coordinates first.  Each generator
+    acts by an integer matrix that must map the torsion lattice into itself
+    and be invertible as a module map, and every relator must evaluate to
+    the identity map.  Validation walks each relator once and keeps its Fox
+    row block (:attr:`fox_blocks`) for the cocycle system.
     """
 
     ngens: int
@@ -77,34 +87,32 @@ class ModuleAction:
         for psi in self.matrices:
             if psi.rows != dim or psi.cols != dim:
                 raise IllDefinedAction("action matrices must be %d x %d" % (dim, dim))
-        self._validate()
+        D = self.torsion_lattice
+        if not all(maps_into(psi, D, D) for psi in self.matrices):
+            raise IllDefinedAction("action does not respect torsion")
+        _ = self.inverses
+        _ = self.fox_blocks
 
     @property
     def dim(self) -> int:
         return self.module.free_rank + len(self.module.torsion)
 
+    def torsion_diagonal(self, k: int) -> Lattice:
+        """The torsion of M^k inside Z^(k dim): d_c on the c-th torsion
+        coordinate of each of the k blocks."""
+        free, dim = self.module.free_rank, self.dim
+        rows = []
+        for i in range(k):
+            for c, d in enumerate(self.module.torsion):
+                row = [0] * (k * dim)
+                row[i * dim + free + c] = d
+                rows.append(row)
+        return Lattice.from_rows(k * dim, rows)
+
     @cached_property
     def torsion_lattice(self) -> Lattice:
-        rows = []
-        free = self.module.free_rank
-        for c, d in enumerate(self.module.torsion):
-            row = [0] * self.dim
-            row[free + c] = d
-            rows.append(row)
-        return Lattice.from_rows(self.dim, rows)
-
-    def reduce(self, v) -> Vec:
-        """Canonical module representative (torsion coordinates reduced)."""
-        free = self.module.free_rank
-        out = list(int(x) for x in v)
-        for c, d in enumerate(self.module.torsion):
-            out[free + c] %= d
-        return tuple(out)
-
-    def _is_identity_map(self, R: IntMatrix) -> bool:
-        return maps_into(
-            R - IntMatrix.identity(self.dim), Lattice.standard(self.dim), self.torsion_lattice
-        )
+        """The torsion of M itself; its ``reduce`` gives canonical module elements."""
+        return self.torsion_diagonal(1)
 
     def _module_inverse(self, psi: IntMatrix) -> IntMatrix:
         """Matrix acting as the inverse module map, if one exists.
@@ -115,8 +123,7 @@ class ModuleAction:
         rows, and its psi^T part is column j of the inverse.
         """
         dim = self.dim
-        lat = self.torsion_lattice
-        form = hnf(vstack([psi.transpose(), lat.basis]) if lat.rank else psi.transpose())
+        form = hnf(vstack([psi.transpose(), self.torsion_lattice.basis]))
         if form.H.data[:dim] != IntMatrix.identity(dim).data:
             raise IllDefinedAction("generator action is not invertible on the module")
         return IntMatrix([row[:dim] for row in form.U.data[:dim]], cols=dim).transpose()
@@ -125,63 +132,33 @@ class ModuleAction:
     def inverses(self) -> tuple[IntMatrix, ...]:
         return tuple(self._module_inverse(psi) for psi in self.matrices)
 
-    def _validate(self):
-        free = self.module.free_rank
-        for psi in self.matrices:
-            for c, d in enumerate(self.module.torsion):
-                col = free + c
-                for i in range(self.dim):
-                    x = psi.data[i][col] * d
-                    if i < free:
-                        if x != 0:
-                            raise IllDefinedAction("action does not respect torsion")
-                    elif x % self.module.torsion[i - free] != 0:
-                        raise IllDefinedAction("action does not respect torsion")
-        _ = self.inverses
-        for word in self.relators:
-            R = self.word_matrix(word)
-            if not self._is_identity_map(R):
-                raise IllDefinedAction("relator %r does not act as the identity" % word)
+    @cached_property
+    def fox_blocks(self) -> tuple[IntMatrix, ...]:
+        """Per relator, the dim x (ngens dim) block [D_1 ... D_ngens] of its
+        psi-evaluated Fox derivatives: the relator condition on a cocycle c
+        is sum_j D_j c(g_j) = 0 in M.
 
-    def word_matrix(self, word: str) -> IntMatrix:
-        out = IntMatrix.identity(self.dim)
-        for s in _word_symbols(word, self.ngens):
-            out = out * (self.matrices[s // 2] if s % 2 == 0 else self.inverses[s // 2])
-        return out
-
-    def fox_coefficients(self, word: str) -> list[IntMatrix]:
-        """Psi-evaluated Fox derivatives: the relator condition is
-        sum_j D_j(word) * c(g_j) = 0 in M."""
-        coef = [IntMatrix.zeros(self.dim, self.dim) for _ in range(self.ngens)]
-        prefix = IntMatrix.identity(self.dim)
-        for s in _word_symbols(word, self.ngens):
-            j = s // 2
-            if s % 2 == 0:
-                coef[j] = coef[j] + prefix
-                prefix = prefix * self.matrices[j]
-            else:
-                prefix = prefix * self.inverses[j]
-                coef[j] = coef[j] - prefix
-        return coef
-
-    def cocycle_defect(self, values, word: str) -> Vec:
-        """Value of the extended crossed homomorphism on a word.
-
-        Extends c along c(u g) = c(u) + psi(u) c(g) and
-        c(u g^-1) = c(u) - psi(u g^-1) c(g); a relator word yields zero
-        exactly when the values form a cocycle.
+        One walk over each word gives both the block and the word's matrix,
+        which must be the identity on the module; the relators are checked
+        in order, each for its letters first.
         """
-        acc = (0,) * self.dim
-        prefix = IntMatrix.identity(self.dim)
-        for s in _word_symbols(word, self.ngens):
-            j = s // 2
-            if s % 2 == 0:
-                acc = tuple(a + x for a, x in zip(acc, prefix.apply(values[j])))
-                prefix = prefix * self.matrices[j]
-            else:
-                prefix = prefix * self.inverses[j]
-                acc = tuple(a - x for a, x in zip(acc, prefix.apply(values[j])))
-        return self.reduce(acc)
+        dim, blocks = self.dim, []
+        for word in self.relators:
+            coef = [IntMatrix.zeros(dim, dim) for _ in range(self.ngens)]
+            prefix = IntMatrix.identity(dim)
+            for s in _word_symbols(word, self.ngens):
+                j = s // 2
+                if s % 2 == 0:
+                    coef[j] = coef[j] + prefix
+                    prefix = prefix * self.matrices[j]
+                else:
+                    prefix = prefix * self.inverses[j]
+                    coef[j] = coef[j] - prefix
+            moved = prefix - IntMatrix.identity(dim)
+            if not maps_into(moved, Lattice.standard(dim), self.torsion_lattice):
+                raise IllDefinedAction("relator %r does not act as the identity" % word)
+            blocks.append(_side_by_side(coef, dim))
+        return tuple(blocks)
 
     def to_json(self) -> dict:
         return {
@@ -189,7 +166,7 @@ class ModuleAction:
             "relators": list(self.relators),
             "module": {
                 "free": self.module.free_rank,
-                "torsion": [str(d) for d in self.module.torsion],
+                "torsion": decimals(self.module.torsion),
             },
             "action": [psi.to_json() for psi in self.matrices],
         }
@@ -220,86 +197,45 @@ class CocycleSpace:
     basis: tuple[tuple[Vec, ...], ...]
 
 
-def _split(act: ModuleAction, flat) -> tuple[Vec, ...]:
-    d = act.dim
-    return tuple(act.reduce(flat[i * d : (i + 1) * d]) for i in range(act.ngens))
-
-
-def _ambient_torsion(act: ModuleAction) -> Lattice:
-    """Torsion relations of M^r inside Z^(r * dim)."""
-    d = act.dim
-    rows = []
-    free = act.module.free_rank
-    for i in range(act.ngens):
-        for c, dd in enumerate(act.module.torsion):
-            row = [0] * (act.ngens * d)
-            row[i * d + free + c] = dd
-            rows.append(row)
-    return Lattice.from_rows(act.ngens * d, rows)
-
-
 def _cocycle_lattice(act: ModuleAction) -> Lattice:
-    """Solutions of the Fox-linearized relator system inside Z^(r * dim)."""
-    d = act.dim
-    n = act.ngens * d
+    """Solutions of the Fox-linearized relator system inside Z^(ngens dim)."""
     if not act.relators:
-        return Lattice.standard(n)
-    blocks = []
-    for word in act.relators:
-        coef = act.fox_coefficients(word)
-        rows = [[0] * n for _ in range(d)]
-        for j, C in enumerate(coef):
-            for a in range(d):
-                row = rows[a]
-                Ca = C.data[a]
-                for b in range(d):
-                    row[j * d + b] = Ca[b]
-        blocks.extend(rows)
-    L = IntMatrix(blocks, cols=n)
-    free = act.module.free_rank
-    target_rows = []
-    for k in range(len(act.relators)):
-        for c, dd in enumerate(act.module.torsion):
-            row = [0] * L.rows
-            row[k * d + free + c] = dd
-            target_rows.append(row)
-    target = Lattice.from_rows(L.rows, target_rows)
-    return preimage_lattice(L, target)
+        return Lattice.standard(act.ngens * act.dim)
+    return preimage_lattice(vstack(act.fox_blocks), act.torsion_diagonal(len(act.relators)))
+
+
+def _coboundary_lattice(act: ModuleAction) -> Lattice:
+    """Principal cocycles m -> (psi_j m - m)_j plus the torsion of M^ngens:
+    row m of the image is column m of each psi_j - Id."""
+    I = IntMatrix.identity(act.dim)
+    image = _side_by_side([(psi - I).transpose() for psi in act.matrices], act.dim)
+    D = act.torsion_diagonal(act.ngens)
+    return Lattice.from_rows(D.ambient_dim, image.data + D.basis.data)
+
+
+def _cocycle_space(act: ModuleAction, sup: Lattice) -> CocycleSpace:
+    """``sup`` modulo the torsion of M^ngens, each generator lift split into
+    its values on the generators, reduced in M."""
+    structure, gens = quotient_with_generators(sup, act.torsion_diagonal(act.ngens))
+    d, reduce = act.dim, act.torsion_lattice.reduce
+    return CocycleSpace(
+        structure, tuple(tuple(reduce(g[i * d : (i + 1) * d]) for i in range(act.ngens)) for _, g in gens)
+    )
 
 
 def z1(act: ModuleAction) -> CocycleSpace:
     """Crossed homomorphisms Q -> M, solved over Z with torsion congruences."""
-    K = _cocycle_lattice(act)
-    L0 = _ambient_torsion(act)
-    structure, gens = quotient_with_generators(K, L0)
-    return CocycleSpace(structure, tuple(_split(act, g) for _, g in gens))
+    return _cocycle_space(act, _cocycle_lattice(act))
 
 
 def b1(act: ModuleAction) -> CocycleSpace:
     """Principal crossed homomorphisms m -> (psi(g_i) m - m)_i."""
-    B = _coboundary_lattice(act)
-    structure, gens = quotient_with_generators(B, _ambient_torsion(act))
-    return CocycleSpace(structure, tuple(_split(act, g) for _, g in gens))
-
-
-def _coboundary_lattice(act: ModuleAction) -> Lattice:
-    d = act.dim
-    rows = []
-    for m in range(d):
-        em = tuple(1 if i == m else 0 for i in range(d))
-        row: list[int] = []
-        for psi in act.matrices:
-            img = psi.apply(em)
-            row.extend(x - e for x, e in zip(img, em))
-        rows.append(row)
-    image = Lattice.from_rows(act.ngens * d, rows)
-    return image.sum(_ambient_torsion(act))
+    return _cocycle_space(act, _coboundary_lattice(act))
 
 
 def h1(act: ModuleAction) -> AbelianStructure:
     """First cohomology Z^1 / B^1 via Smith form of the coordinate matrix."""
-    K = _cocycle_lattice(act)
-    return quotient_structure(K, _coboundary_lattice(act))
+    return quotient_structure(_cocycle_lattice(act), _coboundary_lattice(act))
 
 
 # ---------------------------------------------------------------------------
@@ -394,26 +330,19 @@ def coset_enumeration(
     return table
 
 
-def _structure_from_subgroup_counts(zset: set, bset: set, module: AbelianStructure, ngens: int) -> AbelianStructure:
+def _structure_from_subgroup_counts(zset: set, bset: set, torsion: Lattice) -> AbelianStructure:
     """Invariant factors of zset/bset read off p-power torsion counts.
 
     Independent of any Smith form: for each prime p the count of classes
-    killed by p^j determines the p-exponent partition.
+    killed by p^j determines the p-exponent partition.  The elements are
+    canonical modulo ``torsion``.
     """
     order = len(zset) // len(bset)
     if order == 1:
         return AbelianStructure(0, ())
 
-    free = module.free_rank
-    torsion = module.torsion
-    dim = free + len(torsion)
-
     def scale(flat, c):
-        out = list(x * c for x in flat)
-        for i in range(ngens):
-            for t, d in enumerate(torsion):
-                out[i * dim + free + t] %= d
-        return tuple(out)
+        return torsion.reduce([x * c for x in flat])
 
     partitions: dict[int, list[int]] = {}
     for p in factorize(order):
@@ -493,11 +422,9 @@ def h1_brute(
                 psi_of[d] = psi_of[c] * step
                 queue.append(d)
 
-    free = act.module.free_rank
-    ranges = [range(d) for d in act.module.torsion]
-    members = [
-        act.reduce((0,) * free + combo) for combo in itertools.product(*ranges)
-    ]
+    # The module is finite, so every coordinate is a torsion coordinate.
+    members = list(itertools.product(*(range(d) for d in act.module.torsion)))
+    reduce = act.torsion_lattice.reduce
 
     def check(values: list[Vec]) -> bool:
         cval = [None] * n
@@ -515,9 +442,7 @@ def h1_brute(
                     step = values[j]
                 else:
                     step = tuple(-x for x in act.inverses[j].apply(values[j]))
-                expected = act.reduce(
-                    tuple(a + x for a, x in zip(cval[c], psi_of[c].apply(step)))
-                )
+                expected = reduce([a + x for a, x in zip(cval[c], psi_of[c].apply(step))])
                 if cval[d] is None:
                     cval[d] = expected
                     if d not in seen:
@@ -532,12 +457,9 @@ def h1_brute(
         if check(list(combo)):
             zset.add(tuple(x for vec in combo for x in vec))
 
-    bset = set()
-    for m in members:
-        flat = []
-        for psi in act.matrices:
-            img = psi.apply(m)
-            flat.extend(act.reduce(tuple(x - e for x, e in zip(img, m))))
-        bset.add(tuple(flat))
-
-    return _structure_from_subgroup_counts(zset, bset, act.module, act.ngens)
+    cochain_torsion = act.torsion_diagonal(act.ngens)
+    bset = {
+        cochain_torsion.reduce([x - e for psi in act.matrices for x, e in zip(psi.apply(m), m)])
+        for m in members
+    }
+    return _structure_from_subgroup_counts(zset, bset, cochain_torsion)

@@ -67,7 +67,8 @@ class IllDefinedAction(NilcertError):
 
 
 class TooLarge(NilcertError):
-    """Brute-force enumeration would exceed its size guard."""
+    """A size guard was exceeded: a brute-force enumeration would pass its
+    limit, or an integer has too many digits to print in decimal."""
 
 
 class EnumerationFailed(NilcertError):

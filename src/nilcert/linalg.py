@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
-from .arith import json_field, parse_int
+from .arith import decimals, json_field, parse_int
 from .errors import DimensionMismatch, InvalidParameters, NotASublattice
 
 Row = tuple[int, ...]
@@ -209,7 +209,7 @@ class IntMatrix:
         return sign * m[n - 1][n - 1]
 
     def to_json(self) -> list[list[str]]:
-        return [[str(x) for x in row] for row in self.data]
+        return [decimals(row) for row in self.data]
 
 
 @lru_cache(maxsize=None)
@@ -561,7 +561,7 @@ class AbelianStructure:
         return self.free_rank + len(self.torsion)
 
     def to_json(self) -> dict:
-        return {"free_rank": self.free_rank, "torsion": [str(d) for d in self.torsion]}
+        return {"free_rank": self.free_rank, "torsion": decimals(self.torsion)}
 
     @staticmethod
     def from_json(obj) -> "AbelianStructure":

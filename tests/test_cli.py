@@ -3,11 +3,16 @@ import copy
 import io
 import json
 import pathlib
+import random
+import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from nilcert.arith import decimals
+from nilcert.certificates import SeriesCertificate
 from nilcert.cli import preset_description, presets, run
+from nilcert.errors import TooLarge
 from nilcert.linalg import Lattice
 from nilcert.nilpotent2 import NilSublattice, TwoStepLattice, heisenberg_witness, subnormal_series
 from nilcert.semidirect import SemidirectLattice, sol3_gamma, sol3_tower
@@ -115,6 +120,18 @@ class TestReports:
         assert b["basis"] in ([[["2"]]], [[["-2"]]])
         h = result_of(capsys, "cohomology", "--input", action, "--op", "h1")
         assert h["structure"] == {"free_rank": 0, "torsion": ["2"]}
+
+    @pytest.mark.parametrize("op", ["z1", "b1", "h1"])
+    def test_cohomology_without_generators(self, capsys, op):
+        # The trivial group: the Fox and coboundary blocks have no columns.
+        action = {"generators": 0, "relators": [""], "module": {"free": 1, "torsion": ["2"]}, "action": []}
+        code, out, _ = invoke(capsys, "cohomology", "--input", json.dumps(action), "--op", op)
+        assert code == 0
+        basis = "" if op == "h1" else '"basis":[],'
+        assert out == (
+            '{"result":{%s"op":"%s","structure":{"free_rank":0,"torsion":[]}},'
+            '"schema":"nilcert/1","verb":"cohomology"}\n' % (basis, op)
+        )
 
     def test_center_isolator_hbar1(self, capsys):
         assert result_of(capsys, "center", "--preset", "sol3")["rank"] == 0
@@ -361,6 +378,34 @@ class TestExitCodes:
         code, out, _ = invoke(capsys, "sol3-tower", "--k", "3", "--max-index", "63")
         assert code == 1
         assert json.loads(out)["error"]["type"] == "QuotientTooLarge"
+
+
+@pytest.fixture
+def digit_limit_640():
+    """The interpreter's smallest allowed limit on decimal conversions."""
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    yield
+    sys.set_int_max_str_digits(before)
+
+
+class TestDigitLimit:
+    def test_snf_transform_past_the_limit(self, capsys, digit_limit_640):
+        # Smith transforms of a random 40 x 40 matrix reach about 3,700 bits
+        # (over 1,100 digits): one structured TooLarge line, no traceback.
+        rng = random.Random(2)
+        matrix = [[str(rng.randint(-9, 9)) for _ in range(40)] for _ in range(40)]
+        code, out, _ = invoke(capsys, "snf", "--input", json.dumps(matrix))
+        assert code == 1
+        assert out.count("\n") == 1
+        assert json.loads(out)["error"]["type"] == "TooLarge"
+
+    def test_certificate_index_past_the_limit(self, digit_limit_640):
+        # The library path: a tower index 4^k with more digits than the limit.
+        cert = SeriesCertificate("sol3-tower", {}, (), 4**1100, 0, 1)
+        with pytest.raises(TooLarge):
+            cert.to_json_dict()
+        assert decimals([4**1000]) == [str(4**1000)]
 
 
 class TestPresets:

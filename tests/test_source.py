@@ -93,3 +93,16 @@ def test_semidirect_checks_use_no_element_arithmetic():
         if _callee(call) in ("conj", "inv", "commutator") and function not in arithmetic
     ]
     assert found == []
+
+
+def test_relator_words_walked_once():
+    # ModuleAction.fox_blocks walks each relator once, for its Fox
+    # derivatives and its matrix together; coset enumeration reads the
+    # words on its own.  No other walk may re-read them.
+    found = sorted(
+        (name, function)
+        for name, tree in _trees()
+        for function, call in _calls(tree)
+        if _callee(call) == "_word_symbols"
+    )
+    assert found == [("cohomology.py", "coset_enumeration"), ("cohomology.py", "fox_blocks")]
