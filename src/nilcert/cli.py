@@ -227,7 +227,9 @@ def _cmd_minkowski(args):
         raise InvalidParameters(
             "n must be at most %d: M(n) would not print in 4300 digits" % MAX_MINKOWSKI_N
         )
-    return {"n": args.n, "bound": invariants.minkowski_bound(args.n)}
+    bound = invariants.minkowski_bound(args.n)
+    decimals((bound,))  # a TooLarge report, not a traceback, under a lowered digit limit
+    return {"n": args.n, "bound": bound}
 
 
 def _cmd_euler_bound(args):

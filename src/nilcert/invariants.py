@@ -23,21 +23,13 @@ from .certificates import (
     canonical_json,
 )
 from .errors import (
-    InvalidParameters,
     NilcertError,
-    SelfCheckFailed,
     UnresolvableReference,
     UnsupportedGroupShape,
     ZeroEuler,
 )
-from .linalg import (
-    IntMatrix,
-    Lattice,
-    preimage_lattice,
-    snf,
-)
 from .nilpotent2 import NilSublattice, TwoStepLattice
-from .semidirect import SemidirectGroup, SemidirectLattice
+from .semidirect import SemidirectLattice
 
 
 def euler_length_bound(chi: int) -> int:
@@ -73,51 +65,6 @@ class DiscSym2Bound:
         return {"f": self.f_bound, "b": self.b_bound}
 
 
-def _induced_quotient_holonomy(B: IntMatrix, fixed: Lattice) -> IntMatrix:
-    """Column action induced by B on Z^n modulo the saturated fixed lattice."""
-    n = B.rows
-    k = fixed.rank
-    if k == 0:
-        return B
-    form = snf(fixed.basis)
-    if any(d != 1 for d in form.factors):
-        raise InvalidParameters("fixed lattice must be saturated")
-    V = form.V
-    # Rows 0..k-1 of V^{-1} span the fixed lattice, so in y = v * V
-    # coordinates the row action of B is y -> y * (V^{-1} B^T V) and the
-    # first k coordinates are preserved.  The quotient action is the
-    # trailing block, transposed back to the column convention.
-    conj = form.V_inv * B.transpose() * V
-    block = [[conj.data[i][j] for j in range(k, n)] for i in range(k, n)]
-    return IntMatrix(block, cols=n - k).transpose()
-
-
-def _semidirect_inn_center_rank(G: SemidirectLattice) -> int:
-    """Rank of the center of G modulo its own center."""
-    parent = G.parent
-    n = parent.n
-    # Abstract holonomy: action of A^m on G.L in basis coordinates.
-    Am = parent.power(G.m)
-    rows = []
-    for row in G.L.basis.data:
-        coords = G.L.coords_of(Am.apply(row))
-        if coords is None:
-            raise SelfCheckFailed("fiber lattice is not invariant under A^m")
-        rows.append(coords)
-    B = IntMatrix(rows, cols=n).transpose()
-    fixed = preimage_lattice(B - IntMatrix.identity(n), Lattice.zero(n))
-    order = SemidirectGroup(B).holonomy_order()
-    if fixed.rank == n:
-        return 0
-    Bq = _induced_quotient_holonomy(B, fixed)
-    nq = Bq.rows
-    fixed_q = preimage_lattice(Bq - IntMatrix.identity(nq), Lattice.zero(nq))
-    rank = fixed_q.rank
-    if order is None and SemidirectGroup(Bq).holonomy_order() is not None:
-        rank += 1
-    return rank
-
-
 def discsym2_upper(G) -> DiscSym2Bound:
     """Upper bound (rank of the center, rank of the center of Inn).
 
@@ -130,7 +77,7 @@ def discsym2_upper(G) -> DiscSym2Bound:
         return DiscSym2Bound(rank, G.b - kernel.rank)
     if isinstance(G, SemidirectLattice):
         f_bound, _ = semidirect.center_rank(G)
-        return DiscSym2Bound(f_bound, _semidirect_inn_center_rank(G))
+        return DiscSym2Bound(f_bound, semidirect.inn_center_rank(G))
     raise UnsupportedGroupShape(
         "disc-sym_2 bound supports two-step and semidirect lattices only"
     )

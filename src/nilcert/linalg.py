@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
-from .arith import decimals, json_field, parse_int
+from .arith import decimals, factorize, json_field, minkowski_bound, parse_int
 from .errors import DimensionMismatch, InvalidParameters, NotASublattice
 
 Row = tuple[int, ...]
@@ -236,6 +236,30 @@ def power_mod(M: IntMatrix, t: int, d: int) -> IntMatrix:
         if t:
             M = reduced(M * M)
     return reduced(IntMatrix.identity(M.rows)) if result is None else result
+
+
+def finite_order(M: IntMatrix) -> tuple[Optional[int], Optional[IntMatrix]]:
+    """The order of a square ``M`` (None if infinite) and ``U = M^M(n)``, or
+    None for ``U`` once a square ``M^(2^i)`` has |trace| > n, which no matrix
+    of finite order has.  Every finite order in GL(n, Z) divides M(n) (and
+    M(0) = 1), so the order is M(n) with each prime divided out while the
+    power stays the identity."""
+    n = M.rows
+    order = t = minkowski_bound(n) if n else 1
+    U, square = IntMatrix.identity(n), M
+    while t:
+        if abs(sum(square.data[i][i] for i in range(n))) > n:
+            return None, None
+        if t & 1:
+            U = U * square
+        t >>= 1
+        square = square * square if t else square
+    if not U.is_identity():
+        return None, U
+    for p in factorize(order):
+        while order % p == 0 and power_mod(M, order // p, 0).is_identity():
+            order //= p
+    return order, U
 
 
 def _eye(n: int) -> list[list[int]]:

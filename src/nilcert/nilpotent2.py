@@ -44,6 +44,7 @@ from .linalg import (
     IntMatrix,
     Lattice,
     cokernel,
+    finite_order,
     full_index,
     hstack,
     left_kernel,
@@ -534,8 +535,10 @@ def nilpotency_check(G: TwoStepLattice, P: IntMatrix, Q: IntMatrix, order: int) 
             raise NotAnAutomorphism("pair does not preserve the commutator forms")
     if order < 1:
         raise InvalidParameters("order must be a positive integer")
-    if not (P.power(order).is_identity() and Q.power(order).is_identity()):
-        raise InfiniteOrder("claimed finite order %d does not hold" % order)
+    for X in (P, Q):
+        k, _ = finite_order(X)
+        if k is None or order % k:
+            raise InfiniteOrder("claimed finite order %d does not hold" % order)
 
     sqrt, _ = isolator(G)
     if not P.is_identity():

@@ -39,6 +39,7 @@ from .linalg import (
     IntMatrix,
     Lattice,
     cokernel,
+    finite_order,
     full_index,
     lattice_index,
     maps_into,
@@ -84,23 +85,8 @@ class SemidirectGroup:
         return self.n == 2 and sum(self.A.data[i][i] for i in range(2)) > 2
 
     def holonomy_order(self):
-        """Multiplicative order of A, or None when infinite.
-
-        A finite cyclic subgroup of GL(n, Z) has order dividing the Minkowski
-        bound, so only that many powers need checking.  Finite order forces
-        every power trace into [-n, n] (a sum of n roots of unity), which
-        bails out fast on hyperbolic holonomies before entries blow up.
-        """
-        cap = minkowski_bound(self.n) if self.n >= 1 else 1
-        acc = IntMatrix.identity(self.n)
-        for k in range(1, cap + 1):
-            acc = acc * self.A
-            if acc.is_identity():
-                return k
-            trace = sum(acc.data[i][i] for i in range(self.n))
-            if abs(trace) > self.n:
-                return None
-        return None
+        """Multiplicative order of A, or None when infinite."""
+        return finite_order(self.A)[0]
 
     def __eq__(self, other):
         return isinstance(other, SemidirectGroup) and self.A == other.A
@@ -385,20 +371,39 @@ def intermediates(
     return results
 
 
+def _fixed_twist(G: SemidirectLattice) -> IntMatrix:
+    """A^g - Id for g = gcd(m, M(n)), with the kernels of A^m - Id and its square."""
+    n = G.parent.n
+    g = math.gcd(G.m, minkowski_bound(n)) if n else 1
+    return power_mod(G.parent.A, g, 0) - IntMatrix.identity(n)
+
+
+def _rank(M: IntMatrix) -> int:
+    return Lattice.from_rows(M.cols, M.data).rank
+
+
 def center_rank(G: SemidirectLattice) -> tuple[int, AbelianStructure]:
     """Rank and structure of the center of L x| mZ.
 
     (v, t) is central iff A^t = Id (so t ranges over a subgroup of mZ that
-    is nonzero only for finite holonomy order) and A^m v = v.
+    is nonzero only for finite holonomy order) and A^m v = v; L has full
+    rank, so those v have the rank of ker(A^m - Id).
     """
-    parent = G.parent
-    n = parent.n
-    fixed = preimage_lattice(parent.power(G.m) - IntMatrix.identity(n), Lattice.zero(n))
-    fixed_in_L = fixed.intersect(G.L)
-    rank = fixed_in_L.rank
-    if parent.holonomy_order() is not None:
-        rank += 1
+    rank = G.parent.n - _rank(_fixed_twist(G)) + (finite_order(G.parent.A)[0] is not None)
     return rank, AbelianStructure(rank, ())
+
+
+def inn_center_rank(G: SemidirectLattice) -> int:
+    """Rank of the center of G modulo its own center.
+
+    With D as in :func:`_fixed_twist`, v is central modulo the center iff
+    D^2 v = 0.  For A of infinite order the translations add one iff A^m has
+    finite order on Z^n / ker D, that is iff D (A^M(n) - Id) = 0 (README,
+    "One bounded holonomy power")."""
+    D = _fixed_twist(G)
+    order, U = finite_order(G.parent.A)
+    extra = order is None and U is not None and (D * (U - IntMatrix.identity(G.parent.n))).is_zero()
+    return _rank(D) - _rank(D * D) + extra
 
 
 # ---------------------------------------------------------------------------

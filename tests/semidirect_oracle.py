@@ -13,21 +13,31 @@ written out on group elements, in their defining order:
 :func:`elementwise` installs them in place of the library's, so a verb run
 inside it (the constructor, ``quotient``, ``normalizer``, ``intermediates``)
 takes the element-wise route end to end.
+
+It also keeps the holonomy routines as they were before the bounded power
+of ``linalg.finite_order``: the walk over the powers of A up to M(n), the
+centre ranks from the exact power ``A^m`` and an induced Smith basis, and
+the nilpotency criterion's exact ``P^order``.
 """
 
 import contextlib
 import itertools
 
 from nilcert import semidirect
+from nilcert.arith import minkowski_bound
 from nilcert.errors import (
     DimensionMismatch,
+    InfiniteOrder,
     InvalidParameters,
+    NotAnAutomorphism,
     NotAbelianQuotient,
     NotASubgroup,
     NotNormal,
+    SelfCheckFailed,
     UnsupportedSubgroupShape,
 )
-from nilcert.linalg import Lattice, quotient_structure
+from nilcert.linalg import IntMatrix, Lattice, maps_into, preimage_lattice, quotient_structure, snf
+from nilcert.nilpotent2 import isolator
 from nilcert.semidirect import SemidirectLattice, conj, inv, mul, sol3_group
 
 
@@ -103,3 +113,100 @@ def sol3_intermediate_forms(k, group=None):
         Lattice.from_rows(2, [[h, h], [0, 2 * h]]),
     ]
     return [SemidirectLattice(group, L, 1) for L in forms]
+
+
+def holonomy_order(A):
+    """Multiplicative order of A, or None when infinite, by walking the
+    powers of A up to M(n); a trace outside [-n, n] ends the walk."""
+    n = A.rows
+    cap = minkowski_bound(n) if n >= 1 else 1
+    acc = IntMatrix.identity(n)
+    for k in range(1, cap + 1):
+        acc = acc * A
+        if acc.is_identity():
+            return k
+        trace = sum(acc.data[i][i] for i in range(n))
+        if abs(trace) > n:
+            return None
+    return None
+
+
+def center_rank(G):
+    """Rank of the center of L x| mZ from the exact power A^m."""
+    parent = G.parent
+    n = parent.n
+    fixed = preimage_lattice(parent.A.power(G.m) - IntMatrix.identity(n), Lattice.zero(n))
+    rank = fixed.intersect(G.L).rank
+    if holonomy_order(parent.A) is not None:
+        rank += 1
+    return rank
+
+
+def induced_quotient_holonomy(B, fixed):
+    """Column action induced by B on Z^n modulo the saturated fixed lattice."""
+    n = B.rows
+    k = fixed.rank
+    if k == 0:
+        return B
+    form = snf(fixed.basis)
+    if any(d != 1 for d in form.factors):
+        raise InvalidParameters("fixed lattice must be saturated")
+    V = form.V
+    # Rows 0..k-1 of V^{-1} span the fixed lattice, so in y = v * V
+    # coordinates the row action of B is y -> y * (V^{-1} B^T V) and the
+    # first k coordinates are preserved.  The quotient action is the
+    # trailing block, transposed back to the column convention.
+    conj = form.V_inv * B.transpose() * V
+    block = [[conj.data[i][j] for j in range(k, n)] for i in range(k, n)]
+    return IntMatrix(block, cols=n - k).transpose()
+
+
+def inn_center_rank(G):
+    """Rank of the center of G modulo its own center, from A^m on G.L in
+    basis coordinates and its action on the quotient by its fixed lattice."""
+    parent = G.parent
+    n = parent.n
+    Am = parent.A.power(G.m)
+    rows = []
+    for row in G.L.basis.data:
+        coords = G.L.coords_of(Am.apply(row))
+        if coords is None:
+            raise SelfCheckFailed("fiber lattice is not invariant under A^m")
+        rows.append(coords)
+    B = IntMatrix(rows, cols=n).transpose()
+    fixed = preimage_lattice(B - IntMatrix.identity(n), Lattice.zero(n))
+    order = holonomy_order(B)
+    if fixed.rank == n:
+        return 0
+    Bq = induced_quotient_holonomy(B, fixed)
+    nq = Bq.rows
+    fixed_q = preimage_lattice(Bq - IntMatrix.identity(nq), Lattice.zero(nq))
+    rank = fixed_q.rank
+    if order is None and holonomy_order(Bq) is not None:
+        rank += 1
+    return rank
+
+
+def nilpotency_check(G, P, Q, order):
+    """The nilpotency criterion with the claimed order checked by the exact
+    powers P^order and Q^order."""
+    if P.rows != G.b or P.cols != G.b or Q.rows != G.f or Q.cols != G.f:
+        raise DimensionMismatch("automorphism blocks must be b x b and f x f")
+    if abs(P.det()) != 1 or abs(Q.det()) != 1:
+        raise NotAnAutomorphism("blocks must be unimodular")
+    for l in range(G.f):
+        lhs = P.transpose() * G.forms[l] * P
+        rhs = IntMatrix.zeros(G.b, G.b)
+        for m2 in range(G.f):
+            rhs = rhs + G.forms[m2].scale(Q.data[l][m2])
+        if lhs != rhs:
+            raise NotAnAutomorphism("pair does not preserve the commutator forms")
+    if order < 1:
+        raise InvalidParameters("order must be a positive integer")
+    if not (P.power(order).is_identity() and Q.power(order).is_identity()):
+        raise InfiniteOrder("claimed finite order %d does not hold" % order)
+
+    sqrt, _ = isolator(G)
+    if not P.is_identity():
+        return False
+    return maps_into(Q - IntMatrix.identity(G.f), Lattice.standard(G.f), sqrt)

@@ -2,13 +2,16 @@ import contextlib
 import copy
 import io
 import json
+import os
 import pathlib
 import random
+import subprocess
 import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import nilcert
 from nilcert.arith import decimals
 from nilcert.certificates import SeriesCertificate
 from nilcert.cli import preset_description, presets, run
@@ -400,12 +403,59 @@ class TestDigitLimit:
         assert out.count("\n") == 1
         assert json.loads(out)["error"]["type"] == "TooLarge"
 
+    def test_minkowski_bound_past_the_limit(self, capsys, digit_limit_640):
+        # M(400) has 1,089 digits.  The report keeps the bound as a JSON int
+        # (and --summary prints it with %d), so the verb checks it first.
+        for argv in (["minkowski", "--n", "400"], ["minkowski", "--n", "400", "--summary"]):
+            code, out, err = invoke(capsys, *argv)
+            assert code == 1 and err == ""
+            assert out.count("\n") == 1
+            assert json.loads(out)["error"]["type"] == "TooLarge"
+
     def test_certificate_index_past_the_limit(self, digit_limit_640):
         # The library path: a tower index 4^k with more digits than the limit.
         cert = SeriesCertificate("sol3-tower", {}, (), 4**1100, 0, 1)
         with pytest.raises(TooLarge):
             cert.to_json_dict()
         assert decimals([4**1000]) == [str(4**1000)]
+
+
+def _jordan(n):
+    return [[str(int(j in (i, i + 1))) for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize(
+    "desc,center,disc",
+    [
+        (
+            dict(SOL3_DESC, m="1000000000"),
+            '{"rank":0,"structure":{"free_rank":0,"torsion":[]}}',
+            '{"b":0,"f":0}',
+        ),
+        (
+            {"type": "semidirect", "n": 6, "matrix": _jordan(6)},
+            '{"rank":1,"structure":{"free_rank":1,"torsion":[]}}',
+            '{"b":1,"f":1}',
+        ),
+        (
+            {"type": "semidirect", "n": 8, "matrix": _jordan(8)},
+            '{"rank":1,"structure":{"free_rank":1,"torsion":[]}}',
+            '{"b":1,"f":1}',
+        ),
+    ],
+    ids=["sol3-m1e9", "jordan6", "jordan8"],
+)
+def test_centre_verbs_answer_in_a_fresh_process(desc, center, disc):
+    """The exact A^(10^9), or a walk over up to M(8) powers of a unipotent
+    holonomy, would not finish; the bounded power answers at once."""
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(nilcert.__file__).resolve().parents[1]))
+    for verb, result in (("center", center), ("discsym2-bound", disc)):
+        proc = subprocess.run(
+            [sys.executable, "-m", "nilcert.cli", verb, "--input", json.dumps(desc)],
+            capture_output=True, text=True, timeout=10, env=env,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == '{"result":%s,"schema":"nilcert/1","verb":"%s"}\n' % (result, verb)
 
 
 class TestPresets:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import event, given, settings, strategies as st
@@ -541,6 +542,15 @@ class TestNilpotencyCheck:
         P = IntMatrix([[1, 1], [0, 1]])
         with pytest.raises(InfiniteOrder):
             nilpotency_check(H, P, IntMatrix.identity(1), 2)
+
+    def test_hyperbolic_claim_fails_without_the_exact_power(self):
+        # P^(10^7) has entries of about seven million bits; the bounded power
+        # stops at the first square whose trace leaves [-2, 2]
+        H = TwoStepLattice.heisenberg(1)
+        start = time.perf_counter()
+        with pytest.raises(InfiniteOrder):
+            nilpotency_check(H, IntMatrix([[2, 1], [1, 1]]), IntMatrix([[1]]), 10**7)
+        assert time.perf_counter() - start < 1.0
 
     def test_inner_invariance(self):
         # inner automorphisms act trivially on Z^b + Z^l: conjugating the

@@ -15,7 +15,9 @@ from nilcert.errors import (
     QuotientTooLarge,
     UnsupportedSubgroupShape,
 )
+from nilcert.invariants import discsym2_upper
 from nilcert.linalg import AbelianStructure, IntMatrix, Lattice
+from nilcert.nilpotent2 import TwoStepLattice, nilpotency_check
 from nilcert.semidirect import (
     SemidirectGroup,
     SemidirectLattice,
@@ -456,6 +458,112 @@ class TestCenter:
         rank, _ = center_rank(sub)
         # A^2 = Id: every fiber vector is fixed, and t in 2Z already works
         assert rank == 3
+
+
+# ---------------------------------------------------------------------------
+# The bounded holonomy power against the exact powers and the walk
+# ---------------------------------------------------------------------------
+
+FINITE_BLOCKS = [
+    [[1]],
+    [[-1]],
+    [[0, 1], [1, 0]],
+    [[0, -1], [1, 0]],
+    [[0, -1], [1, -1]],
+    [[0, -1], [1, 1]],
+    [[0, 0, 1], [1, 0, 0], [0, 1, 0]],
+]
+HYPERBOLIC_BLOCKS = [
+    [[2, 1], [1, 1]],
+    [[5, 2], [2, 1]],
+    [[0, 1], [1, 1]],
+    [[0, 0, 1], [1, 0, 1], [0, 1, 0]],
+]
+
+
+@st.composite
+def block_holonomies(draw, n):
+    """A in GL(n, Z): finite-order, signed unipotent and hyperbolic blocks on
+    the diagonal, conjugated by a product of elementary matrices."""
+    A = [[0] * n for _ in range(n)]
+    i = 0
+    while i < n:
+        kind = draw(st.sampled_from(["finite", "unipotent", "hyperbolic"]))
+        if kind == "unipotent":
+            k, s = draw(st.integers(1, n - i)), draw(st.sampled_from([1, -1]))
+            block = [[s if c == r else int(c == r + 1) for c in range(k)] for r in range(k)]
+        else:
+            pool = FINITE_BLOCKS if kind == "finite" else HYPERBOLIC_BLOCKS
+            block = draw(st.sampled_from([b for b in pool if len(b) <= n - i] or [[[1]]]))
+        for r, row in enumerate(block):
+            A[i + r][i : i + len(row)] = row
+        i += len(block)
+    P = IntMatrix.identity(n)
+    for _ in range(draw(st.integers(0, 2 * n)) if n >= 2 else 0):
+        r, c = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 2))
+        E = [[int(x == y) for y in range(n)] for x in range(n)]
+        E[r][c + (c >= r)] = draw(st.sampled_from([1, -1]))
+        P = P * IntMatrix(E)
+    return P * IntMatrix(A, cols=n) * P.power(-1)
+
+
+@st.composite
+def box_groups(draw):
+    """L x| mZ with n <= 4, m <= 24 and L = p(A) Z^n for a linear p."""
+    n = draw(st.integers(0, 4))
+    A = draw(block_holonomies(n))
+    p = IntMatrix.identity(n).scale(draw(st.integers(-2, 2))) + A.scale(draw(st.integers(-2, 2)))
+    L = Lattice.from_rows(n, p.transpose().data)
+    return SemidirectLattice(
+        SemidirectGroup(A), L if L.is_full_rank() else Lattice.standard(n), draw(st.integers(1, 24))
+    )
+
+
+RANK_ZERO = SemidirectLattice(SemidirectGroup(IntMatrix.identity(0)), Lattice.standard(0), 1)
+FLIP_M3 = SemidirectLattice(SemidirectGroup(IntMatrix([[-1]])), Lattice.standard(1), 3)
+
+
+def test_rank_zero_fiber_and_odd_translation():
+    # Z^0 x| Z is Z: the centre is everything and Inn is trivial.  In
+    # Z x|_(-1) 3Z the centre is 6Z, and Inn is Z/2 after 3Z's image.
+    assert center_rank(RANK_ZERO)[0] == 1
+    assert discsym2_upper(RANK_ZERO).as_pair() == (1, 0)
+    assert center_rank(FLIP_M3)[0] == 1
+    assert discsym2_upper(FLIP_M3).as_pair() == (1, 0)
+
+
+@settings(max_examples=100, deadline=None)
+@example(RANK_ZERO)
+@example(FLIP_M3)
+@given(box_groups())
+def test_centre_ranks_match_the_exact_power_oracle(G):
+    """The gcd with M(n) and the kernel ranks give what the exact A^m, the
+    walk up to M(n) and the induced Smith basis gave."""
+    order = G.parent.holonomy_order()
+    assert order == oracle.holonomy_order(G.parent.A)
+    assert center_rank(G)[0] == oracle.center_rank(G)
+    pair = discsym2_upper(G).as_pair()
+    assert pair == (oracle.center_rank(G), oracle.inn_center_rank(G))
+    event("order %s, (f, b) = %s" % (order, pair))
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except NilcertError as exc:
+        return type(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3), block_holonomies(2), st.integers(1, 24))
+def test_nilpotency_check_matches_the_exact_power_oracle(k, P, order):
+    """On Heisenberg automorphisms (P, det P), "P^order = Id" read as "the
+    finite order of P divides order" decides as the exact power did."""
+    H = TwoStepLattice.heisenberg(k)
+    Q = IntMatrix([[P.det()]])
+    got = _outcome(nilpotency_check, H, P, Q, order)
+    assert got == _outcome(oracle.nilpotency_check, H, P, Q, order)
+    event(repr(got))
 
 
 class TestSol3Tower:

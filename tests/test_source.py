@@ -62,7 +62,6 @@ def test_transforms_only_where_read():
     # Lattice.standard(n), which would add a Hermite form and coordinates.
     snf_readers = {
         ("linalg.py", "quotient_with_generators"),
-        ("invariants.py", "_induced_quotient_holonomy"),
         ("cli.py", "_cmd_snf"),
     }
     found = []
@@ -92,6 +91,22 @@ def test_semidirect_checks_use_no_element_arithmetic():
         for function, call in _calls(tree)
         if _callee(call) in ("conj", "inv", "commutator") and function not in arithmetic
     ]
+    assert found == []
+
+
+def test_exact_holonomy_powers_only_in_element_arithmetic():
+    # An exact power A^t costs t times the bits of A for a hyperbolic A, so
+    # only the element arithmetic and the finite quotient of intermediates
+    # (its product emul, with t below S.m) form one.  Centre ranks and
+    # finite orders read the bounded power of linalg.finite_order.  The
+    # receiver of a call is not known here, so every .power call counts as
+    # SemidirectGroup.power.
+    found = sorted(
+        "%s:%d in %s" % (name, call.lineno, function)
+        for name, tree in _trees()
+        for function, call in _calls(tree)
+        if _callee(call) == "power" and function not in ("power", "mul", "inv", "conj", "emul")
+    )
     assert found == []
 
 
