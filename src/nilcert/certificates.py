@@ -18,11 +18,10 @@ report ``min_length`` 1 (or 0 for a trivial chain).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Optional
 
 from .arith import decimals, json_field, parse_int
-from .errors import InvalidParameters, SelfCheckFailed
+from .errors import InvalidParameters, Record, SelfCheckFailed
 from .linalg import AbelianStructure
 
 SCHEMA = "nilcert/1"
@@ -38,15 +37,24 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 
 
-@dataclass(frozen=True)
-class ChainLevel:
+class ChainLevel(Record):
     """One verified inclusion step: a subgroup with its quotient data."""
 
-    subgroup: dict
-    quotient: AbelianStructure
-    index: int
-    normality_verified: bool
-    central: Optional[bool] = None
+    __slots__ = _fields = ("subgroup", "quotient", "index", "normality_verified", "central")
+
+    def __init__(
+        self,
+        subgroup: dict,
+        quotient: AbelianStructure,
+        index: int,
+        normality_verified: bool,
+        central: Optional[bool] = None,
+    ):
+        object.__setattr__(self, "subgroup", subgroup)
+        object.__setattr__(self, "quotient", quotient)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "normality_verified", normality_verified)
+        object.__setattr__(self, "central", central)
 
     def to_json_dict(self, flag_key: str = "normality_verified") -> dict:
         index, *factors = decimals((self.index, *self.quotient.torsion))
@@ -65,9 +73,8 @@ class ChainLevel:
     @staticmethod
     def from_json_dict(obj: dict) -> "ChainLevel":
         subgroup = json_field(obj, "subgroup")
-        quotient = AbelianStructure(
-            parse_int(obj.get("quotient_free_rank", 0)),
-            tuple(parse_int(d) for d in json_field(obj, "quotient_factors", list)),
+        quotient = AbelianStructure.from_json_fields(
+            obj.get("quotient_free_rank", 0), json_field(obj, "quotient_factors", list)
         )
         flag_key = "normalizer_verified" if "normalizer_verified" in obj else "normality_verified"
         return ChainLevel(
@@ -87,16 +94,28 @@ def _flag(obj: dict, key: str) -> Optional[bool]:
     return value
 
 
-@dataclass(frozen=True)
-class SeriesCertificate:
+class SeriesCertificate(Record):
     """A verified subnormal chain with quotient structures and a length verdict."""
 
-    kind: str
-    group_ref: dict
-    chain: tuple[ChainLevel, ...]
-    total_index: int
-    min_length: int
-    max_quotient_order: int
+    __slots__ = _fields = (
+        "kind", "group_ref", "chain", "total_index", "min_length", "max_quotient_order"
+    )
+
+    def __init__(
+        self,
+        kind: str,
+        group_ref: dict,
+        chain: tuple[ChainLevel, ...],
+        total_index: int,
+        min_length: int,
+        max_quotient_order: int,
+    ):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "group_ref", group_ref)
+        object.__setattr__(self, "chain", chain)
+        object.__setattr__(self, "total_index", total_index)
+        object.__setattr__(self, "min_length", min_length)
+        object.__setattr__(self, "max_quotient_order", max_quotient_order)
 
     def structural_ok(self) -> bool:
         """Internal consistency: index product, flags, length bound."""

@@ -101,7 +101,13 @@ def _load_json_arg(value: str):
     if not value.lstrip().startswith(("{", "[")):
         with open(value, "r", encoding="utf-8") as fh:
             text = fh.read()
-    return json.loads(text)
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except ValueError as exc:
+        # An integer literal past the interpreter's digit limit.
+        raise json.JSONDecodeError(str(exc), text, 0) from None
 
 
 def _group_from_description(desc: dict):

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 import string
-from dataclasses import dataclass
 from functools import cached_property
 
 from .arith import decimals, factorize, json_field, parse_int
@@ -26,6 +25,7 @@ from .errors import (
     EnumerationFailed,
     IllDefinedAction,
     InvalidParameters,
+    Record,
     TooLarge,
 )
 from .linalg import (
@@ -63,8 +63,7 @@ def _side_by_side(blocks: list[IntMatrix], rows: int) -> IntMatrix:
     return hstack(blocks) if blocks else IntMatrix.zeros(rows, 0)
 
 
-@dataclass(frozen=True)
-class ModuleAction:
+class ModuleAction(Record):
     """A finitely presented group acting on a finitely generated module.
 
     The module Z^free + Z/d_1 + ... is Z^dim modulo :attr:`torsion_lattice`,
@@ -72,23 +71,31 @@ class ModuleAction:
     acts by an integer matrix that must map the torsion lattice into itself
     and be invertible as a module map, and every relator must evaluate to
     the identity map.  Validation walks each relator once and keeps its Fox
-    row block (:attr:`fox_blocks`) for the cocycle system.
+    row block (:attr:`fox_blocks`) for the cocycle system.  Those derived
+    values are cached in the instance ``__dict__``, so it has no slots.
     """
 
-    ngens: int
-    relators: tuple[str, ...]
-    module: AbelianStructure
-    matrices: tuple[IntMatrix, ...]
+    _fields = ("ngens", "relators", "module", "matrices")
 
-    def __post_init__(self):
-        if self.ngens < 0 or len(self.matrices) != self.ngens:
+    def __init__(
+        self,
+        ngens: int,
+        relators: tuple[str, ...],
+        module: AbelianStructure,
+        matrices: tuple[IntMatrix, ...],
+    ):
+        object.__setattr__(self, "ngens", ngens)
+        object.__setattr__(self, "relators", relators)
+        object.__setattr__(self, "module", module)
+        object.__setattr__(self, "matrices", matrices)
+        if ngens < 0 or len(matrices) != ngens:
             raise InvalidParameters("need one action matrix per generator")
         dim = self.dim
-        for psi in self.matrices:
+        for psi in matrices:
             if psi.rows != dim or psi.cols != dim:
                 raise IllDefinedAction("action matrices must be %d x %d" % (dim, dim))
         D = self.torsion_lattice
-        if not all(maps_into(psi, D, D) for psi in self.matrices):
+        if not all(maps_into(psi, D, D) for psi in matrices):
             raise IllDefinedAction("action does not respect torsion")
         _ = self.inverses
         _ = self.fox_blocks
@@ -174,9 +181,8 @@ class ModuleAction:
     @staticmethod
     def from_json(obj: dict) -> "ModuleAction":
         spec = json_field(obj, "module")
-        module = AbelianStructure(
-            parse_int(json_field(spec, "free")),
-            tuple(parse_int(d) for d in json_field(spec, "torsion", list)),
+        module = AbelianStructure.from_json_fields(
+            json_field(spec, "free"), json_field(spec, "torsion", list)
         )
         relators = tuple(json_field(obj, "relators", list))
         if not all(isinstance(word, str) for word in relators):
@@ -189,12 +195,14 @@ class ModuleAction:
         )
 
 
-@dataclass(frozen=True)
-class CocycleSpace:
+class CocycleSpace(Record):
     """A space of cocycles: generator tuples plus the abstract structure."""
 
-    structure: AbelianStructure
-    basis: tuple[tuple[Vec, ...], ...]
+    __slots__ = _fields = ("structure", "basis")
+
+    def __init__(self, structure: AbelianStructure, basis: tuple[tuple[Vec, ...], ...]):
+        object.__setattr__(self, "structure", structure)
+        object.__setattr__(self, "basis", basis)
 
 
 def _cocycle_lattice(act: ModuleAction) -> Lattice:

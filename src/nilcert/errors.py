@@ -1,9 +1,52 @@
-"""Exception hierarchy shared by all nilcert modules.
+"""Exception hierarchy shared by all nilcert modules, and their value base.
 
 Every domain failure raises a subclass of :class:`NilcertError` so the CLI can
 map it to a structured error report (exit code 1) while genuine usage errors
-stay on the argparse path (exit code 2).
+stay on the argparse path (exit code 2).  :class:`Record` gives the small
+result and element classes their immutable value semantics; it lives here
+because every module already imports this one.
 """
+
+
+class Record:
+    """Immutable value: equality, hash and repr over the fields ``_fields``.
+
+    A subclass lists its fields in ``_fields`` (and, unless it needs a
+    ``__dict__``, as its ``__slots__``) and sets each once in ``__init__``
+    with ``object.__setattr__``.  The semantics are those of a frozen
+    dataclass: instances of one class are equal when their fields are, the
+    hash is that of the field tuple, the repr is ``Name(field=value, ...)``
+    and assignment or deletion raises ``AttributeError``.  Plain classes
+    keep ``dataclasses`` (and the ``inspect`` it imports) out of every
+    process and generate no methods at import.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join("%s=%r" % (name, getattr(self, name)) for name in self._fields)
+        return "%s(%s)" % (type(self).__qualname__, fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+    def __reduce__(self):
+        return type(self), self._values()
 
 
 class NilcertError(Exception):

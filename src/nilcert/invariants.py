@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import contextlib
 import functools
-from dataclasses import dataclass, replace
 
 from . import nilpotent2, semidirect
 from .arith import json_field, parse_int
@@ -19,11 +18,13 @@ from .certificates import (
     KIND_SOL3,
     KIND_TWO_STEP,
     KIND_WITNESS,
+    ChainLevel,
     SeriesCertificate,
     canonical_json,
 )
 from .errors import (
     NilcertError,
+    Record,
     UnresolvableReference,
     UnsupportedGroupShape,
     ZeroEuler,
@@ -45,13 +46,15 @@ def euler_length_bound(chi: int) -> int:
 
 
 @functools.total_ordering
-@dataclass(frozen=True)
-class DiscSym2Bound:
+class DiscSym2Bound(Record):
     """Pair (f, b) ordered lexicographically: (a, b) >= (c, d) iff a > c,
     or a = c and b >= d."""
 
-    f_bound: int
-    b_bound: int
+    __slots__ = _fields = ("f_bound", "b_bound")
+
+    def __init__(self, f_bound: int, b_bound: int):
+        object.__setattr__(self, "f_bound", f_bound)
+        object.__setattr__(self, "b_bound", b_bound)
 
     def __lt__(self, other: "DiscSym2Bound") -> bool:
         if self.f_bound != other.f_bound:
@@ -103,8 +106,18 @@ def _rebuild_sol3(cert: SeriesCertificate) -> SeriesCertificate:
     subs = [SemidirectLattice.from_json(level.subgroup) for level in cert.chain]
     fresh = semidirect.tower_certificate(gamma, subs, cert.group_ref)
     # The subgroup descriptions are inputs, not claims: keep their spelling.
-    chain = tuple(replace(new, subgroup=old.subgroup) for new, old in zip(fresh.chain, cert.chain))
-    return replace(fresh, chain=chain)
+    chain = tuple(
+        ChainLevel(old.subgroup, new.quotient, new.index, new.normality_verified, new.central)
+        for new, old in zip(fresh.chain, cert.chain)
+    )
+    return SeriesCertificate(
+        fresh.kind,
+        fresh.group_ref,
+        chain,
+        fresh.total_index,
+        fresh.min_length,
+        fresh.max_quotient_order,
+    )
 
 
 def _rebuild_witness(cert: SeriesCertificate) -> SeriesCertificate:

@@ -21,12 +21,11 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
-from .arith import decimals, factorize, json_field, minkowski_bound, parse_int
-from .errors import DimensionMismatch, InvalidParameters, NotASublattice
+from .arith import decimals, factorize, json_field, parse_int, root_order_lcm
+from .errors import DimensionMismatch, InvalidParameters, NotASublattice, Record
 
 Row = tuple[int, ...]
 
@@ -239,13 +238,15 @@ def power_mod(M: IntMatrix, t: int, d: int) -> IntMatrix:
 
 
 def finite_order(M: IntMatrix) -> tuple[Optional[int], Optional[IntMatrix]]:
-    """The order of a square ``M`` (None if infinite) and ``U = M^M(n)``, or
+    """The order of a square ``M`` (None if infinite) and ``U = M^E(n)``, or
     None for ``U`` once a square ``M^(2^i)`` has |trace| > n, which no matrix
-    of finite order has.  Every finite order in GL(n, Z) divides M(n) (and
-    M(0) = 1), so the order is M(n) with each prime divided out while the
-    power stays the identity."""
+    of finite order has.  A matrix of finite order is diagonalisable over C
+    and its eigenvalues are roots of unity whose orders divide E(n) =
+    ``root_order_lcm(n)``, so every finite order in GL(n, Z) divides E(n),
+    and the order is E(n) with each prime divided out while the power stays
+    the identity."""
     n = M.rows
-    order = t = minkowski_bound(n) if n else 1
+    order = t = root_order_lcm(n)
     U, square = IntMatrix.identity(n), M
     while t:
         if abs(sum(square.data[i][i] for i in range(n))) > n:
@@ -288,12 +289,14 @@ def vstack(mats: Sequence[IntMatrix]) -> IntMatrix:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HermiteForm:
+class HermiteForm(Record):
     """Canonical row HNF ``H`` with unimodular ``U`` satisfying ``U*A = H``."""
 
-    H: IntMatrix
-    U: IntMatrix
+    __slots__ = _fields = ("H", "U")
+
+    def __init__(self, H: IntMatrix, U: IntMatrix):
+        object.__setattr__(self, "H", H)
+        object.__setattr__(self, "U", U)
 
 
 def _echelon(w: list[list[int]], n: int, u: Optional[list[list[int]]] = None) -> int:
@@ -380,8 +383,7 @@ def unimodular_inverse(M: IntMatrix) -> IntMatrix:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SmithForm:
+class SmithForm(Record):
     """Diagonal ``S`` with unimodular ``U``, ``V`` satisfying ``U*A*V = S``.
 
     ``factors`` lists the positive diagonal entries d1 | d2 | ... with zeros
@@ -389,11 +391,16 @@ class SmithForm:
     is the exact inverse of ``V``, accumulated alongside it.
     """
 
-    S: IntMatrix
-    U: IntMatrix
-    V: IntMatrix
-    factors: tuple[int, ...]
-    V_inv: IntMatrix
+    __slots__ = _fields = ("S", "U", "V", "factors", "V_inv")
+
+    def __init__(
+        self, S: IntMatrix, U: IntMatrix, V: IntMatrix, factors: tuple[int, ...], V_inv: IntMatrix
+    ):
+        object.__setattr__(self, "S", S)
+        object.__setattr__(self, "U", U)
+        object.__setattr__(self, "V", V)
+        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "V_inv", V_inv)
 
 
 def _smith(
@@ -547,20 +554,20 @@ def solve_row_combination(R: IntMatrix, target: Sequence[int]) -> Optional[Row]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AbelianStructure:
+class AbelianStructure(Record):
     """Invariant-factor decomposition: free rank plus torsion d1 | d2 | ..."""
 
-    free_rank: int
-    torsion: tuple[int, ...] = ()
+    __slots__ = _fields = ("free_rank", "torsion")
 
-    def __post_init__(self):
-        if self.free_rank < 0:
+    def __init__(self, free_rank: int, torsion: tuple[int, ...] = ()):
+        object.__setattr__(self, "free_rank", free_rank)
+        object.__setattr__(self, "torsion", torsion)
+        if free_rank < 0:
             raise ValueError("negative free rank")
-        for a, b in zip(self.torsion, self.torsion[1:]):
+        for a, b in zip(torsion, torsion[1:]):
             if b % a != 0:
                 raise ValueError("torsion factors must form a divisibility chain")
-        if any(d <= 1 for d in self.torsion):
+        if any(d <= 1 for d in torsion):
             raise ValueError("torsion factors must exceed 1")
 
     @property
@@ -589,10 +596,26 @@ class AbelianStructure:
 
     @staticmethod
     def from_json(obj) -> "AbelianStructure":
-        return AbelianStructure(
-            parse_int(json_field(obj, "free_rank")),
-            tuple(parse_int(d) for d in json_field(obj, "torsion", list)),
+        return AbelianStructure.from_json_fields(
+            json_field(obj, "free_rank"), json_field(obj, "torsion", list)
         )
+
+    @staticmethod
+    def from_json_fields(free_rank, torsion: list) -> "AbelianStructure":
+        """The structure read from a JSON free rank and factor list.
+
+        Input that the constructor would reject raises InvalidParameters
+        instead, and a factor below 2 is reported before the divisibility
+        chain is tested, so a zero factor is never a divisor."""
+        free_rank = parse_int(free_rank)
+        torsion = tuple(parse_int(d) for d in torsion)
+        if free_rank < 0:
+            raise InvalidParameters("negative free rank")
+        if any(d <= 1 for d in torsion):
+            raise InvalidParameters("torsion factors must exceed 1")
+        if any(b % a for a, b in zip(torsion, torsion[1:])):
+            raise InvalidParameters("torsion factors must form a divisibility chain")
+        return AbelianStructure(free_rank, torsion)
 
 
 # ---------------------------------------------------------------------------

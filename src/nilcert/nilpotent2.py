@@ -17,7 +17,6 @@ elements are read without multiplying out.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .arith import is_prime, json_field, parse_int
 from .certificates import (
@@ -38,6 +37,7 @@ from .errors import (
     NotFiniteIndex,
     NotNormal,
     QuotientTooLarge,
+    Record,
 )
 from .linalg import (
     AbelianStructure,
@@ -146,13 +146,15 @@ class TwoStepLattice:
         )
 
 
-@dataclass(frozen=True)
-class NilElement:
+class NilElement(Record):
     """Normal-form coordinates (u, w) in Z^b x Z^f."""
 
-    group: TwoStepLattice
-    u: Vec
-    w: Vec
+    __slots__ = _fields = ("group", "u", "w")
+
+    def __init__(self, group: TwoStepLattice, u: Vec, w: Vec):
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "w", w)
 
     def is_identity(self) -> bool:
         return all(x == 0 for x in self.u) and all(x == 0 for x in self.w)
@@ -426,8 +428,7 @@ def subnormal_series(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RationalScale:
+class RationalScale(Record):
     """Axis-wise denominators describing an overlattice in the rational hull.
 
     The overlattice is generated by x_i^(1/du[i]) and z_l^(1/dw[l]); its
@@ -435,11 +436,12 @@ class RationalScale:
     integral.
     """
 
-    du: Vec
-    dw: Vec
+    __slots__ = _fields = ("du", "dw")
 
-    def __post_init__(self):
-        if any(d < 1 for d in self.du) or any(d < 1 for d in self.dw):
+    def __init__(self, du: Vec, dw: Vec):
+        object.__setattr__(self, "du", du)
+        object.__setattr__(self, "dw", dw)
+        if any(d < 1 for d in du) or any(d < 1 for d in dw):
             raise InvalidParameters("denominators must be positive")
 
     def apply(self, G: TwoStepLattice) -> TwoStepLattice:

@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
-from .arith import json_field, minkowski_bound, parse_int
+from .arith import json_field, parse_int, root_order_lcm
 from .certificates import (
     KIND_SOL3,
     ChainLevel,
@@ -31,6 +30,7 @@ from .errors import (
     NotNormal,
     NotAbelianQuotient,
     QuotientTooLarge,
+    Record,
     SelfCheckFailed,
     UnsupportedSubgroupShape,
 )
@@ -98,13 +98,15 @@ class SemidirectGroup:
         return "SemidirectGroup(%r)" % (self.A,)
 
 
-@dataclass(frozen=True)
-class SemidirectElement:
+class SemidirectElement(Record):
     """Group element (v, t) in normal-form coordinates."""
 
-    group: SemidirectGroup
-    v: Vec
-    t: int
+    __slots__ = _fields = ("group", "v", "t")
+
+    def __init__(self, group: SemidirectGroup, v: Vec, t: int):
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "t", t)
 
     def is_identity(self) -> bool:
         return self.t == 0 and all(x == 0 for x in self.v)
@@ -372,9 +374,9 @@ def intermediates(
 
 
 def _fixed_twist(G: SemidirectLattice) -> IntMatrix:
-    """A^g - Id for g = gcd(m, M(n)), with the kernels of A^m - Id and its square."""
+    """A^g - Id for g = gcd(m, E(n)), with the kernels of A^m - Id and its square."""
     n = G.parent.n
-    g = math.gcd(G.m, minkowski_bound(n)) if n else 1
+    g = math.gcd(G.m, root_order_lcm(n))
     return power_mod(G.parent.A, g, 0) - IntMatrix.identity(n)
 
 
@@ -398,7 +400,7 @@ def inn_center_rank(G: SemidirectLattice) -> int:
 
     With D as in :func:`_fixed_twist`, v is central modulo the center iff
     D^2 v = 0.  For A of infinite order the translations add one iff A^m has
-    finite order on Z^n / ker D, that is iff D (A^M(n) - Id) = 0 (README,
+    finite order on Z^n / ker D, that is iff D (A^E(n) - Id) = 0 (README,
     "One bounded holonomy power")."""
     D = _fixed_twist(G)
     order, U = finite_order(G.parent.A)

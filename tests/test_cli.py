@@ -294,10 +294,43 @@ class TestExitCodes:
         assert code == 1 and err == ""
         assert json.loads(out)["error"]["type"] == "InvalidParameters"
 
+    @pytest.mark.parametrize(
+        "module",
+        [
+            {"free": "-1", "torsion": []},
+            {"free": 0, "torsion": ["2", "3"]},
+            {"free": 0, "torsion": ["1"]},
+            {"free": 0, "torsion": ["0"]},
+            {"free": 0, "torsion": ["0", "2"]},
+        ],
+        ids=["negative-free", "not-a-chain", "unit", "zero", "zero-then-two"],
+    )
+    def test_module_spec_is_validated(self, capsys, module):
+        action = dict(ACTION_DESC, module=module)
+        code, out, err = invoke(capsys, "cohomology", "--input", json.dumps(action))
+        assert code == 1 and err == "" and out.count("\n") == 1
+        assert json.loads(out)["error"]["type"] == "InvalidParameters"
+
     def test_verify_with_unreadable_level_subgroup(self, capsys):
         cert = result_of(capsys, "sol3-tower", "--k", "2")
         cert["levels"][0]["subgroup"] = {"type": "semidirect"}
         assert result_of(capsys, "verify", "--input", json.dumps(cert)) == {"verified": False}
+
+    @pytest.mark.parametrize(
+        "factors,message",
+        [
+            (["0", "2"], "torsion factors must exceed 1"),
+            (["2", "3"], "torsion factors must form a divisibility chain"),
+        ],
+        ids=["zero-then-two", "not-a-chain"],
+    )
+    def test_verify_with_malformed_level_quotient(self, capsys, factors, message):
+        cert = result_of(capsys, "sol3-tower", "--k", "1")
+        cert["levels"][0]["quotient_factors"] = factors
+        code, out, err = invoke(capsys, "verify", "--input", json.dumps(cert))
+        assert code == 1 and err == "" and out.count("\n") == 1
+        error = json.loads(out)["error"]
+        assert error == {"type": "UnresolvableReference", "message": "malformed certificate: " + message}
 
     def test_guards_compare_bit_lengths(self, capsys):
         # forming 4^k or p^(a+2) here would take hours and all of memory
@@ -412,6 +445,13 @@ class TestDigitLimit:
             assert out.count("\n") == 1
             assert json.loads(out)["error"]["type"] == "TooLarge"
 
+    def test_input_integer_literal_past_the_limit(self, capsys, digit_limit_640):
+        # json.loads raises a plain ValueError here, not a JSONDecodeError.
+        text = '{"type":"semidirect","n":1,"matrix":[["1"]],"m":%s}' % ("9" * 5000)
+        code, out, err = invoke(capsys, "center", "--input", text)
+        assert code == 1 and err == "" and out.count("\n") == 1
+        assert json.loads(out)["error"]["type"] == "InputError"
+
     def test_certificate_index_past_the_limit(self, digit_limit_640):
         # The library path: a tower index 4^k with more digits than the limit.
         cert = SeriesCertificate("sol3-tower", {}, (), 4**1100, 0, 1)
@@ -422,6 +462,12 @@ class TestDigitLimit:
 
 def _jordan(n):
     return [[str(int(j in (i, i + 1))) for j in range(n)] for i in range(n)]
+
+
+def _sol3_cubed():
+    """diag(S, S, S) for the Sol3 holonomy S."""
+    S = [[5, 2], [2, 1]]
+    return [[str(S[i % 2][j % 2] if i // 2 == j // 2 else 0) for j in range(6)] for i in range(6)]
 
 
 @pytest.mark.parametrize(
@@ -442,12 +488,18 @@ def _jordan(n):
             '{"rank":1,"structure":{"free_rank":1,"torsion":[]}}',
             '{"b":1,"f":1}',
         ),
+        (
+            {"type": "semidirect", "n": 6, "matrix": _sol3_cubed(), "m": "2903040"},
+            '{"rank":0,"structure":{"free_rank":0,"torsion":[]}}',
+            '{"b":0,"f":0}',
+        ),
     ],
-    ids=["sol3-m1e9", "jordan6", "jordan8"],
+    ids=["sol3-m1e9", "jordan6", "jordan8", "sol3x3-m-M6"],
 )
 def test_centre_verbs_answer_in_a_fresh_process(desc, center, disc):
-    """The exact A^(10^9), or a walk over up to M(8) powers of a unipotent
-    holonomy, would not finish; the bounded power answers at once."""
+    """The exact A^(10^9), a walk over up to M(8) powers of a unipotent
+    holonomy, or the exact A^M(6) of a hyperbolic one would not finish; the
+    bounded power and A^gcd(m, E(n)) answer at once."""
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(nilcert.__file__).resolve().parents[1]))
     for verb, result in (("center", center), ("discsym2-bound", disc)):
         proc = subprocess.run(

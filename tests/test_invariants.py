@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from nilcert.arith import root_order_lcm
 from nilcert.certificates import SeriesCertificate
 from nilcert.errors import (
     InvalidParameters,
@@ -50,6 +51,18 @@ class TestMinkowski:
     def test_rejects_nonpositive(self):
         with pytest.raises(InvalidParameters):
             minkowski_bound(0)
+
+
+def test_root_order_lcm_is_the_lcm_of_orders_of_degree_at_most_n():
+    # phi(d) >= sqrt(d / 2), so every d with phi(d) <= n is at most 2 n^2.
+    def phi(d):
+        return sum(1 for k in range(1, d + 1) if math.gcd(k, d) == 1)
+
+    for n in range(0, 13):
+        orders = [d for d in range(1, 2 * n * n + 1) if phi(d) <= n]
+        assert root_order_lcm(n) == math.lcm(*orders)
+        assert n == 0 or minkowski_bound(n) % root_order_lcm(n) == 0
+    assert root_order_lcm(6) == 2520
 
 
 class TestEulerBound:

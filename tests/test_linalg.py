@@ -374,6 +374,13 @@ class TestAbelianStructure:
         a = AbelianStructure(2, (3, 9))
         assert AbelianStructure.from_json(a.to_json()) == a
 
+    @pytest.mark.parametrize(
+        "free,torsion", [("-1", []), (0, ["0", "2"]), (0, ["2", "1"]), (0, ["1"]), (0, ["2", "3"])]
+    )
+    def test_json_validation(self, free, torsion):
+        with pytest.raises(InvalidParameters):
+            AbelianStructure.from_json({"free_rank": free, "torsion": torsion})
+
 
 class TestTransformFreeCore:
     """The elimination without a transform and the cached pivots."""

@@ -1,0 +1,235 @@
+"""The value classes against frozen-dataclass twins of their definitions.
+
+Each library class is a plain ``Record`` subclass.  The twins below are the
+``@dataclass(frozen=True)`` definitions those classes replaced, with the
+same names so that their reprs can be compared, and the test holds the two
+to the same equality, hash, repr, immutability and validation errors.
+"""
+
+import copy
+import pickle
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Optional
+
+import pytest
+
+from nilcert import certificates, cohomology, invariants, linalg, nilpotent2, semidirect
+from nilcert.errors import IllDefinedAction, InvalidParameters
+from nilcert.linalg import IntMatrix, maps_into
+
+
+@dataclass(frozen=True)
+class HermiteForm:
+    H: IntMatrix
+    U: IntMatrix
+
+
+@dataclass(frozen=True)
+class SmithForm:
+    S: IntMatrix
+    U: IntMatrix
+    V: IntMatrix
+    factors: tuple
+    V_inv: IntMatrix
+
+
+@dataclass(frozen=True)
+class AbelianStructure:
+    free_rank: int
+    torsion: tuple = ()
+
+    def __post_init__(self):
+        if self.free_rank < 0:
+            raise ValueError("negative free rank")
+        for a, b in zip(self.torsion, self.torsion[1:]):
+            if b % a != 0:
+                raise ValueError("torsion factors must form a divisibility chain")
+        if any(d <= 1 for d in self.torsion):
+            raise ValueError("torsion factors must exceed 1")
+
+
+@dataclass(frozen=True)
+class ChainLevel:
+    subgroup: dict
+    quotient: linalg.AbelianStructure
+    index: int
+    normality_verified: bool
+    central: Optional[bool] = None
+
+
+@dataclass(frozen=True)
+class SeriesCertificate:
+    kind: str
+    group_ref: dict
+    chain: tuple
+    total_index: int
+    min_length: int
+    max_quotient_order: int
+
+
+_Action = cohomology.ModuleAction
+
+
+@dataclass(frozen=True)
+class ModuleAction:
+    ngens: int
+    relators: tuple
+    module: linalg.AbelianStructure
+    matrices: tuple
+
+    def __post_init__(self):
+        if self.ngens < 0 or len(self.matrices) != self.ngens:
+            raise InvalidParameters("need one action matrix per generator")
+        dim = self.dim
+        for psi in self.matrices:
+            if psi.rows != dim or psi.cols != dim:
+                raise IllDefinedAction("action matrices must be %d x %d" % (dim, dim))
+        D = self.torsion_lattice
+        if not all(maps_into(psi, D, D) for psi in self.matrices):
+            raise IllDefinedAction("action does not respect torsion")
+        _ = self.inverses
+        _ = self.fox_blocks
+
+    dim = _Action.dim
+    torsion_diagonal = _Action.torsion_diagonal
+    _module_inverse = _Action._module_inverse
+    torsion_lattice = cached_property(_Action.torsion_lattice.func)
+    inverses = cached_property(_Action.inverses.func)
+    fox_blocks = cached_property(_Action.fox_blocks.func)
+
+
+@dataclass(frozen=True)
+class CocycleSpace:
+    structure: linalg.AbelianStructure
+    basis: tuple
+
+
+@dataclass(frozen=True)
+class DiscSym2Bound:
+    f_bound: int
+    b_bound: int
+
+
+@dataclass(frozen=True)
+class NilElement:
+    group: nilpotent2.TwoStepLattice
+    u: tuple
+    w: tuple
+
+
+@dataclass(frozen=True)
+class RationalScale:
+    du: tuple
+    dw: tuple
+
+    def __post_init__(self):
+        if any(d < 1 for d in self.du) or any(d < 1 for d in self.dw):
+            raise InvalidParameters("denominators must be positive")
+
+
+@dataclass(frozen=True)
+class SemidirectElement:
+    group: semidirect.SemidirectGroup
+    v: tuple
+    t: int
+
+
+I1, I2 = IntMatrix.identity(1), IntMatrix.identity(2)
+NEG = IntMatrix([[-1]])
+Z2 = linalg.AbelianStructure(0, (2,))
+Z1, Z_Z2 = linalg.AbelianStructure(1), linalg.AbelianStructure(1, (2,))
+HEIS = nilpotent2.TwoStepLattice(1, 2, [IntMatrix([[0, 1], [-1, 0]])])
+SOL3 = semidirect.SemidirectGroup(IntMatrix([[5, 2], [2, 1]]))
+
+# (library class, twin, two argument tuples giving unequal values)
+CASES = [
+    (linalg.HermiteForm, HermiteForm, (I2, I2), (I2, I2.scale(-1))),
+    (linalg.SmithForm, SmithForm, (I1, I1, I1, (1,), I1), (NEG, I1, I1, (1,), I1)),
+    (linalg.AbelianStructure, AbelianStructure, (2, (2, 4)), (2,)),
+    (certificates.ChainLevel, ChainLevel, ({"type": "x"}, Z2, 2, True), ({}, Z2, 2, True, False)),
+    (
+        certificates.SeriesCertificate,
+        SeriesCertificate,
+        ("sol3-tower", {}, (), 1, 0, 1),
+        ("sol3-tower", {"k": 1}, (), 1, 0, 1),
+    ),
+    (
+        cohomology.ModuleAction,
+        ModuleAction,
+        (1, ("aa",), Z1, (NEG,)),
+        (1, (), Z2, (I1,)),
+    ),
+    (cohomology.CocycleSpace, CocycleSpace, (Z2, (((1,),),)), (Z2, ())),
+    (invariants.DiscSym2Bound, DiscSym2Bound, (1, 2), (2, 1)),
+    (nilpotent2.NilElement, NilElement, (HEIS, (1, 0), (3,)), (HEIS, (0, 0), (3,))),
+    (nilpotent2.RationalScale, RationalScale, ((1, 2), (3,)), ((1, 1), (3,))),
+    (semidirect.SemidirectElement, SemidirectElement, (SOL3, (1, 2), 3), (SOL3, (1, 2), -3)),
+]
+
+# (library class, twin, arguments the old checks rejected)
+INVALID = [
+    (linalg.AbelianStructure, AbelianStructure, (-1,)),
+    (linalg.AbelianStructure, AbelianStructure, (0, (2, 3))),
+    (linalg.AbelianStructure, AbelianStructure, (0, (4, 2, 1))),
+    (linalg.AbelianStructure, AbelianStructure, (0, (1,))),
+    (linalg.AbelianStructure, AbelianStructure, (0, (0,))),
+    (linalg.AbelianStructure, AbelianStructure, (0, (0, 2))),
+    (cohomology.ModuleAction, ModuleAction, (2, (), Z1, (NEG,))),
+    (cohomology.ModuleAction, ModuleAction, (-1, (), Z1, ())),
+    (cohomology.ModuleAction, ModuleAction, (1, (), linalg.AbelianStructure(2), (NEG,))),
+    (cohomology.ModuleAction, ModuleAction, (1, (), Z_Z2, (IntMatrix([[1, 1], [0, 1]]),))),
+    (cohomology.ModuleAction, ModuleAction, (1, (), Z1, (IntMatrix([[2]]),))),
+    (cohomology.ModuleAction, ModuleAction, (1, ("a",), Z1, (NEG,))),
+    (cohomology.ModuleAction, ModuleAction, (1, ("b",), Z1, (NEG,))),
+    (nilpotent2.RationalScale, RationalScale, ((1, 0), (1,))),
+    (nilpotent2.RationalScale, RationalScale, ((1,), (-2,))),
+]
+
+def _outcome(f):
+    try:
+        return f()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("cls,twin,args,other", CASES, ids=[cls.__name__ for cls, *_ in CASES])
+def test_value_semantics_match_the_dataclass(cls, twin, args, other):
+    value, old = cls(*args), twin(*args)
+    assert cls._fields == tuple(twin.__dataclass_fields__)
+    assert repr(value) == repr(old)
+    assert value == cls(*args) and old == twin(*args)
+    assert (value == cls(*other)) is (old == twin(*other)) is False
+    assert value != old and value.__eq__(old) is NotImplemented
+    sub, old_sub = (type("Sub", (c,), {"__slots__": ()})(*args) for c in (cls, twin))
+    assert (sub == value) is (old_sub == old) is False
+    assert cls(**dict(zip(cls._fields, args))) == value
+    assert _outcome(lambda: hash(value)) == _outcome(lambda: hash(old))
+    for name in cls._fields:
+        for obj in (value, old):
+            with pytest.raises(AttributeError):
+                setattr(obj, name, None)
+            with pytest.raises(AttributeError):
+                delattr(obj, name)
+    with pytest.raises(AttributeError):
+        value.extra = 1
+    for clone in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(clone) is cls and clone == value
+
+
+@pytest.mark.parametrize("cls,twin,args", INVALID, ids=[cls.__name__ for cls, *_ in INVALID])
+def test_validation_errors_match_the_dataclass(cls, twin, args):
+    got, want = _outcome(lambda: cls(*args)), _outcome(lambda: twin(*args))
+    assert isinstance(want, tuple)
+    assert got == want
+
+
+def test_slots_except_where_a_cache_needs_a_dict():
+    for cls, _, args, _ in CASES:
+        assert hasattr(cls(*args), "__dict__") is (cls is cohomology.ModuleAction), cls.__name__
+
+
+def test_cached_properties_fill_the_dict_of_a_frozen_action():
+    act = cohomology.ModuleAction(1, ("aa",), Z1, (NEG,))
+    assert {"torsion_lattice", "inverses", "fox_blocks"} <= set(vars(act))
+    assert act.inverses == (NEG,)

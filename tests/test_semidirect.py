@@ -6,6 +6,7 @@ from hypothesis import event, example, given, settings, strategies as st
 
 import semidirect_oracle as oracle
 from nilcert import semidirect
+from nilcert.arith import root_order_lcm
 from nilcert.errors import (
     InvalidParameters,
     NilcertError,
@@ -537,14 +538,41 @@ def test_rank_zero_fiber_and_odd_translation():
 @example(FLIP_M3)
 @given(box_groups())
 def test_centre_ranks_match_the_exact_power_oracle(G):
-    """The gcd with M(n) and the kernel ranks give what the exact A^m, the
-    walk up to M(n) and the induced Smith basis gave."""
+    """The gcd with E(n), the power A^E(n) and the kernel ranks give what the
+    exact A^m, the walk up to M(n) and the induced Smith basis gave."""
     order = G.parent.holonomy_order()
     assert order == oracle.holonomy_order(G.parent.A)
     assert center_rank(G)[0] == oracle.center_rank(G)
     pair = discsym2_upper(G).as_pair()
     assert pair == (oracle.center_rank(G), oracle.inn_center_rank(G))
     event("order %s, (f, b) = %s" % (order, pair))
+
+
+@settings(max_examples=40, deadline=None)
+@given(box_groups(), st.integers(1, 3))
+def test_centre_ranks_at_multiples_of_e_n_match_the_exact_power_oracle(G, k):
+    """m = k E(n) shares every root-of-unity order with E(n) = lcm{d : phi(d)
+    <= n}, the largest gcd the library forms; the oracle takes A^m exactly."""
+    G = SemidirectLattice(G.parent, G.L, k * root_order_lcm(G.parent.n))
+    assert center_rank(G)[0] == oracle.center_rank(G)
+    assert discsym2_upper(G).as_pair() == (oracle.center_rank(G), oracle.inn_center_rank(G))
+
+
+# Cyclotomic polynomials of degree 4, x^4 + c_3 x^3 + ... + c_0, as (c_0, ..., c_3);
+# the orders 5, 8 and 10 are the prime powers E(4) = 120 adds to E(2) = 12.
+CYCLOTOMIC_4 = {5: (1, 1, 1, 1), 8: (1, 0, 0, 0), 10: (1, -1, 1, -1), 12: (1, 0, -1, 0)}
+
+
+@pytest.mark.parametrize("d", sorted(CYCLOTOMIC_4))
+def test_centre_ranks_of_a_cyclotomic_holonomy_match_the_exact_power_oracle(d):
+    coeffs = CYCLOTOMIC_4[d]
+    A = IntMatrix([[int(i == j + 1) for j in range(3)] + [-coeffs[i]] for i in range(4)])
+    assert A.power(d).is_identity() and not A.power(d // 2).is_identity()
+    assert SemidirectGroup(A).holonomy_order() == oracle.holonomy_order(A) == d
+    for m in (1, d, root_order_lcm(4), 7 * root_order_lcm(4)):
+        G = SemidirectLattice(SemidirectGroup(A), Lattice.standard(4), m)
+        assert center_rank(G)[0] == oracle.center_rank(G)
+        assert discsym2_upper(G).as_pair() == (oracle.center_rank(G), oracle.inn_center_rank(G))
 
 
 def _outcome(f, *args):

@@ -1,7 +1,10 @@
 """Guards on the package source itself."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import nilcert
 
@@ -121,3 +124,27 @@ def test_relator_words_walked_once():
         if _callee(call) == "_word_symbols"
     )
     assert found == [("cohomology.py", "coset_enumeration"), ("cohomology.py", "fox_blocks")]
+
+
+def test_no_dataclasses():
+    # Importing dataclasses (with the inspect it pulls in) and generating
+    # its methods costs every CLI process tens of milliseconds; the value
+    # classes derive from errors.Record instead.
+    found = sorted(
+        "%s:%d" % (name, node.lineno)
+        for name, tree in _trees()
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.module == "dataclasses")
+    )
+    assert found == []
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    # -S keeps site hooks from importing either module on their own.
+    env = dict(os.environ, PYTHONPATH=str(SOURCE.parent))
+    code = "import sys, nilcert.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60, env=env
+    )
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "[]\n")
