@@ -23,9 +23,9 @@ from .errors import (
     QuotientTooLarge,
     UnsupportedGroupShape,
 )
-from .linalg import IntMatrix, hnf, snf
+from .linalg import IntMatrix, Lattice, hnf, snf
 from .nilpotent2 import NilSublattice, TwoStepLattice
-from .semidirect import SemidirectLattice
+from .semidirect import SemidirectGroup, SemidirectLattice
 
 DEFAULT_MAX_INDEX = 10**6
 DEFAULT_MAX_ENUM = 10**4
@@ -39,50 +39,28 @@ MAX_MINKOWSKI_N = 1331
 # ---------------------------------------------------------------------------
 
 
-def preset_description(name: str, k: int | None = None, n: int | None = None) -> dict:
-    """Embedded group descriptions for the worked examples."""
+def _preset_group(name: str, k: int | None = None, n: int | None = None):
+    """The library group behind an embedded preset."""
     if name == "sol3":
-        return {
-            "schema": SCHEMA,
-            "type": "semidirect",
-            "n": 2,
-            "matrix": [["5", "2"], ["2", "1"]],
-            "sublattice": [["1", "0"], ["0", "1"]],
-            "m": 1,
-        }
+        return semidirect.sol3_gamma(0)
     if name == "heisenberg":
         kk = 1 if k is None else k
         if kk < 1:
             raise InvalidParameters("heisenberg preset needs k >= 1")
-        k_text, minus_k_text = decimals((kk, -kk))
-        return {
-            "schema": SCHEMA,
-            "type": "twostep",
-            "f": 1,
-            "b": 2,
-            "forms": [[["0", k_text], [minus_k_text, "0"]]],
-        }
+        return TwoStepLattice.heisenberg(kk)
     if name == "torus":
         nn = 3 if n is None else n
         if nn < 1:
             raise InvalidParameters("torus preset needs n >= 1")
-        return {
-            "schema": SCHEMA,
-            "type": "twostep",
-            "f": nn,
-            "b": 0,
-            "forms": [[] for _ in range(nn)],
-        }
+        return TwoStepLattice.free_abelian(nn, 0)
     if name == "kxs1":
-        return {
-            "schema": SCHEMA,
-            "type": "semidirect",
-            "n": 2,
-            "matrix": [["-1", "0"], ["0", "1"]],
-            "sublattice": [["1", "0"], ["0", "1"]],
-            "m": 1,
-        }
+        return SemidirectLattice(SemidirectGroup(IntMatrix([[-1, 0], [0, 1]])), Lattice.standard(2), 1)
     raise InvalidParameters("unknown preset %r" % name)
+
+
+def preset_description(name: str, k: int | None = None, n: int | None = None) -> dict:
+    """Embedded group descriptions for the worked examples."""
+    return dict(_preset_group(name, k, n).to_json(), schema=SCHEMA)
 
 
 def presets() -> dict[str, dict]:
@@ -98,15 +76,16 @@ def presets() -> dict[str, dict]:
 def _load_json_arg(value: str):
     """Inline JSON if the argument looks like it, otherwise a file path."""
     text = value
-    if not value.lstrip().startswith(("{", "[")):
-        with open(value, "r", encoding="utf-8") as fh:
-            text = fh.read()
     try:
+        if not value.lstrip().startswith(("{", "[")):
+            with open(value, "r", encoding="utf-8") as fh:
+                text = fh.read()
         return json.loads(text)
     except json.JSONDecodeError:
         raise
-    except ValueError as exc:
-        # An integer literal past the interpreter's digit limit.
+    except (ValueError, RecursionError) as exc:
+        # A file that is not UTF-8, an integer literal past the interpreter's
+        # digit limit, or nesting deeper than the parser's recursion limit.
         raise json.JSONDecodeError(str(exc), text, 0) from None
 
 
@@ -123,12 +102,10 @@ def _group_from_description(desc: dict):
 
 def _resolve_group(args) -> object:
     if getattr(args, "preset", None):
-        desc = preset_description(args.preset, k=getattr(args, "k", None), n=getattr(args, "n", None))
-    elif getattr(args, "input", None):
-        desc = _load_json_arg(args.input)
-    else:
-        raise InvalidParameters("provide --preset or --input")
-    return _group_from_description(desc)
+        return _preset_group(args.preset, k=getattr(args, "k", None), n=getattr(args, "n", None))
+    if getattr(args, "input", None):
+        return _group_from_description(_load_json_arg(args.input))
+    raise InvalidParameters("provide --preset or --input")
 
 
 # ---------------------------------------------------------------------------

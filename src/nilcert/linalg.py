@@ -413,11 +413,12 @@ def _smith(
     """Reduce the rows ``s`` (width ``n``) in place to Smith normal form.
 
     Pivoting on the smallest nonzero entry bounds coefficient growth; the
-    divisibility sweep after each pivot guarantees d_i | d_{i+1}.  Row
-    operations are repeated on ``u`` and column operations on ``v`` when
-    they are given; each column operation on ``v`` is mirrored by the
-    inverse row operation on ``vi``, so ``vi * v = I`` throughout.  Returns
-    the positive diagonal entries d1 | d2 | ... (zeros dropped).
+    divisibility sweep after each pivot guarantees d_i | d_{i+1}.  Each of
+    ``u``, ``v`` and ``vi`` is updated only when given: row operations are
+    repeated on ``u``, column operations on ``v``, and each column
+    operation is mirrored by the inverse row operation on ``vi``, so
+    ``vi * v = I`` throughout.  Returns the positive diagonal entries
+    d1 | d2 | ... (zeros dropped).
     """
     m = len(s)
     t = 0
@@ -443,6 +444,7 @@ def _smith(
             if v is not None:
                 for row in v:
                     row[t], row[pj] = row[pj], row[t]
+            if vi is not None:
                 vi[t], vi[pj] = vi[pj], vi[t]
         st = s[t]
         p = st[t]
@@ -467,6 +469,7 @@ def _smith(
                     if v is not None:
                         for row in v:
                             row[j] -= q * row[t]
+                    if vi is not None:
                         vi[t] = [a + q * b for a, b in zip(vi[t], vi[j])]
                 if st[j] != 0:
                     dirty = True
@@ -849,20 +852,21 @@ def quotient_with_generators(
     """Structure of ``sup/sub`` plus ambient lifts of its generators.
 
     Each generator comes as ``(order, vector)`` with order 0 for a free
-    generator; trivial factors are dropped.
+    generator; trivial factors are dropped.  The lifts are the rows of
+    ``V^-1``, the only transform the Smith elimination keeps here.
     """
-    coord_rows = _coordinate_rows(sup, sub)
+    s = [list(c) for c in _coordinate_rows(sup, sub)]
     r_sup = sup.rank
-    form = snf(IntMatrix._trusted(coord_rows, r_sup))
-    vinv = form.V_inv
+    vinv = _eye(r_sup)
+    factors = _smith(s, r_sup, vi=vinv)
     gens: list[tuple[int, Row]] = []
     for i in range(r_sup):
-        d = form.S.data[i][i] if i < len(coord_rows) else 0
+        d = s[i][i] if i < len(s) else 0
         if d != 1:
-            gens.append((d, _combine(vinv.data[i], sup.basis.data)))
+            gens.append((d, _combine(vinv[i], sup.basis.data)))
     # Emit torsion generators first (in factor order), free ones last.
     gens.sort(key=lambda g: (g[0] == 0, g[0]))
-    return _structure(r_sup, form.factors), gens
+    return _structure(r_sup, factors), gens
 
 
 def lattice_index(sup: Lattice, sub: Lattice) -> Optional[int]:

@@ -12,8 +12,8 @@ length-k tower certificate built from normalizer and quotient computations.
 
 from __future__ import annotations
 
-import itertools
 import math
+from functools import lru_cache
 
 from .arith import json_field, parse_int, root_order_lcm
 from .certificates import (
@@ -45,7 +45,6 @@ from .linalg import (
     maps_into,
     power_mod,
     preimage_lattice,
-    quotient_with_generators,
 )
 
 Vec = tuple[int, ...]
@@ -282,9 +281,10 @@ def intermediates(
 ) -> list[SemidirectLattice]:
     """All subgroups strictly between S and G (S normal, G/S finite).
 
-    Subgroups of the finite quotient are enumerated by closing unions of
-    cyclic subgroups, then pulled back; a pullback that is not of the box
-    shape L x| mZ raises :class:`UnsupportedSubgroupShape`.
+    One closure under right multiplication lists the finite quotient G/S and
+    each subgroup <P, x> grown from a subgroup P found before; the subgroups
+    are then pulled back, and a pullback that is not of the box shape
+    L x| mZ raises :class:`UnsupportedSubgroupShape`.
     """
     _check_normal(G, S)
     index = group_index(G, S)
@@ -294,65 +294,59 @@ def intermediates(
         raise QuotientTooLarge("quotient order %d exceeds guard %d" % (index, max_quotient))
 
     parent = G.parent
-    _, fiber_gens = quotient_with_generators(G.L, S.L)
-    reps = set()
-    ranges = [range(d) for d, _ in fiber_gens if d > 0]
-    vecs = [vec for d, vec in fiber_gens if d > 0]
-    for combo in itertools.product(*ranges):
-        v = [0] * parent.n
-        for c, vec in zip(combo, vecs):
-            for i in range(parent.n):
-                v[i] += c * vec[i]
-        reps.add(S.L.reduce(v))
-    t_reps = list(range(0, S.m, G.m))
-    elements = [(v, t) for v in sorted(reps) for t in t_reps]
+    zero = (0,) * parent.n
+
+    @lru_cache(maxsize=None)
+    def emul(x, y):
+        """x y in G/S, a coset written (S.L.reduce(v), t mod S.m)."""
+        (v, t), (w, s) = x, y
+        moved = parent.power(t).apply(w)
+        return S.L.reduce(tuple(a + b for a, b in zip(v, moved))), (t + s) % S.m
+
+    def close(start, gens) -> frozenset:
+        """Right multiples of ``start`` by words in ``gens``: in the finite
+        group G/S, the subgroup ``gens`` generate once ``start`` lies in it."""
+        out = set(start)
+        frontier = list(start)
+        while frontier:
+            x = frontier.pop()
+            for g in gens:
+                y = emul(x, g)
+                if y not in out:
+                    out.add(y)
+                    frontier.append(y)
+        return frozenset(out)
+
+    e = (zero, 0)
+    elements = close({e}, [(row, 0) for row in G.L.basis.data] + [(zero, G.m)])
     if len(elements) != index:
         raise SelfCheckFailed(
             "enumerated %d cosets for a quotient of order %d" % (len(elements), index)
         )
-    lookup = {e: i for i, e in enumerate(elements)}
 
-    def emul(i, j):
-        v, t = elements[i]
-        w, s = elements[j]
-        moved = parent.power(t).apply(w)
-        nv = S.L.reduce(tuple(a + b for a, b in zip(v, moved)))
-        return lookup[(nv, (t + s) % S.m)]
-
-    table = [[emul(i, j) for j in range(index)] for i in range(index)]
-    e0 = lookup[(S.L.reduce((0,) * parent.n), 0)]
-
-    def closure(seed: frozenset) -> frozenset:
-        out = set(seed)
-        frontier = list(seed)
-        while frontier:
-            x = frontier.pop()
-            for y in list(out):
-                for z in (table[x][y], table[y][x]):
-                    if z not in out:
-                        out.add(z)
-                        frontier.append(z)
-        return frozenset(out)
-
-    subgroups = {frozenset([e0])}
-    frontier = [frozenset([e0])]
+    # One generating tuple per subgroup.  <P, x> is <P, y> for every y in
+    # the coset xP, so one x per coset is enough.
+    found = {frozenset([e]): ()}
+    frontier = [frozenset([e])]
     while frontier:
         P = frontier.pop()
-        for x in range(index):
-            if x in P:
+        gens = found[P]
+        tried = set(P)
+        for x in elements:
+            if x in tried:
                 continue
-            Q = closure(P | {x})
-            if Q not in subgroups:
-                subgroups.add(Q)
+            tried |= close({x}, gens)
+            Q = close(P, gens + (x,))
+            if Q not in found:
+                found[Q] = gens + (x,)
                 frontier.append(Q)
 
-    proper = [H for H in subgroups if 1 < len(H) < index]
     results = []
-    for H in proper:
-        t_parts = [elements[i][1] for i in H]
-        m_H = math.gcd(S.m, *t_parts)
-        fiber_rows = [elements[i][0] for i in H if elements[i][1] == 0]
-        L_H = S.L.sum(Lattice.from_rows(parent.n, fiber_rows))
+    for H in found:
+        if not 1 < len(H) < index:
+            continue
+        m_H = math.gcd(S.m, *(t for _, t in H))
+        L_H = S.L.sum(Lattice.from_rows(parent.n, [v for v, t in H if t == 0]))
         try:
             candidate = SemidirectLattice(parent, L_H, m_H)
         except UnsupportedSubgroupShape:
@@ -362,9 +356,7 @@ def intermediates(
         # The pullback equals the box candidate only if the candidate has
         # exactly |H| cosets of S and every H coset lies inside it; diagonal
         # subgroups of a mixed fiber/translation quotient fail here.
-        if group_index(candidate, S) != len(H) or not all(
-            candidate.L.contains(elements[i][0]) for i in H
-        ):
+        if group_index(candidate, S) != len(H) or not all(candidate.L.contains(v) for v, _ in H):
             raise UnsupportedSubgroupShape(
                 "intermediate subgroup is not of the shape L x| mZ"
             )

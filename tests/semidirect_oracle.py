@@ -18,10 +18,15 @@ It also keeps the holonomy routines as they were before the bounded power
 of ``linalg.finite_order``: the walk over the powers of A up to M(n), the
 centre ranks from the exact power ``A^m`` and an induced Smith basis, and
 the nilpotency criterion's exact ``P^order``.
+
+And it keeps ``intermediates`` as it was before the generator closure: the
+quotient listed by a Smith-form coset product, a full Cayley table, and a
+closure that multiplies every new element against every element found.
 """
 
 import contextlib
 import itertools
+import math
 
 from nilcert import semidirect
 from nilcert.arith import minkowski_bound
@@ -33,12 +38,21 @@ from nilcert.errors import (
     NotAbelianQuotient,
     NotASubgroup,
     NotNormal,
+    QuotientTooLarge,
     SelfCheckFailed,
     UnsupportedSubgroupShape,
 )
-from nilcert.linalg import IntMatrix, Lattice, maps_into, preimage_lattice, quotient_structure, snf
+from nilcert.linalg import (
+    IntMatrix,
+    Lattice,
+    maps_into,
+    preimage_lattice,
+    quotient_structure,
+    quotient_with_generators,
+    snf,
+)
 from nilcert.nilpotent2 import isolator
-from nilcert.semidirect import SemidirectLattice, conj, inv, mul, sol3_group
+from nilcert.semidirect import SemidirectLattice, conj, group_index, inv, mul, sol3_group
 
 
 def commutator(g, h):
@@ -210,3 +224,89 @@ def nilpotency_check(G, P, Q, order):
     if not P.is_identity():
         return False
     return maps_into(Q - IntMatrix.identity(G.f), Lattice.standard(G.f), sqrt)
+
+
+def intermediates(G, S, max_quotient=10**4):
+    """All subgroups strictly between S and G from the Cayley table of G/S."""
+    semidirect._check_normal(G, S)
+    index = group_index(G, S)
+    if index is None:
+        raise QuotientTooLarge("quotient is infinite")
+    if index > max_quotient:
+        raise QuotientTooLarge("quotient order %d exceeds guard %d" % (index, max_quotient))
+
+    parent = G.parent
+    _, fiber_gens = quotient_with_generators(G.L, S.L)
+    reps = set()
+    ranges = [range(d) for d, _ in fiber_gens if d > 0]
+    vecs = [vec for d, vec in fiber_gens if d > 0]
+    for combo in itertools.product(*ranges):
+        v = [0] * parent.n
+        for c, vec in zip(combo, vecs):
+            for i in range(parent.n):
+                v[i] += c * vec[i]
+        reps.add(S.L.reduce(v))
+    t_reps = list(range(0, S.m, G.m))
+    elements = [(v, t) for v in sorted(reps) for t in t_reps]
+    if len(elements) != index:
+        raise SelfCheckFailed(
+            "enumerated %d cosets for a quotient of order %d" % (len(elements), index)
+        )
+    lookup = {e: i for i, e in enumerate(elements)}
+
+    def emul(i, j):
+        v, t = elements[i]
+        w, s = elements[j]
+        moved = parent.power(t).apply(w)
+        nv = S.L.reduce(tuple(a + b for a, b in zip(v, moved)))
+        return lookup[(nv, (t + s) % S.m)]
+
+    table = [[emul(i, j) for j in range(index)] for i in range(index)]
+    e0 = lookup[(S.L.reduce((0,) * parent.n), 0)]
+
+    def closure(seed):
+        out = set(seed)
+        frontier = list(seed)
+        while frontier:
+            x = frontier.pop()
+            for y in list(out):
+                for z in (table[x][y], table[y][x]):
+                    if z not in out:
+                        out.add(z)
+                        frontier.append(z)
+        return frozenset(out)
+
+    subgroups = {frozenset([e0])}
+    frontier = [frozenset([e0])]
+    while frontier:
+        P = frontier.pop()
+        for x in range(index):
+            if x in P:
+                continue
+            Q = closure(P | {x})
+            if Q not in subgroups:
+                subgroups.add(Q)
+                frontier.append(Q)
+
+    proper = [H for H in subgroups if 1 < len(H) < index]
+    results = []
+    for H in proper:
+        t_parts = [elements[i][1] for i in H]
+        m_H = math.gcd(S.m, *t_parts)
+        fiber_rows = [elements[i][0] for i in H if elements[i][1] == 0]
+        L_H = S.L.sum(Lattice.from_rows(parent.n, fiber_rows))
+        try:
+            candidate = SemidirectLattice(parent, L_H, m_H)
+        except UnsupportedSubgroupShape:
+            raise UnsupportedSubgroupShape(
+                "intermediate subgroup is not of the shape L x| mZ"
+            )
+        if group_index(candidate, S) != len(H) or not all(
+            candidate.L.contains(elements[i][0]) for i in H
+        ):
+            raise UnsupportedSubgroupShape(
+                "intermediate subgroup is not of the shape L x| mZ"
+            )
+        results.append(candidate)
+    results.sort(key=lambda sl: (sl.m, sl.L.basis.data))
+    return results

@@ -241,6 +241,18 @@ class TestExitCodes:
         assert code == 1
         assert json.loads(out)["error"]["type"] == "InputError"
 
+    def test_file_that_is_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "matrix.json"
+        path.write_bytes(b"\xff\xfe")
+        code, out, err = invoke(capsys, "hnf", "--input", str(path))
+        assert code == 1 and err == "" and out.count("\n") == 1
+        assert json.loads(out)["error"]["type"] == "InputError"
+
+    def test_nesting_past_the_recursion_limit(self, capsys):
+        code, out, err = invoke(capsys, "hnf", "--input", "[" * 100000)
+        assert code == 1 and err == "" and out.count("\n") == 1
+        assert json.loads(out)["error"]["type"] == "InputError"
+
     @pytest.mark.parametrize("verb", ["snf", "hnf"])
     @pytest.mark.parametrize(
         "matrix", ["[[1.5,2],[3,4]]", "[[true,0],[0,2]]", '[["a"]]'], ids=["float", "bool", "word"]

@@ -744,8 +744,8 @@ def box_pairs(draw):
     own; L is a full-rank lattice that need not be A-invariant.
 
     [L_G : L_S] divides c^n, and m_S / m_G is at most 32 / c^n, so |G/S| is
-    at most 32: the closure behind ``intermediates`` grows with the square
-    of the quotient's Cayley table, and both sides of the oracle run it.
+    at most 32: the table oracle of ``intermediates`` builds the |G/S|^2
+    Cayley table of the quotient on every draw.
     """
     K = draw(holonomies())
     n = K.n
@@ -823,3 +823,51 @@ class TestContainmentOracle:
             assert semidirect.SemidirectLattice.__init__ is oracle.box_init
         assert semidirect.quotient is quotient
         assert semidirect.SemidirectLattice.__init__ is not oracle.box_init
+
+
+# The diagonal non-box case and the coprime mixed case of TestIntermediates.
+IDENTITY2 = SemidirectGroup(IntMatrix.identity(2))
+
+
+class TestIntermediatesOracle:
+    @settings(max_examples=100, deadline=None)
+    @given(box_pairs().map(lambda boxes: boxes[:2]))
+    @example(
+        # A^2 = Id but A is not Id modulo 2: the quotient is dihedral of order 8
+        (
+            SemidirectLattice(SWAP, Lattice.standard(2), 1),
+            SemidirectLattice(SWAP, Lattice.scaled(2, 2), 2),
+        )
+    )
+    @example(
+        (
+            SemidirectLattice(IDENTITY2, Lattice.standard(2), 1),
+            SemidirectLattice(IDENTITY2, Lattice.scaled(2, 2), 2),
+        )
+    )
+    @example(
+        (
+            SemidirectLattice(IDENTITY2, Lattice.standard(2), 1),
+            SemidirectLattice(IDENTITY2, Lattice.scaled(2, 3), 2),
+        )
+    )
+    @example(
+        # (Z/4)^2 has cyclic subgroups of order 4, whose order-2 subgroups
+        # are steps of the search that a closure grown past them would miss
+        (
+            SemidirectLattice(IDENTITY2, Lattice.standard(2), 1),
+            SemidirectLattice(IDENTITY2, Lattice.scaled(2, 4), 1),
+        )
+    )
+    @example(
+        # |G/S| = 81 is past the guard of 64
+        (
+            SemidirectLattice(IDENTITY2, Lattice.standard(2), 1),
+            SemidirectLattice(IDENTITY2, Lattice.scaled(2, 9), 1),
+        )
+    )
+    def test_same_outcome_as_the_cayley_table(self, pair):
+        G, S = pair
+        want = outcome(oracle.intermediates, G, S, 64)
+        event("intermediates: " + ("%d" % len(want) if isinstance(want, list) else want[0].__name__))
+        assert outcome(intermediates, G, S, 64) == want

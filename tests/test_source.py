@@ -61,10 +61,10 @@ def _callee(call):
 def test_transforms_only_where_read():
     # snf builds U, V and V^-1; a caller that reads only invariant factors
     # uses cokernel or quotient_structure, which run the Smith elimination
-    # without them.  Z^n / L is cokernel(n, rows), not a quotient of
-    # Lattice.standard(n), which would add a Hermite form and coordinates.
+    # without them, and quotient_with_generators keeps only V^-1.  Z^n / L
+    # is cokernel(n, rows), not a quotient of Lattice.standard(n), which
+    # would add a Hermite form and coordinates.
     snf_readers = {
-        ("linalg.py", "quotient_with_generators"),
         ("cli.py", "_cmd_snf"),
     }
     found = []
