@@ -103,22 +103,3 @@ def minkowski_bound(n: int) -> int:
         p += 1
     return result
 
-
-def root_order_lcm(n: int) -> int:
-    """E(n), the lcm of the orders d of the roots of unity with phi(d) <= n.
-
-    A root of unity of order d has degree phi(d) over Q, so every one that
-    is an eigenvalue of an n x n integer matrix has its order dividing E(n).
-    Its p-part is the largest p^k with phi(p^k) = p^(k-1) (p - 1) <= n:
-    E(0) = 1, E(2) = 12, E(6) = 2520, a divisor of M(n).
-    """
-    result = 1
-    p = 2
-    while p - 1 <= n:
-        if is_prime(p):
-            q = p
-            while q * (p - 1) <= n:
-                q *= p
-            result *= q
-        p += 1
-    return result

@@ -24,7 +24,7 @@ import operator
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
-from .arith import decimals, factorize, json_field, parse_int, root_order_lcm
+from .arith import decimals, factorize, json_field, parse_int
 from .errors import DimensionMismatch, InvalidParameters, NotASublattice, Record
 
 Row = tuple[int, ...]
@@ -237,30 +237,100 @@ def power_mod(M: IntMatrix, t: int, d: int) -> IntMatrix:
     return reduced(IntMatrix.identity(M.rows)) if result is None else result
 
 
-def finite_order(M: IntMatrix) -> tuple[Optional[int], Optional[IntMatrix]]:
-    """The order of a square ``M`` (None if infinite) and ``U = M^E(n)``, or
-    None for ``U`` once a square ``M^(2^i)`` has |trace| > n, which no matrix
-    of finite order has.  A matrix of finite order is diagonalisable over C
-    and its eigenvalues are roots of unity whose orders divide E(n) =
-    ``root_order_lcm(n)``, so every finite order in GL(n, Z) divides E(n),
-    and the order is E(n) with each prime divided out while the power stays
-    the identity."""
+def _charpoly_mod(M: IntMatrix, p: int) -> list[int]:
+    """The characteristic polynomial of a square ``M`` over Z/p, constant term
+    first, through a Hessenberg form (Cohen, GTM 138, Algorithm 2.2.9)."""
     n = M.rows
-    order = t = root_order_lcm(n)
-    U, square = IntMatrix.identity(n), M
-    while t:
-        if abs(sum(square.data[i][i] for i in range(n))) > n:
-            return None, None
-        if t & 1:
-            U = U * square
-        t >>= 1
-        square = square * square if t else square
-    if not U.is_identity():
-        return None, U
-    for p in factorize(order):
-        while order % p == 0 and power_mod(M, order // p, 0).is_identity():
-            order //= p
-    return order, U
+    H = [[x % p for x in row] for row in M.data]
+    for m in range(1, n - 1):
+        i = next((i for i in range(m, n) if H[i][m - 1]), None)
+        if i is None:
+            continue
+        H[i], H[m] = H[m], H[i]
+        for row in H:
+            row[i], row[m] = row[m], row[i]
+        t = pow(H[m][m - 1], -1, p)
+        for i in range(m + 1, n):
+            u = H[i][m - 1] * t % p
+            if u:
+                H[i] = [(a - u * b) % p for a, b in zip(H[i], H[m])]
+                for row in H:
+                    row[m] = (row[m] + u * row[i]) % p
+    chi = [[1]]  # chi[m]: the leading m x m block, expanded along its last column
+    for m in range(n):
+        q, t = [0] + chi[m], 1
+        for i in range(m, -1, -1):
+            c = H[i][m] * t
+            q[: i + 1] = [a - c * b for a, b in zip(q, chi[i])]
+            t = t * H[i][i - 1] % p if i else 0
+            if not t:
+                break
+        chi.append([x % p for x in q])
+    return chi[n]
+
+
+def _cyclotomic(d: int, degree: int) -> list[int]:
+    """Phi_d, of degree phi(d), constant term first: the product over e | d of
+    (x^(d/e) - 1)^mu(e) as a power series cut at that degree.  For d > 1 the
+    mu(e) sum to 0, so each factor may be written 1 - x^(d/e)."""
+    c, signed = [1] + [0] * degree, [(1, 1)]
+    for p in factorize(d):
+        signed += [(e * p, -mu) for e, mu in signed]
+    for e, mu in signed:
+        k = d // e
+        for i in range(degree, k - 1, -1) if mu > 0 else range(k, degree + 1):
+            c[i] -= mu * c[i - k]
+    return c if d > 1 else [-1, 1]
+
+
+_PRIME = (1 << 61) - 1
+
+
+def cyclotomic_kernels(A: IntMatrix) -> dict[int, IntMatrix]:
+    """``{d: Phi_d(A)}`` for every d with Phi_d(A) singular, that is with
+    Phi_d dividing the characteristic polynomial of ``A`` (README, "One
+    cyclotomic split").
+
+    Such a d has phi(d) <= n, hence d <= 2 n^2.  Only the d whose Phi_d
+    divides it modulo one prime are evaluated at ``A``, by Horner's rule in
+    degree at most n; the others cannot divide it over Z.
+    """
+    if A.rows != A.cols:
+        raise DimensionMismatch("cyclotomic factors of a non-square matrix")
+    n, I = A.rows, IntMatrix.identity(A.rows)
+    chi = _charpoly_mod(A, _PRIME)
+    phi = list(range(2 * n * n + 1))
+    for p in range(2, len(phi)):
+        if phi[p] == p:
+            for k in range(p, len(phi), p):
+                phi[k] -= phi[k] // p
+    out = {}
+    for d in (d for d in range(1, len(phi)) if phi[d] <= n):
+        c, r = _cyclotomic(d, phi[d]), list(chi)
+        for i in range(n, phi[d] - 1, -1):  # r = chi mod Phi_d over Z/p
+            u = r[i] % _PRIME
+            r[i - phi[d] : i + 1] = [a - u * b for a, b in zip(r[i - phi[d] : i + 1], c)]
+        if any(x % _PRIME for x in r):
+            continue
+        X = A + I.scale(c[-2])
+        for a in reversed(c[:-2]):
+            X = X * A + I.scale(a)
+        if X.det() == 0:
+            out[d] = X
+    return out
+
+
+def nullity(M: IntMatrix) -> int:
+    """dim ker M over Q."""
+    return M.cols - Lattice.from_rows(M.cols, M.data).rank
+
+
+def finite_order(M: IntMatrix) -> Optional[int]:
+    """The order of a square ``M``, or None when infinite: ``M`` has finite
+    order iff the kernels of its singular Phi_d(M) fill Q^n, and then has
+    order d on each."""
+    cyc = cyclotomic_kernels(M)
+    return math.lcm(*cyc) if sum(map(nullity, cyc.values())) == M.rows else None
 
 
 def _eye(n: int) -> list[list[int]]:

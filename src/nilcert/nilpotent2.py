@@ -538,7 +538,7 @@ def nilpotency_check(G: TwoStepLattice, P: IntMatrix, Q: IntMatrix, order: int) 
     if order < 1:
         raise InvalidParameters("order must be a positive integer")
     for X in (P, Q):
-        k, _ = finite_order(X)
+        k = finite_order(X)
         if k is None or order % k:
             raise InfiniteOrder("claimed finite order %d does not hold" % order)
 

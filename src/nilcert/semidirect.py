@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .arith import json_field, parse_int, root_order_lcm
+from .arith import json_field, parse_int
 from .certificates import (
     KIND_SOL3,
     ChainLevel,
@@ -39,10 +39,12 @@ from .linalg import (
     IntMatrix,
     Lattice,
     cokernel,
+    cyclotomic_kernels,
     finite_order,
     full_index,
     lattice_index,
     maps_into,
+    nullity,
     power_mod,
     preimage_lattice,
 )
@@ -85,7 +87,7 @@ class SemidirectGroup:
 
     def holonomy_order(self):
         """Multiplicative order of A, or None when infinite."""
-        return finite_order(self.A)[0]
+        return finite_order(self.A)
 
     def __eq__(self, other):
         return isinstance(other, SemidirectGroup) and self.A == other.A
@@ -365,15 +367,13 @@ def intermediates(
     return results
 
 
-def _fixed_twist(G: SemidirectLattice) -> IntMatrix:
-    """A^g - Id for g = gcd(m, E(n)), with the kernels of A^m - Id and its square."""
-    n = G.parent.n
-    g = math.gcd(G.m, root_order_lcm(n))
-    return power_mod(G.parent.A, g, 0) - IntMatrix.identity(n)
-
-
-def _rank(M: IntMatrix) -> int:
-    return Lattice.from_rows(M.cols, M.data).rank
+def _split(G: SemidirectLattice) -> tuple[dict[int, IntMatrix], int, int]:
+    """cyc(A) with the sums of k_d = dim ker Phi_d(A) over the d that divide
+    m and over the rest (README, "One cyclotomic split")."""
+    cyc = cyclotomic_kernels(G.parent.A)
+    k = {d: nullity(X) for d, X in cyc.items()}
+    fixed = sum(k[d] for d in k if G.m % d == 0)
+    return cyc, fixed, sum(k.values()) - fixed
 
 
 def center_rank(G: SemidirectLattice) -> tuple[int, AbelianStructure]:
@@ -381,23 +381,24 @@ def center_rank(G: SemidirectLattice) -> tuple[int, AbelianStructure]:
 
     (v, t) is central iff A^t = Id (so t ranges over a subgroup of mZ that
     is nonzero only for finite holonomy order) and A^m v = v; L has full
-    rank, so those v have the rank of ker(A^m - Id).
+    rank, so those v have the rank of the sum of the ker Phi_d(A), d | m.
     """
-    rank = G.parent.n - _rank(_fixed_twist(G)) + (finite_order(G.parent.A)[0] is not None)
+    _, fixed, rest = _split(G)
+    rank = fixed + (fixed + rest == G.parent.n)
     return rank, AbelianStructure(rank, ())
 
 
 def inn_center_rank(G: SemidirectLattice) -> int:
     """Rank of the center of G modulo its own center.
 
-    With D as in :func:`_fixed_twist`, v is central modulo the center iff
-    D^2 v = 0.  For A of infinite order the translations add one iff A^m has
-    finite order on Z^n / ker D, that is iff D (A^E(n) - Id) = 0 (README,
-    "One bounded holonomy power")."""
-    D = _fixed_twist(G)
-    order, U = finite_order(G.parent.A)
-    extra = order is None and U is not None and (D * (U - IntMatrix.identity(G.parent.n))).is_zero()
-    return _rank(D) - _rank(D * D) + extra
+    v is central modulo the center iff (A^m - Id)^2 v = 0: the sum of the
+    ker Phi_d(A)^2, d | m.  For A of infinite order the translations add one
+    iff A^m has finite order on Z^n / ker(A^m - Id), that is iff those
+    kernels and the ker Phi_d(A) of the other d fill Q^n."""
+    cyc, fixed, rest = _split(G)
+    fixed2 = sum(nullity(X * X) for d, X in cyc.items() if G.m % d == 0)
+    extra = fixed + rest < G.parent.n and rest + fixed2 == G.parent.n
+    return fixed2 - fixed + extra
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,12 @@ written out on group elements, in their defining order:
 inside it (the constructor, ``quotient``, ``normalizer``, ``intermediates``)
 takes the element-wise route end to end.
 
-It also keeps the holonomy routines as they were before the bounded power
-of ``linalg.finite_order``: the walk over the powers of A up to M(n), the
-centre ranks from the exact power ``A^m`` and an induced Smith basis, and
-the nilpotency criterion's exact ``P^order``.
+It also keeps the holonomy routines as they were before the cyclotomic
+split of ``linalg.cyclotomic_kernels``: the walk over the powers of A up to
+M(n), the centre ranks from the exact power ``A^m`` and an induced Smith
+basis, and the nilpotency criterion's exact ``P^order``; and E(n), the
+lcm of the root-of-unity orders of degree at most n, with which the tests
+pick translation indices that every such order divides.
 
 And it keeps ``intermediates`` as it was before the generator closure: the
 quotient listed by a Smith-form coset product, a full Cayley table, and a
@@ -29,7 +31,7 @@ import itertools
 import math
 
 from nilcert import semidirect
-from nilcert.arith import minkowski_bound
+from nilcert.arith import is_prime, minkowski_bound
 from nilcert.errors import (
     DimensionMismatch,
     InfiniteOrder,
@@ -143,6 +145,26 @@ def holonomy_order(A):
         if abs(trace) > n:
             return None
     return None
+
+
+def root_order_lcm(n):
+    """E(n), the lcm of the orders d of the roots of unity with phi(d) <= n.
+
+    A root of unity of order d has degree phi(d) over Q, so every one that
+    is an eigenvalue of an n x n integer matrix has its order dividing E(n).
+    Its p-part is the largest p^k with phi(p^k) = p^(k-1) (p - 1) <= n:
+    E(0) = 1, E(2) = 12, E(6) = 2520, a divisor of M(n).
+    """
+    result = 1
+    p = 2
+    while p - 1 <= n:
+        if is_prime(p):
+            q = p
+            while q * (p - 1) <= n:
+                q *= p
+            result *= q
+        p += 1
+    return result
 
 
 def center_rank(G):

@@ -476,10 +476,24 @@ def _jordan(n):
     return [[str(int(j in (i, i + 1))) for j in range(n)] for i in range(n)]
 
 
-def _sol3_cubed():
-    """diag(S, S, S) for the Sol3 holonomy S."""
+def _identity(n):
+    return [[str(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+def _sol3_blocks(k):
+    """diag(S, ..., S), k blocks of the Sol3 holonomy S."""
     S = [[5, 2], [2, 1]]
-    return [[str(S[i % 2][j % 2] if i // 2 == j // 2 else 0) for j in range(6)] for i in range(6)]
+    n = 2 * k
+    return [[str(S[i % 2][j % 2] if i // 2 == j // 2 else 0) for j in range(n)] for i in range(n)]
+
+
+def _fresh(verb, desc, timeout):
+    """``nilcert <verb> --input <desc>`` in a new interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(nilcert.__file__).resolve().parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "nilcert.cli", verb, "--input", json.dumps(desc)],
+        capture_output=True, text=True, timeout=timeout, env=env,
+    )
 
 
 @pytest.mark.parametrize(
@@ -501,7 +515,7 @@ def _sol3_cubed():
             '{"b":1,"f":1}',
         ),
         (
-            {"type": "semidirect", "n": 6, "matrix": _sol3_cubed(), "m": "2903040"},
+            {"type": "semidirect", "n": 6, "matrix": _sol3_blocks(3), "m": "2903040"},
             '{"rank":0,"structure":{"free_rank":0,"torsion":[]}}',
             '{"b":0,"f":0}',
         ),
@@ -511,15 +525,36 @@ def _sol3_cubed():
 def test_centre_verbs_answer_in_a_fresh_process(desc, center, disc):
     """The exact A^(10^9), a walk over up to M(8) powers of a unipotent
     holonomy, or the exact A^M(6) of a hyperbolic one would not finish; the
-    bounded power and A^gcd(m, E(n)) answer at once."""
-    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(nilcert.__file__).resolve().parents[1]))
+    kernels of Phi_d(A) answer at once."""
     for verb, result in (("center", center), ("discsym2-bound", disc)):
-        proc = subprocess.run(
-            [sys.executable, "-m", "nilcert.cli", verb, "--input", json.dumps(desc)],
-            capture_output=True, text=True, timeout=10, env=env,
-        )
+        proc = _fresh(verb, desc, 10)
         assert (proc.returncode, proc.stderr) == (0, "")
         assert proc.stdout == '{"result":%s,"schema":"nilcert/1","verb":"%s"}\n' % (result, verb)
+
+
+@pytest.mark.parametrize(
+    "verb,desc,result",
+    [
+        (
+            "discsym2-bound",
+            {"type": "semidirect", "n": 12, "matrix": _sol3_blocks(6), "m": "720720"},
+            '{"b":0,"f":0}',
+        ),
+        (
+            "center",
+            {"type": "semidirect", "n": 100, "matrix": _identity(100)},
+            '{"rank":101,"structure":{"free_rank":101,"torsion":[]}}',
+        ),
+    ],
+    ids=["sol3x6-m720720", "identity100"],
+)
+def test_centre_verbs_need_no_power_of_the_holonomy(verb, desc, result):
+    """E(12) = 720,720 and E(100) has 146 bits: the exact A^gcd(m, E(n)) of six
+    Sol3 blocks, or squaring I_100 up to A^E(100), would not finish; the
+    kernels of Phi_d(A) in degree at most n answer at once."""
+    proc = _fresh(verb, desc, 15)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == '{"result":%s,"schema":"nilcert/1","verb":"%s"}\n' % (result, verb)
 
 
 class TestPresets:

@@ -4,7 +4,6 @@ import random
 
 import pytest
 
-from nilcert.arith import root_order_lcm
 from nilcert.certificates import SeriesCertificate
 from nilcert.errors import (
     InvalidParameters,
@@ -32,6 +31,7 @@ from nilcert.semidirect import (
     sol3_gamma,
     sol3_tower,
 )
+from semidirect_oracle import root_order_lcm
 
 
 class TestMinkowski:

@@ -9,8 +9,13 @@ from nilcert.linalg import (
     AbelianStructure,
     IntMatrix,
     Lattice,
+    _PRIME,
+    _charpoly_mod,
+    _cyclotomic,
     _echelon,
     cokernel,
+    cyclotomic_kernels,
+    finite_order,
     full_index,
     hnf,
     lattice_index,
@@ -648,3 +653,64 @@ class TestSympyOracle:
             assert all(ours.contains(v) for v in theirs)
             span = Lattice.from_rows(A.cols, theirs)
             assert all(span.contains(row) for row in ours.basis.data)
+
+    def test_cyclotomic_polynomials(self):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        for d in range(1, 301):
+            theirs = sympy.Poly(sympy.cyclotomic_poly(d, x), x).all_coeffs()[::-1]
+            assert _cyclotomic(d, int(sympy.totient(d))) == theirs
+
+    def test_charpoly_mod_the_prime(self):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        rng = random.Random(41)
+        # Zero subdiagonal entries with a nonzero one below (a pivot swap),
+        # and whole zero columns below the subdiagonal (a skipped step).
+        cases = [
+            IntMatrix([[1, 2, 3], [0, 4, 5], [6, 0, 7]]),
+            IntMatrix([[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]]),
+            IntMatrix([[2, 1, 0], [0, 3, 1], [0, 0, 5]]),
+            IntMatrix([[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1], [3, 0, 0, 0]]),
+        ]
+        for n in range(8):
+            for density in (0.2, 0.5, 1.0):
+                for _ in range(6):
+                    cases.append(IntMatrix([
+                        [rng.choice([-(10**20), -3, -1, 1, 2, 7]) if rng.random() < density else 0
+                         for _ in range(n)]
+                        for _ in range(n)
+                    ], cols=n))
+        for M in cases:
+            theirs = sympy.Matrix(M.rows, M.cols, list(M.entries)).charpoly(x).all_coeffs()[::-1]
+            assert _charpoly_mod(M, _PRIME) == [int(c) % _PRIME for c in theirs]
+
+
+class TestCyclotomicSplit:
+    def test_singular_factors_and_orders(self):
+        R, T, S = [[0, -1], [1, 0]], [[0, -1], [1, -1]], [[5, 2], [2, 1]]
+
+        def diag(*blocks):
+            n = sum(map(len, blocks))
+            rows, i = [[0] * n for _ in range(n)], 0
+            for b in blocks:
+                for r, row in enumerate(b):
+                    rows[i + r][i : i + len(row)] = row
+                i += len(b)
+            return IntMatrix(rows, cols=n)
+
+        assert set(cyclotomic_kernels(diag(R, [[-1]], S))) == {4, 2}
+        assert finite_order(diag(R, [[-1]], S)) is None
+        assert finite_order(diag(R, T)) == 12
+        assert finite_order(diag(R, R, [[-1]])) == 4
+        assert finite_order(IntMatrix([[1, 1], [0, 1]])) is None
+        assert finite_order(IntMatrix.identity(0)) == 1
+        assert cyclotomic_kernels(IntMatrix.identity(0)) == {}
+        with pytest.raises(DimensionMismatch):
+            cyclotomic_kernels(IntMatrix([[1, 2]]))
+
+    def test_a_factor_only_modulo_the_prime_is_dropped(self):
+        # x - (1 - p) is x - 1 modulo p, but Phi_1(A) = (-p) is invertible.
+        A = IntMatrix([[1 - _PRIME]])
+        assert cyclotomic_kernels(A) == {}
+        assert finite_order(A) is None

@@ -6,7 +6,6 @@ from hypothesis import event, example, given, settings, strategies as st
 
 import semidirect_oracle as oracle
 from nilcert import semidirect
-from nilcert.arith import root_order_lcm
 from nilcert.errors import (
     InvalidParameters,
     NilcertError,
@@ -462,7 +461,7 @@ class TestCenter:
 
 
 # ---------------------------------------------------------------------------
-# The bounded holonomy power against the exact powers and the walk
+# The cyclotomic split against the exact powers and the walk
 # ---------------------------------------------------------------------------
 
 FINITE_BLOCKS = [
@@ -524,6 +523,26 @@ RANK_ZERO = SemidirectLattice(SemidirectGroup(IntMatrix.identity(0)), Lattice.st
 FLIP_M3 = SemidirectLattice(SemidirectGroup(IntMatrix([[-1]])), Lattice.standard(1), 3)
 
 
+def _box(rows, m):
+    return SemidirectLattice(SemidirectGroup(IntMatrix(rows)), Lattice.standard(len(rows)), m)
+
+
+def _companion(coeffs):
+    """The companion matrix of the monic x^k + c_(k-1) x^(k-1) + ... + c_0."""
+    k = len(coeffs)
+    return [[int(i == j + 1) for j in range(k - 1)] + [-coeffs[i]] for i in range(k)]
+
+
+# Lehmer's Salem polynomial x^10 + x^9 - x^7 - x^6 - x^5 - x^4 - x^3 + x + 1:
+# eight roots on the unit circle, none of them a root of unity.
+LEHMER = _companion([1, 1, 0, -1, -1, -1, -1, -1, 0, 1])
+# [[R, I], [0, R]] for the quarter turn R and [[T, I], [0, T]] for T of
+# order 3: infinite order, yet A^12 - Id squares to zero, so the
+# translations add one to the centre of Inn.
+QUARTER_JORDAN = [[0, -1, 1, 0], [1, 0, 0, 1], [0, 0, 0, -1], [0, 0, 1, 0]]
+THIRD_JORDAN = [[0, -1, 1, 0], [1, -1, 0, 1], [0, 0, 0, -1], [0, 0, 1, -1]]
+
+
 def test_rank_zero_fiber_and_odd_translation():
     # Z^0 x| Z is Z: the centre is everything and Inn is trivial.  In
     # Z x|_(-1) 3Z the centre is 6Z, and Inn is Z/2 after 3Z's image.
@@ -536,9 +555,13 @@ def test_rank_zero_fiber_and_odd_translation():
 @settings(max_examples=100, deadline=None)
 @example(RANK_ZERO)
 @example(FLIP_M3)
+@example(_box(LEHMER, 1))
+@example(_box(LEHMER, 60))
+@example(_box(QUARTER_JORDAN, 12))
+@example(_box(THIRD_JORDAN, 12))
 @given(box_groups())
 def test_centre_ranks_match_the_exact_power_oracle(G):
-    """The gcd with E(n), the power A^E(n) and the kernel ranks give what the
+    """The kernels of the singular Phi_d(A) and their squares give what the
     exact A^m, the walk up to M(n) and the induced Smith basis gave."""
     order = G.parent.holonomy_order()
     assert order == oracle.holonomy_order(G.parent.A)
@@ -548,12 +571,17 @@ def test_centre_ranks_match_the_exact_power_oracle(G):
     event("order %s, (f, b) = %s" % (order, pair))
 
 
+def test_the_translations_add_one_to_the_centre_of_inn():
+    for rows in (QUARTER_JORDAN, THIRD_JORDAN):
+        assert discsym2_upper(_box(rows, 12)).as_pair() == (2, 3)
+
+
 @settings(max_examples=40, deadline=None)
 @given(box_groups(), st.integers(1, 3))
 def test_centre_ranks_at_multiples_of_e_n_match_the_exact_power_oracle(G, k):
-    """m = k E(n) shares every root-of-unity order with E(n) = lcm{d : phi(d)
-    <= n}, the largest gcd the library forms; the oracle takes A^m exactly."""
-    G = SemidirectLattice(G.parent, G.L, k * root_order_lcm(G.parent.n))
+    """m = k E(n), with E(n) = lcm{d : phi(d) <= n}, is a multiple of every d
+    in cyc(A), so every kernel enters the sums; the oracle takes A^m exactly."""
+    G = SemidirectLattice(G.parent, G.L, k * oracle.root_order_lcm(G.parent.n))
     assert center_rank(G)[0] == oracle.center_rank(G)
     assert discsym2_upper(G).as_pair() == (oracle.center_rank(G), oracle.inn_center_rank(G))
 
@@ -566,10 +594,10 @@ CYCLOTOMIC_4 = {5: (1, 1, 1, 1), 8: (1, 0, 0, 0), 10: (1, -1, 1, -1), 12: (1, 0,
 @pytest.mark.parametrize("d", sorted(CYCLOTOMIC_4))
 def test_centre_ranks_of_a_cyclotomic_holonomy_match_the_exact_power_oracle(d):
     coeffs = CYCLOTOMIC_4[d]
-    A = IntMatrix([[int(i == j + 1) for j in range(3)] + [-coeffs[i]] for i in range(4)])
+    A = IntMatrix(_companion(coeffs))
     assert A.power(d).is_identity() and not A.power(d // 2).is_identity()
     assert SemidirectGroup(A).holonomy_order() == oracle.holonomy_order(A) == d
-    for m in (1, d, root_order_lcm(4), 7 * root_order_lcm(4)):
+    for m in (1, d, oracle.root_order_lcm(4), 7 * oracle.root_order_lcm(4)):
         G = SemidirectLattice(SemidirectGroup(A), Lattice.standard(4), m)
         assert center_rank(G)[0] == oracle.center_rank(G)
         assert discsym2_upper(G).as_pair() == (oracle.center_rank(G), oracle.inn_center_rank(G))

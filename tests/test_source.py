@@ -97,18 +97,32 @@ def test_semidirect_checks_use_no_element_arithmetic():
     assert found == []
 
 
+def _exact_power_mod(call):
+    """A power_mod call whose modulus is the literal 0, which keeps entries exact."""
+    d = call.args[2] if len(call.args) > 2 else next(
+        (k.value for k in call.keywords if k.arg == "d"), None
+    )
+    return isinstance(d, ast.Constant) and d.value == 0
+
+
 def test_exact_holonomy_powers_only_in_element_arithmetic():
     # An exact power A^t costs t times the bits of A for a hyperbolic A, so
     # only the element arithmetic and the finite quotient of intermediates
-    # (its product emul, with t below S.m) form one.  Centre ranks and
-    # finite orders read the bounded power of linalg.finite_order.  The
-    # receiver of a call is not known here, so every .power call counts as
-    # SemidirectGroup.power.
+    # (its product emul, with t below S.m) form one, through IntMatrix.power,
+    # the one exact power_mod.  Centre ranks and finite orders read the
+    # kernels of Phi_d(A) from linalg.cyclotomic_kernels, polynomials in A of
+    # degree at most n.  The receiver of a call is not known here, so every
+    # .power call counts as SemidirectGroup.power.
     found = sorted(
         "%s:%d in %s" % (name, call.lineno, function)
         for name, tree in _trees()
         for function, call in _calls(tree)
-        if _callee(call) == "power" and function not in ("power", "mul", "inv", "conj", "emul")
+        if (_callee(call) == "power" and function not in ("power", "mul", "inv", "conj", "emul"))
+        or (
+            _callee(call) == "power_mod"
+            and _exact_power_mod(call)
+            and (name, function) != ("linalg.py", "power")
+        )
     )
     assert found == []
 
