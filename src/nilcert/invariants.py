@@ -73,14 +73,13 @@ def discsym2_upper(G) -> DiscSym2Bound:
 
     For a 2-step lattice the inner automorphism group is Z^b modulo the
     kernel directions of the pairing, which is abelian; for a semidirect
-    lattice both centers are computed directly from the holonomy.
+    lattice both come from one cyclotomic split of the holonomy.
     """
     if isinstance(G, TwoStepLattice):
         rank, kernel = nilpotent2.center(G)
         return DiscSym2Bound(rank, G.b - kernel.rank)
     if isinstance(G, SemidirectLattice):
-        f_bound, _ = semidirect.center_rank(G)
-        return DiscSym2Bound(f_bound, semidirect.inn_center_rank(G))
+        return DiscSym2Bound(*semidirect.center_ranks(G))
     raise UnsupportedGroupShape(
         "disc-sym_2 bound supports two-step and semidirect lattices only"
     )

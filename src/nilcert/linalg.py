@@ -7,14 +7,16 @@ in canonical row Hermite normal form, which makes lattice equality a plain
 so every downstream claim can be re-verified by multiplying back.
 
 Entries are validated once, where they enter: the public ``IntMatrix(...)``
-constructor, ``Lattice.from_rows``, ``cokernel`` and every ``from_json``.
-Matrices this module computes from already-validated ones are built by
-``IntMatrix._trusted`` without re-checking each entry.  Transforms are
-accumulated only for callers that read them: ``hnf`` always returns ``U``,
-while lattice construction runs the same elimination without one; ``snf``
-carries ``V^-1`` alongside ``V`` so quotient generators need no second
-normal form, and ``cokernel`` and ``quotient_structure`` run the same
-Smith elimination with no transform at all.
+constructor, ``Lattice.from_rows``, ``cokernel`` and every ``from_json``,
+where ``parse_int`` checks each entry and only the shape is checked after.
+Matrices computed from already-validated ones are built by
+``IntMatrix._trusted``, and rows the package computes itself reach the
+normal forms through ``_span`` and ``_cokernel``, unchecked.  Transforms
+are accumulated only for callers that read them: ``hnf`` always returns
+``U``, while lattice construction runs the same elimination without one;
+``snf`` carries ``V^-1`` alongside ``V`` so quotient generators need no
+second normal form, and ``cokernel`` and ``quotient_structure`` run the
+same Smith elimination with no transform at all.
 """
 
 from __future__ import annotations
@@ -36,11 +38,23 @@ def _as_int(x) -> int:
     return x
 
 
-def _parse_rows(obj) -> list[list[int]]:
-    """JSON rows (lists of ints or decimal strings) as lists of ints."""
+def _width(rows: Sequence[Row], cols: Optional[int]) -> int:
+    """The one length of ``rows``, which must be ``cols`` if that is given."""
+    ncols = len(rows[0]) if rows else 0 if cols is None else cols
+    if any(len(r) != ncols for r in rows):
+        raise DimensionMismatch("ragged rows")
+    if cols is not None and cols != ncols:
+        raise DimensionMismatch("cols=%d but rows have length %d" % (cols, ncols))
+    return ncols
+
+
+def _parse_rows(obj, cols: Optional[int] = None) -> "IntMatrix":
+    """JSON rows (lists of ints or decimal strings) as a matrix, of width
+    ``cols`` if given; ``parse_int`` has checked each entry."""
     if not isinstance(obj, list) or not all(isinstance(row, list) for row in obj):
         raise InvalidParameters("a matrix must be a JSON list of rows")
-    return [[parse_int(x) for x in row] for row in obj]
+    rows = [tuple(map(parse_int, row)) for row in obj]
+    return IntMatrix._trusted(rows, _width(rows, cols))
 
 
 def _validated(data: Iterable[Iterable[int]], cols: Optional[int]) -> tuple[tuple[Row, ...], int]:
@@ -50,15 +64,7 @@ def _validated(data: Iterable[Iterable[int]], cols: Optional[int]) -> tuple[tupl
         for x in row:
             if type(x) is not int:
                 _as_int(x)
-    if rows:
-        ncols = len(rows[0])
-        if any(len(r) != ncols for r in rows):
-            raise DimensionMismatch("ragged rows")
-    else:
-        ncols = 0 if cols is None else cols
-    if cols is not None and rows and cols != ncols:
-        raise DimensionMismatch("cols=%d but rows have length %d" % (cols, ncols))
-    return rows, ncols
+    return rows, _width(rows, cols)
 
 
 class IntMatrix:
@@ -96,7 +102,7 @@ class IntMatrix:
 
     @staticmethod
     def from_json(obj) -> "IntMatrix":
-        return IntMatrix(_parse_rows(obj))
+        return _parse_rows(obj)
 
     # -- basic queries -----------------------------------------------------
 
@@ -120,11 +126,7 @@ class IntMatrix:
         return "IntMatrix(%r)" % (list(map(list, self.data)),)
 
     def is_identity(self) -> bool:
-        return self.rows == self.cols and all(
-            self.data[i][j] == (1 if i == j else 0)
-            for i in range(self.rows)
-            for j in range(self.cols)
-        )
+        return self.rows == self.cols and self.data == _identity_rows(self.rows)
 
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.data for x in row)
@@ -825,7 +827,7 @@ class Lattice:
 
     @staticmethod
     def from_json(ambient_dim: int, obj) -> "Lattice":
-        return Lattice.from_rows(ambient_dim, _parse_rows(obj))
+        return _span(ambient_dim, _parse_rows(obj, ambient_dim).data)
 
 
 def _span(n: int, rows: Iterable[Sequence[int]]) -> Lattice:
@@ -893,8 +895,12 @@ def cokernel(n: int, rows: Iterable[Sequence[int]]) -> AbelianStructure:
     One Smith elimination of the rows, with no transform and no Hermite
     form first.  The rows are checked like those of ``Lattice.from_rows``.
     """
-    s = [list(row) for row in _validated(rows, n)[0]]
-    return _structure(n, _smith(s, n))
+    return _cokernel(n, _validated(rows, n)[0])
+
+
+def _cokernel(n: int, rows: Iterable[Sequence[int]]) -> AbelianStructure:
+    """:func:`cokernel` of rows of ints of width ``n`` that need no checking."""
+    return _structure(n, _smith([list(row) for row in rows], n))
 
 
 def _coordinate_rows(sup: Lattice, sub: Lattice) -> list[Row]:
@@ -912,8 +918,7 @@ def _coordinate_rows(sup: Lattice, sub: Lattice) -> list[Row]:
 
 def quotient_structure(sup: Lattice, sub: Lattice) -> AbelianStructure:
     """Invariant factors of ``sup / sub`` (requires ``sub`` inside ``sup``)."""
-    s = [list(c) for c in _coordinate_rows(sup, sub)]
-    return _structure(sup.rank, _smith(s, sup.rank))
+    return _cokernel(sup.rank, _coordinate_rows(sup, sub))
 
 
 def quotient_with_generators(

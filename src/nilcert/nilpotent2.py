@@ -43,7 +43,8 @@ from .linalg import (
     AbelianStructure,
     IntMatrix,
     Lattice,
-    cokernel,
+    _cokernel,
+    _span,
     finite_order,
     full_index,
     hstack,
@@ -192,10 +193,7 @@ def center(G: TwoStepLattice) -> tuple[int, Lattice]:
 
     The center is {(u, w) : C_l u = 0 for all l}; the w part is all of Z^f.
     """
-    if G.f == 0 or G.b == 0:
-        return G.f + G.b, Lattice.standard(G.b)
-    kernel = left_kernel(hstack(list(G.forms)))
-    klattice = Lattice.from_rows(G.b, kernel.data)
+    klattice = _span(G.b, left_kernel(commutator_image_matrix(G)).data)
     return G.f + klattice.rank, klattice
 
 
@@ -212,20 +210,15 @@ def isolator(G: TwoStepLattice) -> tuple[Lattice, int]:
         for i in range(G.b)
         for j in range(i + 1, G.b)
     ]
-    sqrt = saturate(Lattice.from_rows(G.f, rows))
+    sqrt = saturate(_span(G.f, rows))
     rank, _ = center(G)
     return sqrt, rank - sqrt.rank
 
 
 def commutator_image_matrix(G: TwoStepLattice) -> IntMatrix:
-    """Rows are the images of the basis of Z^b in Hom(Z^b, Z^f) = Z^(b f)."""
-    rows = []
-    for i in range(G.b):
-        row = []
-        for C in G.forms:
-            row.extend(C.data[i])
-        rows.append(row)
-    return IntMatrix(rows, cols=G.b * G.f)
+    """Rows are the images of the basis of Z^b in Hom(Z^b, Z^f) = Z^(b f):
+    row i is row i of C_1, ..., C_f side by side."""
+    return hstack(G.forms) if G.forms else IntMatrix.zeros(G.b, 0)
 
 
 def hbar1(G: TwoStepLattice) -> AbelianStructure:
@@ -234,7 +227,7 @@ def hbar1(G: TwoStepLattice) -> AbelianStructure:
     Computed as Hom(Z^b, Z^f) = Z^(b f) modulo the image of the commutator
     map u |-> C(u, -).
     """
-    return cokernel(G.b * G.f, commutator_image_matrix(G).data)
+    return _cokernel(G.b * G.f, commutator_image_matrix(G).data)
 
 
 # ---------------------------------------------------------------------------
@@ -254,10 +247,9 @@ class NilSublattice:
         if U.ambient_dim != parent.b or W.ambient_dim != parent.f:
             raise DimensionMismatch("box data must live in Z^b x Z^f")
         gram = tuple(tuple(parent.beta(ru, rv) for rv in U.basis.data) for ru in U.basis.data)
-        for row in gram:
-            for value in row:
-                if not W.contains(value):
-                    raise ClosureViolation("beta(U, U) is not contained in W")
+        # Every beta value lies in W = Z^f, so only a smaller W is scanned.
+        if full_index(W) != 1 and not all(W.contains(v) for row in gram for v in row):
+            raise ClosureViolation("beta(U, U) is not contained in W")
         self.parent = parent
         self.U = U
         self.W = W
@@ -288,6 +280,16 @@ class NilSublattice:
                 if e:
                     w = [a + e * b for a, b in zip(w, g[i][j])]
         return tuple(w)
+
+    def widened(self, kernel: Lattice) -> "NilSublattice":
+        """(U + kernel) x Z^f.  When kernel lies in U already, U keeps its
+        basis and the box its Gram table."""
+        full_w = Lattice.standard(self.parent.f)
+        if not kernel.is_sublattice_of(self.U):
+            return NilSublattice(self.parent, self.U.sum(kernel), full_w)
+        box = object.__new__(NilSublattice)
+        box.parent, box.U, box.W, box.gram = self.parent, self.U, full_w, self.gram
+        return box
 
     def index_in_full(self):
         iu = full_index(self.U)
@@ -358,15 +360,17 @@ def box_quotient(P: NilSublattice, Q: NilSublattice) -> AbelianStructure:
     relations = [x + P.W.coords_of(tuple(-a for a in P.collected_w(x))) for x in xs]
     zeros = (0,) * r
     relations.extend(zeros + y for y in ys)
-    return cokernel(r + P.W.rank, relations)
+    return _cokernel(r + P.W.rank, relations)
 
 
 def central_layer(upper: NilSublattice, lower: NilSublattice, kernel: Lattice) -> bool:
     """Is upper generated over lower by central elements of the ambient group?
 
-    ``kernel`` is the u part of the ambient center, as :func:`center` returns.
+    ``kernel`` is the u part of the ambient center, as :func:`center` returns;
+    the sum lower.U + kernel is formed only when kernel is not inside lower.U.
     """
-    return upper.U.is_sublattice_of(lower.U.sum(kernel))
+    span = lower.U if kernel.is_sublattice_of(lower.U) else lower.U.sum(kernel)
+    return upper.U.is_sublattice_of(span)
 
 
 def box_chain(boxes, kernel: Lattice) -> list[ChainLevel]:
@@ -410,7 +414,7 @@ def subnormal_series(
         raise QuotientTooLarge("index %d exceeds guard %d" % (index, max_index))
 
     crank, kernel = center(L)
-    lam1 = NilSublattice(L, sub.U.sum(kernel), Lattice.standard(L.f))
+    lam1 = sub.widened(kernel)
     first, second = box_chain([sub, lam1, NilSublattice.full(L)], kernel)
     if first.quotient.rank() > crank or second.quotient.rank() > L.b - kernel.rank:
         raise NotAbelianQuotient("layer rank exceeds the upper central series bound")
@@ -449,30 +453,21 @@ class RationalScale(Record):
             raise DimensionMismatch("denominator counts must match (b, f)")
         forms = []
         for l, C in enumerate(G.forms):
-            rows = []
-            for i in range(G.b):
-                row = []
-                for j in range(G.b):
-                    num = C.data[i][j] * self.dw[l]
-                    den = self.du[i] * self.du[j]
-                    if num % den != 0:
-                        raise InvalidParameters(
-                            "overlattice form entry %d/%d is not integral" % (num, den)
-                        )
-                    row.append(num // den)
-                rows.append(row)
-            forms.append(IntMatrix(rows, cols=G.b))
+            fracs = [
+                [(x * self.dw[l], self.du[i] * self.du[j]) for j, x in enumerate(row)]
+                for i, row in enumerate(C.data)
+            ]
+            for num, den in itertools.chain.from_iterable(fracs):
+                if num % den != 0:
+                    raise InvalidParameters("overlattice form entry %d/%d is not integral" % (num, den))
+            forms.append(IntMatrix([[num // den for num, den in row] for row in fracs], cols=G.b))
         return TwoStepLattice(G.f, G.b, forms)
 
     def embedded_sublattice(self, ambient: TwoStepLattice) -> NilSublattice:
         """The original lattice written in the overlattice's coordinates."""
-        U = Lattice.from_rows(
-            ambient.b,
-            [[self.du[i] if i == j else 0 for j in range(ambient.b)] for i in range(ambient.b)],
-        )
-        W = Lattice.from_rows(
-            ambient.f,
-            [[self.dw[l] if l == m else 0 for m in range(ambient.f)] for l in range(ambient.f)],
+        U, W = (
+            Lattice.from_rows(n, [[d[i] if i == j else 0 for j in range(n)] for i in range(n)])
+            for n, d in ((ambient.b, self.du), (ambient.f, self.dw))
         )
         return NilSublattice(ambient, U, W)
 
@@ -497,9 +492,8 @@ def heisenberg_witness(k: int, p: int, a: int) -> SeriesCertificate:
     ambient = scale_full.apply(base)
 
     gamma = scale_full.embedded_sublattice(ambient)
-    lam = NilSublattice(ambient, gamma.U, Lattice.standard(1))
     _, kernel = center(ambient)
-    chain = box_chain([gamma, lam, NilSublattice.full(ambient)], kernel)
+    chain = box_chain([gamma, gamma.widened(kernel), NilSublattice.full(ambient)], kernel)
     expected = [AbelianStructure(0, (p**a,)), AbelianStructure(0, (p, p))]
     if [level.quotient for level in chain] != expected:
         raise InvalidParameters("witness quotients did not verify")

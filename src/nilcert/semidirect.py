@@ -38,7 +38,7 @@ from .linalg import (
     AbelianStructure,
     IntMatrix,
     Lattice,
-    cokernel,
+    _cokernel,
     cyclotomic_kernels,
     finite_order,
     full_index,
@@ -275,7 +275,7 @@ def quotient(G: SemidirectLattice, S: SemidirectLattice) -> AbelianStructure:
     n = G.parent.n
     rows = [list(G.L.coords_of(row)) + [0] for row in S.L.basis.data]
     rows.append([0] * n + [S.m // G.m])
-    return cokernel(n + 1, rows)
+    return _cokernel(n + 1, rows)
 
 
 def intermediates(
@@ -367,13 +367,15 @@ def intermediates(
     return results
 
 
-def _split(G: SemidirectLattice) -> tuple[dict[int, IntMatrix], int, int]:
-    """cyc(A) with the sums of k_d = dim ker Phi_d(A) over the d that divide
-    m and over the rest (README, "One cyclotomic split")."""
+def _split(G: SemidirectLattice) -> tuple[dict[int, IntMatrix], int, int, int]:
+    """cyc(A), the center rank of :func:`center_rank` and the sums of
+    k_d = dim ker Phi_d(A) over the d that divide m and over the rest
+    (README, "One cyclotomic split")."""
     cyc = cyclotomic_kernels(G.parent.A)
     k = {d: nullity(X) for d, X in cyc.items()}
     fixed = sum(k[d] for d in k if G.m % d == 0)
-    return cyc, fixed, sum(k.values()) - fixed
+    rest = sum(k.values()) - fixed
+    return cyc, fixed + (fixed + rest == G.parent.n), fixed, rest
 
 
 def center_rank(G: SemidirectLattice) -> tuple[int, AbelianStructure]:
@@ -383,22 +385,21 @@ def center_rank(G: SemidirectLattice) -> tuple[int, AbelianStructure]:
     is nonzero only for finite holonomy order) and A^m v = v; L has full
     rank, so those v have the rank of the sum of the ker Phi_d(A), d | m.
     """
-    _, fixed, rest = _split(G)
-    rank = fixed + (fixed + rest == G.parent.n)
+    rank = _split(G)[1]
     return rank, AbelianStructure(rank, ())
 
 
-def inn_center_rank(G: SemidirectLattice) -> int:
-    """Rank of the center of G modulo its own center.
+def center_ranks(G: SemidirectLattice) -> tuple[int, int]:
+    """Ranks of the centers of G and of G/Z(G), from one cyclotomic split.
 
     v is central modulo the center iff (A^m - Id)^2 v = 0: the sum of the
     ker Phi_d(A)^2, d | m.  For A of infinite order the translations add one
     iff A^m has finite order on Z^n / ker(A^m - Id), that is iff those
     kernels and the ker Phi_d(A) of the other d fill Q^n."""
-    cyc, fixed, rest = _split(G)
+    cyc, rank, fixed, rest = _split(G)
     fixed2 = sum(nullity(X * X) for d, X in cyc.items() if G.m % d == 0)
     extra = fixed + rest < G.parent.n and rest + fixed2 == G.parent.n
-    return fixed2 - fixed + extra
+    return rank, fixed2 - fixed + extra
 
 
 # ---------------------------------------------------------------------------

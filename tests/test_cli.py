@@ -16,7 +16,7 @@ from nilcert.arith import decimals
 from nilcert.certificates import SeriesCertificate
 from nilcert.cli import preset_description, presets, run
 from nilcert.errors import TooLarge
-from nilcert.linalg import Lattice
+from nilcert.linalg import IntMatrix, Lattice
 from nilcert.nilpotent2 import NilSublattice, TwoStepLattice, heisenberg_witness, subnormal_series
 from nilcert.semidirect import SemidirectLattice, sol3_gamma, sol3_tower
 
@@ -470,6 +470,87 @@ class TestDigitLimit:
         with pytest.raises(TooLarge):
             cert.to_json_dict()
         assert decimals([4**1000]) == [str(4**1000)]
+
+
+BIG = "1" * 5000  # past the interpreter's 4,300-digit limit for int(str)
+BAD_ENTRIES = [True, 1.0, "1.0", "--1", "", BIG]
+
+
+def _entry_error(x):
+    """The report parse_int gives for a bad JSON matrix entry."""
+    if x == BIG:
+        try:
+            int(x)
+        except ValueError as exc:
+            return "InvalidParameters", "integer %.20s... is too long: %s" % (x, exc)
+    return "InvalidParameters", "expected an integer or a decimal string, got %r" % (x,)
+
+
+def _boundary_cases(width):
+    """(rows, error) for a matrix meant to be ``width`` wide, ``error`` None
+    where only a width was expected of it.  A bad entry is reported before
+    the shape, even in a ragged matrix."""
+    wide = ("DimensionMismatch", "cols=%d but rows have length %d" % (width, width + 1))
+    cases = [
+        ([["1"] * width, ["1"] * (width + 1)], ("DimensionMismatch", "ragged rows")),
+        ([["1"] * (width + 1)] * 2, wide),
+    ]
+    for x in BAD_ENTRIES:
+        cases.append(([["1"] * (width - 1) + [x], ["1"] * width], _entry_error(x)))
+        cases.append(([["1"] * (width + 1), [x] + ["1"] * (width - 1)], _entry_error(x)))
+    return cases
+
+
+def _raised(fn, *args):
+    try:
+        fn(*args)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    return None
+
+
+class TestJsonBoundary:
+    """Each JSON matrix entry is checked once, by parse_int, and the shape
+    after it; every reader reports the same error, in the same order."""
+
+    def test_library_readers(self):
+        H = TwoStepLattice.heisenberg(1)
+        for rows, error in _boundary_cases(2):
+            assert _raised(Lattice.from_json, 2, rows) == error
+            assert _raised(NilSublattice.from_json, H, {"U": rows, "W": [["2"]]}) == error
+            # A matrix has no width to keep, so a wide one is no error.
+            want = None if error and error[1].startswith("cols=") else error
+            assert _raised(IntMatrix.from_json, rows) == want
+        for rows, error in _boundary_cases(1):
+            assert _raised(NilSublattice.from_json, H, {"U": [["2", "0"], ["0", "2"]], "W": rows}) == error
+
+    def test_cli_verbs(self, capsys):
+        heis = json.dumps(HEIS_DESC)
+        calls = []
+        for rows, error in _boundary_cases(2):
+            if not (error and error[1].startswith("cols=")):
+                calls += [(["hnf", "--input", json.dumps(rows)], error)]
+                calls += [(["snf", "--input", json.dumps(rows)], error)]
+            gamma = json.dumps({"U": rows, "W": [["4"]]})
+            calls.append((["series", "--input", heis, "--gamma", gamma], error))
+        for rows, error in _boundary_cases(1):
+            gamma = json.dumps({"U": [["2", "0"], ["0", "2"]], "W": rows})
+            calls.append((["series", "--input", heis, "--gamma", gamma], error))
+        for argv, (kind, message) in calls:
+            code, out, err = invoke(capsys, *argv)
+            assert (code, err) == (1, "")
+            assert json.loads(out)["error"] == {"type": kind, "message": message}
+
+    def test_cli_integer_literal_past_the_limit(self, capsys):
+        text = '[[1, %s], [1, 1]]' % BIG
+        try:
+            json.loads(text)
+        except ValueError as exc:
+            message = "%s: line 1 column 1 (char 0)" % exc
+        for verb in ("hnf", "snf"):
+            code, out, err = invoke(capsys, verb, "--input", text)
+            assert (code, err) == (1, "")
+            assert json.loads(out)["error"] == {"type": "InputError", "message": message}
 
 
 def _jordan(n):

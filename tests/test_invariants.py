@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from nilcert import semidirect
 from nilcert.certificates import SeriesCertificate
 from nilcert.errors import (
     InvalidParameters,
@@ -137,6 +138,25 @@ class TestDiscSym2Upper:
     def test_unsupported_shape(self):
         with pytest.raises(UnsupportedGroupShape):
             discsym2_upper(42)
+
+    @pytest.mark.parametrize(
+        "matrix, m, pair",
+        [
+            ([[5, 2], [2, 1]], 1, (0, 0)),
+            ([[-1, 0], [0, 1]], 1, (2, 0)),
+            ([[0, -1], [1, 0]], 1, (1, 0)),
+            ([[1, 1], [0, 1]], 3, (1, 2)),
+        ],
+    )
+    def test_one_cyclotomic_split_serves_both_ranks(self, monkeypatch, matrix, m, pair):
+        # Both ranks of a semidirect bound read the kernels of Phi_d(A);
+        # they are found once, not once per rank.
+        calls = []
+        real = semidirect.cyclotomic_kernels
+        monkeypatch.setattr(semidirect, "cyclotomic_kernels", lambda A: calls.append(A) or real(A))
+        G = SemidirectLattice(SemidirectGroup(IntMatrix(matrix)), Lattice.standard(2), m)
+        assert discsym2_upper(G).as_pair() == pair
+        assert len(calls) == 1
 
 
 class TestVerifyCertificate:

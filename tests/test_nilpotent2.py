@@ -5,11 +5,15 @@ import time
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
+import nilpotent2_oracle as oracle
 from nilpotent2_oracle import box_normal_in, nil_inv, nil_power
+from nilcert import linalg
+from nilcert.certificates import canonical_json
 from nilcert.errors import (
     ClosureViolation,
     InfiniteOrder,
     InvalidParameters,
+    NilcertError,
     NotAbelianQuotient,
     NotAnAutomorphism,
     NotASubgroup,
@@ -28,6 +32,7 @@ from nilcert.nilpotent2 import (
     NilSublattice,
     RationalScale,
     TwoStepLattice,
+    box_chain,
     box_quotient,
     center,
     commutator_image_matrix,
@@ -718,3 +723,131 @@ class TestGramTable:
         # Q = 0 x 2Z is central, hence normal, but C(x, y) = 1 is not in 2Z
         with pytest.raises(NotAbelianQuotient):
             box_quotient(full, NilSublattice(H, Lattice.zero(2), Lattice.scaled(1, 2)))
+
+
+# ---------------------------------------------------------------------------
+# The box layer against the oracle that re-spans and re-validates
+# ---------------------------------------------------------------------------
+
+
+def outcome(build):
+    """The canonical JSON of what ``build`` returns, or its error type and message."""
+    try:
+        out = build()
+    except NilcertError as exc:
+        return type(exc), str(exc)
+    if isinstance(out, list):
+        return [canonical_json(level.to_json_dict()) for level in out]
+    return canonical_json(out.to_json_dict())
+
+
+@st.composite
+def series_groups(draw):
+    """Heisenberg(k), or random alternating (2, 4) and (3, 6) forms.  Sparse
+    entries, or a last basis vector left out of every form, make the centre
+    larger than Z^f, so that K is not always zero."""
+    kind = draw(st.sampled_from(["heisenberg", (2, 4), (3, 6)]))
+    if kind == "heisenberg":
+        return TwoStepLattice.heisenberg(draw(st.integers(1, 5)))
+    f, b = kind
+    entries = draw(st.sampled_from([small, st.sampled_from([0, 0, 0, 1, -2])]))
+    used = b - draw(st.integers(0, 1))
+    forms = []
+    for _ in range(f):
+        c = [[0] * b for _ in range(b)]
+        for i in range(used):
+            for j in range(i + 1, used):
+                c[i][j] = draw(entries)
+                c[j][i] = -c[i][j]
+        forms.append(IntMatrix(c))
+    return TwoStepLattice(f, b, forms)
+
+
+@st.composite
+def series_inputs(draw):
+    """(G, H, U, W, max_index) for subnormal_series(G, U x W in H).
+
+    The box is closed (W spanned by beta(U, U) and d Z^f), or has a U of
+    lower rank, or a W drawn on its own (often not closed, or of infinite
+    index), or a U of the wrong dimension, or lives in another group H."""
+    G = draw(series_groups())
+    shape = draw(st.sampled_from(["closed"] * 4 + ["thin", "free", "wide", "foreign"]))
+    H = G
+    if shape == "foreign":
+        H = TwoStepLattice(G.f, G.b, [C.scale(2) for C in G.forms])
+    # Upper triangular with a positive diagonal: full rank unless thinned.
+    u_rows = [
+        [draw(st.integers(1, 3)) if j == i else draw(small) if j > i else 0 for j in range(G.b)]
+        for i in range(G.b)
+    ]
+    u_rows += draw(rows(G.b, 1))
+    if shape == "thin":
+        del u_rows[draw(st.integers(0, G.b - 1))]
+    U = Lattice.from_rows(G.b, u_rows)
+    if shape == "free":
+        W = Lattice.from_rows(G.f, draw(rows(G.f, G.f + 1)))
+    else:
+        d = draw(st.integers(1, 4))
+        betas = [H.beta(a, c) for a in U.basis.data for c in U.basis.data]
+        W = Lattice.from_rows(G.f, betas + [[d * (i == j) for j in range(G.f)] for i in range(G.f)])
+    if shape == "wide":
+        U = Lattice.from_rows(G.b + 1, [list(row) + [1] for row in u_rows])
+    max_index = draw(st.one_of(st.none(), st.integers(1, 10**4)))
+    return G, H, U, W, max_index
+
+
+class TestBoxLayerOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(series_inputs())
+    def test_series_matches_the_respanning_oracle(self, inputs):
+        G, H, U, W, max_index = inputs
+        got = outcome(lambda: subnormal_series(G, NilSublattice(H, U, W), max_index))
+        want = outcome(lambda: oracle.subnormal_series(G, oracle.checked_box(H, U, W), max_index))
+        event(want[0].__name__ if isinstance(want, tuple) else "certificate")
+        event("centre u-rank %d" % center(G)[1].rank)
+        assert got == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(box_pairs())
+    def test_box_chain_matches_the_respanning_oracle(self, pair):
+        P, Q = pair
+        G = P.parent
+        assert center(G) == oracle.center(G)
+        kernel = center(G)[1]
+        boxes = [Q, P, NilSublattice.full(G)]
+        want = outcome(lambda: oracle.box_chain(boxes, kernel))
+        event(want[0].__name__ if isinstance(want, tuple) else "chain")
+        assert outcome(lambda: box_chain(boxes, kernel)) == want
+
+    @pytest.mark.parametrize("k, p, a", [(1, 2, 2), (2, 3, 2), (3, 5, 3), (1, 7, 3)])
+    def test_witness_chain_matches_the_respanning_oracle(self, k, p, a):
+        # The scaled forms are k p^(a-2), Gamma is pZ^2 x p^a Z inside them.
+        ambient = TwoStepLattice.heisenberg(k * p ** (a - 2))
+        gamma = oracle.checked_box(ambient, Lattice.scaled(2, p), Lattice.scaled(1, p**a))
+        lam = oracle.checked_box(ambient, gamma.U, Lattice.standard(1))
+        full = oracle.checked_box(ambient, Lattice.standard(2), Lattice.standard(1))
+        cert = heisenberg_witness(k, p, a)
+        assert cert.group_ref["forms"] == ambient.to_json()["forms"]
+        want = outcome(lambda: oracle.box_chain([gamma, lam, full], oracle.center(ambient)[1]))
+        assert outcome(lambda: list(cert.chain)) == want
+
+    def test_series_reuses_its_spans(self, monkeypatch):
+        # Gamma = 2Z^2 x 4Z in Heisenberg(1): one Hermite form for the kernel
+        # of the forms and one for its lattice; Lambda_1 keeps Gamma's U and
+        # Gram table, neither level re-spans lower.U + K (K = 0), and no row
+        # the library computed is validated again.  Re-spanning or
+        # re-validating anywhere in the series raises these counts.
+        L = TwoStepLattice.heisenberg(1)
+        sub = NilSublattice(L, Lattice.scaled(2, 2), Lattice.scaled(1, 4))
+        calls = {"_echelon": 0, "_validated": 0}
+        for name in calls:
+            real = getattr(linalg, name)
+
+            def counted(*args, _real=real, _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(linalg, name, counted)
+        cert = subnormal_series(L, sub)
+        assert [lvl.quotient.torsion for lvl in cert.chain] == [(4,), (2, 2)]
+        assert calls == {"_echelon": 2, "_validated": 0}
