@@ -32,6 +32,7 @@ from .linalg import (
     AbelianStructure,
     IntMatrix,
     Lattice,
+    _span,
     hnf,
     hstack,
     maps_into,
@@ -114,7 +115,7 @@ class ModuleAction(Record):
                 row = [0] * (k * dim)
                 row[i * dim + free + c] = d
                 rows.append(row)
-        return Lattice.from_rows(k * dim, rows)
+        return _span(k * dim, rows)
 
     @cached_property
     def torsion_lattice(self) -> Lattice:
@@ -133,7 +134,7 @@ class ModuleAction(Record):
         form = hnf(vstack([psi.transpose(), self.torsion_lattice.basis]))
         if form.H.data[:dim] != IntMatrix.identity(dim).data:
             raise IllDefinedAction("generator action is not invertible on the module")
-        return IntMatrix([row[:dim] for row in form.U.data[:dim]], cols=dim).transpose()
+        return IntMatrix._trusted([row[:dim] for row in form.U.data[:dim]], dim).transpose()
 
     @cached_property
     def inverses(self) -> tuple[IntMatrix, ...]:
@@ -218,7 +219,7 @@ def _coboundary_lattice(act: ModuleAction) -> Lattice:
     I = IntMatrix.identity(act.dim)
     image = _side_by_side([(psi - I).transpose() for psi in act.matrices], act.dim)
     D = act.torsion_diagonal(act.ngens)
-    return Lattice.from_rows(D.ambient_dim, image.data + D.basis.data)
+    return _span(D.ambient_dim, image.data + D.basis.data)
 
 
 def _cocycle_space(act: ModuleAction, sup: Lattice) -> CocycleSpace:

@@ -281,16 +281,6 @@ class NilSublattice:
                     w = [a + e * b for a, b in zip(w, g[i][j])]
         return tuple(w)
 
-    def widened(self, kernel: Lattice) -> "NilSublattice":
-        """(U + kernel) x Z^f.  When kernel lies in U already, U keeps its
-        basis and the box its Gram table."""
-        full_w = Lattice.standard(self.parent.f)
-        if not kernel.is_sublattice_of(self.U):
-            return NilSublattice(self.parent, self.U.sum(kernel), full_w)
-        box = object.__new__(NilSublattice)
-        box.parent, box.U, box.W, box.gram = self.parent, self.U, full_w, self.gram
-        return box
-
     def index_in_full(self):
         iu = full_index(self.U)
         iw = full_index(self.W)
@@ -395,6 +385,28 @@ def box_chain(boxes, kernel: Lattice) -> list[ChainLevel]:
     return levels
 
 
+def series_levels(sub: NilSublattice, kernel: Lattice) -> list[ChainLevel]:
+    """:func:`box_chain` of Gamma = ``sub`` < Lambda_1 = (U + K) x Z^f < Lambda.
+
+    Both quotients are read off Hermite bases already built: Lambda/Lambda_1
+    = Z^b/(U + K) and, when K lies in U, Lambda_1/Gamma = Z^f/W.  Level 1 is
+    central (Lambda_1.U = U + K); level 2 only when Z^b = U + K.
+    """
+    L = sub.parent
+    full_w = Lattice.standard(L.f)
+    if kernel.is_sublattice_of(sub.U):
+        span, first = sub.U, _cokernel(L.f, sub.W.basis.data)
+        middle = {"type": "nilsub", "U": span.to_json(), "W": full_w.to_json()}
+    else:
+        lam1 = NilSublattice(L, sub.U.sum(kernel), full_w)
+        span, first, middle = lam1.U, box_quotient(lam1, sub), lam1.to_json()
+    second = _cokernel(L.b, span.basis.data)
+    return [
+        ChainLevel(sub.to_json(), first, first.order(), True, True),
+        ChainLevel(middle, second, second.order(), True, second.is_trivial),
+    ]
+
+
 def subnormal_series(
     L: TwoStepLattice, sub: NilSublattice, max_index: int | None = None
 ) -> SeriesCertificate:
@@ -414,8 +426,7 @@ def subnormal_series(
         raise QuotientTooLarge("index %d exceeds guard %d" % (index, max_index))
 
     crank, kernel = center(L)
-    lam1 = sub.widened(kernel)
-    first, second = box_chain([sub, lam1, NilSublattice.full(L)], kernel)
+    first, second = series_levels(sub, kernel)
     if first.quotient.rank() > crank or second.quotient.rank() > L.b - kernel.rank:
         raise NotAbelianQuotient("layer rank exceeds the upper central series bound")
     return sealed(
@@ -493,7 +504,7 @@ def heisenberg_witness(k: int, p: int, a: int) -> SeriesCertificate:
 
     gamma = scale_full.embedded_sublattice(ambient)
     _, kernel = center(ambient)
-    chain = box_chain([gamma, gamma.widened(kernel), NilSublattice.full(ambient)], kernel)
+    chain = series_levels(gamma, kernel)
     expected = [AbelianStructure(0, (p**a,)), AbelianStructure(0, (p, p))]
     if [level.quotient for level in chain] != expected:
         raise InvalidParameters("witness quotients did not verify")

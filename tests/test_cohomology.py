@@ -5,6 +5,7 @@ import pytest
 from hypothesis import event, example, given, settings, strategies as st
 
 from cohomology_oracle import cocycle_defect, word_matrix
+from nilcert import linalg
 from nilcert.cohomology import (
     ModuleAction,
     _coboundary_lattice,
@@ -239,6 +240,23 @@ class TestH1:
             act2 = act_cyclic(2, big, doubled_module)
             doubled = h1(act2)
             assert doubled.torsion == tuple(sorted(single.torsion * 2))
+
+    def test_rows_computed_inside_are_not_validated(self, monkeypatch):
+        # Klein four on Z + Z/2 + Z/4 from matrices already parsed: the
+        # inverse actions, the torsion diagonals and the coboundary rows are
+        # computed from checked input, so neither building the action nor
+        # h1 passes a row through the validating constructors.
+        module = AbelianStructure(1, (2, 4))
+        mats = (
+            IntMatrix([[-1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+            IntMatrix([[1, 0, 0], [0, 1, 0], [0, 0, -1]]),
+        )
+        calls = []
+        real = linalg._validated
+        monkeypatch.setattr(linalg, "_validated", lambda *args: calls.append(1) or real(*args))
+        act = ModuleAction(2, ("aa", "bb", "abab"), module, mats)
+        assert h1(act) == AbelianStructure(0, (2, 2, 2, 2, 2))
+        assert calls == []
 
 
 class TestH1Brute:

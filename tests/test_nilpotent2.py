@@ -7,7 +7,7 @@ from hypothesis import event, given, settings, strategies as st
 
 import nilpotent2_oracle as oracle
 from nilpotent2_oracle import box_normal_in, nil_inv, nil_power
-from nilcert import linalg
+from nilcert import linalg, nilpotent2
 from nilcert.certificates import canonical_json
 from nilcert.errors import (
     ClosureViolation,
@@ -42,6 +42,7 @@ from nilcert.nilpotent2 import (
     nil_commutator,
     nil_mul,
     nilpotency_check,
+    series_levels,
     subnormal_series,
 )
 
@@ -763,6 +764,23 @@ def series_groups(draw):
     return TwoStepLattice(f, b, forms)
 
 
+def triangular_rows(draw, b):
+    """Upper triangular rows with a positive diagonal, plus up to one more row:
+    they span a U of full rank."""
+    u_rows = [
+        [draw(st.integers(1, 3)) if j == i else draw(small) if j > i else 0 for j in range(b)]
+        for i in range(b)
+    ]
+    return u_rows + draw(rows(b, 1))
+
+
+def closing_w(draw, H, U):
+    """W spanned by beta(U, U) in H and d Z^f: U x W is closed, of finite index."""
+    d = draw(st.integers(1, 4))
+    betas = [H.beta(a, c) for a in U.basis.data for c in U.basis.data]
+    return Lattice.from_rows(H.f, betas + [[d * (i == j) for j in range(H.f)] for i in range(H.f)])
+
+
 @st.composite
 def series_inputs(draw):
     """(G, H, U, W, max_index) for subnormal_series(G, U x W in H).
@@ -775,25 +793,45 @@ def series_inputs(draw):
     H = G
     if shape == "foreign":
         H = TwoStepLattice(G.f, G.b, [C.scale(2) for C in G.forms])
-    # Upper triangular with a positive diagonal: full rank unless thinned.
-    u_rows = [
-        [draw(st.integers(1, 3)) if j == i else draw(small) if j > i else 0 for j in range(G.b)]
-        for i in range(G.b)
-    ]
-    u_rows += draw(rows(G.b, 1))
+    u_rows = triangular_rows(draw, G.b)
     if shape == "thin":
         del u_rows[draw(st.integers(0, G.b - 1))]
     U = Lattice.from_rows(G.b, u_rows)
     if shape == "free":
         W = Lattice.from_rows(G.f, draw(rows(G.f, G.f + 1)))
     else:
-        d = draw(st.integers(1, 4))
-        betas = [H.beta(a, c) for a in U.basis.data for c in U.basis.data]
-        W = Lattice.from_rows(G.f, betas + [[d * (i == j) for j in range(G.f)] for i in range(G.f)])
+        W = closing_w(draw, H, U)
     if shape == "wide":
         U = Lattice.from_rows(G.b + 1, [list(row) + [1] for row in u_rows])
     max_index = draw(st.one_of(st.none(), st.integers(1, 10**4)))
     return G, H, U, W, max_index
+
+
+@st.composite
+def finite_index_boxes(draw):
+    """A closed box of finite index in a series_groups() lattice."""
+    G = draw(series_groups())
+    U = Lattice.from_rows(G.b, triangular_rows(draw, G.b))
+    return NilSublattice(G, U, closing_w(draw, G, U))
+
+
+def kernel_event(kernel, U):
+    """Label which branch of series_levels forms Lambda_1."""
+    event("K inside U" if kernel.is_sublattice_of(U) else "K not inside U")
+
+
+def count_calls(monkeypatch, targets):
+    """Count the calls of each (owner, name) in ``targets``, keyed by name."""
+    calls = {name: 0 for _, name in targets}
+    for owner, name in targets:
+        real = getattr(owner, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+    return calls
 
 
 class TestBoxLayerOracle:
@@ -804,8 +842,27 @@ class TestBoxLayerOracle:
         got = outcome(lambda: subnormal_series(G, NilSublattice(H, U, W), max_index))
         want = outcome(lambda: oracle.subnormal_series(G, oracle.checked_box(H, U, W), max_index))
         event(want[0].__name__ if isinstance(want, tuple) else "certificate")
-        event("centre u-rank %d" % center(G)[1].rank)
+        kernel = center(G)[1]
+        event("centre u-rank %d" % kernel.rank)
+        if U.ambient_dim == G.b:
+            kernel_event(kernel, U)
         assert got == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(finite_index_boxes())
+    def test_series_levels_match_the_box_chain_oracle(self, sub):
+        # Both levels, trivial ones included, against box_quotient and the
+        # re-spanned centrality test on Gamma < (U + K) x Z^f < Z^b x Z^f.
+        G = sub.parent
+        kernel = center(G)[1]
+        kernel_event(kernel, sub.U)
+        lam1 = oracle.checked_box(G, sub.U.sum(kernel), Lattice.standard(G.f))
+        full = oracle.checked_box(G, Lattice.standard(G.b), Lattice.standard(G.f))
+        want = oracle.box_chain([sub, lam1, full], kernel)
+        for n, level in enumerate(want, 1):
+            if level.quotient.is_trivial:
+                event("trivial level %d" % n)
+        assert series_levels(sub, kernel) == want
 
     @settings(max_examples=300, deadline=None)
     @given(box_pairs())
@@ -833,21 +890,38 @@ class TestBoxLayerOracle:
 
     def test_series_reuses_its_spans(self, monkeypatch):
         # Gamma = 2Z^2 x 4Z in Heisenberg(1): one Hermite form for the kernel
-        # of the forms and one for its lattice; Lambda_1 keeps Gamma's U and
-        # Gram table, neither level re-spans lower.U + K (K = 0), and no row
+        # of the forms and one for its lattice; Lambda_1 keeps Gamma's U
+        # basis, neither level re-spans lower.U + K (K = 0), and no row
         # the library computed is validated again.  Re-spanning or
         # re-validating anywhere in the series raises these counts.
         L = TwoStepLattice.heisenberg(1)
         sub = NilSublattice(L, Lattice.scaled(2, 2), Lattice.scaled(1, 4))
-        calls = {"_echelon": 0, "_validated": 0}
-        for name in calls:
-            real = getattr(linalg, name)
-
-            def counted(*args, _real=real, _name=name):
-                calls[_name] += 1
-                return _real(*args)
-
-            monkeypatch.setattr(linalg, name, counted)
+        calls = count_calls(monkeypatch, [(linalg, "_echelon"), (linalg, "_validated")])
         cert = subnormal_series(L, sub)
         assert [lvl.quotient.torsion for lvl in cert.chain] == [(4,), (2, 2)]
         assert calls == {"_echelon": 2, "_validated": 0}
+
+    def test_series_levels_in_closed_form(self, monkeypatch):
+        # The same series, Gamma built inside the count: its Gram table is
+        # the only beta work, and the two quotients Z^f/W and Z^b/U are one
+        # Smith elimination each, with no box quotient and no full box.
+        calls = count_calls(
+            monkeypatch,
+            [(nilpotent2, "box_quotient"), (TwoStepLattice, "beta"), (linalg, "_smith")],
+        )
+        L = TwoStepLattice.heisenberg(1)
+        cert = subnormal_series(L, NilSublattice(L, Lattice.scaled(2, 2), Lattice.scaled(1, 4)))
+        assert [lvl.quotient.torsion for lvl in cert.chain] == [(4,), (2, 2)]
+        assert calls == {"box_quotient": 0, "beta": 4, "_smith": 2}
+
+    def test_series_spans_u_plus_k_once(self, monkeypatch):
+        # [x1, x2] = z with x3 central, so K = Z e3 is not inside U = 2Z^3:
+        # U + K is spanned once, for Lambda_1, and only level 1 needs a box
+        # quotient.  The other Hermite forms are the two of the centre.
+        L = TwoStepLattice(1, 3, [IntMatrix([[0, 1, 0], [-1, 0, 0], [0, 0, 0]])])
+        sub = NilSublattice(L, Lattice.scaled(3, 2), Lattice.scaled(1, 4))
+        calls = count_calls(monkeypatch, [(linalg, "_echelon"), (nilpotent2, "box_quotient")])
+        cert = subnormal_series(L, sub)
+        assert [lvl.quotient.torsion for lvl in cert.chain] == [(2, 4), (2, 2)]
+        assert [lvl.central for lvl in cert.chain] == [True, False]
+        assert calls == {"_echelon": 3, "box_quotient": 1}

@@ -97,6 +97,20 @@ def test_semidirect_checks_use_no_element_arithmetic():
     assert found == []
 
 
+def test_series_builds_no_full_box():
+    # The two-layer series reads Lambda/Lambda_1 = Z^b/(U + K) and, when K
+    # lies in U, Lambda_1/Gamma = Z^f/W off Hermite bases it already has
+    # (nilpotent2.series_levels).  The full box Z^b x Z^f and the generic
+    # box_chain stay for callers outside the package, not for the series.
+    found = sorted(
+        "%s:%d %s in %s" % (name, call.lineno, _callee(call), function)
+        for name, tree in _trees()
+        for function, call in _calls(tree)
+        if _callee(call) in ("box_chain", "full") and function != _callee(call)
+    )
+    assert found == []
+
+
 def _exact_power_mod(call):
     """A power_mod call whose modulus is the literal 0, which keeps entries exact."""
     d = call.args[2] if len(call.args) > 2 else next(
