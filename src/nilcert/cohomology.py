@@ -59,11 +59,6 @@ def _word_symbols(word: str, ngens: int) -> list[int]:
     return symbols
 
 
-def _side_by_side(blocks: list[IntMatrix], rows: int) -> IntMatrix:
-    """``hstack`` of one block per generator; ``rows`` x 0 when there are none."""
-    return hstack(blocks) if blocks else IntMatrix.zeros(rows, 0)
-
-
 class ModuleAction(Record):
     """A finitely presented group acting on a finitely generated module.
 
@@ -165,7 +160,7 @@ class ModuleAction(Record):
             moved = prefix - IntMatrix.identity(dim)
             if not maps_into(moved, Lattice.standard(dim), self.torsion_lattice):
                 raise IllDefinedAction("relator %r does not act as the identity" % word)
-            blocks.append(_side_by_side(coef, dim))
+            blocks.append(hstack(dim, coef))
         return tuple(blocks)
 
     def to_json(self) -> dict:
@@ -217,7 +212,7 @@ def _coboundary_lattice(act: ModuleAction) -> Lattice:
     """Principal cocycles m -> (psi_j m - m)_j plus the torsion of M^ngens:
     row m of the image is column m of each psi_j - Id."""
     I = IntMatrix.identity(act.dim)
-    image = _side_by_side([(psi - I).transpose() for psi in act.matrices], act.dim)
+    image = hstack(act.dim, [(psi - I).transpose() for psi in act.matrices])
     D = act.torsion_diagonal(act.ngens)
     return _span(D.ambient_dim, image.data + D.basis.data)
 

@@ -324,7 +324,7 @@ def cyclotomic_kernels(A: IntMatrix) -> dict[int, IntMatrix]:
 
 def nullity(M: IntMatrix) -> int:
     """dim ker M over Q."""
-    return M.cols - Lattice.from_rows(M.cols, M.data).rank
+    return M.cols - _span(M.cols, M.data).rank
 
 
 def finite_order(M: IntMatrix) -> Optional[int]:
@@ -340,8 +340,8 @@ def _eye(n: int) -> list[list[int]]:
     return [list(row) for row in _identity_rows(n)]
 
 
-def hstack(mats: Sequence[IntMatrix]) -> IntMatrix:
-    rows = mats[0].rows
+def hstack(rows: int, mats: Sequence[IntMatrix]) -> IntMatrix:
+    """``mats`` side by side, each with ``rows`` rows; ``rows`` x 0 when there are none."""
     if any(m.rows != rows for m in mats):
         raise DimensionMismatch("hstack row mismatch")
     return IntMatrix._trusted(

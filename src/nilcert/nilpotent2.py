@@ -218,7 +218,7 @@ def isolator(G: TwoStepLattice) -> tuple[Lattice, int]:
 def commutator_image_matrix(G: TwoStepLattice) -> IntMatrix:
     """Rows are the images of the basis of Z^b in Hom(Z^b, Z^f) = Z^(b f):
     row i is row i of C_1, ..., C_f side by side."""
-    return hstack(G.forms) if G.forms else IntMatrix.zeros(G.b, 0)
+    return hstack(G.b, G.forms)
 
 
 def hbar1(G: TwoStepLattice) -> AbelianStructure:

@@ -12,8 +12,8 @@ length-k tower certificate built from normalizer and quotient computations.
 
 from __future__ import annotations
 
+import itertools
 import math
-from functools import lru_cache
 
 from .arith import json_field, parse_int
 from .certificates import (
@@ -39,14 +39,18 @@ from .linalg import (
     IntMatrix,
     Lattice,
     _cokernel,
+    _combine,
+    _span,
     cyclotomic_kernels,
     finite_order,
     full_index,
+    hstack,
     lattice_index,
     maps_into,
     nullity,
     power_mod,
     preimage_lattice,
+    vstack,
 )
 
 Vec = tuple[int, ...]
@@ -278,15 +282,48 @@ def quotient(G: SemidirectLattice, S: SemidirectLattice) -> AbelianStructure:
     return _cokernel(n + 1, rows)
 
 
+def _divisors(k: int) -> list[int]:
+    """The divisors of ``k >= 1`` in increasing order."""
+    small = [d for d in range(1, math.isqrt(k) + 1) if k % d == 0]
+    return sorted(set(small + [k // d for d in small]))
+
+
+def _between(sup: Lattice, sub: Lattice) -> list[Lattice]:
+    """Every lattice between the full-rank ``sub`` and ``sup``, from its
+    canonical Hermite basis in the coordinates of ``sup``, bottom-up.
+
+    With r the Hermite basis of ``sub`` in those coordinates, row k has a
+    pivot h dividing r_kk and entries reduced modulo the later pivots; it
+    is kept when r_k - (r_kk / h) row lies in the span of the later rows.
+    """
+    n = sup.ambient_dim
+    r = _span(n, [sup.coords_of(row) for row in sub.basis.data]).basis.data
+    found = [Lattice.zero(n)]
+    for k in reversed(range(n)):
+        grown = []
+        for later in found:
+            entries = [range(row[j]) for j, row in enumerate(later.basis.data, k + 1)]
+            for h in _divisors(r[k][k]):
+                q = r[k][k] // h
+                for tail in itertools.product(*entries):
+                    row = (0,) * k + (h,) + tail
+                    if later.contains([a - q * b for a, b in zip(r[k], row)]):
+                        grown.append(Lattice(n, IntMatrix._trusted((row,) + later.basis.data, n)))
+        found = grown
+    return [_span(n, [_combine(row, sup.basis.data) for row in L.basis.data]) for L in found]
+
+
 def intermediates(
     G: SemidirectLattice, S: SemidirectLattice, max_quotient: int = 10**4
 ) -> list[SemidirectLattice]:
     """All subgroups strictly between S and G (S normal, G/S finite).
 
-    One closure under right multiplication lists the finite quotient G/S and
-    each subgroup <P, x> grown from a subgroup P found before; the subgroups
-    are then pulled back, and a pullback that is not of the box shape
-    L x| mZ raises :class:`UnsupportedSubgroupShape`.
+    Each subgroup of G/S is <L'/S.L, (c, m')> for a lattice L' between S.L
+    and G.L, a multiple m' of G.m dividing S.m and c in G.L.  All of them
+    are boxes L' x| m'Z iff every such L' is A-invariant and the norm
+    N = sum_(i < S.m/G.m) A^(G.m i) is injective on G.L/S.L (README,
+    "``intermediates`` from the fibre lattices"); otherwise this raises
+    :class:`UnsupportedSubgroupShape`.
     """
     _check_normal(G, S)
     index = group_index(G, S)
@@ -295,74 +332,26 @@ def intermediates(
     if index > max_quotient:
         raise QuotientTooLarge("quotient order %d exceeds guard %d" % (index, max_quotient))
 
-    parent = G.parent
-    zero = (0,) * parent.n
-
-    @lru_cache(maxsize=None)
-    def emul(x, y):
-        """x y in G/S, a coset written (S.L.reduce(v), t mod S.m)."""
-        (v, t), (w, s) = x, y
-        moved = parent.power(t).apply(w)
-        return S.L.reduce(tuple(a + b for a, b in zip(v, moved))), (t + s) % S.m
-
-    def close(start, gens) -> frozenset:
-        """Right multiples of ``start`` by words in ``gens``: in the finite
-        group G/S, the subgroup ``gens`` generate once ``start`` lies in it."""
-        out = set(start)
-        frontier = list(start)
-        while frontier:
-            x = frontier.pop()
-            for g in gens:
-                y = emul(x, g)
-                if y not in out:
-                    out.add(y)
-                    frontier.append(y)
-        return frozenset(out)
-
-    e = (zero, 0)
-    elements = close({e}, [(row, 0) for row in G.L.basis.data] + [(zero, G.m)])
-    if len(elements) != index:
-        raise SelfCheckFailed(
-            "enumerated %d cosets for a quotient of order %d" % (len(elements), index)
-        )
-
-    # One generating tuple per subgroup.  <P, x> is <P, y> for every y in
-    # the coset xP, so one x per coset is enough.
-    found = {frozenset([e]): ()}
-    frontier = [frozenset([e])]
-    while frontier:
-        P = frontier.pop()
-        gens = found[P]
-        tried = set(P)
-        for x in elements:
-            if x in tried:
-                continue
-            tried |= close({x}, gens)
-            Q = close(P, gens + (x,))
-            if Q not in found:
-                found[Q] = gens + (x,)
-                frontier.append(Q)
-
-    results = []
-    for H in found:
-        if not 1 < len(H) < index:
-            continue
-        m_H = math.gcd(S.m, *(t for _, t in H))
-        L_H = S.L.sum(Lattice.from_rows(parent.n, [v for v, t in H if t == 0]))
-        try:
-            candidate = SemidirectLattice(parent, L_H, m_H)
-        except UnsupportedSubgroupShape:
-            raise UnsupportedSubgroupShape(
-                "intermediate subgroup is not of the shape L x| mZ"
-            )
-        # The pullback equals the box candidate only if the candidate has
-        # exactly |H| cosets of S and every H coset lies inside it; diagonal
-        # subgroups of a mixed fiber/translation quotient fail here.
-        if group_index(candidate, S) != len(H) or not all(candidate.L.contains(v) for v, _ in H):
-            raise UnsupportedSubgroupShape(
-                "intermediate subgroup is not of the shape L x| mZ"
-            )
-        results.append(candidate)
+    parent, n = G.parent, G.parent.n
+    lattices = _between(G.L, S.L)
+    if len(set(lattices)) != len(lattices) or not {S.L, G.L} <= set(lattices):
+        raise SelfCheckFailed("the lattices between S.L and G.L miss an end or repeat")
+    # N modulo d = [Z^n : S.L] is the top right block of
+    # [[A^(G.m), Id], [0, Id]]^(S.m/G.m), and d Z^n lies in S.L.
+    d, I = full_index(S.L), IntMatrix.identity(n)
+    B, O = power_mod(parent.A, G.m, d), IntMatrix.zeros(n, n)
+    N = power_mod(vstack([hstack(n, [B, I]), hstack(n, [O, I])]), S.m // G.m, d)
+    zero = (0,) * n
+    norm = _span(n, [N.apply(zero + row)[:n] for row in G.L.basis.data] + list(S.L.basis.data))
+    shape = UnsupportedSubgroupShape("intermediate subgroup is not of the shape L x| mZ")
+    if norm != G.L:
+        raise shape
+    multiples = [G.m * e for e in _divisors(S.m // G.m)]
+    try:
+        boxes = [SemidirectLattice(parent, L, m) for L in lattices for m in multiples]
+    except UnsupportedSubgroupShape:
+        raise shape from None
+    results = [H for H in boxes if H != S and H != G]
     results.sort(key=lambda sl: (sl.m, sl.L.basis.data))
     return results
 

@@ -75,7 +75,7 @@ def checked_box(G, U: Lattice, W: Lattice) -> NilSublattice:
 def center(G):
     if G.f == 0 or G.b == 0:
         return G.f + G.b, Lattice.standard(G.b)
-    kernel = left_kernel(hstack(list(G.forms)))
+    kernel = left_kernel(hstack(G.b, list(G.forms)))
     klattice = Lattice.from_rows(G.b, kernel.data)
     return G.f + klattice.rank, klattice
 

@@ -21,14 +21,18 @@ basis, and the nilpotency criterion's exact ``P^order``; and E(n), the
 lcm of the root-of-unity orders of degree at most n, with which the tests
 pick translation indices that every such order divides.
 
-And it keeps ``intermediates`` as it was before the generator closure: the
-quotient listed by a Smith-form coset product, a full Cayley table, and a
-closure that multiplies every new element against every element found.
+And it keeps two element-wise ``intermediates``, from before the lattice
+enumeration of the library.  :func:`intermediates` lists the quotient by a
+Smith-form coset product, builds its full Cayley table and closes every new
+element against every element found; :func:`closure_intermediates` grows
+each subgroup of G/S by right multiplication from a generating tuple, with
+a memoised coset product.
 """
 
 import contextlib
 import itertools
 import math
+from functools import lru_cache
 
 from nilcert import semidirect
 from nilcert.arith import is_prime, minkowski_bound
@@ -326,6 +330,92 @@ def intermediates(G, S, max_quotient=10**4):
         if group_index(candidate, S) != len(H) or not all(
             candidate.L.contains(elements[i][0]) for i in H
         ):
+            raise UnsupportedSubgroupShape(
+                "intermediate subgroup is not of the shape L x| mZ"
+            )
+        results.append(candidate)
+    results.sort(key=lambda sl: (sl.m, sl.L.basis.data))
+    return results
+
+
+def closure_intermediates(
+    G: SemidirectLattice, S: SemidirectLattice, max_quotient: int = 10**4
+) -> list[SemidirectLattice]:
+    """All subgroups strictly between S and G by one closure under right
+    multiplication in G/S: the quotient itself, then each subgroup <P, x>
+    grown from a subgroup P found before, pulled back and checked for the
+    box shape L x| mZ."""
+    semidirect._check_normal(G, S)
+    index = group_index(G, S)
+    if index is None:
+        raise QuotientTooLarge("quotient is infinite")
+    if index > max_quotient:
+        raise QuotientTooLarge("quotient order %d exceeds guard %d" % (index, max_quotient))
+
+    parent = G.parent
+    zero = (0,) * parent.n
+
+    @lru_cache(maxsize=None)
+    def emul(x, y):
+        """x y in G/S, a coset written (S.L.reduce(v), t mod S.m)."""
+        (v, t), (w, s) = x, y
+        moved = parent.power(t).apply(w)
+        return S.L.reduce(tuple(a + b for a, b in zip(v, moved))), (t + s) % S.m
+
+    def close(start, gens) -> frozenset:
+        """Right multiples of ``start`` by words in ``gens``: in the finite
+        group G/S, the subgroup ``gens`` generate once ``start`` lies in it."""
+        out = set(start)
+        frontier = list(start)
+        while frontier:
+            x = frontier.pop()
+            for g in gens:
+                y = emul(x, g)
+                if y not in out:
+                    out.add(y)
+                    frontier.append(y)
+        return frozenset(out)
+
+    e = (zero, 0)
+    elements = close({e}, [(row, 0) for row in G.L.basis.data] + [(zero, G.m)])
+    if len(elements) != index:
+        raise SelfCheckFailed(
+            "enumerated %d cosets for a quotient of order %d" % (len(elements), index)
+        )
+
+    # One generating tuple per subgroup.  <P, x> is <P, y> for every y in
+    # the coset xP, so one x per coset is enough.
+    found = {frozenset([e]): ()}
+    frontier = [frozenset([e])]
+    while frontier:
+        P = frontier.pop()
+        gens = found[P]
+        tried = set(P)
+        for x in elements:
+            if x in tried:
+                continue
+            tried |= close({x}, gens)
+            Q = close(P, gens + (x,))
+            if Q not in found:
+                found[Q] = gens + (x,)
+                frontier.append(Q)
+
+    results = []
+    for H in found:
+        if not 1 < len(H) < index:
+            continue
+        m_H = math.gcd(S.m, *(t for _, t in H))
+        L_H = S.L.sum(Lattice.from_rows(parent.n, [v for v, t in H if t == 0]))
+        try:
+            candidate = SemidirectLattice(parent, L_H, m_H)
+        except UnsupportedSubgroupShape:
+            raise UnsupportedSubgroupShape(
+                "intermediate subgroup is not of the shape L x| mZ"
+            )
+        # The pullback equals the box candidate only if the candidate has
+        # exactly |H| cosets of S and every H coset lies inside it; diagonal
+        # subgroups of a mixed fiber/translation quotient fail here.
+        if group_index(candidate, S) != len(H) or not all(candidate.L.contains(v) for v, _ in H):
             raise UnsupportedSubgroupShape(
                 "intermediate subgroup is not of the shape L x| mZ"
             )

@@ -91,6 +91,15 @@ class TestReports:
         result = result_of(capsys, "intermediates", "--group", g0, "--subgroup", g1)
         assert result["count"] == 3
 
+    def test_intermediates_of_a_long_translation_quotient(self):
+        # Z^2 x| 9240Z in Sol3 under the default --max-enum: one box per
+        # divisor of 9240 but the two ends.  The closure over the 9,240
+        # cosets, each product through an exact A^t, did not finish.
+        sub = json.dumps(dict(SOL3_DESC, m="9240"))
+        proc = _fresh(15, "intermediates", "--group", json.dumps(SOL3_DESC), "--subgroup", sub)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert json.loads(proc.stdout)["result"]["count"] == 62
+
     def test_large_translation_index(self, capsys):
         # S = 2Z^2 x| 10^9 Z: the checks take A^(10^9) modulo [Z^2 : 2Z^2] = 4,
         # never the exact power, so both verbs answer at once.
@@ -568,11 +577,11 @@ def _sol3_blocks(k):
     return [[str(S[i % 2][j % 2] if i // 2 == j // 2 else 0) for j in range(n)] for i in range(n)]
 
 
-def _fresh(verb, desc, timeout):
-    """``nilcert <verb> --input <desc>`` in a new interpreter."""
+def _fresh(timeout, *argv):
+    """``nilcert <argv>`` in a new interpreter."""
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(nilcert.__file__).resolve().parents[1]))
     return subprocess.run(
-        [sys.executable, "-m", "nilcert.cli", verb, "--input", json.dumps(desc)],
+        [sys.executable, "-m", "nilcert.cli", *argv],
         capture_output=True, text=True, timeout=timeout, env=env,
     )
 
@@ -608,7 +617,7 @@ def test_centre_verbs_answer_in_a_fresh_process(desc, center, disc):
     holonomy, or the exact A^M(6) of a hyperbolic one would not finish; the
     kernels of Phi_d(A) answer at once."""
     for verb, result in (("center", center), ("discsym2-bound", disc)):
-        proc = _fresh(verb, desc, 10)
+        proc = _fresh(10, verb, "--input", json.dumps(desc))
         assert (proc.returncode, proc.stderr) == (0, "")
         assert proc.stdout == '{"result":%s,"schema":"nilcert/1","verb":"%s"}\n' % (result, verb)
 
@@ -633,7 +642,7 @@ def test_centre_verbs_need_no_power_of_the_holonomy(verb, desc, result):
     """E(12) = 720,720 and E(100) has 146 bits: the exact A^gcd(m, E(n)) of six
     Sol3 blocks, or squaring I_100 up to A^E(100), would not finish; the
     kernels of Phi_d(A) in degree at most n answer at once."""
-    proc = _fresh(verb, desc, 15)
+    proc = _fresh(15, verb, "--input", json.dumps(desc))
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == '{"result":%s,"schema":"nilcert/1","verb":"%s"}\n' % (result, verb)
 

@@ -18,6 +18,7 @@ from nilcert.linalg import (
     finite_order,
     full_index,
     hnf,
+    hstack,
     lattice_index,
     left_kernel,
     maps_into,
@@ -414,6 +415,13 @@ class TestTransformFreeCore:
             for L in (a.sum(b), a.intersect(b)):
                 assert L._pivots == pivots(L)
             assert (a._pivots, b._pivots) == before == (pivots(a), pivots(b))
+
+    def test_hstack_takes_the_row_count(self):
+        A, B = IntMatrix([[1], [2]]), IntMatrix([[3, 4], [5, 6]])
+        assert hstack(2, [A, B]) == IntMatrix([[1, 3, 4], [2, 5, 6]])
+        assert hstack(3, []) == IntMatrix.zeros(3, 0)
+        with pytest.raises(DimensionMismatch):
+            hstack(3, [A])
 
     def test_internal_arithmetic_keeps_plain_int_rows(self):
         A = IntMatrix([[1, 2], [3, 4]])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import event, example, given, settings, strategies as st
 
 import semidirect_oracle as oracle
-from nilcert import semidirect
+from nilcert import linalg, semidirect
 from nilcert.errors import (
     InvalidParameters,
     NilcertError,
@@ -16,7 +16,7 @@ from nilcert.errors import (
     UnsupportedSubgroupShape,
 )
 from nilcert.invariants import discsym2_upper
-from nilcert.linalg import AbelianStructure, IntMatrix, Lattice
+from nilcert.linalg import AbelianStructure, IntMatrix, Lattice, lattice_index
 from nilcert.nilpotent2 import TwoStepLattice, nilpotency_check
 from nilcert.semidirect import (
     SemidirectGroup,
@@ -36,6 +36,7 @@ from nilcert.semidirect import (
     sol3_tower,
 )
 from semidirect_oracle import commutator, sol3_intermediate_forms
+from test_nilpotent2 import count_calls
 
 
 @pytest.fixture(scope="module")
@@ -428,6 +429,35 @@ class TestIntermediates:
         assert len(got) == 10
         assert len(set(got)) == 10
 
+    @pytest.mark.parametrize("n, c, count", [(2, 32, 175), (3, 8, 800)])
+    def test_subgroup_counts_of_homocyclic_quotients(self, n, c, count):
+        # (Z/32)^2 has 177 subgroups and (Z/8)^3 has 802 (Butler, Subgroup
+        # lattices and symmetric functions, Mem. AMS 539, 1994); the closure
+        # over |G/S| elements took seconds on either.
+        T = SemidirectGroup(IntMatrix.identity(n))
+        full = SemidirectLattice(T, Lattice.standard(n), 1)
+        got = intermediates(full, SemidirectLattice(T, Lattice.scaled(n, c), 1))
+        assert len(got) == len(set(got)) == count
+
+    def test_translation_quotient_of_sol3(self, G):
+        # Z^2 x| 9240Z in Z^2 x| Z: the quotient is Z/9240, one box per divisor.
+        full = SemidirectLattice(G, Lattice.standard(2), 1)
+        got = intermediates(full, SemidirectLattice(G, Lattice.standard(2), 9240))
+        divisors = [d for d in range(2, 9240) if 9240 % d == 0]
+        assert got == [SemidirectLattice(G, Lattice.standard(2), d) for d in divisors]
+        assert len(got) == 62
+
+    def test_no_exact_power_of_the_holonomy(self, G, monkeypatch):
+        # The closure multiplied cosets through A^t for every t below S.m;
+        # the lattice enumeration takes the norm modulo [Z^2 : S.L].
+        full = SemidirectLattice(G, Lattice.standard(2), 1)
+        calls = count_calls(monkeypatch, [(SemidirectGroup, "power")])
+        assert len(intermediates(full, SemidirectLattice(G, Lattice.standard(2), 60))) == 10
+        with pytest.raises(UnsupportedSubgroupShape):
+            # A is Id modulo 2, so (Z/2)^2 x Z/60 has diagonal subgroups
+            intermediates(full, SemidirectLattice(G, Lattice.scaled(2, 2), 60))
+        assert calls == {"power": 0}
+
 
 class TestCenter:
     def test_sol3_centerless(self, G):
@@ -601,6 +631,15 @@ def test_centre_ranks_of_a_cyclotomic_holonomy_match_the_exact_power_oracle(d):
         G = SemidirectLattice(SemidirectGroup(A), Lattice.standard(4), m)
         assert center_rank(G)[0] == oracle.center_rank(G)
         assert discsym2_upper(G).as_pair() == (oracle.center_rank(G), oracle.inn_center_rank(G))
+
+
+def test_centre_ranks_validate_no_computed_rows(monkeypatch):
+    # The kernels of Phi_d(A) for the 5-cycle are rows the package computed
+    # itself, so nullity spans them without the entry checks of from_rows.
+    cycle = _box([[int(j == (i + 1) % 5) for j in range(5)] for i in range(5)], 1)
+    calls = count_calls(monkeypatch, [(linalg, "_validated")])
+    assert semidirect.center_ranks(cycle) == (2, 0)
+    assert calls == {"_validated": 0}
 
 
 def _outcome(f, *args):
@@ -899,3 +938,77 @@ class TestIntermediatesOracle:
         want = outcome(oracle.intermediates, G, S, 64)
         event("intermediates: " + ("%d" % len(want) if isinstance(want, list) else want[0].__name__))
         assert outcome(intermediates, G, S, 64) == want
+
+
+IDENTITY3 = SemidirectGroup(IntMatrix.identity(3))
+# A^2 is Id modulo 4 and A^4 is Id modulo 8 for the Sol3 holonomy A.
+SOL3_POWERS = [SemidirectGroup(semidirect.SOL3_MATRIX.power(k)) for k in (1, 2, 4)]
+
+
+@st.composite
+def quotient_pairs(draw):
+    """(G, S) with S.L the orbit of a vector of G.L plus c G.L and |G/S| up
+    to 128: a drawn holonomy, the swap, the identity or a power of Sol3's."""
+    K = draw(st.one_of(holonomies(), st.sampled_from([SWAP, IDENTITY2, IDENTITY3] + SOL3_POWERS)))
+    n = K.n
+    vec = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+    L_G = orbit_lattice(K.A, draw(vec), draw(st.integers(1, 2)))
+    c = draw(st.integers(1, 11 if n == 2 else 5))
+    w = _combine(draw(vec), L_G.basis.data)
+    c_L_G = Lattice.from_rows(n, [[c * x for x in r] for r in L_G.basis.data])
+    L_S = orbit_lattice(K.A, w, 0).sum(c_L_G)
+    m_G, k = draw(st.integers(1, 2)), draw(st.integers(1, 128 // lattice_index(L_G, L_S)))
+    return SemidirectLattice(K, L_G, m_G), SemidirectLattice(K, L_S, m_G * k)
+
+
+class TestIntermediatesClosure:
+    @settings(max_examples=120, deadline=None)
+    @given(quotient_pairs())
+    @example(
+        # dihedral of order 8: its reflections generate non-box subgroups
+        (
+            SemidirectLattice(SWAP, Lattice.standard(2), 1),
+            SemidirectLattice(SWAP, Lattice.scaled(2, 2), 2),
+        )
+    )
+    @example(
+        # I with S.m/G.m = 4 even: N = 4 Id kills (Z/2)^2, so (v, 1) has order 4
+        (
+            SemidirectLattice(IDENTITY2, Lattice.standard(2), 1),
+            SemidirectLattice(IDENTITY2, Lattice.scaled(2, 2), 4),
+        )
+    )
+    @example(
+        # I with S.m/G.m = 2 over (Z/3)^2: N = 2 Id is injective, all boxes
+        (
+            SemidirectLattice(IDENTITY2, Lattice.standard(2), 1),
+            SemidirectLattice(IDENTITY2, Lattice.scaled(2, 3), 2),
+        )
+    )
+    @example(
+        # A^2 = Id modulo 4: every lattice between 4Z^2 and Z^2 is invariant
+        (
+            SemidirectLattice(SOL3_POWERS[1], Lattice.standard(2), 1),
+            SemidirectLattice(SOL3_POWERS[1], Lattice.scaled(2, 4), 3),
+        )
+    )
+    @example(
+        # A^4 = Id modulo 8, |G/S| = 128 with S.m/G.m = 2 even
+        (
+            SemidirectLattice(SOL3_POWERS[2], Lattice.standard(2), 1),
+            SemidirectLattice(SOL3_POWERS[2], Lattice.from_rows(2, [[8, 0], [0, 8]]), 2),
+        )
+    )
+    @example(
+        # A = Sol3's is not a power map modulo 3: some lattices are not invariant
+        (
+            SemidirectLattice(SOL3_POWERS[0], Lattice.standard(2), 1),
+            SemidirectLattice(SOL3_POWERS[0], Lattice.scaled(2, 3), 8),
+        )
+    )
+    def test_same_outcome_as_the_closure(self, pair):
+        G, S = pair
+        want = outcome(oracle.closure_intermediates, G, S, 128)
+        event("intermediates: " + ("%d" % len(want) if isinstance(want, list) else want[0].__name__))
+        assert outcome(intermediates, G, S, 128) == want
+

@@ -121,17 +121,17 @@ def _exact_power_mod(call):
 
 def test_exact_holonomy_powers_only_in_element_arithmetic():
     # An exact power A^t costs t times the bits of A for a hyperbolic A, so
-    # only the element arithmetic and the finite quotient of intermediates
-    # (its product emul, with t below S.m) form one, through IntMatrix.power,
-    # the one exact power_mod.  Centre ranks and finite orders read the
-    # kernels of Phi_d(A) from linalg.cyclotomic_kernels, polynomials in A of
-    # degree at most n.  The receiver of a call is not known here, so every
-    # .power call counts as SemidirectGroup.power.
+    # only the element arithmetic forms one, through IntMatrix.power, the one
+    # exact power_mod.  intermediates takes its norm modulo [Z^n : S.L].
+    # Centre ranks and finite orders read the kernels of Phi_d(A) from
+    # linalg.cyclotomic_kernels, polynomials in A of degree at most n.  The
+    # receiver of a call is not known here, so every .power call counts as
+    # SemidirectGroup.power.
     found = sorted(
         "%s:%d in %s" % (name, call.lineno, function)
         for name, tree in _trees()
         for function, call in _calls(tree)
-        if (_callee(call) == "power" and function not in ("power", "mul", "inv", "conj", "emul"))
+        if (_callee(call) == "power" and function not in ("power", "mul", "inv", "conj"))
         or (
             _callee(call) == "power_mod"
             and _exact_power_mod(call)
