@@ -14,23 +14,22 @@ the p-power counts and the Minkowski bound.
 
 from __future__ import annotations
 
-import re
 import sys
 
 from .errors import InvalidParameters, TooLarge
 
-_DECIMAL = re.compile(r"-?[0-9]+")
-
 
 def parse_int(x) -> int:
     """A plain ``int`` (not ``bool``) or a decimal string with optional ``-``."""
-    if isinstance(x, int) and not isinstance(x, bool):
+    if isinstance(x, str):  # JSON matrix entries; ASCII, as int() takes other digits too
+        digits = x[1:] if x[:1] == "-" else x
+        if digits.isascii() and digits.isdigit():
+            try:
+                return int(x)
+            except ValueError as exc:  # beyond the interpreter's digit limit
+                raise InvalidParameters("integer %.20s... is too long: %s" % (x, exc))
+    elif isinstance(x, int) and not isinstance(x, bool):
         return int(x)
-    if isinstance(x, str) and _DECIMAL.fullmatch(x):
-        try:
-            return int(x)
-        except ValueError as exc:  # beyond the interpreter's digit limit
-            raise InvalidParameters("integer %.20s... is too long: %s" % (x, exc))
     raise InvalidParameters("expected an integer or a decimal string, got %r" % (x,))
 
 

@@ -30,11 +30,24 @@ KIND_SOL3 = "sol3-tower"
 KIND_WITNESS = "heisenberg-witness"
 KIND_TWO_STEP = "two-step-series"
 
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+# kind -> (key of its levels, key of their flag); a tower level records a verified normalizer
+_LAYOUT = {KIND_SOL3: ("levels", "normalizer_verified"), KIND_WITNESS: ("chain", "normality_verified")}
+_CERT_KEYS = ("schema", "kind", "group", "total_index", "min_length", "max_quotient_order")
+_LEVEL_KEYS = ("subgroup", "quotient_factors", "quotient_free_rank", "index", "central")
+
 
 def canonical_json(obj) -> str:
     """Sorted keys, no whitespace: equal texts mean equal JSON values, and
     ``true`` or ``1.0`` never pass for ``1``."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+    return _ENCODER.encode(obj)
+
+
+def _known_fields(obj: dict, *keys: str) -> None:
+    """A field the reader would not check is malformed, not ignored."""
+    extra = [key for key in obj if key not in keys]
+    if extra:
+        raise InvalidParameters("unknown field %r" % (extra[0],))
 
 
 class ChainLevel(Record):
@@ -71,12 +84,12 @@ class ChainLevel(Record):
         return out
 
     @staticmethod
-    def from_json_dict(obj: dict) -> "ChainLevel":
+    def from_json_dict(obj: dict, flag_key: str = "normality_verified") -> "ChainLevel":
         subgroup = json_field(obj, "subgroup")
+        _known_fields(obj, flag_key, *_LEVEL_KEYS)
         quotient = AbelianStructure.from_json_fields(
             obj.get("quotient_free_rank", 0), json_field(obj, "quotient_factors", list)
         )
-        flag_key = "normalizer_verified" if "normalizer_verified" in obj else "normality_verified"
         return ChainLevel(
             subgroup=subgroup,
             quotient=quotient,
@@ -135,9 +148,7 @@ class SeriesCertificate(Record):
         return True
 
     def to_json_dict(self) -> dict:
-        levels_key = "chain" if self.kind == KIND_WITNESS else "levels"
-        # the tower levels record a verified normalizer computation
-        flag_key = "normalizer_verified" if self.kind == KIND_SOL3 else "normality_verified"
+        levels_key, flag_key = _LAYOUT.get(self.kind, ("levels", "normality_verified"))
         total_index, max_quotient_order = decimals((self.total_index, self.max_quotient_order))
         out = {
             "schema": SCHEMA,
@@ -157,17 +168,19 @@ class SeriesCertificate(Record):
         if obj.get("schema", SCHEMA) != SCHEMA:
             raise InvalidParameters("unknown certificate schema %r" % (obj["schema"],))
         kind = json_field(obj, "kind", str)
+        levels_key, flag_key = _LAYOUT.get(kind, ("levels", "normality_verified"))
+        _known_fields(obj, levels_key, *_CERT_KEYS, *(("profile",) if kind == KIND_WITNESS else ()))
         group_ref = json_field(obj, "group", dict)
+        levels = json_field(obj, levels_key, list)
         if kind == KIND_WITNESS and "profile" in obj:
             # The top-level profile repeats the witness's, which the rebuild checks.
             claimed = json_field(json_field(group_ref, "witness"), "profile")
             if canonical_json(obj["profile"]) != canonical_json(claimed):
                 raise InvalidParameters("profile differs from the witness profile")
-        levels = obj.get("levels", obj.get("chain", []))
         return SeriesCertificate(
             kind=kind,
             group_ref=group_ref,
-            chain=tuple(ChainLevel.from_json_dict(l) for l in levels),
+            chain=tuple(ChainLevel.from_json_dict(l, flag_key) for l in levels),
             total_index=parse_int(json_field(obj, "total_index")),
             min_length=parse_int(json_field(obj, "min_length")),
             max_quotient_order=parse_int(json_field(obj, "max_quotient_order")),

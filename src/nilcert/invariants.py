@@ -24,6 +24,7 @@ from .certificates import (
 )
 from .errors import (
     NilcertError,
+    QuotientTooLarge,
     Record,
     UnresolvableReference,
     UnsupportedGroupShape,
@@ -99,7 +100,7 @@ def _resolving(what: str):
         raise UnresolvableReference("cannot rebuild %s: %s" % (what, exc))
 
 
-def _rebuild_sol3(cert: SeriesCertificate) -> SeriesCertificate:
+def _rebuild_sol3(cert: SeriesCertificate, max_index: int | None) -> SeriesCertificate:
     with _resolving("ambient group"):
         gamma = SemidirectLattice.from_json(cert.group_ref)
     subs = [SemidirectLattice.from_json(level.subgroup) for level in cert.chain]
@@ -119,18 +120,18 @@ def _rebuild_sol3(cert: SeriesCertificate) -> SeriesCertificate:
     )
 
 
-def _rebuild_witness(cert: SeriesCertificate) -> SeriesCertificate:
+def _rebuild_witness(cert: SeriesCertificate, max_index: int | None) -> SeriesCertificate:
     with _resolving("witness parameters"):
         params = json_field(cert.group_ref, "witness")
         k, p, a = (parse_int(json_field(params, key)) for key in ("k", "p", "a"))
-    return nilpotent2.heisenberg_witness(k, p, a)
+    return nilpotent2.heisenberg_witness(k, p, a, max_index)
 
 
-def _rebuild_two_step(cert: SeriesCertificate) -> SeriesCertificate:
+def _rebuild_two_step(cert: SeriesCertificate, max_index: int | None) -> SeriesCertificate:
     with _resolving("series data"):
         parent = TwoStepLattice.from_json(cert.group_ref)
         sub = NilSublattice.from_json(parent, json_field(cert.group_ref, "gamma"))
-    return nilpotent2.subnormal_series(parent, sub)
+    return nilpotent2.subnormal_series(parent, sub, max_index)
 
 
 _REBUILD = {
@@ -140,14 +141,15 @@ _REBUILD = {
 }
 
 
-def verify_certificate(cert) -> bool:
+def verify_certificate(cert, max_index: int | None = None) -> bool:
     """Re-derive every claim in a certificate from scratch.
 
     The certificate is rebuilt from its own inputs (ambient group, chain
     subgroups or witness parameters) by the routine that built it, and the
     result must equal it field for field, as canonical JSON.  Returns False
     when any claim differs or the rebuild fails; raises UnresolvableReference
-    when the certificate or the groups it names cannot be read at all.
+    when the certificate or the groups it names cannot be read at all, and
+    QuotientTooLarge when a witness or series index exceeds ``max_index``.
     """
     if isinstance(cert, dict):
         try:
@@ -162,8 +164,8 @@ def verify_certificate(cert) -> bool:
     if rebuild is None:
         raise UnresolvableReference("unknown certificate kind %r" % cert.kind)
     try:
-        fresh = rebuild(cert)
-    except UnresolvableReference:
+        fresh = rebuild(cert, max_index)
+    except (UnresolvableReference, QuotientTooLarge):
         raise
     except NilcertError:
         return False

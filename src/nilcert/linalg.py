@@ -48,13 +48,13 @@ def _width(rows: Sequence[Row], cols: Optional[int]) -> int:
     return ncols
 
 
-def _parse_rows(obj, cols: Optional[int] = None) -> "IntMatrix":
-    """JSON rows (lists of ints or decimal strings) as a matrix, of width
-    ``cols`` if given; ``parse_int`` has checked each entry."""
+def _parse_rows(obj, cols: Optional[int] = None) -> tuple[list[Row], int]:
+    """JSON rows (lists of ints or decimal strings) as rows of ints, and their
+    width (``cols`` if given); ``parse_int`` has checked each entry."""
     if not isinstance(obj, list) or not all(isinstance(row, list) for row in obj):
         raise InvalidParameters("a matrix must be a JSON list of rows")
     rows = [tuple(map(parse_int, row)) for row in obj]
-    return IntMatrix._trusted(rows, _width(rows, cols))
+    return rows, _width(rows, cols)
 
 
 def _validated(data: Iterable[Iterable[int]], cols: Optional[int]) -> tuple[tuple[Row, ...], int]:
@@ -102,7 +102,7 @@ class IntMatrix:
 
     @staticmethod
     def from_json(obj) -> "IntMatrix":
-        return _parse_rows(obj)
+        return IntMatrix._trusted(*_parse_rows(obj))
 
     # -- basic queries -----------------------------------------------------
 
@@ -210,7 +210,10 @@ class IntMatrix:
         return sign * m[n - 1][n - 1]
 
     def to_json(self) -> list[list[str]]:
-        return [decimals(row) for row in self.data]
+        try:
+            return [list(map(str, row)) for row in self.data]
+        except ValueError:  # past the digit limit: decimals names it
+            return [decimals(row) for row in self.data]
 
 
 @lru_cache(maxsize=None)
@@ -371,14 +374,15 @@ class HermiteForm(Record):
         object.__setattr__(self, "U", U)
 
 
-def _echelon(w: list[list[int]], n: int, u: Optional[list[list[int]]] = None) -> int:
+def _echelon(w: list, n: int, u: Optional[list] = None, pivots: Optional[list] = None) -> int:
     """Reduce the rows ``w`` (width ``n``) in place to canonical row HNF.
 
     Pivots are positive, entries above each pivot are reduced into
     ``[0, pivot)`` and zero rows sink to the bottom, so the result is the
     unique representative of the row span.  Every row operation (swaps,
     negations and integer row additions) is repeated on ``u`` when one is
-    given.  Returns the rank, i.e. the number of nonzero rows.
+    given, and the pivot columns are appended to ``pivots`` when it is.
+    Rows are replaced, never written into.  Returns the rank (nonzero rows).
     """
     m = len(w)
     r = 0
@@ -387,10 +391,14 @@ def _echelon(w: list[list[int]], n: int, u: Optional[list[list[int]]] = None) ->
             break
         # Shrink column j below row r until a single nonzero entry remains.
         while True:
-            nz = [i for i in range(r, m) if w[i][j] != 0]
-            if not nz:
+            # The first entry of least absolute value is the pivot.
+            best = i0 = 0
+            for i in range(r, m):
+                x = abs(w[i][j])
+                if x and (not best or x < best):
+                    best, i0 = x, i
+            if not best:
                 break
-            i0 = min(nz, key=lambda i: abs(w[i][j]))
             if i0 != r:
                 w[r], w[i0] = w[i0], w[r]
                 if u is not None:
@@ -426,6 +434,8 @@ def _echelon(w: list[list[int]], n: int, u: Optional[list[list[int]]] = None) ->
                 w[i] = [a - q * b for a, b in zip(w[i], wr)]
                 if u is not None:
                     u[i] = [a - q * b for a, b in zip(u[i], u[r])]
+        if pivots is not None:
+            pivots.append(j)
         r += 1
     return r
 
@@ -436,7 +446,7 @@ def hnf(A: IntMatrix) -> HermiteForm:
     See :func:`_echelon` for the normalization; ``U`` records every row
     operation and is unimodular by construction.
     """
-    w = [list(row) for row in A.data]
+    w = list(A.data)
     u = _eye(A.rows)
     _echelon(w, A.cols, u)
     return HermiteForm(IntMatrix._trusted(w, A.cols), IntMatrix._trusted(u, A.rows))
@@ -495,17 +505,18 @@ def _smith(
     m = len(s)
     t = 0
     while t < min(m, n):
-        # Locate the minimal-absolute-value nonzero entry of the tail block.
-        best = None
+        # The first entry of least absolute value in the tail block, row-major.
+        best = pi = pj = 0
         for i in range(t, m):
             si = s[i]
             for j in range(t, n):
-                x = si[j]
-                if x != 0 and (best is None or abs(x) < best[0]):
-                    best = (abs(x), i, j)
-        if best is None:
+                x = abs(si[j])
+                if x and (not best or x < best):
+                    best, pi, pj = x, i, j
+            if best == 1:
+                break
+        if not best:
             break
-        _, pi, pj = best
         if pi != t:
             s[t], s[pi] = s[pi], s[t]
             if u is not None:
@@ -690,7 +701,15 @@ class AbelianStructure(Record):
             raise InvalidParameters("torsion factors must exceed 1")
         if any(b % a for a, b in zip(torsion, torsion[1:])):
             raise InvalidParameters("torsion factors must form a divisibility chain")
-        return AbelianStructure(free_rank, torsion)
+        return AbelianStructure._trusted(free_rank, torsion)
+
+    @staticmethod
+    def _trusted(free_rank: int, torsion: tuple[int, ...]) -> "AbelianStructure":
+        """A structure whose fields have passed the constructor's checks."""
+        A = object.__new__(AbelianStructure)
+        object.__setattr__(A, "free_rank", free_rank)
+        object.__setattr__(A, "torsion", torsion)
+        return A
 
 
 # ---------------------------------------------------------------------------
@@ -714,16 +733,13 @@ class Lattice:
 
     __slots__ = ("ambient_dim", "basis", "_pivots", "_identity")
 
-    def __init__(self, ambient_dim: int, basis: IntMatrix):
+    def __init__(self, ambient_dim: int, basis: IntMatrix, _pivots: Optional[list[int]] = None):
         if basis.cols != ambient_dim:
             raise DimensionMismatch("basis width != ambient dimension")
-        pivots = []
-        for row in basis.data:
-            for j, x in enumerate(row):
-                if x:
-                    pivots.append(j)
-                    break
-            else:
+        pivots = _pivots  # given by an elimination of this module, else found here
+        if pivots is None:
+            pivots = [next((j for j, x in enumerate(row) if x), -1) for row in basis.data]
+            if -1 in pivots:
                 raise InvalidParameters("lattice basis rows must be nonzero")
         self.ambient_dim = ambient_dim
         self.basis = basis
@@ -827,18 +843,20 @@ class Lattice:
 
     @staticmethod
     def from_json(ambient_dim: int, obj) -> "Lattice":
-        return _span(ambient_dim, _parse_rows(obj, ambient_dim).data)
+        return _span(ambient_dim, _parse_rows(obj, ambient_dim)[0])
 
 
 def _span(n: int, rows: Iterable[Sequence[int]]) -> Lattice:
     """Lattice spanned by rows of ints of width ``n`` that need no checking.
 
-    Runs the Hermite elimination without a transform: a lattice keeps only
-    the nonzero rows of ``H``.
+    The Hermite elimination runs on the rows themselves, without a
+    transform; a lattice keeps the nonzero rows of ``H`` and their pivot
+    columns.
     """
-    w = [list(row) for row in rows]
-    rank = _echelon(w, n)
-    return Lattice(n, IntMatrix._trusted(w[:rank], n))
+    w = list(rows)
+    pivots: list[int] = []
+    rank = _echelon(w, n, None, pivots)
+    return Lattice(n, IntMatrix._trusted(w[:rank], n), pivots)
 
 
 def saturate(L: Lattice) -> Lattice:
@@ -886,7 +904,7 @@ def full_index(L: Lattice) -> Optional[int]:
 
 def _structure(n: int, factors: Sequence[int]) -> AbelianStructure:
     """``Z^n`` modulo a relation matrix with invariant factors ``factors``."""
-    return AbelianStructure(n - len(factors), tuple(d for d in factors if d != 1))
+    return AbelianStructure._trusted(n - len(factors), tuple(d for d in factors if d != 1))
 
 
 def cokernel(n: int, rows: Iterable[Sequence[int]]) -> AbelianStructure:

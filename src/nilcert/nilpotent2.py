@@ -76,7 +76,7 @@ class TwoStepLattice:
         for C in forms:
             if C.rows != b or C.cols != b:
                 raise DimensionMismatch("forms must be %d x %d" % (b, b))
-            if C.transpose() != -C:
+            if any(row[j] != -C.data[j][i] for i, row in enumerate(C.data) for j in range(i, b)):
                 raise InvalidParameters("commutator forms must be alternating")
         self.f = f
         self.b = b
@@ -106,7 +106,7 @@ class TwoStepLattice:
 
     def beta(self, u: Vec, up: Vec) -> Vec:
         """Collection bilinear form, one value per central coordinate."""
-        return tuple(sum(x * u[i] * up[j] for i, j, x in terms) for terms in self.terms)
+        return tuple([sum([x * u[i] * up[j] for i, j, x in terms]) for terms in self.terms])
 
     def cvalue(self, u: Vec, up: Vec) -> Vec:
         """Commutator pairing C(u, u') = beta(u, u') - beta(u', u)."""
@@ -193,7 +193,8 @@ def center(G: TwoStepLattice) -> tuple[int, Lattice]:
 
     The center is {(u, w) : C_l u = 0 for all l}; the w part is all of Z^f.
     """
-    klattice = _span(G.b, left_kernel(commutator_image_matrix(G)).data)
+    ker = left_kernel(commutator_image_matrix(G))
+    klattice = _span(G.b, ker.data) if ker.rows else Lattice.zero(G.b)
     return G.f + klattice.rank, klattice
 
 
@@ -417,7 +418,7 @@ def subnormal_series(
     center (rank <= rank of the center) and the second is a quotient of Z^b
     modulo the kernel directions (rank <= b).
     """
-    if sub.parent != L:
+    if sub.parent is not L and sub.parent != L:
         raise DimensionMismatch("sublattice belongs to another group")
     index = sub.index_in_full()
     if index is None:
@@ -431,7 +432,7 @@ def subnormal_series(
         raise NotAbelianQuotient("layer rank exceeds the upper central series bound")
     return sealed(
         KIND_TWO_STEP,
-        dict(L.to_json(), gamma=sub.to_json()),
+        dict(L.to_json(), gamma=first.subgroup),  # series_levels made it: sub.to_json()
         [level for level in (first, second) if not level.quotient.is_trivial],
         index,
         1 if index > 1 else 0,
@@ -483,14 +484,20 @@ class RationalScale(Record):
         return NilSublattice(ambient, U, W)
 
 
-def heisenberg_witness(k: int, p: int, a: int) -> SeriesCertificate:
+def heisenberg_witness(k: int, p: int, a: int, max_index: int | None = None) -> SeriesCertificate:
     """Overlattice chain Gamma < Lambda < Lambda' realizing the (1, 2) profile.
 
     Lambda divides the central direction by p^a, Lambda' divides both base
     directions by p; the second-layer forms have entries k p^(a-2), so a >= 2
     is forced by integrality.  Quotients: Lambda/Gamma = Z/p^a (central) and
-    Lambda'/Lambda = (Z/p)^2.
+    Lambda'/Lambda = (Z/p)^2.  An index p^(a+2) beyond ``max_index`` is
+    refused first: it has more than (a+2)(bits(p) - 1) bits, so bit lengths
+    are compared before p is tested for primality or any power is formed.
     """
+    if max_index is not None and p >= 1 and a >= 0 and (
+        (a + 2) * (p.bit_length() - 1) >= max_index.bit_length() or p ** (a + 2) > max_index
+    ):
+        raise QuotientTooLarge("witness index p^(a+2) exceeds --max-index %d" % max_index)
     if k < 1:
         raise InvalidParameters("k must be >= 1")
     if not is_prime(p):

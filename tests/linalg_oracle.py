@@ -1,0 +1,169 @@
+"""The normal forms and the integer parser as they were before their pivot
+searches and their decimal test were rewritten as plain loops.
+
+The Hermite and Smith transforms are not unique, so an independent
+implementation cannot pin them; these copies can.  ``hnf`` and ``snf``
+return the plain row tuples the library's forms hold, and ``parse_int``
+keeps the regular-expression rule for decimal strings.
+"""
+
+import re
+
+from nilcert.errors import InvalidParameters
+
+
+def _eye(n):
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def _echelon(w, n, u=None):
+    m = len(w)
+    r = 0
+    for j in range(n):
+        if r >= m:
+            break
+        while True:
+            nz = [i for i in range(r, m) if w[i][j] != 0]
+            if not nz:
+                break
+            i0 = min(nz, key=lambda i: abs(w[i][j]))
+            if i0 != r:
+                w[r], w[i0] = w[i0], w[r]
+                if u is not None:
+                    u[r], u[i0] = u[i0], u[r]
+            wr = w[r]
+            p = wr[j]
+            done = True
+            for i in range(r + 1, m):
+                wi = w[i]
+                if wi[j] == 0:
+                    continue
+                q = wi[j] // p
+                if q:
+                    wi = w[i] = [a - q * b for a, b in zip(wi, wr)]
+                    if u is not None:
+                        u[i] = [a - q * b for a, b in zip(u[i], u[r])]
+                if wi[j] != 0:
+                    done = False
+            if done:
+                break
+        wr = w[r]
+        if wr[j] == 0:
+            continue
+        if wr[j] < 0:
+            wr = w[r] = [-x for x in wr]
+            if u is not None:
+                u[r] = [-x for x in u[r]]
+        p = wr[j]
+        for i in range(r):
+            q = w[i][j] // p
+            if q:
+                w[i] = [a - q * b for a, b in zip(w[i], wr)]
+                if u is not None:
+                    u[i] = [a - q * b for a, b in zip(u[i], u[r])]
+        r += 1
+    return r
+
+
+def _smith(s, n, u=None, v=None, vi=None):
+    m = len(s)
+    t = 0
+    while t < min(m, n):
+        best = None
+        for i in range(t, m):
+            si = s[i]
+            for j in range(t, n):
+                x = si[j]
+                if x != 0 and (best is None or abs(x) < best[0]):
+                    best = (abs(x), i, j)
+        if best is None:
+            break
+        _, pi, pj = best
+        if pi != t:
+            s[t], s[pi] = s[pi], s[t]
+            if u is not None:
+                u[t], u[pi] = u[pi], u[t]
+        if pj != t:
+            for row in s:
+                row[t], row[pj] = row[pj], row[t]
+            if v is not None:
+                for row in v:
+                    row[t], row[pj] = row[pj], row[t]
+            if vi is not None:
+                vi[t], vi[pj] = vi[pj], vi[t]
+        st = s[t]
+        p = st[t]
+        dirty = False
+        for i in range(t + 1, m):
+            si = s[i]
+            if si[t] != 0:
+                q = si[t] // p
+                if q:
+                    si = s[i] = [a - q * b for a, b in zip(si, st)]
+                    if u is not None:
+                        u[i] = [a - q * b for a, b in zip(u[i], u[t])]
+                if si[t] != 0:
+                    dirty = True
+        for j in range(t + 1, n):
+            if st[j] != 0:
+                q = st[j] // p
+                if q:
+                    for row in s:
+                        row[j] -= q * row[t]
+                    if v is not None:
+                        for row in v:
+                            row[j] -= q * row[t]
+                    if vi is not None:
+                        vi[t] = [a + q * b for a, b in zip(vi[t], vi[j])]
+                if st[j] != 0:
+                    dirty = True
+        if dirty:
+            continue
+        fix = next(
+            (i for i in range(t + 1, m) if any(x % p for x in s[i][t + 1 :])), None
+        )
+        if fix is not None:
+            s[t] = [a + b for a, b in zip(st, s[fix])]
+            if u is not None:
+                u[t] = [a + b for a, b in zip(u[t], u[fix])]
+            continue
+        if p < 0:
+            s[t] = [-x for x in st]
+            if u is not None:
+                u[t] = [-x for x in u[t]]
+        t += 1
+    return tuple(s[i][i] for i in range(min(m, n)) if s[i][i] != 0)
+
+
+def _rows(w):
+    return tuple(map(tuple, w))
+
+
+def hnf(rows, n):
+    """(H, U) of the rows of width ``n``."""
+    w = [list(row) for row in rows]
+    u = _eye(len(w))
+    _echelon(w, n, u)
+    return _rows(w), _rows(u)
+
+
+def snf(rows, n):
+    """(S, U, V, V^-1, factors) of the rows of width ``n``."""
+    s = [list(row) for row in rows]
+    u, v, vi = _eye(len(s)), _eye(n), _eye(n)
+    factors = _smith(s, n, u, v, vi)
+    return _rows(s), _rows(u), _rows(v), _rows(vi), factors
+
+
+_DECIMAL = re.compile(r"-?[0-9]+")
+
+
+def parse_int(x):
+    if isinstance(x, int) and not isinstance(x, bool):
+        return int(x)
+    if isinstance(x, str) and _DECIMAL.fullmatch(x):
+        try:
+            return int(x)
+        except ValueError as exc:
+            raise InvalidParameters("integer %.20s... is too long: %s" % (x, exc))
+    raise InvalidParameters("expected an integer or a decimal string, got %r" % (x,))

@@ -586,6 +586,21 @@ def _fresh(timeout, *argv):
     )
 
 
+@pytest.mark.parametrize("edit", [{"p": 2**61 - 1}, {"a": 10**9}], ids=["p-2^61-1", "a-1e9"])
+def test_verify_guards_the_witness_rebuild_in_a_fresh_process(edit):
+    """Trial division of 2^61 - 1, or the power 3^(10^9 + 2), would not end:
+    verify passes --max-index (default 10^6) to the witness rebuild, whose
+    bit-length guard runs first."""
+    cert = heisenberg_witness(1, 3, 2).to_json_dict()
+    cert["group"]["witness"].update(edit)
+    proc = _fresh(5, "verify", "--input", json.dumps(cert))
+    assert (proc.returncode, proc.stderr) == (1, "")
+    assert proc.stdout == (
+        '{"error":{"message":"witness index p^(a+2) exceeds --max-index 1000000",'
+        '"type":"QuotientTooLarge"},"schema":"nilcert/1"}\n'
+    )
+
+
 @pytest.mark.parametrize(
     "desc,center,disc",
     [

@@ -8,6 +8,7 @@ from nilcert import semidirect
 from nilcert.certificates import SeriesCertificate
 from nilcert.errors import (
     InvalidParameters,
+    QuotientTooLarge,
     UnresolvableReference,
     UnsupportedGroupShape,
     ZeroEuler,
@@ -345,9 +346,15 @@ class TestStrictCertificateParsing:
             lambda d: d["levels"][0].update(normalizer_verified=1),
             lambda d: d["levels"][0].pop("index"),
             lambda d: d.pop("max_quotient_order"),
+            # Keys the reader would not check, which it used to read past:
+            lambda d: d.update(chain="nonsense"),
+            lambda d: d.update(profile=[1, 2]),
+            lambda d: d["levels"][0].update(note="x"),
+            lambda d: d["levels"][0].update(normality_verified=d["levels"][0].pop("normalizer_verified")),
         ],
         ids=["float-total", "float-index", "bool-length", "float-factor", "string-factors",
-             "string-flag", "int-flag", "no-index", "no-max"],
+             "string-flag", "int-flag", "no-index", "no-max",
+             "chain-key", "tower-profile", "level-unknown-key", "other-flag-key"],
     )
     def test_malformed_field_is_unresolvable(self, edit):
         d = sol3_tower(2).to_json_dict()
@@ -378,8 +385,11 @@ class TestStrictCertificateParsing:
             lambda d: d.update(group=[d["group"]]),
             lambda d: d.update(profile=[1, 3]),
             lambda d: d.update(profile=[True, 2]),
+            lambda d: d.update(levels=d.pop("chain"), chain=[{"bogus": True}]),
+            lambda d: d.update(comment="x"),
         ],
-        ids=["other-schema", "null-schema", "list-kind", "list-group", "profile", "bool-profile"],
+        ids=["other-schema", "null-schema", "list-kind", "list-group", "profile", "bool-profile",
+             "levels-key", "unknown-key"],
     )
     def test_unchecked_fields_are_read_strictly(self, edit):
         d = heisenberg_witness(1, 3, 2).to_json_dict()
@@ -407,3 +417,11 @@ class TestStrictCertificateParsing:
         d = heisenberg_witness(1, 3, 2).to_json_dict()
         del d["schema"], d["profile"]
         assert verify_certificate(d) is True
+
+    @pytest.mark.parametrize("edit", [{"p": 2**61 - 1}, {"a": 10**9}], ids=["p-2^61-1", "a-1e9"])
+    def test_witness_guard_runs_before_the_rebuild(self, edit):
+        # Trial division of 2^61 - 1, or forming 3^(10^9 + 2), would not end.
+        d = heisenberg_witness(1, 3, 2).to_json_dict()
+        d["group"]["witness"].update(edit)
+        with pytest.raises(QuotientTooLarge):
+            verify_certificate(d, 10**6)

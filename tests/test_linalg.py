@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import linalg_oracle as oracle
 from nilcert.arith import parse_int
 from nilcert.errors import DimensionMismatch, InvalidParameters, NotASublattice
 from nilcert.linalg import (
@@ -629,6 +630,60 @@ class TestStrictParser:
     def test_digit_limit_is_a_structured_error(self):
         with pytest.raises(InvalidParameters):
             parse_int("9" * 5000)
+
+
+@st.composite
+def tie_heavy_rows(draw):
+    """Up to 6 x 6 rows with entries in -2..2, some rows and columns zeroed,
+    so that many entries tie for the least absolute value."""
+    m, n = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    rows = [[draw(st.integers(-2, 2)) for _ in range(n)] for _ in range(m)]
+    zero_rows = draw(st.sets(st.integers(0, max(m - 1, 0)), max_size=2))
+    zero_cols = draw(st.sets(st.integers(0, max(n - 1, 0)), max_size=2))
+    return [[0 if i in zero_rows or j in zero_cols else x for j, x in enumerate(row)]
+            for i, row in enumerate(rows)], n
+
+
+class TestSameBytesAsTheOldPivotSearch:
+    """The transforms are not unique, so only the old code can pin them."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(tie_heavy_rows())
+    def test_hnf_matches(self, case):
+        rows, n = case
+        form = hnf(IntMatrix(rows, cols=n))
+        assert (form.H.data, form.U.data) == oracle.hnf(rows, n)
+
+    @settings(max_examples=400, deadline=None)
+    @given(tie_heavy_rows())
+    def test_snf_matches(self, case):
+        rows, n = case
+        form = snf(IntMatrix(rows, cols=n))
+        got = (form.S.data, form.U.data, form.V.data, form.V_inv.data, form.factors)
+        assert got == oracle.snf(rows, n)
+
+
+def _parsed(parse, x):
+    try:
+        return parse(x)
+    except InvalidParameters as exc:
+        return ("InvalidParameters", str(exc))
+
+
+_SIGNS = st.sampled_from(["", "-", "+", "--", " ", "-\u00a0", "\u2212"])
+_BODIES = st.text(alphabet="0123456789_ \t\n-+.e\u0663\u00b2\u0967\u07c0\U0001d7d9", max_size=12)
+
+
+class TestParserMatchesTheOldRule:
+    @settings(max_examples=500, deadline=None)
+    @given(st.one_of(
+        st.text(max_size=12),
+        st.builds(str.__add__, _SIGNS, _BODIES),
+        st.builds(lambda sign, n: sign + "9" * n, st.sampled_from(["", "-"]), st.sampled_from([4299, 4300, 4301])),
+        st.integers(), st.booleans(), st.floats(), st.none(),
+    ))
+    def test_accepts_and_returns_the_same(self, x):
+        assert _parsed(parse_int, x) == _parsed(oracle.parse_int, x)
 
 
 class TestSympyOracle:

@@ -890,15 +890,24 @@ class TestBoxLayerOracle:
 
     def test_series_reuses_its_spans(self, monkeypatch):
         # Gamma = 2Z^2 x 4Z in Heisenberg(1): one Hermite form for the kernel
-        # of the forms and one for its lattice; Lambda_1 keeps Gamma's U
-        # basis, neither level re-spans lower.U + K (K = 0), and no row
-        # the library computed is validated again.  Re-spanning or
-        # re-validating anywhere in the series raises these counts.
+        # of the forms, and none for its lattice, which is zero; Lambda_1
+        # keeps Gamma's U basis, neither level re-spans lower.U + K (K = 0),
+        # and no row the library computed is validated again.  Re-spanning
+        # or re-validating anywhere in the series raises these counts.
         L = TwoStepLattice.heisenberg(1)
         sub = NilSublattice(L, Lattice.scaled(2, 2), Lattice.scaled(1, 4))
         calls = count_calls(monkeypatch, [(linalg, "_echelon"), (linalg, "_validated")])
         cert = subnormal_series(L, sub)
         assert [lvl.quotient.torsion for lvl in cert.chain] == [(4,), (2, 2)]
+        assert calls == {"_echelon": 1, "_validated": 0}
+
+    def test_box_from_json_spans_each_lattice_once(self, monkeypatch):
+        # The JSON rows of U and W go straight into one Hermite elimination
+        # each, with no validating constructor and no second pass.
+        L = TwoStepLattice.heisenberg(1)
+        want = NilSublattice(L, Lattice.scaled(2, 2), Lattice.scaled(1, 4))
+        calls = count_calls(monkeypatch, [(linalg, "_echelon"), (linalg, "_validated")])
+        assert NilSublattice.from_json(L, {"U": [["2", "0"], ["0", "2"]], "W": [["4"]]}) == want
         assert calls == {"_echelon": 2, "_validated": 0}
 
     def test_series_levels_in_closed_form(self, monkeypatch):
