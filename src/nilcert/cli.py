@@ -367,18 +367,9 @@ def run(argv: list[str]) -> int:
     try:
         args.max_index = _max_index(args.max_index)
         result = args.fn(args)
-    except NilcertError as exc:
-        report = {
-            "schema": SCHEMA,
-            "error": {"type": type(exc).__name__, "message": str(exc)},
-        }
-        sys.stdout.write(canonical_json(report) + "\n")
-        return 1
-    except (OSError, json.JSONDecodeError) as exc:
-        report = {
-            "schema": SCHEMA,
-            "error": {"type": "InputError", "message": str(exc)},
-        }
+    except (NilcertError, OSError, json.JSONDecodeError) as exc:
+        kind = type(exc).__name__ if isinstance(exc, NilcertError) else "InputError"
+        report = {"schema": SCHEMA, "error": {"type": kind, "message": str(exc)}}
         sys.stdout.write(canonical_json(report) + "\n")
         return 1
     report = {"schema": SCHEMA, "verb": args.verb, "result": result}

@@ -256,15 +256,6 @@ class NilSublattice:
         self.W = W
         self.gram = gram
 
-    @staticmethod
-    def full(parent: TwoStepLattice) -> "NilSublattice":
-        return NilSublattice(parent, Lattice.standard(parent.b), Lattice.standard(parent.f))
-
-    def contains(self, g: NilElement) -> bool:
-        if g.group != self.parent:
-            raise DimensionMismatch("element of a different parent group")
-        return self.U.contains(g.u) and self.W.contains(g.w)
-
     def collected_w(self, x) -> Vec:
         """The w-part of prod_i (r_i, 0)^(x_i) over the U basis, in basis order.
 
@@ -354,40 +345,11 @@ def box_quotient(P: NilSublattice, Q: NilSublattice) -> AbelianStructure:
     return _cokernel(r + P.W.rank, relations)
 
 
-def central_layer(upper: NilSublattice, lower: NilSublattice, kernel: Lattice) -> bool:
-    """Is upper generated over lower by central elements of the ambient group?
-
-    ``kernel`` is the u part of the ambient center, as :func:`center` returns;
-    the sum lower.U + kernel is formed only when kernel is not inside lower.U.
-    """
-    span = lower.U if kernel.is_sublattice_of(lower.U) else lower.U.sum(kernel)
-    return upper.U.is_sublattice_of(span)
-
-
-def box_chain(boxes, kernel: Lattice) -> list[ChainLevel]:
-    """Chain levels for nested boxes boxes[0] <= boxes[1] <= ...
-
-    Level j records boxes[j] with the abelian quotient boxes[j+1]/boxes[j]
-    and whether that layer is central; ``kernel`` is as for
-    :func:`central_layer`.
-    """
-    levels = []
-    for lower, upper in zip(boxes, boxes[1:]):
-        q = box_quotient(upper, lower)
-        levels.append(
-            ChainLevel(
-                subgroup=lower.to_json(),
-                quotient=q,
-                index=q.order(),
-                normality_verified=True,
-                central=central_layer(upper, lower, kernel),
-            )
-        )
-    return levels
-
-
 def series_levels(sub: NilSublattice, kernel: Lattice) -> list[ChainLevel]:
-    """:func:`box_chain` of Gamma = ``sub`` < Lambda_1 = (U + K) x Z^f < Lambda.
+    """The two levels of Gamma = ``sub`` < Lambda_1 = (U + K) x Z^f < Lambda,
+    K the u part of the centre as :func:`center` returns it.  Each level
+    records the lower box, the abelian quotient of the upper one by it and
+    whether that layer is central.
 
     Both quotients are read off Hermite bases already built: Lambda/Lambda_1
     = Z^b/(U + K) and, when K lies in U, Lambda_1/Gamma = Z^f/W.  Level 1 is

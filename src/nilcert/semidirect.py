@@ -45,7 +45,6 @@ from .linalg import (
     finite_order,
     full_index,
     hstack,
-    lattice_index,
     maps_into,
     nullity,
     power_mod,
@@ -84,10 +83,6 @@ class SemidirectGroup:
 
     def identity(self) -> "SemidirectElement":
         return SemidirectElement(self, (0,) * self.n, 0)
-
-    def is_sol3_type(self) -> bool:
-        """Trace condition for lattices of Sol3 (trace of the holonomy > 2)."""
-        return self.n == 2 and sum(self.A.data[i][i] for i in range(2)) > 2
 
     def holonomy_order(self):
         """Multiplicative order of A, or None when infinite."""
@@ -179,16 +174,6 @@ class SemidirectLattice:
     def __repr__(self):
         return "SemidirectLattice(L=%r, m=%d)" % (self.L, self.m)
 
-    def generators(self) -> list[SemidirectElement]:
-        gens = [self.parent.element(row, 0) for row in self.L.basis.data]
-        gens.append(self.parent.element((0,) * self.parent.n, self.m))
-        return gens
-
-    def contains(self, g: SemidirectElement) -> bool:
-        if g.group != self.parent:
-            raise DimensionMismatch("element of a different parent group")
-        return g.t % self.m == 0 and self.L.contains(g.v)
-
     def is_subgroup_of(self, other: "SemidirectLattice") -> bool:
         if self.parent != other.parent:
             raise DimensionMismatch("different parent groups")
@@ -213,14 +198,6 @@ class SemidirectLattice:
             raise DimensionMismatch("matrix size does not match declared rank")
         L = Lattice.from_json(n, obj["sublattice"]) if "sublattice" in obj else Lattice.standard(n)
         return SemidirectLattice(group, L, parse_int(obj.get("m", 1)))
-
-
-def group_index(G: SemidirectLattice, S: SemidirectLattice):
-    """[G : S], or None when infinite (never here: both fibers full rank)."""
-    if not S.is_subgroup_of(G):
-        raise NotASubgroup("S is not contained in G")
-    fiber = lattice_index(G.L, S.L)
-    return None if fiber is None else fiber * (S.m // G.m)
 
 
 def normalizer(G: SemidirectLattice, S: SemidirectLattice) -> SemidirectLattice:
@@ -326,9 +303,9 @@ def intermediates(
     :class:`UnsupportedSubgroupShape`.
     """
     _check_normal(G, S)
-    index = group_index(G, S)
-    if index is None:
-        raise QuotientTooLarge("quotient is infinite")
+    # Both fibres have full rank, so [G.L : S.L] = [Z^n : S.L] / [Z^n : G.L].
+    d = full_index(S.L)
+    index = d // full_index(G.L) * (S.m // G.m)
     if index > max_quotient:
         raise QuotientTooLarge("quotient order %d exceeds guard %d" % (index, max_quotient))
 
@@ -338,7 +315,7 @@ def intermediates(
         raise SelfCheckFailed("the lattices between S.L and G.L miss an end or repeat")
     # N modulo d = [Z^n : S.L] is the top right block of
     # [[A^(G.m), Id], [0, Id]]^(S.m/G.m), and d Z^n lies in S.L.
-    d, I = full_index(S.L), IntMatrix.identity(n)
+    I = IntMatrix.identity(n)
     B, O = power_mod(parent.A, G.m, d), IntMatrix.zeros(n, n)
     N = power_mod(vstack([hstack(n, [B, I]), hstack(n, [O, I])]), S.m // G.m, d)
     zero = (0,) * n

@@ -7,7 +7,8 @@ pairings, as the group law gives them:
 - :func:`nil_inv` and :func:`nil_power` in closed form, checked against
   repeated ``nil_mul`` by the tests;
 - :func:`box_normal_in`, the pairing of every basis row of ``U_P`` with
-  every basis row of ``U_Q`` through ``TwoStepLattice.cvalue``.
+  every basis row of ``U_Q`` through ``TwoStepLattice.cvalue``;
+- :func:`full_box`, the whole group Z^b x Z^f as a box.
 
 It also keeps the box layer of the two-layer series as it was before it
 reused its spans (:func:`subnormal_series` and the helpers it calls):
@@ -59,6 +60,11 @@ def box_normal_in(Q: NilSublattice, P: NilSublattice) -> bool:
         for rp in P.U.basis.data
         for rq in Q.U.basis.data
     )
+
+
+def full_box(G) -> NilSublattice:
+    """Z^b x Z^f, the whole group as a box subgroup."""
+    return NilSublattice(G, Lattice.standard(G.b), Lattice.standard(G.f))
 
 
 def checked_box(G, U: Lattice, W: Lattice) -> NilSublattice:

@@ -10,6 +10,9 @@ written out on group elements, in their defining order:
 - G/S is abelian when the commutator of every pair of G's generators lies
   in S.
 
+:func:`generators`, :func:`contains` and :func:`group_index` are the element
+helpers these checks run on; the library keeps none of them.
+
 :func:`elementwise` installs them in place of the library's, so a verb run
 inside it (the constructor, ``quotient``, ``normalizer``, ``intermediates``)
 takes the element-wise route end to end.
@@ -53,17 +56,40 @@ from nilcert.linalg import (
     Lattice,
     maps_into,
     preimage_lattice,
+    lattice_index,
     quotient_structure,
     quotient_with_generators,
     snf,
 )
 from nilcert.nilpotent2 import isolator
-from nilcert.semidirect import SemidirectLattice, conj, group_index, inv, mul, sol3_group
+from nilcert.semidirect import SemidirectLattice, conj, inv, mul, sol3_group
 
 
 def commutator(g, h):
     """[g, h] = g h g^-1 h^-1."""
     return mul(conj(g, h), inv(h))
+
+
+def generators(B):
+    """The fibre basis rows (v, 0) of L x| mZ, then (0, m)."""
+    gens = [B.parent.element(row, 0) for row in B.L.basis.data]
+    gens.append(B.parent.element((0,) * B.parent.n, B.m))
+    return gens
+
+
+def contains(B, g):
+    """Is the element g in L x| mZ?"""
+    if g.group != B.parent:
+        raise DimensionMismatch("element of a different parent group")
+    return g.t % B.m == 0 and B.L.contains(g.v)
+
+
+def group_index(G, S):
+    """[G : S], or None when infinite (never here: both fibers full rank)."""
+    if not S.is_subgroup_of(G):
+        raise NotASubgroup("S is not contained in G")
+    fiber = lattice_index(G.L, S.L)
+    return None if fiber is None else fiber * (S.m // G.m)
 
 
 def box_init(self, parent, L, m):
@@ -84,9 +110,9 @@ def box_init(self, parent, L, m):
 def check_normal(G, S):
     if not S.is_subgroup_of(G):
         raise NotASubgroup("S is not contained in G")
-    for g in G.generators():
-        for s in S.generators():
-            if not (S.contains(conj(g, s)) and S.contains(conj(inv(g), s))):
+    for g in generators(G):
+        for s in generators(S):
+            if not (contains(S, conj(g, s)) and contains(S, conj(inv(g), s))):
                 raise NotNormal("conjugate of a generator of S leaves S")
 
 
@@ -98,8 +124,8 @@ def _as_lattice(B):
 
 def quotient(G, S):
     check_normal(G, S)
-    for a, b in itertools.combinations(G.generators(), 2):
-        if not S.contains(commutator(a, b)):
+    for a, b in itertools.combinations(generators(G), 2):
+        if not contains(S, commutator(a, b)):
             raise NotAbelianQuotient("commutator of generators of G is not in S")
     # G/S is abelian, so (v, t) -> (v, t) mod S.L x S.m Z is a homomorphism.
     return quotient_structure(_as_lattice(G), _as_lattice(S))

@@ -100,13 +100,16 @@ def test_semidirect_checks_use_no_element_arithmetic():
 def test_series_builds_no_full_box():
     # The two-layer series reads Lambda/Lambda_1 = Z^b/(U + K) and, when K
     # lies in U, Lambda_1/Gamma = Z^f/W off Hermite bases it already has
-    # (nilpotent2.series_levels).  The full box Z^b x Z^f and the generic
-    # box_chain stay for callers outside the package, not for the series.
+    # (nilpotent2.series_levels), and intermediates reads [G : S] off the
+    # full-rank fibres.  The generic box chain, the full box, the element
+    # membership helpers and group_index live in the test oracles only.
+    gone = {"box_chain", "central_layer", "full", "generators", "is_sol3_type", "group_index"}
     found = sorted(
-        "%s:%d %s in %s" % (name, call.lineno, _callee(call), function)
+        "%s:%d %s" % (name, node.lineno, getattr(node, "name", None) or _callee(node))
         for name, tree in _trees()
-        for function, call in _calls(tree)
-        if _callee(call) in ("box_chain", "full") and function != _callee(call)
+        for node in ast.walk(tree)
+        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in gone)
+        or (isinstance(node, ast.Call) and _callee(node) in gone)
     )
     assert found == []
 
