@@ -8,8 +8,8 @@ missing field is a structured error naming it, not a ``KeyError``.
 ``decimals`` is the output boundary: every integer printed in a report
 becomes a decimal string through it, and one past the interpreter's digit
 limit is a structured ``TooLarge`` instead of a ``ValueError`` traceback.
-``factorize`` is the one trial-division routine behind the primality tests,
-the p-power counts and the Minkowski bound.
+``factorize`` is the one trial-division routine behind the p-power counts
+and the Minkowski bound; ``is_prime`` is a deterministic Miller-Rabin test.
 """
 
 from __future__ import annotations
@@ -75,8 +75,28 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
+# Miller-Rabin to the prime bases up to 41 decides every p below the bound
+# (Sorenson and Webster, Math. Comp. 86 (2017)).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
 def is_prime(p: int) -> bool:
-    return p >= 2 and factorize(p) == {p: 1}
+    """Is ``p`` prime?  TooLarge at or past the bound of the deterministic test."""
+    if p >= _MR_BOUND:
+        raise TooLarge("a %d-bit p is past the deterministic primality bound" % p.bit_length())
+    if p < 2:
+        return False
+    for a in _MR_BASES:
+        if p % a == 0:
+            return p == a
+    s = ((p - 1) & -(p - 1)).bit_length() - 1  # p - 1 = d * 2^s with d odd
+    d = (p - 1) >> s
+    # p is a strong probable prime to base a: a^d = 1 or a^(d 2^i) = -1, i < s.
+    return all(
+        pow(a, d, p) == 1 or any(pow(a, d << i, p) == p - 1 for i in range(s))
+        for a in _MR_BASES
+    )
 
 
 def minkowski_bound(n: int) -> int:

@@ -413,18 +413,18 @@ def h1_brute(
         raise TooLarge("group order %d exceeds guard %d" % (n, max_group_order))
 
     dim = act.dim
-    # Representative action matrix per coset, along a BFS tree from identity.
+    # Representative action matrix per coset, along a BFS tree from identity;
+    # ``order`` lists the cosets as found, each after the one that found it.
     psi_of = [None] * n
     psi_of[0] = IntMatrix.identity(dim)
-    queue = [0]
-    while queue:
-        c = queue.pop()
+    order = [0]
+    for c in order:
         for s in range(2 * act.ngens):
             d = table[c][s]
             if psi_of[d] is None:
                 step = act.matrices[s // 2] if s % 2 == 0 else act.inverses[s // 2]
                 psi_of[d] = psi_of[c] * step
-                queue.append(d)
+                order.append(d)
 
     # The module is finite, so every coordinate is a torsion coordinate.
     members = list(itertools.product(*(range(d) for d in act.module.torsion)))
@@ -433,12 +433,9 @@ def h1_brute(
     def check(values: list[Vec]) -> bool:
         cval = [None] * n
         cval[0] = (0,) * dim
-        order = [0]
-        seen = {0}
-        idx = 0
-        while idx < len(order):
-            c = order[idx]
-            idx += 1
+        # Walking the cosets in the order found sets cval[c] before c is
+        # reached and checks every edge of the coset graph.
+        for c in order:
             for s in range(2 * act.ngens):
                 d = table[c][s]
                 j = s // 2
@@ -449,9 +446,6 @@ def h1_brute(
                 expected = reduce([a + x for a, x in zip(cval[c], psi_of[c].apply(step))])
                 if cval[d] is None:
                     cval[d] = expected
-                    if d not in seen:
-                        seen.add(d)
-                        order.append(d)
                 elif cval[d] != expected:
                     return False
         return True

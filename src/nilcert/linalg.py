@@ -182,33 +182,6 @@ class IntMatrix:
             raise DimensionMismatch("power of a non-square matrix")
         return power_mod(self if t >= 0 else unimodular_inverse(self), abs(t), 0)
 
-    def det(self) -> int:
-        """Exact determinant via fraction-free Bareiss elimination."""
-        if self.rows != self.cols:
-            raise DimensionMismatch("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        m = [list(row) for row in self.data]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                for i in range(k + 1, n):
-                    if m[i][k] != 0:
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            pivot = m[k][k]
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
-                m[i][k] = 0
-            prev = pivot
-        return sign * m[n - 1][n - 1]
-
     def to_json(self) -> list[list[str]]:
         try:
             return [list(map(str, row)) for row in self.data]
@@ -291,10 +264,10 @@ def _cyclotomic(d: int, degree: int) -> list[int]:
 _PRIME = (1 << 61) - 1
 
 
-def cyclotomic_kernels(A: IntMatrix) -> dict[int, IntMatrix]:
-    """``{d: Phi_d(A)}`` for every d with Phi_d(A) singular, that is with
-    Phi_d dividing the characteristic polynomial of ``A`` (README, "One
-    cyclotomic split").
+def cyclotomic_kernels(A: IntMatrix) -> dict[int, tuple[IntMatrix, int]]:
+    """``{d: (Phi_d(A), its nullity)}`` for every d with Phi_d(A) singular,
+    that is with Phi_d dividing the characteristic polynomial of ``A``
+    (README, "One cyclotomic split").
 
     Such a d has phi(d) <= n, hence d <= 2 n^2.  Only the d whose Phi_d
     divides it modulo one prime are evaluated at ``A``, by Horner's rule in
@@ -320,8 +293,9 @@ def cyclotomic_kernels(A: IntMatrix) -> dict[int, IntMatrix]:
         X = A + I.scale(c[-2])
         for a in reversed(c[:-2]):
             X = X * A + I.scale(a)
-        if X.det() == 0:
-            out[d] = X
+        k = nullity(X)
+        if k:
+            out[d] = X, k
     return out
 
 
@@ -335,7 +309,7 @@ def finite_order(M: IntMatrix) -> Optional[int]:
     order iff the kernels of its singular Phi_d(M) fill Q^n, and then has
     order d on each."""
     cyc = cyclotomic_kernels(M)
-    return math.lcm(*cyc) if sum(map(nullity, cyc.values())) == M.rows else None
+    return math.lcm(*cyc) if sum(k for _, k in cyc.values()) == M.rows else None
 
 
 def _eye(n: int) -> list[list[int]]:
@@ -450,6 +424,11 @@ def hnf(A: IntMatrix) -> HermiteForm:
     u = _eye(A.rows)
     _echelon(w, A.cols, u)
     return HermiteForm(IntMatrix._trusted(w, A.cols), IntMatrix._trusted(u, A.rows))
+
+
+def is_unimodular(M: IntMatrix) -> bool:
+    """Is ``M`` in GL(n, Z)?  Iff it is square and its rows' Hermite basis is I."""
+    return M.rows == M.cols and _span(M.cols, M.data)._identity
 
 
 def unimodular_inverse(M: IntMatrix) -> IntMatrix:
@@ -890,9 +869,9 @@ def maps_into(M: IntMatrix, src: Lattice, dst: Lattice) -> bool:
     """Does ``M`` map ``src`` into ``dst``?  ``M`` acts on column vectors.
 
     The image of ``src`` is spanned by the images of its basis rows, so it
-    is enough that each of those lies in ``dst``.
+    is enough that each of those lies in ``dst``; all do when ``dst`` is Z^n.
     """
-    return all(dst.contains(M.apply(r)) for r in src.basis.data)
+    return dst._identity or all(dst.contains(M.apply(r)) for r in src.basis.data)
 
 
 def full_index(L: Lattice) -> Optional[int]:

@@ -48,6 +48,7 @@ from .linalg import (
     finite_order,
     full_index,
     hstack,
+    is_unimodular,
     left_kernel,
     maps_into,
     saturate,
@@ -500,7 +501,7 @@ def nilpotency_check(G: TwoStepLattice, P: IntMatrix, Q: IntMatrix, order: int) 
     """
     if P.rows != G.b or P.cols != G.b or Q.rows != G.f or Q.cols != G.f:
         raise DimensionMismatch("automorphism blocks must be b x b and f x f")
-    if abs(P.det()) != 1 or abs(Q.det()) != 1:
+    if not (is_unimodular(P) and is_unimodular(Q)):
         raise NotAnAutomorphism("blocks must be unimodular")
     for l in range(G.f):
         lhs = P.transpose() * G.forms[l] * P

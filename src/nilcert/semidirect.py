@@ -45,6 +45,7 @@ from .linalg import (
     finite_order,
     full_index,
     hstack,
+    is_unimodular,
     maps_into,
     nullity,
     power_mod,
@@ -63,7 +64,7 @@ class SemidirectGroup:
     def __init__(self, A: IntMatrix):
         if A.rows != A.cols:
             raise DimensionMismatch("holonomy matrix must be square")
-        if abs(A.det()) != 1:
+        if not is_unimodular(A):
             raise InvalidParameters("holonomy matrix must lie in GL(n, Z)")
         self.n = A.rows
         self.A = A
@@ -333,14 +334,13 @@ def intermediates(
     return results
 
 
-def _split(G: SemidirectLattice) -> tuple[dict[int, IntMatrix], int, int, int]:
+def _split(G: SemidirectLattice) -> tuple[dict[int, tuple[IntMatrix, int]], int, int, int]:
     """cyc(A), the center rank of :func:`center_rank` and the sums of
     k_d = dim ker Phi_d(A) over the d that divide m and over the rest
     (README, "One cyclotomic split")."""
     cyc = cyclotomic_kernels(G.parent.A)
-    k = {d: nullity(X) for d, X in cyc.items()}
-    fixed = sum(k[d] for d in k if G.m % d == 0)
-    rest = sum(k.values()) - fixed
+    fixed = sum(k for d, (_, k) in cyc.items() if G.m % d == 0)
+    rest = sum(k for _, k in cyc.values()) - fixed
     return cyc, fixed + (fixed + rest == G.parent.n), fixed, rest
 
 
@@ -363,7 +363,7 @@ def center_ranks(G: SemidirectLattice) -> tuple[int, int]:
     iff A^m has finite order on Z^n / ker(A^m - Id), that is iff those
     kernels and the ker Phi_d(A) of the other d fill Q^n."""
     cyc, rank, fixed, rest = _split(G)
-    fixed2 = sum(nullity(X * X) for d, X in cyc.items() if G.m % d == 0)
+    fixed2 = sum(nullity(X * X) for d, (X, _) in cyc.items() if G.m % d == 0)
     extra = fixed + rest < G.parent.n and rest + fixed2 == G.parent.n
     return rank, fixed2 - fixed + extra
 

@@ -1,15 +1,18 @@
 """The normal forms and the integer parser as they were before their pivot
-searches and their decimal test were rewritten as plain loops.
+searches and their decimal test were rewritten as plain loops, and the
+Bareiss determinant the library no longer has.
 
 The Hermite and Smith transforms are not unique, so an independent
 implementation cannot pin them; these copies can.  ``hnf`` and ``snf``
 return the plain row tuples the library's forms hold, and ``parse_int``
-keeps the regular-expression rule for decimal strings.
+keeps the regular-expression rule for decimal strings.  ``det`` is an
+elimination of its own, the tests' reference for unimodularity and
+singularity, which the library reads off the Hermite form.
 """
 
 import re
 
-from nilcert.errors import InvalidParameters
+from nilcert.errors import DimensionMismatch, InvalidParameters
 
 
 def _eye(n):
@@ -153,6 +156,34 @@ def snf(rows, n):
     u, v, vi = _eye(len(s)), _eye(n), _eye(n)
     factors = _smith(s, n, u, v, vi)
     return _rows(s), _rows(u), _rows(v), _rows(vi), factors
+
+
+def det(M):
+    """Exact determinant of a square IntMatrix via fraction-free Bareiss elimination."""
+    if M.rows != M.cols:
+        raise DimensionMismatch("determinant of a non-square matrix")
+    n = M.rows
+    if n == 0:
+        return 1
+    m = [list(row) for row in M.data]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot = m[k][k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = pivot
+    return sign * m[n - 1][n - 1]
 
 
 _DECIMAL = re.compile(r"-?[0-9]+")

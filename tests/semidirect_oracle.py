@@ -37,6 +37,7 @@ import itertools
 import math
 from functools import lru_cache
 
+from linalg_oracle import det
 from nilcert import semidirect
 from nilcert.arith import is_prime, minkowski_bound
 from nilcert.errors import (
@@ -258,7 +259,7 @@ def nilpotency_check(G, P, Q, order):
     powers P^order and Q^order."""
     if P.rows != G.b or P.cols != G.b or Q.rows != G.f or Q.cols != G.f:
         raise DimensionMismatch("automorphism blocks must be b x b and f x f")
-    if abs(P.det()) != 1 or abs(Q.det()) != 1:
+    if abs(det(P)) != 1 or abs(det(Q)) != 1:
         raise NotAnAutomorphism("blocks must be unimodular")
     for l in range(G.f):
         lhs = P.transpose() * G.forms[l] * P

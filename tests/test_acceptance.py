@@ -10,6 +10,7 @@ import math
 import random
 import time
 
+import linalg_oracle
 from nilcert.cli import canonical_json
 from nilcert.cohomology import ModuleAction, b1, h1, h1_brute, z1
 from nilcert.errors import IllDefinedAction
@@ -123,7 +124,7 @@ def test_series_lemma_random_sublattices():
         G = TwoStepLattice.heisenberg(k)
         rows = [[rng.randint(-9, 9) for _ in range(2)] for _ in range(2)]
         M = IntMatrix(rows)
-        det = abs(M.det())
+        det = abs(linalg_oracle.det(M))
         if det == 0 or det > 60:
             continue
         U = Lattice.from_rows(2, rows)
@@ -274,8 +275,8 @@ def test_exact_linalg_property_suite():
         A = IntMatrix([[rng.randint(-9, 9) for _ in range(c)] for _ in range(r)])
         form = snf(A)
         assert form.U * A * form.V == form.S
-        assert abs(form.U.det()) == 1
-        assert abs(form.V.det()) == 1
+        assert abs(linalg_oracle.det(form.U)) == 1
+        assert abs(linalg_oracle.det(form.V)) == 1
         for a, b in zip(form.factors, form.factors[1:]):
             assert b % a == 0
         W = rand_unimodular(r)

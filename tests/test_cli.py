@@ -601,6 +601,33 @@ def test_verify_guards_the_witness_rebuild_in_a_fresh_process(edit):
     )
 
 
+def test_a_large_prime_is_decided_in_a_fresh_process():
+    """Trial division of p = 2^61 - 1 would not end, neither in the witness
+    verb nor in verify_certificate with no --max-index; Miller-Rabin to the
+    prime bases up to 41 decides it at once.  A p at that test's bound is a
+    structured TooLarge."""
+    p = 2**61 - 1
+    proc = _fresh(5, "heisenberg-witness", "--k", "1", "--p", str(p), "--a", "2",
+                  "--max-index", str(10**80))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout)["result"]["total_index"] == str(p**4)
+    proc = _fresh(5, "heisenberg-witness", "--k", "1", "--p", "3317044064679887385961981",
+                  "--a", "2", "--max-index", str(10**200))
+    assert (proc.returncode, proc.stderr) == (1, "")
+    assert json.loads(proc.stdout)["error"]["type"] == "TooLarge"
+    code = (
+        "from nilcert.invariants import verify_certificate\n"
+        "from nilcert.nilpotent2 import heisenberg_witness\n"
+        "d = heisenberg_witness(1, 3, 2).to_json_dict()\n"
+        "d['group']['witness']['p'] = 2**61 - 1\n"
+        "print(verify_certificate(d))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(nilcert.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=5, env=env)
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "False\n")
+
+
 @pytest.mark.parametrize(
     "desc,center,disc",
     [

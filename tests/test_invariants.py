@@ -5,10 +5,12 @@ import random
 import pytest
 
 from nilcert import semidirect
+from nilcert.arith import factorize, is_prime
 from nilcert.certificates import SeriesCertificate
 from nilcert.errors import (
     InvalidParameters,
     QuotientTooLarge,
+    TooLarge,
     UnresolvableReference,
     UnsupportedGroupShape,
     ZeroEuler,
@@ -34,6 +36,21 @@ from nilcert.semidirect import (
     sol3_tower,
 )
 from semidirect_oracle import root_order_lcm
+
+
+class TestIsPrime:
+    def test_agrees_with_trial_division_below_1e5(self):
+        for n in range(10**5):
+            assert is_prime(n) == (n >= 2 and factorize(n) == {n: 1}), n
+
+    def test_strong_pseudoprimes_and_the_bound(self):
+        # Strong pseudoprimes to the prime bases up to 7, 23 and 37; the bound
+        # itself passes every base up to 41, so it is refused, not decided.
+        for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+            assert not is_prime(n)
+        assert is_prime(2**61 - 1)
+        with pytest.raises(TooLarge):
+            is_prime(3317044064679887385961981)
 
 
 class TestMinkowski:

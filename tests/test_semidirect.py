@@ -5,6 +5,7 @@ import pytest
 from hypothesis import event, example, given, settings, strategies as st
 
 import semidirect_oracle as oracle
+from linalg_oracle import det
 from nilcert import linalg, semidirect
 from nilcert.errors import (
     InvalidParameters,
@@ -337,7 +338,7 @@ class TestQuotientOracle:
             parent = SemidirectGroup(A)
             rows = [[rng.randint(-3, 3) for _ in range(2)] for _ in range(2)]
             M = IntMatrix(rows)
-            if not (0 < abs(M.det()) <= 9):
+            if not (0 < abs(det(M)) <= 9):
                 continue
             try:
                 S = SemidirectLattice(
@@ -637,10 +638,49 @@ def test_nilpotency_check_matches_the_exact_power_oracle(k, P, order):
     """On Heisenberg automorphisms (P, det P), "P^order = Id" read as "the
     finite order of P divides order" decides as the exact power did."""
     H = TwoStepLattice.heisenberg(k)
-    Q = IntMatrix([[P.det()]])
+    Q = IntMatrix([[det(P)]])
     got = _outcome(nilpotency_check, H, P, Q, order)
     assert got == _outcome(oracle.nilpotency_check, H, P, Q, order)
     event(repr(got))
+
+
+@st.composite
+def square_matrices(draw):
+    """n x n with n <= 5: small entries, or A in GL(n, Z) with its first row
+    scaled, so that unimodular, singular and other matrices all occur."""
+    n = draw(st.integers(0, 5))
+    if draw(st.booleans()):
+        row = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+        return IntMatrix(draw(st.lists(row, min_size=n, max_size=n)), cols=n)
+    rows = list(draw(block_holonomies(n)).data)
+    if rows:
+        c = draw(st.sampled_from([1, -1, 0, 2, 3]))
+        rows[0] = [c * x for x in rows[0]]
+    return IntMatrix(rows, cols=n)
+
+
+def _failure(f, *args):
+    try:
+        f(*args)
+    except NilcertError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(square_matrices())
+def test_unimodularity_is_the_oracle_determinant(M):
+    """SemidirectGroup and nilpotency_check read GL(n, Z) off the Hermite
+    basis of the rows; the oracle's Bareiss determinant must agree."""
+    n, d = M.rows, det(M)
+    holonomy = ("InvalidParameters", "holonomy matrix must lie in GL(n, Z)")
+    assert (_failure(SemidirectGroup, M) == holonomy) == (abs(d) != 1)
+    # With zero forms every pair of unimodular blocks preserves them, so
+    # NotAnAutomorphism can only mean a block outside GL(n, Z).
+    G, I = TwoStepLattice(n, n, [IntMatrix.zeros(n, n)] * n), IntMatrix.identity(n)
+    blocks = ("NotAnAutomorphism", "blocks must be unimodular")
+    for P, Q in ((M, I), (I, M)):
+        assert (_failure(nilpotency_check, G, P, Q, 1) == blocks) == (abs(d) != 1)
+    event("unimodular" if abs(d) == 1 else "singular" if d == 0 else "other determinant")
 
 
 class TestSol3Tower:
