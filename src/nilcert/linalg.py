@@ -12,11 +12,12 @@ where ``parse_int`` checks each entry and only the shape is checked after.
 Matrices computed from already-validated ones are built by
 ``IntMatrix._trusted``, and rows the package computes itself reach the
 normal forms through ``_span`` and ``_cokernel``, unchecked.  Transforms
-are accumulated only for callers that read them: ``hnf`` always returns
-``U``, while lattice construction runs the same elimination without one;
-``snf`` carries ``V^-1`` alongside ``V`` so quotient generators need no
-second normal form, and ``cokernel`` and ``quotient_structure`` run the
-same Smith elimination with no transform at all.
+are accumulated only for callers that read them, and only by the Hermite
+elimination: ``hnf`` always returns ``U``, while lattice construction runs
+the same elimination without one.  ``snf`` and ``quotient_with_generators``
+take their Smith transforms from row and column Hermite passes, with
+``V^-1`` the inverse of ``V``; ``cokernel`` and ``quotient_structure`` run
+a Smith elimination with no transform at all.
 """
 
 from __future__ import annotations
@@ -449,7 +450,7 @@ class SmithForm(Record):
 
     ``factors`` lists the positive diagonal entries d1 | d2 | ... with zeros
     dropped (they remain visible as zero rows/columns of ``S``).  ``V_inv``
-    is the exact inverse of ``V``, accumulated alongside it.
+    is the exact inverse of ``V``.
     """
 
     __slots__ = _fields = ("S", "U", "V", "factors", "V_inv")
@@ -464,22 +465,13 @@ class SmithForm(Record):
         object.__setattr__(self, "V_inv", V_inv)
 
 
-def _smith(
-    s: list[list[int]],
-    n: int,
-    u: Optional[list[list[int]]] = None,
-    v: Optional[list[list[int]]] = None,
-    vi: Optional[list[list[int]]] = None,
-) -> tuple[int, ...]:
-    """Reduce the rows ``s`` (width ``n``) in place to Smith normal form.
+def _smith(s: list[list[int]], n: int) -> tuple[int, ...]:
+    """Reduce the rows ``s`` (width ``n``) in place to a diagonal and return
+    the absolute values d1 | d2 | ... of its nonzero entries.
 
     Pivoting on the smallest nonzero entry bounds coefficient growth; the
-    divisibility sweep after each pivot guarantees d_i | d_{i+1}.  Each of
-    ``u``, ``v`` and ``vi`` is updated only when given: row operations are
-    repeated on ``u``, column operations on ``v``, and each column
-    operation is mirrored by the inverse row operation on ``vi``, so
-    ``vi * v = I`` throughout.  Returns the positive diagonal entries
-    d1 | d2 | ... (zeros dropped).
+    divisibility sweep after each pivot guarantees d_i | d_{i+1}.  No
+    transform is kept; :func:`_smith_transforms` builds them.
     """
     m = len(s)
     t = 0
@@ -498,16 +490,9 @@ def _smith(
             break
         if pi != t:
             s[t], s[pi] = s[pi], s[t]
-            if u is not None:
-                u[t], u[pi] = u[pi], u[t]
         if pj != t:
             for row in s:
                 row[t], row[pj] = row[pj], row[t]
-            if v is not None:
-                for row in v:
-                    row[t], row[pj] = row[pj], row[t]
-            if vi is not None:
-                vi[t], vi[pj] = vi[pj], vi[t]
         st = s[t]
         p = st[t]
         dirty = False
@@ -517,22 +502,14 @@ def _smith(
                 q = si[t] // p
                 if q:
                     si = s[i] = [a - q * b for a, b in zip(si, st)]
-                    if u is not None:
-                        u[i] = [a - q * b for a, b in zip(u[i], u[t])]
                 if si[t] != 0:
                     dirty = True
         for j in range(t + 1, n):
             if st[j] != 0:
                 q = st[j] // p
                 if q:
-                    # column j -= q * column t; the inverse is row t += q * row j.
                     for row in s:
                         row[j] -= q * row[t]
-                    if v is not None:
-                        for row in v:
-                            row[j] -= q * row[t]
-                    if vi is not None:
-                        vi[t] = [a + q * b for a, b in zip(vi[t], vi[j])]
                 if st[j] != 0:
                     dirty = True
         if dirty:
@@ -543,32 +520,56 @@ def _smith(
         )
         if fix is not None:
             s[t] = [a + b for a, b in zip(st, s[fix])]
-            if u is not None:
-                u[t] = [a + b for a, b in zip(u[t], u[fix])]
             continue
-        if p < 0:
-            s[t] = [-x for x in st]
-            if u is not None:
-                u[t] = [-x for x in u[t]]
         t += 1
-    return tuple(s[i][i] for i in range(min(m, n)) if s[i][i] != 0)
+    return tuple(abs(s[i][i]) for i in range(min(m, n)) if s[i][i] != 0)
+
+
+def _smith_transforms(
+    rows: Sequence[Row], n: int, u: Optional[list] = None
+) -> tuple[tuple[int, ...], IntMatrix]:
+    """The invariant factors of ``rows`` (width ``n``) and a unimodular ``V``
+    with ``U*A*V = S``, ``U`` accumulated on ``u`` when it is given.
+
+    Row and column Hermite eliminations alternate until the matrix is
+    diagonal (Kannan and Bachem, SIAM J. Comput. 8 (1979)); the column pass
+    is :func:`_echelon` on the transpose, whose transform is ``V``
+    transposed.  Both reduce the entries above each pivot, which keeps the
+    transforms small.  When d_i does not divide a later d_j, column j is
+    added to column i; a row addition would be undone by the next row pass.
+    """
+    w, m = list(rows), len(rows)
+    vt = _eye(n)
+    while True:
+        _echelon(w, n, u)
+        wt = list(zip(*w))  # no rows: r = 0 below, and wt is not read
+        r = _echelon(wt, m, vt)
+        # After a row pass the column pass leaves its pivots at (i, i), so
+        # the matrix is diagonal when nothing lies right of them.
+        if not any(x for i in range(r) for x in wt[i][i + 1 :]):
+            d = [wt[i][i] for i in range(r)]
+            fix = next(((i, j) for i in range(r) for j in range(i + 1, r) if d[j] % d[i]), None)
+            if fix is None:
+                return tuple(d), IntMatrix._trusted(zip(*vt), n)
+            i, j = fix
+            wt[i] = [a + b for a, b in zip(wt[i], wt[j])]
+            vt[i] = [a + b for a, b in zip(vt[i], vt[j])]
+        w = list(zip(*wt))
 
 
 def snf(A: IntMatrix) -> SmithForm:
     """Smith normal form with its transforms ``U``, ``V`` and ``V^-1``.
 
-    See :func:`_smith` for the elimination.  Callers that read only the
-    invariant factors use :func:`cokernel` or :func:`quotient_structure`,
-    which run it without transforms.
+    See :func:`_smith_transforms` for the elimination.  Callers that read
+    only the invariant factors use :func:`cokernel` or
+    :func:`quotient_structure`, which run :func:`_smith` without transforms.
     """
     m, n = A.rows, A.cols
-    s = [list(row) for row in A.data]
     u = _eye(m)
-    v = _eye(n)
-    vi = _eye(n)
-    factors = _smith(s, n, u, v, vi)
-    trusted = IntMatrix._trusted
-    return SmithForm(trusted(s, n), trusted(u, m), trusted(v, n), factors, trusted(vi, n))
+    factors, V = _smith_transforms(A.data, n, u)
+    d = factors + (0,) * m
+    S = IntMatrix._trusted([[d[i] if i == j else 0 for j in range(n)] for i in range(m)], n)
+    return SmithForm(S, IntMatrix._trusted(u, m), V, factors, unimodular_inverse(V))
 
 
 # ---------------------------------------------------------------------------
@@ -924,21 +925,15 @@ def quotient_with_generators(
     """Structure of ``sup/sub`` plus ambient lifts of its generators.
 
     Each generator comes as ``(order, vector)`` with order 0 for a free
-    generator; trivial factors are dropped.  The lifts are the rows of
-    ``V^-1``, the only transform the Smith elimination keeps here.
+    generator, torsion ones first in factor order; trivial factors are
+    dropped.  The lifts are the rows of ``V^-1``, with no ``U`` built.
     """
-    s = [list(c) for c in _coordinate_rows(sup, sub)]
-    r_sup = sup.rank
-    vinv = _eye(r_sup)
-    factors = _smith(s, r_sup, vi=vinv)
-    gens: list[tuple[int, Row]] = []
-    for i in range(r_sup):
-        d = s[i][i] if i < len(s) else 0
-        if d != 1:
-            gens.append((d, _combine(vinv[i], sup.basis.data)))
-    # Emit torsion generators first (in factor order), free ones last.
-    gens.sort(key=lambda g: (g[0] == 0, g[0]))
-    return _structure(r_sup, factors), gens
+    r = sup.rank
+    factors, V = _smith_transforms(_coordinate_rows(sup, sub), r)
+    orders = factors + (0,) * (r - len(factors))
+    lifts = unimodular_inverse(V).data
+    gens = [(d, _combine(row, sup.basis.data)) for d, row in zip(orders, lifts) if d != 1]
+    return _structure(r, factors), gens
 
 
 def lattice_index(sup: Lattice, sub: Lattice) -> Optional[int]:

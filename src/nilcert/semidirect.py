@@ -250,9 +250,13 @@ def quotient(G: SemidirectLattice, S: SemidirectLattice) -> AbelianStructure:
     ((Id - A^(G.m)) v, 0), so the test is (Id - A^(G.m)) G.L inside S.L.
     The structure then comes from the coordinate kernel: (v, t) in G maps to
     (coords of v in G.L, t/m) and S's image is the relation lattice.
+
+    For S <= G, G.m divides S.m, so Id - A^(S.m) is Id - A^(G.m) times a
+    polynomial in A and the abelian test implies normality; :func:`_check_normal`
+    runs only on failure, to report a non-subgroup or non-normal S first.
     """
-    _check_normal(G, S)
-    if not _twist_maps_into(G, G.m, S):
+    if not (S.is_subgroup_of(G) and _twist_maps_into(G, G.m, S)):
+        _check_normal(G, S)
         raise NotAbelianQuotient("commutator of generators of G is not in S")
     n = G.parent.n
     rows = [list(G.L.coords_of(row)) + [0] for row in S.L.basis.data]

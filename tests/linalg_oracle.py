@@ -2,12 +2,14 @@
 searches and their decimal test were rewritten as plain loops, and the
 Bareiss determinant the library no longer has.
 
-The Hermite and Smith transforms are not unique, so an independent
-implementation cannot pin them; these copies can.  ``hnf`` and ``snf``
-return the plain row tuples the library's forms hold, and ``parse_int``
-keeps the regular-expression rule for decimal strings.  ``det`` is an
-elimination of its own, the tests' reference for unimodularity and
-singularity, which the library reads off the Hermite form.
+The Hermite transform is not unique, so an independent implementation
+cannot pin it; this copy can.  The library's Smith transforms now come from
+alternating Hermite passes, so ``snf`` here pins ``S`` and the factors only.
+``hnf`` and ``snf`` return the plain row tuples the library's forms hold,
+and ``parse_int`` keeps the regular-expression rule for decimal strings.
+``det`` is an elimination of its own, the tests' reference for
+unimodularity and singularity, which the library reads off the Hermite
+form.
 """
 
 import re

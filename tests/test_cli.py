@@ -448,10 +448,12 @@ def digit_limit_640():
 
 class TestDigitLimit:
     def test_snf_transform_past_the_limit(self, capsys, digit_limit_640):
-        # Smith transforms of a random 40 x 40 matrix reach about 3,700 bits
-        # (over 1,100 digits): one structured TooLarge line, no traceback.
-        rng = random.Random(2)
-        matrix = [[str(rng.randint(-9, 9)) for _ in range(40)] for _ in range(40)]
+        # Coprime 400-digit a and b parse under the limit, but the invariant
+        # factor a b in S has about 800 digits: one structured TooLarge line,
+        # no traceback.  (Random matrices no longer reach the limit: the
+        # Smith transforms of the seeded 60 x 60 stay below 1,000 bits.)
+        a, b = 10**399 + 1, 10**399 + 3
+        matrix = [[str(a), "0"], ["0", str(b)]]
         code, out, _ = invoke(capsys, "snf", "--input", json.dumps(matrix))
         assert code == 1
         assert out.count("\n") == 1
@@ -584,6 +586,18 @@ def _fresh(timeout, *argv):
         [sys.executable, "-m", "nilcert.cli", *argv],
         capture_output=True, text=True, timeout=timeout, env=env,
     )
+
+
+def test_snf_of_a_seeded_60x60_prints_in_a_fresh_process():
+    """The alternating Hermite passes keep the Smith transforms of a random
+    60 x 60 matrix to about 550 bits, under the default digit limit."""
+    rng = random.Random(2)
+    matrix = [[rng.randint(-9, 9) for _ in range(60)] for _ in range(60)]
+    proc = _fresh(60, "snf", "--input", json.dumps(matrix))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    result = json.loads(proc.stdout)["result"]
+    A, U, V, S = (IntMatrix.from_json(x) for x in (matrix, result["U"], result["V"], result["S"]))
+    assert U * A * V == S
 
 
 @pytest.mark.parametrize("edit", [{"p": 2**61 - 1}, {"a": 10**9}], ids=["p-2^61-1", "a-1e9"])

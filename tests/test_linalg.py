@@ -645,7 +645,12 @@ def tie_heavy_rows(draw):
 
 
 class TestSameBytesAsTheOldPivotSearch:
-    """The transforms are not unique, so only the old code can pin them."""
+    """The transforms are not unique, so only the old code can pin them.
+
+    The Hermite transform is pinned.  The Smith transforms now come from
+    alternating Hermite passes, so the old elimination pins ``S`` and the
+    factors only, and the transforms are checked by their identities.
+    """
 
     @settings(max_examples=400, deadline=None)
     @given(tie_heavy_rows())
@@ -658,9 +663,72 @@ class TestSameBytesAsTheOldPivotSearch:
     @given(tie_heavy_rows())
     def test_snf_matches(self, case):
         rows, n = case
-        form = snf(IntMatrix(rows, cols=n))
-        got = (form.S.data, form.U.data, form.V.data, form.V_inv.data, form.factors)
-        assert got == oracle.snf(rows, n)
+        A = IntMatrix(rows, cols=n)
+        form = snf(A)
+        S, _, _, _, factors = oracle.snf(rows, n)
+        assert (form.S.data, form.factors) == (S, factors)
+        _assert_smith_transforms(A, form)
+
+
+def _assert_smith_transforms(A, form):
+    """U A V = S with U and V unimodular and V_inv the inverse of V."""
+    assert form.U * A * form.V == form.S
+    assert abs(oracle.det(form.U)) == 1 and abs(oracle.det(form.V)) == 1
+    assert (form.V_inv * form.V).is_identity()
+
+
+@st.composite
+def smith_inputs(draw):
+    """Random and tie-heavy rows up to 7 x 7: no rows, no columns, zero rows
+    and columns, rank-deficient rows and diagonals out of divisibility order."""
+    m, n = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    kind = draw(st.sampled_from(["random", "ties", "deficient", "diagonal"]))
+    if kind == "diagonal":
+        ds = draw(st.lists(st.sampled_from([0, 1, 2, 3, 4, 6, 12, -6]), min_size=m, max_size=m))
+        return [[ds[i] if i == j else 0 for j in range(n)] for i in range(m)], n
+    bound = 2 if kind == "ties" else 99
+    rows = [[draw(st.integers(-bound, bound)) for _ in range(n)] for _ in range(m)]
+    if kind == "deficient" and m > 1:
+        c = draw(st.integers(-3, 3))
+        rows[-1] = [x + c * y for x, y in zip(rows[0], rows[1])]
+    zero_rows = draw(st.sets(st.integers(0, max(m - 1, 0)), max_size=2))
+    zero_cols = draw(st.sets(st.integers(0, max(n - 1, 0)), max_size=2))
+    return [[0 if i in zero_rows or j in zero_cols else x for j, x in enumerate(row)]
+            for i, row in enumerate(rows)], n
+
+
+class TestSmithTransformsFromHermitePasses:
+    """``snf`` reads its transforms off alternating row and column Hermite
+    eliminations; ``_smith`` keeps none."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(smith_inputs())
+    def test_identities_and_the_old_factors(self, case):
+        rows, n = case
+        A = IntMatrix(rows, cols=n)
+        form = snf(A)
+        S, _, _, _, factors = oracle.snf(rows, n)
+        assert (form.S.data, form.factors) == (S, factors)
+        _assert_smith_transforms(A, form)
+        # quotient_with_generators lifts the rows of V^-1: a generator of
+        # order d has d times it in the relation lattice, and with it the
+        # generators span Z^n.
+        sub = Lattice.from_rows(n, rows)
+        structure, gens = quotient_with_generators(Lattice.standard(n), sub)
+        assert structure == cokernel(n, rows)
+        assert [d for d, _ in gens] == [d for d in factors if d != 1] + [0] * (n - len(factors))
+        assert all(sub.contains([d * x for x in g]) for d, g in gens)
+        assert sub.sum(Lattice.from_rows(n, [g for _, g in gens])) == Lattice.standard(n)
+
+    @pytest.mark.parametrize("n", [40, 60])
+    def test_seeded_transforms_stay_small(self, n):
+        # The old pivot search reached 3,745 and 19,045 bits on these.
+        rng = random.Random(2)
+        A = IntMatrix([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
+        form = snf(A)
+        assert form.U * A * form.V == form.S
+        entries = [x for M in (form.U, form.V, form.V_inv) for row in M.data for x in row]
+        assert max(abs(x).bit_length() for x in entries) < 1000
 
 
 def _parsed(parse, x):

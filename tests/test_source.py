@@ -61,7 +61,7 @@ def _callee(call):
 def test_transforms_only_where_read():
     # snf builds U, V and V^-1; a caller that reads only invariant factors
     # uses cokernel or quotient_structure, which run the Smith elimination
-    # without them, and quotient_with_generators keeps only V^-1.  Z^n / L
+    # without them, and quotient_with_generators builds no U.  Z^n / L
     # is cokernel(n, rows), not a quotient of Lattice.standard(n), which
     # would add a Hermite form and coordinates.
     snf_readers = {
@@ -80,6 +80,33 @@ def test_transforms_only_where_read():
                 if isinstance(sup, ast.Call) and ast.unparse(sup.func).endswith("Lattice.standard"):
                     found.append("%s:%d %s over Lattice.standard" % (name, call.lineno, callee))
     assert found == []
+
+
+def test_smith_keeps_no_transform():
+    # _smith reduces to invariant factors only.  Transforms come from the
+    # Hermite elimination: _smith_transforms alternates _echelon on the rows
+    # and on their transpose, and forwards U to it.
+    params = {
+        node.name: [a.arg for a in node.args.args]
+        for name, tree in _trees()
+        if name == "linalg.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+    }
+    assert params["_smith"] == ["s", "n"]
+    with_u = sorted(f for f, args in params.items() if "u" in args)
+    assert with_u == ["_echelon", "_smith_transforms"]
+
+
+def test_smith_transforms_only_for_their_readers():
+    # snf prints U and V; quotient_with_generators lifts the rows of V^-1.
+    callers = sorted(
+        (name, function)
+        for name, tree in _trees()
+        for function, call in _calls(tree)
+        if _callee(call) == "_smith_transforms"
+    )
+    assert callers == [("linalg.py", "quotient_with_generators"), ("linalg.py", "snf")]
 
 
 def test_semidirect_checks_use_no_element_arithmetic():
