@@ -8,15 +8,23 @@ missing field is a structured error naming it, not a ``KeyError``.
 ``decimals`` is the output boundary: every integer printed in a report
 becomes a decimal string through it, and one past the interpreter's digit
 limit is a structured ``TooLarge`` instead of a ``ValueError`` traceback.
-``factorize`` is the one trial-division routine behind the p-power counts
-and the Minkowski bound; ``is_prime`` is a deterministic Miller-Rabin test.
+``canonical_json`` and ``SCHEMA`` give every report and certificate its
+bytes.  ``factorize`` is the one trial-division routine behind the p-power
+counts and the Minkowski bound; ``is_prime`` is a deterministic Miller-Rabin
+test.  ``minkowski_bound`` and ``euler_length_bound`` are the scalar bounds,
+here so that the CLI verbs that print them load no other module.
 """
 
 from __future__ import annotations
 
+import json
 import sys
 
-from .errors import InvalidParameters, TooLarge
+from .errors import InvalidParameters, TooLarge, ZeroEuler
+
+SCHEMA = "nilcert/1"
+
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 
 
 def parse_int(x) -> int:
@@ -46,6 +54,12 @@ def decimals(values) -> list[str]:
             "integer exceeds the interpreter's %d-digit limit for decimal output"
             % sys.get_int_max_str_digits()
         ) from None
+
+
+def canonical_json(obj) -> str:
+    """Sorted keys, no whitespace: equal texts mean equal JSON values, and
+    ``true`` or ``1.0`` never pass for ``1``."""
+    return _ENCODER.encode(obj)
 
 
 def json_field(obj, key: str, kind: type = object):
@@ -122,3 +136,14 @@ def minkowski_bound(n: int) -> int:
         p += 1
     return result
 
+
+def euler_length_bound(chi: int) -> int:
+    """floor(log2 |chi|): the maximal number of nontrivial free layers.
+
+    Each free layer of a finite group action divides the Euler characteristic
+    by at least 2.  The prime-factor count Omega(|chi|) would bound it too;
+    this returns the stated log2 constant.
+    """
+    if chi == 0:
+        raise ZeroEuler("Euler characteristic zero: no multiplicative bound")
+    return abs(chi).bit_length() - 1

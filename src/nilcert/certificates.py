@@ -17,30 +17,29 @@ report ``min_length`` 1 (or 0 for a trivial chain).
 
 from __future__ import annotations
 
-import json
 from typing import Optional
 
-from .arith import decimals, json_field, parse_int
+from .arith import SCHEMA, canonical_json, decimals, json_field, parse_int
 from .errors import InvalidParameters, Record, SelfCheckFailed
 from .linalg import AbelianStructure
-
-SCHEMA = "nilcert/1"
 
 KIND_SOL3 = "sol3-tower"
 KIND_WITNESS = "heisenberg-witness"
 KIND_TWO_STEP = "two-step-series"
 
-_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 # kind -> (key of its levels, key of their flag); a tower level records a verified normalizer
 _LAYOUT = {KIND_SOL3: ("levels", "normalizer_verified"), KIND_WITNESS: ("chain", "normality_verified")}
 _CERT_KEYS = ("schema", "kind", "group", "total_index", "min_length", "max_quotient_order")
 _LEVEL_KEYS = ("subgroup", "quotient_factors", "quotient_free_rank", "index", "central")
 
 
-def canonical_json(obj) -> str:
-    """Sorted keys, no whitespace: equal texts mean equal JSON values, and
-    ``true`` or ``1.0`` never pass for ``1``."""
-    return _ENCODER.encode(obj)
+def _fresh(value):
+    """A JSON value with new dicts and lists, its strings and numbers shared."""
+    if isinstance(value, dict):
+        return {key: _fresh(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_fresh(item) for item in value]
+    return value
 
 
 def _known_fields(obj: dict, *keys: str) -> None:
@@ -69,10 +68,10 @@ class ChainLevel(Record):
         object.__setattr__(self, "normality_verified", normality_verified)
         object.__setattr__(self, "central", central)
 
-    def to_json_dict(self, flag_key: str = "normality_verified") -> dict:
+    def to_json_dict(self, flag_key: str = "normality_verified", copy: bool = True) -> dict:
         index, *factors = decimals((self.index, *self.quotient.torsion))
         out = {
-            "subgroup": self.subgroup,
+            "subgroup": _fresh(self.subgroup) if copy else self.subgroup,
             "quotient_factors": factors,
             "index": index,
             flag_key: self.normality_verified,
@@ -147,20 +146,24 @@ class SeriesCertificate(Record):
             return False
         return True
 
-    def to_json_dict(self) -> dict:
+    def to_json_dict(self, copy: bool = True) -> dict:
+        """The certificate as JSON.  Its dicts and lists are new unless ``copy``
+        is false, which shares the group and subgroup descriptions the
+        certificate holds with a caller that only serializes the result."""
         levels_key, flag_key = _LAYOUT.get(self.kind, ("levels", "normality_verified"))
         total_index, max_quotient_order = decimals((self.total_index, self.max_quotient_order))
         out = {
             "schema": SCHEMA,
             "kind": self.kind,
-            "group": self.group_ref,
-            levels_key: [level.to_json_dict(flag_key) for level in self.chain],
+            "group": _fresh(self.group_ref) if copy else self.group_ref,
+            levels_key: [level.to_json_dict(flag_key, copy) for level in self.chain],
             "total_index": total_index,
             "min_length": self.min_length,
             "max_quotient_order": max_quotient_order,
         }
         if self.kind == KIND_WITNESS:
-            out["profile"] = self.group_ref.get("witness", {}).get("profile", [])
+            profile = self.group_ref.get("witness", {}).get("profile", [])
+            out["profile"] = _fresh(profile) if copy else profile
         return out
 
     @staticmethod

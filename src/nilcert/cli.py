@@ -5,6 +5,10 @@ library, and emits deterministic JSON reports: sorted keys, no whitespace,
 integers that can be large as decimal strings.  Domain errors exit 1 with a
 structured error report; usage errors exit 2.  The optional ``--summary``
 flag adds a human-readable line on stderr so stdout stays byte-stable.
+
+Each verb reaches the library through the package (``nilcert.linalg.hnf``),
+whose PEP 562 ``__getattr__`` imports a submodule on first use, so a verb
+loads only the modules it runs.
 """
 
 from __future__ import annotations
@@ -14,18 +18,15 @@ import json
 import os
 import sys
 
-from . import cohomology, invariants, nilpotent2, semidirect
-from .arith import decimals, parse_int
-from .certificates import SCHEMA, canonical_json
+import nilcert
+
+from .arith import SCHEMA, canonical_json, decimals, euler_length_bound, minkowski_bound, parse_int
 from .errors import (
     InvalidParameters,
     NilcertError,
     QuotientTooLarge,
     UnsupportedGroupShape,
 )
-from .linalg import IntMatrix, Lattice, hnf, snf
-from .nilpotent2 import NilSublattice, TwoStepLattice
-from .semidirect import SemidirectGroup, SemidirectLattice
 
 DEFAULT_MAX_INDEX = 10**6
 DEFAULT_MAX_ENUM = 10**4
@@ -40,27 +41,29 @@ MAX_MINKOWSKI_N = 1331
 
 
 def _preset_group(name: str, k: int | None = None, n: int | None = None):
-    """The library group behind an embedded preset."""
+    """(type, group): the library group behind an embedded preset."""
     if name == "sol3":
-        return semidirect.sol3_gamma(0)
+        return "semidirect", nilcert.semidirect.sol3_gamma(0)
     if name == "heisenberg":
         kk = 1 if k is None else k
         if kk < 1:
             raise InvalidParameters("heisenberg preset needs k >= 1")
-        return TwoStepLattice.heisenberg(kk)
+        return "twostep", nilcert.nilpotent2.TwoStepLattice.heisenberg(kk)
     if name == "torus":
         nn = 3 if n is None else n
         if nn < 1:
             raise InvalidParameters("torus preset needs n >= 1")
-        return TwoStepLattice.free_abelian(nn, 0)
+        return "twostep", nilcert.nilpotent2.TwoStepLattice.free_abelian(nn, 0)
     if name == "kxs1":
-        return SemidirectLattice(SemidirectGroup(IntMatrix([[-1, 0], [0, 1]])), Lattice.standard(2), 1)
+        sd, linalg = nilcert.semidirect, nilcert.linalg
+        holonomy = sd.SemidirectGroup(linalg.IntMatrix([[-1, 0], [0, 1]]))
+        return "semidirect", sd.SemidirectLattice(holonomy, linalg.Lattice.standard(2), 1)
     raise InvalidParameters("unknown preset %r" % name)
 
 
 def preset_description(name: str, k: int | None = None, n: int | None = None) -> dict:
     """Embedded group descriptions for the worked examples."""
-    return dict(_preset_group(name, k, n).to_json(), schema=SCHEMA)
+    return dict(_preset_group(name, k, n)[1].to_json(), schema=SCHEMA)
 
 
 def presets() -> dict[str, dict]:
@@ -90,17 +93,18 @@ def _load_json_arg(value: str):
 
 
 def _group_from_description(desc: dict):
+    """(type, group): the type field picks the one module that reads the group."""
     if not isinstance(desc, dict):
         raise InvalidParameters("a group description must be a JSON object")
     kind = desc.get("type")
     if kind == "semidirect":
-        return SemidirectLattice.from_json(desc)
+        return kind, nilcert.semidirect.SemidirectLattice.from_json(desc)
     if kind == "twostep":
-        return TwoStepLattice.from_json(desc)
+        return kind, nilcert.nilpotent2.TwoStepLattice.from_json(desc)
     raise UnsupportedGroupShape("unknown group type %r" % kind)
 
 
-def _resolve_group(args) -> object:
+def _resolve_group(args) -> tuple[str, object]:
     if getattr(args, "preset", None):
         return _preset_group(args.preset, k=getattr(args, "k", None), n=getattr(args, "n", None))
     if getattr(args, "input", None):
@@ -113,15 +117,22 @@ def _resolve_group(args) -> object:
 # ---------------------------------------------------------------------------
 
 
+def _twostep(kind: str, group, verb: str):
+    """The group of a (type, group) pair, which ``verb`` needs to be twostep."""
+    if kind != "twostep":
+        raise UnsupportedGroupShape("%s needs a twostep group" % verb)
+    return group
+
+
 def _cmd_hnf(args):
-    A = IntMatrix.from_json(_load_json_arg(args.input))
-    form = hnf(A)
+    A = nilcert.linalg.IntMatrix.from_json(_load_json_arg(args.input))
+    form = nilcert.linalg.hnf(A)
     return {"H": form.H.to_json(), "U": form.U.to_json()}
 
 
 def _cmd_snf(args):
-    A = IntMatrix.from_json(_load_json_arg(args.input))
-    form = snf(A)
+    A = nilcert.linalg.IntMatrix.from_json(_load_json_arg(args.input))
+    form = nilcert.linalg.snf(A)
     return {
         "S": form.S.to_json(),
         "U": form.U.to_json(),
@@ -131,63 +142,57 @@ def _cmd_snf(args):
 
 
 def _cmd_center(args):
-    group = _resolve_group(args)
-    if isinstance(group, SemidirectLattice):
-        rank, structure = semidirect.center_rank(group)
+    kind, group = _resolve_group(args)
+    if kind == "semidirect":
+        rank, structure = nilcert.semidirect.center_rank(group)
         return {"rank": rank, "structure": structure.to_json()}
-    rank, kernel = nilpotent2.center(group)
+    rank, kernel = nilcert.nilpotent2.center(group)
     return {"rank": rank, "kernel_basis": kernel.to_json()}
 
 
 def _cmd_isolator(args):
-    group = _resolve_group(args)
-    if not isinstance(group, TwoStepLattice):
-        raise UnsupportedGroupShape("isolator needs a twostep group")
-    sqrt, l = nilpotent2.isolator(group)
+    sqrt, l = nilcert.nilpotent2.isolator(_twostep(*_resolve_group(args), "isolator"))
     return {"sqrt_commutator": sqrt.to_json(), "l": l}
 
 
 def _cmd_hbar1(args):
-    group = _resolve_group(args)
-    if not isinstance(group, TwoStepLattice):
-        raise UnsupportedGroupShape("hbar1 needs a twostep group")
-    return {"structure": nilpotent2.hbar1(group).to_json()}
+    group = _twostep(*_resolve_group(args), "hbar1")
+    return {"structure": nilcert.nilpotent2.hbar1(group).to_json()}
 
 
 def _pair_of_semidirect(args):
-    G = _group_from_description(_load_json_arg(args.group))
-    S = _group_from_description(_load_json_arg(args.subgroup))
-    if not isinstance(G, SemidirectLattice) or not isinstance(S, SemidirectLattice):
+    g_kind, G = _group_from_description(_load_json_arg(args.group))
+    s_kind, S = _group_from_description(_load_json_arg(args.subgroup))
+    if g_kind != "semidirect" or s_kind != "semidirect":
         raise UnsupportedGroupShape("this verb needs two semidirect groups")
     return G, S
 
 
 def _cmd_normalizer(args):
     G, S = _pair_of_semidirect(args)
-    return {"normalizer": semidirect.normalizer(G, S).to_json()}
+    return {"normalizer": nilcert.semidirect.normalizer(G, S).to_json()}
 
 
 def _cmd_quotient(args):
     G, S = _pair_of_semidirect(args)
-    return {"quotient": semidirect.quotient(G, S).to_json()}
+    return {"quotient": nilcert.semidirect.quotient(G, S).to_json()}
 
 
 def _cmd_intermediates(args):
     G, S = _pair_of_semidirect(args)
-    subs = semidirect.intermediates(G, S, max_quotient=args.max_enum)
+    subs = nilcert.semidirect.intermediates(G, S, max_quotient=args.max_enum)
     return {"count": len(subs), "subgroups": [s.to_json() for s in subs]}
 
 
 def _cmd_series(args):
-    group = _group_from_description(_load_json_arg(args.input))
-    if not isinstance(group, TwoStepLattice):
-        raise UnsupportedGroupShape("series needs a twostep group")
-    sub = NilSublattice.from_json(group, _load_json_arg(args.gamma))
-    cert = nilpotent2.subnormal_series(group, sub, max_index=args.max_index)
+    group = _twostep(*_group_from_description(_load_json_arg(args.input)), "series")
+    sub = nilcert.nilpotent2.NilSublattice.from_json(group, _load_json_arg(args.gamma))
+    cert = nilcert.nilpotent2.subnormal_series(group, sub, max_index=args.max_index)
     return cert.to_json_dict()
 
 
 def _cmd_cohomology(args):
+    cohomology = nilcert.cohomology
     act = cohomology.ModuleAction.from_json(_load_json_arg(args.input))
     op = args.op
     if op == "z1":
@@ -210,18 +215,17 @@ def _cmd_minkowski(args):
         raise InvalidParameters(
             "n must be at most %d: M(n) would not print in 4300 digits" % MAX_MINKOWSKI_N
         )
-    bound = invariants.minkowski_bound(args.n)
+    bound = minkowski_bound(args.n)
     decimals((bound,))  # a TooLarge report, not a traceback, under a lowered digit limit
     return {"n": args.n, "bound": bound}
 
 
 def _cmd_euler_bound(args):
-    return {"chi": args.chi, "bound": invariants.euler_length_bound(args.chi)}
+    return {"chi": args.chi, "bound": euler_length_bound(args.chi)}
 
 
 def _cmd_discsym2(args):
-    group = _resolve_group(args)
-    return invariants.discsym2_upper(group).to_json()
+    return nilcert.invariants.discsym2_upper(_resolve_group(args)[1]).to_json()
 
 
 def _cmd_sol3_tower(args):
@@ -230,16 +234,16 @@ def _cmd_sol3_tower(args):
         raise QuotientTooLarge(
             "tower index 4^%d exceeds --max-index %d" % (args.k, args.max_index)
         )
-    return semidirect.sol3_tower(args.k).to_json_dict()
+    return nilcert.semidirect.sol3_tower(args.k).to_json_dict()
 
 
 def _cmd_witness(args):
-    return nilpotent2.heisenberg_witness(args.k, args.p, args.a, args.max_index).to_json_dict()
+    return nilcert.nilpotent2.heisenberg_witness(args.k, args.p, args.a, args.max_index).to_json_dict()
 
 
 def _cmd_verify(args):
     cert = _load_json_arg(args.input)
-    return {"verified": invariants.verify_certificate(cert, args.max_index)}
+    return {"verified": nilcert.invariants.verify_certificate(cert, args.max_index)}
 
 
 def _cmd_presets(args):

@@ -13,7 +13,7 @@ import functools
 
 from . import nilpotent2, semidirect
 from .arith import json_field, parse_int
-from .arith import minkowski_bound  # noqa: F401  (public name of this module)
+from .arith import euler_length_bound, minkowski_bound  # noqa: F401  (public names of this module)
 from .certificates import (
     KIND_SOL3,
     KIND_TWO_STEP,
@@ -28,22 +28,9 @@ from .errors import (
     Record,
     UnresolvableReference,
     UnsupportedGroupShape,
-    ZeroEuler,
 )
 from .nilpotent2 import NilSublattice, TwoStepLattice
 from .semidirect import SemidirectLattice
-
-
-def euler_length_bound(chi: int) -> int:
-    """floor(log2 |chi|): the maximal number of nontrivial free layers.
-
-    Each free layer of a finite group action divides the Euler characteristic
-    by at least 2.  The prime-factor count Omega(|chi|) would bound it too;
-    this returns the stated log2 constant.
-    """
-    if chi == 0:
-        raise ZeroEuler("Euler characteristic zero: no multiplicative bound")
-    return abs(chi).bit_length() - 1
 
 
 @functools.total_ordering
@@ -170,4 +157,6 @@ def verify_certificate(cert, max_index: int | None = None) -> bool:
     except NilcertError:
         return False
     # Compared as JSON text, so that true or 1.0 in the inputs never pass for 1.
-    return canonical_json(fresh.to_json_dict()) == canonical_json(cert.to_json_dict())
+    return canonical_json(fresh.to_json_dict(copy=False)) == canonical_json(
+        cert.to_json_dict(copy=False)
+    )

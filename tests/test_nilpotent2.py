@@ -10,6 +10,7 @@ from linalg_oracle import det
 from nilpotent2_oracle import box_normal_in, full_box, nil_inv, nil_power
 from nilcert import linalg, nilpotent2
 from nilcert.certificates import canonical_json
+from nilcert.invariants import verify_certificate
 from nilcert.errors import (
     ClosureViolation,
     InfiniteOrder,
@@ -431,6 +432,20 @@ class TestSubnormalSeries:
         ]
         assert cert.chain[0].central is True
         assert cert.structural_ok()
+
+    def test_json_dict_shares_no_container_with_the_certificate(self):
+        # Editing the returned JSON must leave the certificate as it was.
+        H = TwoStepLattice.heisenberg(1)
+        cert = subnormal_series(H, NilSublattice(H, Lattice.scaled(2, 2), Lattice.scaled(1, 4)))
+        d = cert.to_json_dict()
+        d["levels"][0]["subgroup"]["W"] = [["2"]]
+        d["group"]["gamma"]["U"][0][0] = "6"
+        assert verify_certificate(cert)
+        witness = heisenberg_witness(1, 3, 2)
+        d = witness.to_json_dict()
+        d["profile"].append(9)
+        d["group"]["witness"]["k"] = "7"
+        assert verify_certificate(witness)
 
     def test_trivial_series(self):
         H = TwoStepLattice.heisenberg(1)
