@@ -17,8 +17,6 @@ report ``min_length`` 1 (or 0 for a trivial chain).
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .arith import SCHEMA, canonical_json, decimals, json_field, parse_int
 from .errors import InvalidParameters, Record, SelfCheckFailed
 from .linalg import AbelianStructure
@@ -60,7 +58,7 @@ class ChainLevel(Record):
         quotient: AbelianStructure,
         index: int,
         normality_verified: bool,
-        central: Optional[bool] = None,
+        central: bool | None = None,
     ):
         object.__setattr__(self, "subgroup", subgroup)
         object.__setattr__(self, "quotient", quotient)
@@ -98,7 +96,7 @@ class ChainLevel(Record):
         )
 
 
-def _flag(obj: dict, key: str) -> Optional[bool]:
+def _flag(obj: dict, key: str) -> bool | None:
     """A JSON boolean, or None when the flag is absent or null."""
     value = obj.get(key)
     if value is not None and not isinstance(value, bool):

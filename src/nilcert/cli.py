@@ -255,82 +255,79 @@ def _cmd_presets(args):
 # ---------------------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
+# Options every verb takes, ahead of its own.
+_COMMON = (
+    ("--max-index", {"type": int, "help": "guardrail for index computations "
+                     "(default: env NILCERT_MAX_INDEX, else 10^6)"}),
+    ("--max-enum", {"type": int, "default": DEFAULT_MAX_ENUM,
+                    "help": "guardrail for finite enumerations"}),
+    ("--json", {"action": "store_true", "help": "emit JSON (default; kept for compatibility)"}),
+    ("--summary", {"action": "store_true", "help": "also print a plain-text summary on stderr"}),
+)
+_INT = {"type": int, "required": True}  # a required integer option
+_MATRIX = (("--input", {"required": True, "help": "matrix JSON (inline or path)"}),)
+_GROUP = (
+    ("--input", {"help": "group description JSON (inline or path)"}),
+    ("--preset", {"help": "embedded preset name"}),
+    ("--k", {"type": int, "help": "preset parameter k"}),
+    ("--n", {"type": int, "help": "preset parameter n"}),
+)
+_PAIR = (
+    ("--group", {"required": True, "help": "ambient group JSON (inline or path)"}),
+    ("--subgroup", {"required": True, "help": "subgroup JSON (inline or path)"}),
+)
+
+# verb -> (handler, help, options), in the order --help lists them
+_VERBS = {
+    "hnf": (_cmd_hnf, "row Hermite normal form of an integer matrix", _MATRIX),
+    "snf": (_cmd_snf, "Smith normal form of an integer matrix", _MATRIX),
+    "center": (_cmd_center, "center rank of a lattice", _GROUP),
+    "isolator": (_cmd_isolator, "isolator of the commutator subgroup", _GROUP),
+    "hbar1": (_cmd_hbar1, "outer classes trivial on both extension ends", _GROUP),
+    "discsym2-bound": (_cmd_discsym2, "lexicographic (f, b) upper bound", _GROUP),
+    "normalizer": (_cmd_normalizer, "normalizer of S in G", _PAIR),
+    "quotient": (_cmd_quotient, "abelian quotient G/S", _PAIR),
+    "intermediates": (_cmd_intermediates, "subgroups strictly between S and G", _PAIR),
+    "series": (_cmd_series, "two-layer subnormal series certificate", (
+        ("--input", {"required": True, "help": "twostep group JSON"}),
+        ("--gamma", {"required": True, "help": 'sublattice JSON {"U": ..., "W": ...}'}),
+    )),
+    "cohomology": (_cmd_cohomology, "crossed-homomorphism cohomology", (
+        ("--input", {"required": True, "help": "module action JSON"}),
+        ("--op", {"choices": ["z1", "b1", "h1", "h1-brute"], "default": "h1"}),
+    )),
+    "minkowski": (_cmd_minkowski, "Minkowski bound for GL(n, Z)",
+                  (("--n", dict(_INT, help="1 <= n <= %d" % MAX_MINKOWSKI_N)),)),
+    "euler-bound": (_cmd_euler_bound, "log2 length bound from the Euler characteristic",
+                    (("--chi", _INT),)),
+    "sol3-tower": (_cmd_sol3_tower, "length-k Sol3 tower certificate", (("--k", _INT),)),
+    "heisenberg-witness": (_cmd_witness, "(1,2) witness chain certificate",
+                           (("--k", _INT), ("--p", _INT), ("--a", _INT))),
+    "verify": (_cmd_verify, "re-verify a certificate from scratch",
+               (("--input", {"required": True, "help": "certificate JSON (inline or path)"}),)),
+    "presets": (_cmd_presets, "list the embedded group presets", ()),
+}
+
+
+def _build_parser(verbs) -> argparse.ArgumentParser:
+    """The root parser with the sub-parsers of ``verbs`` only.
+
+    With one verb built, the metavar keeps the root usage listing every
+    verb; with all of them argparse spells out the same list itself, and
+    errors about the verb argument still name it ``verb``.
+    """
     parser = argparse.ArgumentParser(
         prog="nilcert",
         description="Exact certificates for lattice invariants in nilpotent and solvable groups.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--max-index",
-        type=int,
-        help="guardrail for index computations (default: env NILCERT_MAX_INDEX, else 10^6)",
-    )
-    common.add_argument(
-        "--max-enum", type=int, default=DEFAULT_MAX_ENUM,
-        help="guardrail for finite enumerations",
-    )
-    common.add_argument("--json", action="store_true", help="emit JSON (default; kept for compatibility)")
-    common.add_argument("--summary", action="store_true", help="also print a plain-text summary on stderr")
-    sub = parser.add_subparsers(dest="verb", required=True)
-
-    def add(name, fn, **kwargs):
-        p = sub.add_parser(name, parents=[common], **kwargs)
+    metavar = "{%s}" % ",".join(_VERBS) if len(verbs) == 1 else None
+    sub = parser.add_subparsers(dest="verb", required=True, metavar=metavar)
+    for name in verbs:
+        fn, helptext, options = _VERBS[name]
+        p = sub.add_parser(name, help=helptext)
+        for flag, kwargs in _COMMON + options:
+            p.add_argument(flag, **kwargs)
         p.set_defaults(fn=fn)
-        return p
-
-    p = add("hnf", _cmd_hnf, help="row Hermite normal form of an integer matrix")
-    p.add_argument("--input", required=True, help="matrix JSON (inline or path)")
-    p = add("snf", _cmd_snf, help="Smith normal form of an integer matrix")
-    p.add_argument("--input", required=True, help="matrix JSON (inline or path)")
-
-    for name, fn, helptext in [
-        ("center", _cmd_center, "center rank of a lattice"),
-        ("isolator", _cmd_isolator, "isolator of the commutator subgroup"),
-        ("hbar1", _cmd_hbar1, "outer classes trivial on both extension ends"),
-        ("discsym2-bound", _cmd_discsym2, "lexicographic (f, b) upper bound"),
-    ]:
-        p = add(name, fn, help=helptext)
-        p.add_argument("--input", help="group description JSON (inline or path)")
-        p.add_argument("--preset", help="embedded preset name")
-        p.add_argument("--k", type=int, help="preset parameter k")
-        p.add_argument("--n", type=int, help="preset parameter n")
-
-    for name, fn, helptext in [
-        ("normalizer", _cmd_normalizer, "normalizer of S in G"),
-        ("quotient", _cmd_quotient, "abelian quotient G/S"),
-        ("intermediates", _cmd_intermediates, "subgroups strictly between S and G"),
-    ]:
-        p = add(name, fn, help=helptext)
-        p.add_argument("--group", required=True, help="ambient group JSON (inline or path)")
-        p.add_argument("--subgroup", required=True, help="subgroup JSON (inline or path)")
-
-    p = add("series", _cmd_series, help="two-layer subnormal series certificate")
-    p.add_argument("--input", required=True, help="twostep group JSON")
-    p.add_argument("--gamma", required=True, help='sublattice JSON {"U": ..., "W": ...}')
-
-    p = add("cohomology", _cmd_cohomology, help="crossed-homomorphism cohomology")
-    p.add_argument("--input", required=True, help="module action JSON")
-    p.add_argument("--op", choices=["z1", "b1", "h1", "h1-brute"], default="h1")
-
-    p = add("minkowski", _cmd_minkowski, help="Minkowski bound for GL(n, Z)")
-    p.add_argument("--n", type=int, required=True, help="1 <= n <= %d" % MAX_MINKOWSKI_N)
-
-    p = add("euler-bound", _cmd_euler_bound, help="log2 length bound from the Euler characteristic")
-    p.add_argument("--chi", type=int, required=True)
-
-    p = add("sol3-tower", _cmd_sol3_tower, help="length-k Sol3 tower certificate")
-    p.add_argument("--k", type=int, required=True)
-
-    p = add("heisenberg-witness", _cmd_witness, help="(1,2) witness chain certificate")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--a", type=int, required=True)
-
-    p = add("verify", _cmd_verify, help="re-verify a certificate from scratch")
-    p.add_argument("--input", required=True, help="certificate JSON (inline or path)")
-
-    add("presets", _cmd_presets, help="list the embedded group presets")
     return parser
 
 
@@ -366,8 +363,9 @@ def _max_index(flag: int | None) -> int:
 
 def run(argv: list[str]) -> int:
     """Parse argv, execute, and print the JSON report; returns the exit code."""
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    # Only a verb's own parser is built; no verb (or -h) needs them all.
+    verbs = argv[:1] if argv and argv[0] in _VERBS else _VERBS
+    args = _build_parser(verbs).parse_args(argv)
     try:
         args.max_index = _max_index(args.max_index)
         result = args.fn(args)

@@ -15,9 +15,10 @@ normal forms through ``_span`` and ``_cokernel``, unchecked.  Transforms
 are accumulated only for callers that read them, and only by the Hermite
 elimination: ``hnf`` always returns ``U``, while lattice construction runs
 the same elimination without one.  ``snf`` and ``quotient_with_generators``
-take their Smith transforms from row and column Hermite passes, with
-``V^-1`` the inverse of ``V``; ``cokernel`` and ``quotient_structure`` run
-a Smith elimination with no transform at all.
+take their Smith transforms from row and column Hermite passes, and only
+``quotient_with_generators``, which lifts the rows of ``V^-1``, inverts
+``V``; ``cokernel`` and ``quotient_structure`` run a Smith elimination with
+no transform at all.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 import math
 import operator
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from collections.abc import Iterable, Sequence
 
 from .arith import decimals, factorize, json_field, parse_int
 from .errors import DimensionMismatch, InvalidParameters, NotASublattice, Record
@@ -39,7 +40,7 @@ def _as_int(x) -> int:
     return x
 
 
-def _width(rows: Sequence[Row], cols: Optional[int]) -> int:
+def _width(rows: Sequence[Row], cols: int | None) -> int:
     """The one length of ``rows``, which must be ``cols`` if that is given."""
     ncols = len(rows[0]) if rows else 0 if cols is None else cols
     if any(len(r) != ncols for r in rows):
@@ -49,7 +50,7 @@ def _width(rows: Sequence[Row], cols: Optional[int]) -> int:
     return ncols
 
 
-def _parse_rows(obj, cols: Optional[int] = None) -> tuple[list[Row], int]:
+def _parse_rows(obj, cols: int | None = None) -> tuple[list[Row], int]:
     """JSON rows (lists of ints or decimal strings) as rows of ints, and their
     width (``cols`` if given); ``parse_int`` has checked each entry."""
     if not isinstance(obj, list) or not all(isinstance(row, list) for row in obj):
@@ -58,7 +59,7 @@ def _parse_rows(obj, cols: Optional[int] = None) -> tuple[list[Row], int]:
     return rows, _width(rows, cols)
 
 
-def _validated(data: Iterable[Iterable[int]], cols: Optional[int]) -> tuple[tuple[Row, ...], int]:
+def _validated(data: Iterable[Iterable[int]], cols: int | None) -> tuple[tuple[Row, ...], int]:
     """Rows of plain ints, all of one width, and that width (``cols`` if given)."""
     rows = tuple(map(tuple, data))
     for row in rows:
@@ -73,7 +74,7 @@ class IntMatrix:
 
     __slots__ = ("rows", "cols", "data")
 
-    def __init__(self, data: Iterable[Iterable[int]], cols: Optional[int] = None):
+    def __init__(self, data: Iterable[Iterable[int]], cols: int | None = None):
         rows, ncols = _validated(data, cols)
         self.rows = len(rows)
         self.cols = ncols
@@ -305,7 +306,7 @@ def nullity(M: IntMatrix) -> int:
     return M.cols - _span(M.cols, M.data).rank
 
 
-def finite_order(M: IntMatrix) -> Optional[int]:
+def finite_order(M: IntMatrix) -> int | None:
     """The order of a square ``M``, or None when infinite: ``M`` has finite
     order iff the kernels of its singular Phi_d(M) fill Q^n, and then has
     order d on each."""
@@ -349,7 +350,7 @@ class HermiteForm(Record):
         object.__setattr__(self, "U", U)
 
 
-def _echelon(w: list, n: int, u: Optional[list] = None, pivots: Optional[list] = None) -> int:
+def _echelon(w: list, n: int, u: list | None = None, pivots: list | None = None) -> int:
     """Reduce the rows ``w`` (width ``n``) in place to canonical row HNF.
 
     Pivots are positive, entries above each pivot are reduced into
@@ -449,20 +450,16 @@ class SmithForm(Record):
     """Diagonal ``S`` with unimodular ``U``, ``V`` satisfying ``U*A*V = S``.
 
     ``factors`` lists the positive diagonal entries d1 | d2 | ... with zeros
-    dropped (they remain visible as zero rows/columns of ``S``).  ``V_inv``
-    is the exact inverse of ``V``.
+    dropped (they remain visible as zero rows/columns of ``S``).
     """
 
-    __slots__ = _fields = ("S", "U", "V", "factors", "V_inv")
+    __slots__ = _fields = ("S", "U", "V", "factors")
 
-    def __init__(
-        self, S: IntMatrix, U: IntMatrix, V: IntMatrix, factors: tuple[int, ...], V_inv: IntMatrix
-    ):
+    def __init__(self, S: IntMatrix, U: IntMatrix, V: IntMatrix, factors: tuple[int, ...]):
         object.__setattr__(self, "S", S)
         object.__setattr__(self, "U", U)
         object.__setattr__(self, "V", V)
         object.__setattr__(self, "factors", factors)
-        object.__setattr__(self, "V_inv", V_inv)
 
 
 def _smith(s: list[list[int]], n: int) -> tuple[int, ...]:
@@ -526,7 +523,7 @@ def _smith(s: list[list[int]], n: int) -> tuple[int, ...]:
 
 
 def _smith_transforms(
-    rows: Sequence[Row], n: int, u: Optional[list] = None
+    rows: Sequence[Row], n: int, u: list | None = None
 ) -> tuple[tuple[int, ...], IntMatrix]:
     """The invariant factors of ``rows`` (width ``n``) and a unimodular ``V``
     with ``U*A*V = S``, ``U`` accumulated on ``u`` when it is given.
@@ -558,7 +555,7 @@ def _smith_transforms(
 
 
 def snf(A: IntMatrix) -> SmithForm:
-    """Smith normal form with its transforms ``U``, ``V`` and ``V^-1``.
+    """Smith normal form with its transforms ``U`` and ``V``.
 
     See :func:`_smith_transforms` for the elimination.  Callers that read
     only the invariant factors use :func:`cokernel` or
@@ -569,7 +566,7 @@ def snf(A: IntMatrix) -> SmithForm:
     factors, V = _smith_transforms(A.data, n, u)
     d = factors + (0,) * m
     S = IntMatrix._trusted([[d[i] if i == j else 0 for j in range(n)] for i in range(m)], n)
-    return SmithForm(S, IntMatrix._trusted(u, m), V, factors, unimodular_inverse(V))
+    return SmithForm(S, IntMatrix._trusted(u, m), V, factors)
 
 
 # ---------------------------------------------------------------------------
@@ -584,7 +581,7 @@ def left_kernel(A: IntMatrix) -> IntMatrix:
     return IntMatrix._trusted(form.U.data[rank:], A.rows)
 
 
-def solve_row_combination(R: IntMatrix, target: Sequence[int]) -> Optional[Row]:
+def solve_row_combination(R: IntMatrix, target: Sequence[int]) -> Row | None:
     """Integer coefficients ``c`` with ``c*R = target``, or None.
 
     Works for an arbitrary generating set: the target is reduced against
@@ -644,7 +641,7 @@ class AbelianStructure(Record):
     def is_finite(self) -> bool:
         return self.free_rank == 0
 
-    def order(self) -> Optional[int]:
+    def order(self) -> int | None:
         """Group order, or None when infinite."""
         if self.free_rank:
             return None
@@ -713,7 +710,7 @@ class Lattice:
 
     __slots__ = ("ambient_dim", "basis", "_pivots", "_identity")
 
-    def __init__(self, ambient_dim: int, basis: IntMatrix, _pivots: Optional[list[int]] = None):
+    def __init__(self, ambient_dim: int, basis: IntMatrix, _pivots: list[int] | None = None):
         if basis.cols != ambient_dim:
             raise DimensionMismatch("basis width != ambient dimension")
         pivots = _pivots  # given by an elimination of this module, else found here
@@ -768,7 +765,7 @@ class Lattice:
     def contains(self, v: Sequence[int]) -> bool:
         return self.coords_of(v) is not None
 
-    def coords_of(self, v: Sequence[int]) -> Optional[Row]:
+    def coords_of(self, v: Sequence[int]) -> Row | None:
         """Integer coordinates of ``v`` in the HNF basis, or None."""
         if len(v) != self.ambient_dim:
             raise DimensionMismatch("vector length mismatch")
@@ -875,7 +872,7 @@ def maps_into(M: IntMatrix, src: Lattice, dst: Lattice) -> bool:
     return dst._identity or all(dst.contains(M.apply(r)) for r in src.basis.data)
 
 
-def full_index(L: Lattice) -> Optional[int]:
+def full_index(L: Lattice) -> int | None:
     """``[Z^n : L]`` from the diagonal of its row HNF basis, or None if infinite."""
     if not L.is_full_rank():
         return None
@@ -936,6 +933,6 @@ def quotient_with_generators(
     return _structure(r, factors), gens
 
 
-def lattice_index(sup: Lattice, sub: Lattice) -> Optional[int]:
+def lattice_index(sup: Lattice, sub: Lattice) -> int | None:
     """Index [sup : sub], or None if infinite."""
     return quotient_structure(sup, sub).order()

@@ -61,6 +61,7 @@ from nilcert.linalg import (
     quotient_structure,
     quotient_with_generators,
     snf,
+    unimodular_inverse,
 )
 from nilcert.nilpotent2 import isolator
 from nilcert.semidirect import SemidirectLattice, conj, inv, mul, sol3_group
@@ -223,7 +224,7 @@ def induced_quotient_holonomy(B, fixed):
     # coordinates the row action of B is y -> y * (V^{-1} B^T V) and the
     # first k coordinates are preserved.  The quotient action is the
     # trailing block, transposed back to the column convention.
-    conj = form.V_inv * B.transpose() * V
+    conj = unimodular_inverse(V) * B.transpose() * V
     block = [[conj.data[i][j] for j in range(k, n)] for i in range(k, n)]
     return IntMatrix(block, cols=n - k).transpose()
 

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import copy
 import io
@@ -717,6 +718,115 @@ class TestPresets:
         assert torus == TwoStepLattice.free_abelian(3, 0)
         kxs1 = SemidirectLattice.from_json(preset_description("kxs1"))
         assert kxs1.parent.holonomy_order() == 2
+
+
+# verb -> its line in `nilcert --help`, in order
+VERB_HELP = {
+    "hnf": "row Hermite normal form of an integer matrix",
+    "snf": "Smith normal form of an integer matrix",
+    "center": "center rank of a lattice",
+    "isolator": "isolator of the commutator subgroup",
+    "hbar1": "outer classes trivial on both extension ends",
+    "discsym2-bound": "lexicographic (f, b) upper bound",
+    "normalizer": "normalizer of S in G",
+    "quotient": "abelian quotient G/S",
+    "intermediates": "subgroups strictly between S and G",
+    "series": "two-layer subnormal series certificate",
+    "cohomology": "crossed-homomorphism cohomology",
+    "minkowski": "Minkowski bound for GL(n, Z)",
+    "euler-bound": "log2 length bound from the Euler characteristic",
+    "sol3-tower": "length-k Sol3 tower certificate",
+    "heisenberg-witness": "(1,2) witness chain certificate",
+    "verify": "re-verify a certificate from scratch",
+    "presets": "list the embedded group presets",
+}
+ALL_VERBS = "{%s}" % ",".join(VERB_HELP)
+# verb -> its required options, with values argparse accepts
+REQUIRED = {
+    "hnf": ["--input", "[[1]]"],
+    "snf": ["--input", "[[1]]"],
+    "normalizer": ["--group", "{}", "--subgroup", "{}"],
+    "quotient": ["--group", "{}", "--subgroup", "{}"],
+    "intermediates": ["--group", "{}", "--subgroup", "{}"],
+    "series": ["--input", "{}", "--gamma", "{}"],
+    "cohomology": ["--input", "{}"],
+    "minkowski": ["--n", "1"],
+    "euler-bound": ["--chi", "1"],
+    "sol3-tower": ["--k", "1"],
+    "heisenberg-witness": ["--k", "1", "--p", "3", "--a", "2"],
+    "verify": ["--input", "{}"],
+}
+
+
+def exit_of(capsys, *argv):
+    """(exit code, stdout, stderr) of an argv that argparse ends itself."""
+    with pytest.raises(SystemExit) as exc:
+        run(list(argv))
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
+class TestHelpText:
+    """Each run builds only its verb's parser; the texts stay those of the
+    parser with every verb."""
+
+    @pytest.fixture(autouse=True)
+    def _columns(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+
+    def test_root_help_lists_every_verb(self, capsys):
+        code, out, _ = exit_of(capsys, "--help")
+        assert code == 0
+        assert out.startswith("usage: nilcert [-h]\n               %s\n" % ALL_VERBS)
+        # Verb lines are indented four spaces, wrapped usage lines fifteen.
+        lines = [line.split(None, 1) for line in out.splitlines()
+                 if line.startswith("    ") and not line.startswith("     ")]
+        assert lines == [[verb, text] for verb, text in VERB_HELP.items()]
+
+    @pytest.mark.parametrize("verb", VERB_HELP)
+    def test_verb_help(self, capsys, verb):
+        code, out, _ = exit_of(capsys, verb, "--help")
+        assert code == 0
+        assert out.startswith("usage: nilcert %s [-h] [--max-index MAX_INDEX]" % verb)
+
+    @pytest.mark.parametrize("verb", VERB_HELP)
+    def test_unknown_option_shows_the_root_usage(self, capsys, verb):
+        # One verb's sub-parser is built; its metavar keeps the whole list.
+        code, out, err = exit_of(capsys, verb, *REQUIRED.get(verb, []), "--no-such-option")
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: nilcert [-h]\n               %s\n" % ALL_VERBS)
+        assert err.endswith("nilcert: error: unrecognized arguments: --no-such-option\n")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ([], "the following arguments are required: verb"),
+            (["nope"], "argument verb: invalid choice: 'nope' (choose from %s)"
+             % ", ".join(map(repr, VERB_HELP))),
+        ],
+    )
+    def test_no_verb_is_a_usage_error(self, capsys, argv, message):
+        code, _, err = exit_of(capsys, *argv)
+        assert code == 2
+        assert err.startswith("usage: nilcert [-h]\n               %s\n" % ALL_VERBS)
+        assert err.endswith("nilcert: error: %s\n" % message)
+
+    @pytest.mark.parametrize("argv, built", [(["hnf", "--input", "[[1]]"], 1), (["--help"], 17)])
+    def test_one_sub_parser_per_verb(self, capsys, monkeypatch, argv, built):
+        calls = []
+        add_parser = argparse._SubParsersAction.add_parser
+
+        def counted(self, name, **kwargs):
+            calls.append(name)
+            return add_parser(self, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+        try:
+            run(argv)
+        except SystemExit:
+            pass
+        capsys.readouterr()
+        assert len(calls) == built
 
 
 # ---------------------------------------------------------------------------

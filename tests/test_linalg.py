@@ -142,7 +142,7 @@ class TestSNF:
             assert form.U * A * form.V == form.S
             assert abs(oracle.det(form.U)) == 1
             assert abs(oracle.det(form.V)) == 1
-            assert (form.V_inv * form.V).is_identity()
+            assert (unimodular_inverse(form.V) * form.V).is_identity()
             for a, b in zip(form.factors, form.factors[1:]):
                 assert b % a == 0
 
@@ -426,7 +426,8 @@ class TestTransformFreeCore:
 
     def test_internal_arithmetic_keeps_plain_int_rows(self):
         A = IntMatrix([[1, 2], [3, 4]])
-        for M in (A + A, A - A, -A, A * A, A.transpose(), A.scale(3), hnf(A).U, snf(A).V_inv):
+        V = snf(A).V
+        for M in (A + A, A - A, -A, A * A, A.transpose(), A.scale(3), hnf(A).U, V, unimodular_inverse(V)):
             assert isinstance(M.data, tuple)
             assert all(isinstance(row, tuple) and len(row) == M.cols for row in M.data)
             assert all(type(x) is int for row in M.data for x in row)
@@ -470,13 +471,14 @@ def _general_quotient_with_generators(sup, sub):
     """quotient_with_generators with coordinates from pivot elimination."""
     coords = [_eliminate(sup, row) for row in sub.basis.data]
     form = snf(IntMatrix(coords, cols=sup.rank))
+    V_inv = unimodular_inverse(form.V)
     gens, torsion = [], []
     for i in range(sup.rank):
         d = form.S.data[i][i] if i < len(coords) else 0
         if d == 1:
             continue
         lift = tuple(
-            sum(c * x for c, x in zip(form.V_inv.data[i], col)) for col in zip(*sup.basis.data)
+            sum(c * x for c, x in zip(V_inv.data[i], col)) for col in zip(*sup.basis.data)
         )
         gens.append((d, lift))
         if d:
@@ -671,10 +673,10 @@ class TestSameBytesAsTheOldPivotSearch:
 
 
 def _assert_smith_transforms(A, form):
-    """U A V = S with U and V unimodular and V_inv the inverse of V."""
+    """U A V = S with U and V unimodular, and V inverted exactly."""
     assert form.U * A * form.V == form.S
     assert abs(oracle.det(form.U)) == 1 and abs(oracle.det(form.V)) == 1
-    assert (form.V_inv * form.V).is_identity()
+    assert (unimodular_inverse(form.V) * form.V).is_identity()
 
 
 @st.composite
@@ -727,7 +729,8 @@ class TestSmithTransformsFromHermitePasses:
         A = IntMatrix([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
         form = snf(A)
         assert form.U * A * form.V == form.S
-        entries = [x for M in (form.U, form.V, form.V_inv) for row in M.data for x in row]
+        V_inv = unimodular_inverse(form.V)  # quotient_with_generators lifts its rows
+        entries = [x for M in (form.U, form.V, V_inv) for row in M.data for x in row]
         assert max(abs(x).bit_length() for x in entries) < 1000
 
 

@@ -83,8 +83,8 @@ def _callee(call):
 
 
 def test_transforms_only_where_read():
-    # snf builds U, V and V^-1; a caller that reads only invariant factors
-    # uses cokernel or quotient_structure, which run the Smith elimination
+    # snf builds U and V; a caller that reads only invariant factors uses
+    # cokernel or quotient_structure, which run the Smith elimination
     # without them, and quotient_with_generators builds no U.  Z^n / L
     # is cokernel(n, rows), not a quotient of Lattice.standard(n), which
     # would add a Hermite form and coordinates.
@@ -131,6 +131,19 @@ def test_smith_transforms_only_for_their_readers():
         if _callee(call) == "_smith_transforms"
     )
     assert callers == [("linalg.py", "quotient_with_generators"), ("linalg.py", "snf")]
+
+
+def test_inverse_only_where_read():
+    # V^-1 is one more Hermite elimination with a transform: snf returns S,
+    # U, V and the factors, and only quotient_with_generators, which lifts
+    # the rows of V^-1, and a negative IntMatrix.power invert a matrix.
+    callers = sorted(
+        (name, function)
+        for name, tree in _trees()
+        for function, call in _calls(tree)
+        if _callee(call) == "unimodular_inverse"
+    )
+    assert callers == [("linalg.py", "power"), ("linalg.py", "quotient_with_generators")]
 
 
 def test_semidirect_checks_use_no_element_arithmetic():
@@ -218,18 +231,29 @@ def test_relator_words_walked_once():
     assert found == [("cohomology.py", "coset_enumeration"), ("cohomology.py", "fox_blocks")]
 
 
+def _imports_of(module):
+    """Where the package imports ``module`` or one of its submodules."""
+    return sorted(
+        "%s:%d" % (name, node.lineno)
+        for name, tree in _trees()
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Import) and any(a.name.split(".")[0] == module for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == module)
+    )
+
+
 def test_no_dataclasses():
     # Importing dataclasses (with the inspect it pulls in) and generating
     # its methods costs every CLI process tens of milliseconds; the value
     # classes derive from errors.Record instead.
-    found = sorted(
-        "%s:%d" % (name, node.lineno)
-        for name, tree in _trees()
-        for node in ast.walk(tree)
-        if (isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names))
-        or (isinstance(node, ast.ImportFrom) and node.module == "dataclasses")
-    )
-    assert found == []
+    assert _imports_of("dataclasses") == []
+
+
+def test_no_typing_imports():
+    # Annotations are never evaluated (from __future__ import annotations),
+    # so they name collections.abc types and X | None; importing typing
+    # would cost every CLI process a few milliseconds for nothing.
+    assert _imports_of("typing") == []
 
 
 def test_cli_import_leaves_out_dataclasses_and_inspect():
