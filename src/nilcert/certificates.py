@@ -4,7 +4,10 @@ A :class:`SeriesCertificate` stores everything needed to re-derive its claims
 from scratch: the ambient group description, each chain level's subgroup
 description plus the verified quotient structure, and the certified length
 data.  Certificates are plain JSON (integers as decimal strings) so they can
-be archived and diffed.  Every certificate is made by :func:`sealed`, and
+be archived and diffed.  The group and subgroup descriptions are held as
+their canonical JSON text, made once where a certificate is built or parsed:
+an immutable ``str`` that no caller's dict aliases and that compares as the
+JSON it spells.  Every certificate is made by :func:`sealed`, and
 re-verification (:mod:`nilcert.invariants`) rebuilds it from its own inputs
 and compares.
 
@@ -16,6 +19,8 @@ report ``min_length`` 1 (or 0 for a trivial chain).
 """
 
 from __future__ import annotations
+
+import json
 
 from .arith import SCHEMA, canonical_json, decimals, json_field, parse_int
 from .errors import InvalidParameters, Record, SelfCheckFailed
@@ -31,15 +36,6 @@ _CERT_KEYS = ("schema", "kind", "group", "total_index", "min_length", "max_quoti
 _LEVEL_KEYS = ("subgroup", "quotient_factors", "quotient_free_rank", "index", "central")
 
 
-def _fresh(value):
-    """A JSON value with new dicts and lists, its strings and numbers shared."""
-    if isinstance(value, dict):
-        return {key: _fresh(item) for key, item in value.items()}
-    if isinstance(value, list):
-        return [_fresh(item) for item in value]
-    return value
-
-
 def _known_fields(obj: dict, *keys: str) -> None:
     """A field the reader would not check is malformed, not ignored."""
     extra = [key for key in obj if key not in keys]
@@ -48,13 +44,13 @@ def _known_fields(obj: dict, *keys: str) -> None:
 
 
 class ChainLevel(Record):
-    """One verified inclusion step: a subgroup with its quotient data."""
+    """One verified inclusion step: a subgroup, as canonical JSON text, with its quotient data."""
 
     __slots__ = _fields = ("subgroup", "quotient", "index", "normality_verified", "central")
 
     def __init__(
         self,
-        subgroup: dict,
+        subgroup: str,
         quotient: AbelianStructure,
         index: int,
         normality_verified: bool,
@@ -66,10 +62,10 @@ class ChainLevel(Record):
         object.__setattr__(self, "normality_verified", normality_verified)
         object.__setattr__(self, "central", central)
 
-    def to_json_dict(self, flag_key: str = "normality_verified", copy: bool = True) -> dict:
+    def to_json_dict(self, flag_key: str = "normality_verified") -> dict:
         index, *factors = decimals((self.index, *self.quotient.torsion))
         out = {
-            "subgroup": _fresh(self.subgroup) if copy else self.subgroup,
+            "subgroup": json.loads(self.subgroup),
             "quotient_factors": factors,
             "index": index,
             flag_key: self.normality_verified,
@@ -82,7 +78,7 @@ class ChainLevel(Record):
 
     @staticmethod
     def from_json_dict(obj: dict, flag_key: str = "normality_verified") -> "ChainLevel":
-        subgroup = json_field(obj, "subgroup")
+        subgroup = canonical_json(json_field(obj, "subgroup"))
         _known_fields(obj, flag_key, *_LEVEL_KEYS)
         quotient = AbelianStructure.from_json_fields(
             obj.get("quotient_free_rank", 0), json_field(obj, "quotient_factors", list)
@@ -114,7 +110,7 @@ class SeriesCertificate(Record):
     def __init__(
         self,
         kind: str,
-        group_ref: dict,
+        group_ref: str,
         chain: tuple[ChainLevel, ...],
         total_index: int,
         min_length: int,
@@ -144,24 +140,23 @@ class SeriesCertificate(Record):
             return False
         return True
 
-    def to_json_dict(self, copy: bool = True) -> dict:
-        """The certificate as JSON.  Its dicts and lists are new unless ``copy``
-        is false, which shares the group and subgroup descriptions the
-        certificate holds with a caller that only serializes the result."""
+    def to_json_dict(self) -> dict:
+        """The certificate as JSON, its dicts and lists new: the descriptions
+        are parsed from the texts the certificate holds."""
         levels_key, flag_key = _LAYOUT.get(self.kind, ("levels", "normality_verified"))
         total_index, max_quotient_order = decimals((self.total_index, self.max_quotient_order))
+        group = json.loads(self.group_ref)
         out = {
             "schema": SCHEMA,
             "kind": self.kind,
-            "group": _fresh(self.group_ref) if copy else self.group_ref,
-            levels_key: [level.to_json_dict(flag_key, copy) for level in self.chain],
+            "group": group,
+            levels_key: [level.to_json_dict(flag_key) for level in self.chain],
             "total_index": total_index,
             "min_length": self.min_length,
             "max_quotient_order": max_quotient_order,
         }
         if self.kind == KIND_WITNESS:
-            profile = self.group_ref.get("witness", {}).get("profile", [])
-            out["profile"] = _fresh(profile) if copy else profile
+            out["profile"] = list(group.get("witness", {}).get("profile", []))
         return out
 
     @staticmethod
@@ -171,16 +166,16 @@ class SeriesCertificate(Record):
         kind = json_field(obj, "kind", str)
         levels_key, flag_key = _LAYOUT.get(kind, ("levels", "normality_verified"))
         _known_fields(obj, levels_key, *_CERT_KEYS, *(("profile",) if kind == KIND_WITNESS else ()))
-        group_ref = json_field(obj, "group", dict)
+        group = json_field(obj, "group", dict)
         levels = json_field(obj, levels_key, list)
         if kind == KIND_WITNESS and "profile" in obj:
             # The top-level profile repeats the witness's, which the rebuild checks.
-            claimed = json_field(json_field(group_ref, "witness"), "profile")
+            claimed = json_field(json_field(group, "witness"), "profile")
             if canonical_json(obj["profile"]) != canonical_json(claimed):
                 raise InvalidParameters("profile differs from the witness profile")
         return SeriesCertificate(
             kind=kind,
-            group_ref=group_ref,
+            group_ref=canonical_json(group),
             chain=tuple(ChainLevel.from_json_dict(l, flag_key) for l in levels),
             total_index=parse_int(json_field(obj, "total_index")),
             min_length=parse_int(json_field(obj, "min_length")),
@@ -188,7 +183,7 @@ class SeriesCertificate(Record):
         )
 
 
-def sealed(kind: str, group_ref: dict, chain, total_index: int, min_length: int) -> SeriesCertificate:
+def sealed(kind: str, group_ref: str, chain, total_index: int, min_length: int) -> SeriesCertificate:
     """The certificate of a verified chain, checked for internal consistency.
 
     ``max_quotient_order`` is the largest level index (1 for an empty

@@ -10,18 +10,12 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import json
 
 from . import nilpotent2, semidirect
 from .arith import json_field, parse_int
 from .arith import euler_length_bound, minkowski_bound  # noqa: F401  (public names of this module)
-from .certificates import (
-    KIND_SOL3,
-    KIND_TWO_STEP,
-    KIND_WITNESS,
-    ChainLevel,
-    SeriesCertificate,
-    canonical_json,
-)
+from .certificates import KIND_SOL3, KIND_TWO_STEP, KIND_WITNESS, SeriesCertificate
 from .errors import (
     NilcertError,
     QuotientTooLarge,
@@ -89,35 +83,26 @@ def _resolving(what: str):
 
 def _rebuild_sol3(cert: SeriesCertificate, max_index: int | None) -> SeriesCertificate:
     with _resolving("ambient group"):
-        gamma = SemidirectLattice.from_json(cert.group_ref)
-    subs = [SemidirectLattice.from_json(level.subgroup) for level in cert.chain]
-    fresh = semidirect.tower_certificate(gamma, subs, cert.group_ref)
+        gamma = SemidirectLattice.from_json(json.loads(cert.group_ref))
     # The subgroup descriptions are inputs, not claims: keep their spelling.
-    chain = tuple(
-        ChainLevel(old.subgroup, new.quotient, new.index, new.normality_verified, new.central)
-        for new, old in zip(fresh.chain, cert.chain)
-    )
-    return SeriesCertificate(
-        fresh.kind,
-        fresh.group_ref,
-        chain,
-        fresh.total_index,
-        fresh.min_length,
-        fresh.max_quotient_order,
-    )
+    subs = [
+        (SemidirectLattice.from_json(json.loads(level.subgroup)), level.subgroup) for level in cert.chain
+    ]
+    return semidirect.tower_certificate(gamma, subs, cert.group_ref)
 
 
 def _rebuild_witness(cert: SeriesCertificate, max_index: int | None) -> SeriesCertificate:
     with _resolving("witness parameters"):
-        params = json_field(cert.group_ref, "witness")
+        params = json_field(json.loads(cert.group_ref), "witness")
         k, p, a = (parse_int(json_field(params, key)) for key in ("k", "p", "a"))
     return nilpotent2.heisenberg_witness(k, p, a, max_index)
 
 
 def _rebuild_two_step(cert: SeriesCertificate, max_index: int | None) -> SeriesCertificate:
     with _resolving("series data"):
-        parent = TwoStepLattice.from_json(cert.group_ref)
-        sub = NilSublattice.from_json(parent, json_field(cert.group_ref, "gamma"))
+        group = json.loads(cert.group_ref)
+        parent = TwoStepLattice.from_json(group)
+        sub = NilSublattice.from_json(parent, json_field(group, "gamma"))
     return nilpotent2.subnormal_series(parent, sub, max_index)
 
 
@@ -133,7 +118,9 @@ def verify_certificate(cert, max_index: int | None = None) -> bool:
 
     The certificate is rebuilt from its own inputs (ambient group, chain
     subgroups or witness parameters) by the routine that built it, and the
-    result must equal it field for field, as canonical JSON.  Returns False
+    result must equal it field for field: the group and subgroup
+    descriptions as canonical JSON text, every other value with its exact
+    type, so that true or 4.0 never passes for 1 or 4.  Returns False
     when any claim differs or the rebuild fails; raises UnresolvableReference
     when the certificate or the groups it names cannot be read at all, and
     QuotientTooLarge when a witness or series index exceeds ``max_index``.
@@ -156,7 +143,15 @@ def verify_certificate(cert, max_index: int | None = None) -> bool:
         raise
     except NilcertError:
         return False
-    # Compared as JSON text, so that true or 1.0 in the inputs never pass for 1.
-    return canonical_json(fresh.to_json_dict(copy=False)) == canonical_json(
-        cert.to_json_dict(copy=False)
-    )
+    return _exact(fresh, cert)
+
+
+def _exact(a, b) -> bool:
+    """Equal values of one type, through records and tuples: 4.0 or True is not 4."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, Record):
+        a, b = a._values(), b._values()
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(map(_exact, a, b))
+    return a == b

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 
-from .arith import is_prime, json_field, parse_int
+from .arith import canonical_json, is_prime, json_field, parse_int
 from .certificates import (
     KIND_TWO_STEP,
     KIND_WITNESS,
@@ -366,8 +366,8 @@ def series_levels(sub: NilSublattice, kernel: Lattice) -> list[ChainLevel]:
         span, first, middle = lam1.U, box_quotient(lam1, sub), lam1.to_json()
     second = _cokernel(L.b, span.basis.data)
     return [
-        ChainLevel(sub.to_json(), first, first.order(), True, True),
-        ChainLevel(middle, second, second.order(), True, second.is_trivial),
+        ChainLevel(canonical_json(sub.to_json()), first, first.order(), True, True),
+        ChainLevel(canonical_json(middle), second, second.order(), True, second.is_trivial),
     ]
 
 
@@ -395,7 +395,7 @@ def subnormal_series(
         raise NotAbelianQuotient("layer rank exceeds the upper central series bound")
     return sealed(
         KIND_TWO_STEP,
-        dict(L.to_json(), gamma=first.subgroup),  # series_levels made it: sub.to_json()
+        canonical_json(dict(L.to_json(), gamma=sub.to_json())),
         [level for level in (first, second) if not level.quotient.is_trivial],
         index,
         1 if index > 1 else 0,
@@ -480,7 +480,7 @@ def heisenberg_witness(k: int, p: int, a: int, max_index: int | None = None) -> 
         raise InvalidParameters("witness quotients did not verify")
     return sealed(
         KIND_WITNESS,
-        dict(ambient.to_json(), witness={"k": k, "p": p, "a": a, "profile": [1, 2]}),
+        canonical_json(dict(ambient.to_json(), witness={"k": k, "p": p, "a": a, "profile": [1, 2]})),
         chain,
         p ** (a + 2),
         1,

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from .arith import json_field, parse_int
+from .arith import canonical_json, json_field, parse_int
 from .certificates import (
     KIND_SOL3,
     ChainLevel,
@@ -391,23 +391,22 @@ def sol3_gamma(k: int, group: SemidirectGroup | None = None) -> SemidirectLattic
     return SemidirectLattice(group, Lattice.scaled(2, 2**k), 1)
 
 
-def tower_certificate(gamma: SemidirectLattice, subs, group_ref: dict) -> SeriesCertificate:
+def tower_certificate(gamma: SemidirectLattice, subs, group_ref: str) -> SeriesCertificate:
     """Certificate for a normalizer chain gamma = S_0 >= S_1 >= ... >= S_k.
 
     Verifies N_gamma(S_j) = S_{j-1} at every level and records the abelian
     quotient S_{j-1}/S_j.  Every subnormal series from S_k up to gamma then
     has quotients of order at most the largest level index, which bounds its
-    length from below.
+    length from below.  ``subs`` pairs each S_j with the canonical JSON text
+    of its description, and ``group_ref`` is the text of gamma's.
     """
     levels = []
     prev = gamma
-    for j, sub in enumerate(subs, 1):
+    for j, (sub, text) in enumerate(subs, 1):
         if normalizer(gamma, sub) != prev:
             raise NotNormal("normalizer chain broke at level %d" % j)
         q = quotient(prev, sub)
-        levels.append(
-            ChainLevel(subgroup=sub.to_json(), quotient=q, index=q.order(), normality_verified=True)
-        )
+        levels.append(ChainLevel(subgroup=text, quotient=q, index=q.order(), normality_verified=True))
         prev = sub
     total = math.prod(level.index for level in levels)
     max_q = max((level.index for level in levels), default=1)
@@ -426,7 +425,8 @@ def sol3_tower(k: int) -> SeriesCertificate:
     group = sol3_group()
     gamma = sol3_gamma(0, group)
     subs = [sol3_gamma(j, group) for j in range(1, k + 1)]
-    return tower_certificate(gamma, subs, dict(gamma.to_json(), k=k))
+    texts = [canonical_json(sub.to_json()) for sub in subs]
+    return tower_certificate(gamma, zip(subs, texts), canonical_json(dict(gamma.to_json(), k=k)))
 
 
 def scaling_map_check(c: int, target: SemidirectLattice) -> bool:

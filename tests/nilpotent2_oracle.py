@@ -22,7 +22,7 @@ reused its spans (:func:`subnormal_series` and the helpers it calls):
 
 import itertools
 
-from nilcert.certificates import KIND_TWO_STEP, ChainLevel, sealed
+from nilcert.certificates import KIND_TWO_STEP, ChainLevel, canonical_json, sealed
 from nilcert.errors import (
     ClosureViolation,
     DimensionMismatch,
@@ -121,7 +121,7 @@ def box_chain(boxes, kernel: Lattice) -> list:
         q = box_quotient(upper, lower)
         levels.append(
             ChainLevel(
-                subgroup=lower.to_json(),
+                subgroup=canonical_json(lower.to_json()),
                 quotient=q,
                 index=q.order(),
                 normality_verified=True,
@@ -147,7 +147,7 @@ def subnormal_series(L, sub: NilSublattice, max_index=None):
         raise NotAbelianQuotient("layer rank exceeds the upper central series bound")
     return sealed(
         KIND_TWO_STEP,
-        dict(L.to_json(), gamma=sub.to_json()),
+        canonical_json(dict(L.to_json(), gamma=sub.to_json())),
         [level for level in (first, second) if not level.quotient.is_trivial],
         index,
         1 if index > 1 else 0,

@@ -6,7 +6,7 @@ import pytest
 
 from nilcert import semidirect
 from nilcert.arith import factorize, is_prime
-from nilcert.certificates import SeriesCertificate
+from nilcert.certificates import ChainLevel, SeriesCertificate
 from nilcert.errors import (
     InvalidParameters,
     QuotientTooLarge,
@@ -309,7 +309,29 @@ def _sol3_dict(matrix, sublattices, k):
     }
 
 
+def _witness_with_group(edit):
+    d = heisenberg_witness(1, 3, 2).to_json_dict()
+    edit(d["group"])
+    d["profile"] = d["group"]["witness"]["profile"]
+    return d
+
+
+def _sol3_with(level=None, **fields):
+    """sol3_tower(1) built in Python with some of its fields, or its level's, replaced."""
+    cert = sol3_tower(1)
+    if level:
+        old = cert.chain[0]
+        fields["chain"] = (ChainLevel(**dict(zip(old._fields, old._values()), **level)),)
+    return SeriesCertificate(**dict(zip(cert._fields, cert._values()), **fields))
+
+
 class TestRebuildAndCompare:
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_certificate_is_a_hashable_value(self, kind):
+        cert = KINDS[kind]()
+        parsed = SeriesCertificate.from_json_dict(cert.to_json_dict())
+        assert parsed == cert and hash(parsed) == hash(cert)
+
     @pytest.mark.parametrize("kind", sorted(KINDS))
     @pytest.mark.parametrize(
         "field",
@@ -415,20 +437,23 @@ class TestStrictCertificateParsing:
             verify_certificate(d)
 
     @pytest.mark.parametrize(
-        "edit",
+        "make",
         [
-            lambda g: g.update(f=True),
-            lambda g: g.update(b=2.0),
-            lambda g: g["witness"].update(profile=[True, 2]),
+            lambda: _witness_with_group(lambda g: g.update(f=True)),
+            lambda: _witness_with_group(lambda g: g.update(b=2.0)),
+            lambda: _witness_with_group(lambda g: g["witness"].update(profile=[True, 2])),
+            lambda: _sol3_with(total_index=4.0),
+            lambda: _sol3_with(max_quotient_order=4.0),
+            lambda: _sol3_with(min_length=True),
+            lambda: _sol3_with(level={"index": 4.0}),
         ],
-        ids=["bool-f", "float-b", "bool-profile"],
+        ids=["bool-f", "float-b", "bool-profile", "float-total", "float-max", "bool-length",
+             "float-index"],
     )
-    def test_group_values_compare_as_json(self, edit):
-        # true == 1 and 2.0 == 2 in Python; the rebuilt JSON says 1 and 2
-        d = heisenberg_witness(1, 3, 2).to_json_dict()
-        edit(d["group"])
-        d["profile"] = d["group"]["witness"]["profile"]
-        assert verify_certificate(d) is False
+    def test_group_values_compare_as_json(self, make):
+        # true == 1 and 2.0 == 2 in Python; the rebuilt certificate says 1 and 2,
+        # in the JSON of its group and in the fields of one built in Python
+        assert verify_certificate(make()) is False
 
     def test_certificate_without_schema_or_profile_verifies(self):
         d = heisenberg_witness(1, 3, 2).to_json_dict()

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 import time
 
@@ -9,7 +10,7 @@ import nilpotent2_oracle as oracle
 from linalg_oracle import det
 from nilpotent2_oracle import box_normal_in, full_box, nil_inv, nil_power
 from nilcert import linalg, nilpotent2
-from nilcert.certificates import canonical_json
+from nilcert.certificates import SeriesCertificate, canonical_json
 from nilcert.invariants import verify_certificate
 from nilcert.errors import (
     ClosureViolation,
@@ -447,6 +448,15 @@ class TestSubnormalSeries:
         d["group"]["witness"]["k"] = "7"
         assert verify_certificate(witness)
 
+    def test_parsed_certificate_shares_no_container_with_its_json(self):
+        # Editing the parsed JSON must leave the certificate read from it as it was.
+        H = TwoStepLattice.heisenberg(1)
+        d = subnormal_series(H, NilSublattice(H, Lattice.scaled(2, 2), Lattice.scaled(1, 4))).to_json_dict()
+        cert = SeriesCertificate.from_json_dict(d)
+        d["levels"][0]["subgroup"]["W"] = [["2"]]
+        d["group"]["gamma"]["U"][0][0] = "6"
+        assert verify_certificate(cert)
+
     def test_trivial_series(self):
         H = TwoStepLattice.heisenberg(1)
         cert = subnormal_series(H, full_box(H))
@@ -514,7 +524,7 @@ class TestHeisenbergWitness:
         assert cert.chain[0].central is True
         assert cert.chain[1].central is False
         assert cert.total_index == p ** (a + 2)
-        assert cert.group_ref["witness"]["profile"] == [1, 2]
+        assert json.loads(cert.group_ref)["witness"]["profile"] == [1, 2]
 
     def test_rank_sum_is_three(self):
         cert = heisenberg_witness(1, 3, 2)
@@ -906,7 +916,7 @@ class TestBoxLayerOracle:
         lam = oracle.checked_box(ambient, gamma.U, Lattice.standard(1))
         full = oracle.checked_box(ambient, Lattice.standard(2), Lattice.standard(1))
         cert = heisenberg_witness(k, p, a)
-        assert cert.group_ref["forms"] == ambient.to_json()["forms"]
+        assert json.loads(cert.group_ref)["forms"] == ambient.to_json()["forms"]
         want = outcome(lambda: oracle.box_chain([gamma, lam, full], oracle.center(ambient)[1]))
         assert outcome(lambda: list(cert.chain)) == want
 

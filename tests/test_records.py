@@ -50,7 +50,7 @@ class AbelianStructure:
 
 @dataclass(frozen=True)
 class ChainLevel:
-    subgroup: dict
+    subgroup: str
     quotient: linalg.AbelianStructure
     index: int
     normality_verified: bool
@@ -60,7 +60,7 @@ class ChainLevel:
 @dataclass(frozen=True)
 class SeriesCertificate:
     kind: str
-    group_ref: dict
+    group_ref: str
     chain: tuple
     total_index: int
     min_length: int
@@ -146,12 +146,12 @@ CASES = [
     (linalg.HermiteForm, HermiteForm, (I2, I2), (I2, I2.scale(-1))),
     (linalg.SmithForm, SmithForm, (I1, I1, I1, (1,)), (NEG, I1, I1, (1,))),
     (linalg.AbelianStructure, AbelianStructure, (2, (2, 4)), (2,)),
-    (certificates.ChainLevel, ChainLevel, ({"type": "x"}, Z2, 2, True), ({}, Z2, 2, True, False)),
+    (certificates.ChainLevel, ChainLevel, ('{"type":"x"}', Z2, 2, True), ("{}", Z2, 2, True, False)),
     (
         certificates.SeriesCertificate,
         SeriesCertificate,
-        ("sol3-tower", {}, (), 1, 0, 1),
-        ("sol3-tower", {"k": 1}, (), 1, 0, 1),
+        ("sol3-tower", "{}", (), 1, 0, 1),
+        ("sol3-tower", '{"k":1}', (), 1, 0, 1),
     ),
     (
         cohomology.ModuleAction,

@@ -178,6 +178,22 @@ def test_no_determinant():
     assert _defined_or_called({"det"}) == []
 
 
+def test_certificates_copy_and_serialize_no_whole_description():
+    # A certificate holds its group and subgroup descriptions as canonical
+    # JSON text, so no recursive copy guards them, and verify_certificate
+    # compares the rebuilt certificate field by field instead of the JSON of
+    # two whole certificates.
+    assert _defined_or_called({"_fresh"}) == []
+    found = [
+        "invariants.py:%d in %s" % (call.lineno, function)
+        for name, tree in _trees()
+        if name == "invariants.py"
+        for function, call in _calls(tree)
+        if _callee(call) == "to_json_dict"
+    ]
+    assert found == []
+
+
 def _defined_or_called(names):
     return sorted(
         "%s:%d %s" % (name, node.lineno, getattr(node, "name", None) or _callee(node))
