@@ -84,9 +84,11 @@ def _resolving(what: str):
 def _rebuild_sol3(cert: SeriesCertificate, max_index: int | None) -> SeriesCertificate:
     with _resolving("ambient group"):
         gamma = SemidirectLattice.from_json(json.loads(cert.group_ref))
+    with _resolving("chain subgroups"):
+        descs = [json.loads(level.subgroup) for level in cert.chain]
     # The subgroup descriptions are inputs, not claims: keep their spelling.
     subs = [
-        (SemidirectLattice.from_json(json.loads(level.subgroup)), level.subgroup) for level in cert.chain
+        (SemidirectLattice.from_json(desc), level.subgroup) for desc, level in zip(descs, cert.chain)
     ]
     return semidirect.tower_certificate(gamma, subs, cert.group_ref)
 

@@ -8,23 +8,26 @@ so every downstream claim can be re-verified by multiplying back.
 
 Entries are validated once, where they enter: the public ``IntMatrix(...)``
 constructor, ``Lattice.from_rows``, ``cokernel`` and every ``from_json``,
-where ``parse_int`` checks each entry and only the shape is checked after.
-Matrices computed from already-validated ones are built by
-``IntMatrix._trusted``, and rows the package computes itself reach the
-normal forms through ``_span`` and ``_cokernel``, unchecked.  Transforms
-are accumulated only for callers that read them, and only by the Hermite
-elimination: ``hnf`` always returns ``U``, while lattice construction runs
-the same elimination without one.  ``snf`` and ``quotient_with_generators``
-take their Smith transforms from row and column Hermite passes, and only
-``quotient_with_generators``, which lifts the rows of ``V^-1``, inverts
-``V``; ``cokernel`` and ``quotient_structure`` run a Smith elimination with
-no transform at all.
+where each entry is checked by the rule of ``parse_int`` (a JSON row of
+decimal strings as a whole) and only the shape is checked after.  Matrices
+computed from already-validated ones are built by ``IntMatrix._trusted``,
+and rows the package computes itself reach the normal forms through
+``_span`` and ``_cokernel``, unchecked.  Transforms are accumulated only for
+callers that read them, and only by the Hermite elimination: ``hnf`` always
+returns ``U``, while lattice construction runs the same elimination without
+one, and ``_kernel_lattice`` ranks a matrix without one and reads a nonzero
+kernel off the elimination of ``[A | I]``.  ``snf`` and
+``quotient_with_generators`` take their Smith transforms from row and
+column Hermite passes, and only ``quotient_with_generators``, which lifts
+the rows of ``V^-1``, inverts ``V``; ``cokernel`` and ``quotient_structure``
+run a Smith elimination with no transform at all.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import re
 from functools import lru_cache
 from collections.abc import Iterable, Sequence
 
@@ -50,12 +53,32 @@ def _width(rows: Sequence[Row], cols: int | None) -> int:
     return ncols
 
 
+# A row of decimal strings, comma-joined: what ``parse_int`` accepts of each.
+_DECIMAL_ROW = re.compile(r"-?[0-9]+(?:,-?[0-9]+)*").fullmatch
+
+
+def _parse_row(row: list) -> Row:
+    """One JSON row as ints, by the rule of ``parse_int``.
+
+    A row of ASCII decimal strings is checked once, joined, and converted
+    by ``int``; any other row (JSON ints, a comma inside an entry, a number
+    past the digit limit) goes through ``parse_int`` entry by entry, which
+    accepts the same entries and names the first bad one.
+    """
+    try:
+        if _DECIMAL_ROW(",".join(row)):
+            return tuple(map(int, row))
+    except (TypeError, ValueError):
+        pass
+    return tuple(map(parse_int, row))
+
+
 def _parse_rows(obj, cols: int | None = None) -> tuple[list[Row], int]:
     """JSON rows (lists of ints or decimal strings) as rows of ints, and their
-    width (``cols`` if given); ``parse_int`` has checked each entry."""
+    width (``cols`` if given); each entry is checked by the rule of ``parse_int``."""
     if not isinstance(obj, list) or not all(isinstance(row, list) for row in obj):
         raise InvalidParameters("a matrix must be a JSON list of rows")
-    rows = [tuple(map(parse_int, row)) for row in obj]
+    rows = [_parse_row(row) for row in obj]
     return rows, _width(rows, cols)
 
 
@@ -581,6 +604,27 @@ def left_kernel(A: IntMatrix) -> IntMatrix:
     return IntMatrix._trusted(form.U.data[rank:], A.rows)
 
 
+def _kernel_lattice(n: int, rows: Sequence[Row]) -> Lattice:
+    """The lattice ``{v : v*A = 0}`` of the rows of ``A`` (width ``n``, ints
+    that need no checking), in its canonical Hermite basis.
+
+    One Hermite pass without a transform ranks ``A``; at full row rank the
+    kernel is zero.  Otherwise the rows of ``[A | I]`` are eliminated once,
+    and those whose left part is zero are the kernel's Hermite basis on the
+    right (Cohen, GTM 138, Section 2.4): neither the ``U`` of ``hnf`` nor
+    a second elimination of the kernel rows is needed.
+    """
+    m = len(rows)
+    if _echelon(list(rows), n) == m:
+        return Lattice.zero(m)
+    w = [row + e for row, e in zip(rows, _identity_rows(m))]
+    pivots: list[int] = []
+    _echelon(w, n + m, None, pivots)
+    r = sum(1 for j in pivots if j < n)  # the rank of A
+    basis = IntMatrix._trusted([row[n:] for row in w[r:]], m)
+    return Lattice(m, basis, [j - n for j in pivots[r:]])
+
+
 def solve_row_combination(R: IntMatrix, target: Sequence[int]) -> Row | None:
     """Integer coefficients ``c`` with ``c*R = target``, or None.
 
@@ -845,6 +889,8 @@ def saturate(L: Lattice) -> Lattice:
     n = L.ambient_dim
     if L.rank == 0:
         return Lattice.zero(n)
+    if L.rank == n:  # the transposed basis is nonsingular: no complement
+        return Lattice.standard(n)
     comp = left_kernel(L.basis.transpose())
     if comp.rows == 0:
         return Lattice.standard(n)

@@ -17,6 +17,7 @@ elements are read without multiplying out.
 from __future__ import annotations
 
 import itertools
+import operator
 
 from .arith import canonical_json, is_prime, json_field, parse_int
 from .certificates import (
@@ -44,12 +45,12 @@ from .linalg import (
     IntMatrix,
     Lattice,
     _cokernel,
+    _kernel_lattice,
     _span,
     finite_order,
     full_index,
     hstack,
     is_unimodular,
-    left_kernel,
     maps_into,
     saturate,
 )
@@ -71,13 +72,16 @@ class TwoStepLattice:
     __slots__ = ("f", "b", "forms", "terms")
 
     def __init__(self, f: int, b: int, forms):
+        if f < 0 or b < 0:
+            raise InvalidParameters("ranks f and b must be >= 0, got (%d, %d)" % (f, b))
         forms = tuple(forms)
         if len(forms) != f:
             raise DimensionMismatch("expected %d forms, got %d" % (f, len(forms)))
         for C in forms:
             if C.rows != b or C.cols != b:
                 raise DimensionMismatch("forms must be %d x %d" % (b, b))
-            if any(row[j] != -C.data[j][i] for i, row in enumerate(C.data) for j in range(i, b)):
+            # Alternating: each row plus the matching column is zero.
+            if any(any(map(operator.add, row, col)) for row, col in zip(C.data, zip(*C.data))):
                 raise InvalidParameters("commutator forms must be alternating")
         self.f = f
         self.b = b
@@ -193,9 +197,10 @@ def center(G: TwoStepLattice) -> tuple[int, Lattice]:
     """Center rank and the saturated kernel of the forms inside Z^b.
 
     The center is {(u, w) : C_l u = 0 for all l}; the w part is all of Z^f.
+    Forms with no joint kernel cost one Hermite pass and no transform.
     """
-    ker = left_kernel(commutator_image_matrix(G))
-    klattice = _span(G.b, ker.data) if ker.rows else Lattice.zero(G.b)
+    cim = commutator_image_matrix(G)
+    klattice = _kernel_lattice(cim.cols, cim.data)
     return G.f + klattice.rank, klattice
 
 
@@ -346,27 +351,31 @@ def box_quotient(P: NilSublattice, Q: NilSublattice) -> AbelianStructure:
     return _cokernel(r + P.W.rank, relations)
 
 
-def series_levels(sub: NilSublattice, kernel: Lattice) -> list[ChainLevel]:
+def series_levels(
+    sub: NilSublattice, kernel: Lattice, box: dict | None = None
+) -> list[ChainLevel]:
     """The two levels of Gamma = ``sub`` < Lambda_1 = (U + K) x Z^f < Lambda,
     K the u part of the centre as :func:`center` returns it.  Each level
     records the lower box, the abelian quotient of the upper one by it and
-    whether that layer is central.
+    whether that layer is central.  ``box`` is ``sub.to_json()`` when the
+    caller has it already.
 
     Both quotients are read off Hermite bases already built: Lambda/Lambda_1
     = Z^b/(U + K) and, when K lies in U, Lambda_1/Gamma = Z^f/W.  Level 1 is
     central (Lambda_1.U = U + K); level 2 only when Z^b = U + K.
     """
     L = sub.parent
-    full_w = Lattice.standard(L.f)
+    if box is None:
+        box = sub.to_json()
     if kernel.is_sublattice_of(sub.U):
         span, first = sub.U, _cokernel(L.f, sub.W.basis.data)
-        middle = {"type": "nilsub", "U": span.to_json(), "W": full_w.to_json()}
+        middle = {"type": "nilsub", "U": box["U"], "W": IntMatrix.identity(L.f).to_json()}
     else:
-        lam1 = NilSublattice(L, sub.U.sum(kernel), full_w)
+        lam1 = NilSublattice(L, sub.U.sum(kernel), Lattice.standard(L.f))
         span, first, middle = lam1.U, box_quotient(lam1, sub), lam1.to_json()
     second = _cokernel(L.b, span.basis.data)
     return [
-        ChainLevel(canonical_json(sub.to_json()), first, first.order(), True, True),
+        ChainLevel(canonical_json(box), first, first.order(), True, True),
         ChainLevel(canonical_json(middle), second, second.order(), True, second.is_trivial),
     ]
 
@@ -390,12 +399,13 @@ def subnormal_series(
         raise QuotientTooLarge("index %d exceeds guard %d" % (index, max_index))
 
     crank, kernel = center(L)
-    first, second = series_levels(sub, kernel)
+    box = sub.to_json()
+    first, second = series_levels(sub, kernel, box)
     if first.quotient.rank() > crank or second.quotient.rank() > L.b - kernel.rank:
         raise NotAbelianQuotient("layer rank exceeds the upper central series bound")
     return sealed(
         KIND_TWO_STEP,
-        canonical_json(dict(L.to_json(), gamma=sub.to_json())),
+        canonical_json(dict(L.to_json(), gamma=box)),
         [level for level in (first, second) if not level.quotient.is_trivial],
         index,
         1 if index > 1 else 0,

@@ -309,6 +309,19 @@ class TestExitCodes:
         assert code == 1 and err == ""
         assert json.loads(out)["error"]["type"] == "InvalidParameters"
 
+    @pytest.mark.parametrize("verb", ["discsym2-bound", "isolator", "center"])
+    @pytest.mark.parametrize(
+        "desc",
+        ['{"type":"twostep","f":0,"b":-3,"forms":[]}', '{"type":"twostep","f":-1,"b":2,"forms":[]}'],
+        ids=["b-3", "f-1"],
+    )
+    def test_negative_ranks_are_invalid(self, capsys, verb, desc):
+        code, out, err = invoke(capsys, verb, "--input", desc)
+        assert code == 1 and err == "" and out.count("\n") == 1
+        error = json.loads(out)["error"]
+        assert error["type"] == "InvalidParameters"
+        assert error["message"].startswith("ranks f and b must be >= 0")
+
     @pytest.mark.parametrize("relator", [5, ["a", "a"], None])
     def test_relators_must_be_strings(self, capsys, relator):
         action = dict(ACTION_DESC, relators=[relator])

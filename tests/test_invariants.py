@@ -1,4 +1,5 @@
 import copy
+import json
 import math
 import random
 
@@ -454,6 +455,20 @@ class TestStrictCertificateParsing:
         # true == 1 and 2.0 == 2 in Python; the rebuilt certificate says 1 and 2,
         # in the JSON of its group and in the fields of one built in Python
         assert verify_certificate(make()) is False
+
+    @pytest.mark.parametrize(
+        "subgroup", [lambda text: json.loads(text), lambda text: "not json"], ids=["dict", "not-json"]
+    )
+    def test_unreadable_level_subgroup_is_unresolvable(self, subgroup):
+        # A level of a certificate built in Python holds a dict, or text that
+        # is not JSON: the chain cannot be read, as for an unreadable group.
+        level = sol3_tower(1).chain[0]
+        with pytest.raises(UnresolvableReference, match="cannot rebuild chain subgroups"):
+            verify_certificate(_sol3_with(level={"subgroup": subgroup(level.subgroup)}))
+
+    def test_level_subgroup_of_another_kind_is_rejected(self):
+        # Readable text naming the wrong group is a false claim, not an unreadable one.
+        assert verify_certificate(_sol3_with(level={"subgroup": '{"type": "twostep"}'})) is False
 
     def test_certificate_without_schema_or_profile_verifies(self):
         d = heisenberg_witness(1, 3, 2).to_json_dict()

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import linalg_oracle as oracle
+from nilcert import linalg
 from nilcert.arith import parse_int
 from nilcert.errors import DimensionMismatch, InvalidParameters, NotASublattice
 from nilcert.linalg import (
@@ -14,6 +15,7 @@ from nilcert.linalg import (
     _charpoly_mod,
     _cyclotomic,
     _echelon,
+    _parse_rows,
     cokernel,
     cyclotomic_kernels,
     finite_order,
@@ -32,6 +34,7 @@ from nilcert.linalg import (
     solve_row_combination,
     unimodular_inverse,
 )
+from test_nilpotent2 import count_calls
 
 
 def rand_matrix(rng, maxdim=6, lo=-9, hi=9, rows=None, cols=None):
@@ -257,6 +260,13 @@ class TestSaturate:
 
     def test_full_lattice(self):
         assert saturate(Lattice.scaled(2, 2)) == Lattice.standard(2)
+
+    def test_full_rank_runs_no_elimination(self, monkeypatch):
+        # A full-rank lattice has no orthogonal complement: no kernel is formed.
+        L = Lattice.from_rows(3, [[2, 1, 0], [0, 3, 5], [0, 0, 7]])
+        calls = count_calls(monkeypatch, [(linalg, "_echelon")])
+        assert saturate(L) == Lattice.standard(3)
+        assert calls == {"_echelon": 0}
 
     def test_gcd_extraction(self):
         # oracle: gcd of (2, 4) is 2, so the saturation is spanned by (1, 2)
@@ -755,6 +765,24 @@ class TestParserMatchesTheOldRule:
     ))
     def test_accepts_and_returns_the_same(self, x):
         assert _parsed(parse_int, x) == _parsed(oracle.parse_int, x)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.one_of(
+        st.sampled_from(["1,2", "-", "--1", "1-2", "", ",", "1,", ",1", "0", "-0", "007", "-12"]),
+        st.builds(str.__add__, _SIGNS, _BODIES),
+        st.builds(lambda sign, n: sign + "9" * n, st.sampled_from(["", "-"]), st.sampled_from([4299, 4300, 4301])),
+        st.integers(), st.booleans(), st.floats(), st.none(),
+    ), max_size=4))
+    def test_rows_parse_like_their_entries(self, row):
+        # The whole-row check accepts, converts and names a bad entry like
+        # the old rule applied entry by entry.
+        def by_row(r):
+            return _parse_rows([r])[0][0]
+
+        def by_entry(r):
+            return tuple(map(oracle.parse_int, r))
+
+        assert _parsed(by_row, row) == _parsed(by_entry, row)
 
 
 class TestSympyOracle:

@@ -49,6 +49,31 @@ from nilcert.nilpotent2 import (
 )
 
 
+@st.composite
+def degenerate_groups(draw):
+    """Random alternating forms that all vanish on the last 1 to b basis
+    vectors, in a basis changed by a random unimodular P: the forms P^T C P
+    share a kernel of rank at least 1 that is not spanned by basis vectors."""
+    f, b = draw(st.integers(1, 3)), draw(st.integers(1, 6))
+    used = b - draw(st.integers(1, b))
+    P = [[int(i == j) for j in range(b)] for i in range(b)]
+    for _ in range(draw(st.integers(0, 6))):
+        i, j = draw(st.integers(0, b - 1)), draw(st.integers(0, b - 1))
+        if i != j:
+            q = draw(st.integers(-3, 3))
+            P[i] = [x + q * y for x, y in zip(P[i], P[j])]
+    P = IntMatrix(P)
+    forms = []
+    for _ in range(f):
+        c = [[0] * b for _ in range(b)]
+        for i in range(used):
+            for j in range(i + 1, used):
+                c[i][j] = draw(st.integers(-4, 4))
+                c[j][i] = -c[i][j]
+        forms.append(P.transpose() * IntMatrix(c) * P)
+    return TwoStepLattice(f, b, forms)
+
+
 def heis_matrix(k, g):
     """Unitriangular 3x3 model of Heisenberg(k): the (2,3) slot carries k u2,
     so the (1,3) entry accumulates exactly k u1 u2' across products."""
@@ -162,6 +187,14 @@ class TestGroupLaw:
     def test_alternating_enforced(self):
         with pytest.raises(InvalidParameters):
             TwoStepLattice(1, 2, [IntMatrix([[0, 1], [1, 0]])])
+        with pytest.raises(InvalidParameters, match="alternating"):
+            TwoStepLattice(1, 2, [IntMatrix([[1, 1], [-1, 0]])])
+
+    @pytest.mark.parametrize("f, b", [(0, -3), (-1, 2), (-1, -1)], ids=["b-3", "f-1", "both"])
+    def test_negative_ranks_rejected_first(self, f, b):
+        # Before the form count is compared, which would name -1 forms.
+        with pytest.raises(InvalidParameters, match="ranks f and b must be >= 0"):
+            TwoStepLattice(f, b, [])
 
 
 class TestCenter:
@@ -191,6 +224,23 @@ class TestCenter:
             z = G.element(row, (0,))
             for g in basis:
                 assert nil_mul(z, g) == nil_mul(g, z)
+
+    def test_nondegenerate_centre_builds_no_transform(self, monkeypatch):
+        # Heisenberg(1) has no joint kernel: one rank pass, no Hermite
+        # transform and no kernel basis.
+        G = TwoStepLattice.heisenberg(1)
+        calls = count_calls(
+            monkeypatch, [(linalg, "_echelon"), (linalg, "hnf"), (linalg, "left_kernel")]
+        )
+        assert center(G) == (1, Lattice.zero(2))
+        assert calls == {"_echelon": 1, "hnf": 0, "left_kernel": 0}
+
+    @settings(max_examples=200, deadline=None)
+    @given(degenerate_groups())
+    def test_degenerate_centre_matches_the_spanned_kernel(self, G):
+        # The kernel read off [C_1 ... C_f | I] against the Hermite span of
+        # left_kernel's rows.
+        assert center(G) == oracle.center(G)
 
 
 class TestIsolator:
