@@ -38,9 +38,9 @@ _LEVEL_KEYS = ("subgroup", "quotient_factors", "quotient_free_rank", "index", "c
 
 def _known_fields(obj: dict, *keys: str) -> None:
     """A field the reader would not check is malformed, not ignored."""
-    extra = [key for key in obj if key not in keys]
-    if extra:
-        raise InvalidParameters("unknown field %r" % (extra[0],))
+    for key in obj:
+        if key not in keys:
+            raise InvalidParameters("unknown field %r" % (key,))
 
 
 class ChainLevel(Record):
@@ -83,13 +83,8 @@ class ChainLevel(Record):
         quotient = AbelianStructure.from_json_fields(
             obj.get("quotient_free_rank", 0), json_field(obj, "quotient_factors", list)
         )
-        return ChainLevel(
-            subgroup=subgroup,
-            quotient=quotient,
-            index=parse_int(json_field(obj, "index")),
-            normality_verified=bool(_flag(obj, flag_key)),
-            central=_flag(obj, "central"),
-        )
+        index = parse_int(json_field(obj, "index"))
+        return ChainLevel(subgroup, quotient, index, bool(_flag(obj, flag_key)), _flag(obj, "central"))
 
 
 def _flag(obj: dict, key: str) -> bool | None:
@@ -176,7 +171,7 @@ class SeriesCertificate(Record):
         return SeriesCertificate(
             kind=kind,
             group_ref=canonical_json(group),
-            chain=tuple(ChainLevel.from_json_dict(l, flag_key) for l in levels),
+            chain=tuple([ChainLevel.from_json_dict(l, flag_key) for l in levels]),
             total_index=parse_int(json_field(obj, "total_index")),
             min_length=parse_int(json_field(obj, "min_length")),
             max_quotient_order=parse_int(json_field(obj, "max_quotient_order")),

@@ -7,13 +7,15 @@ result and element classes their immutable value semantics; it lives here
 because every module already imports this one.
 """
 
+import operator
+
 
 class Record:
     """Immutable value: equality, hash and repr over the fields ``_fields``.
 
-    A subclass lists its fields in ``_fields`` (and, unless it needs a
-    ``__dict__``, as its ``__slots__``) and sets each once in ``__init__``
-    with ``object.__setattr__``.  The semantics are those of a frozen
+    A subclass lists its two or more fields in ``_fields`` (and, unless it
+    needs a ``__dict__``, as its ``__slots__``) and sets each once in
+    ``__init__`` with ``object.__setattr__``.  The semantics are those of a frozen
     dataclass: instances of one class are equal when their fields are, the
     hash is that of the field tuple, the repr is ``Name(field=value, ...)``
     and assignment or deletion raises ``AttributeError``.  Plain classes
@@ -24,8 +26,11 @@ class Record:
     __slots__ = ()
     _fields: tuple[str, ...] = ()
 
+    def __init_subclass__(cls):
+        cls._getter = operator.attrgetter(*cls._fields)
+
     def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self._fields])
+        return self._getter(self)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

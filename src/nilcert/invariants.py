@@ -8,7 +8,6 @@ certificate kind produced by this package.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import json
 
@@ -72,20 +71,19 @@ def discsym2_upper(G) -> DiscSym2Bound:
 # ---------------------------------------------------------------------------
 
 
-@contextlib.contextmanager
-def _resolving(what: str):
-    """Inputs a certificate names that cannot be read at all are unresolvable."""
-    try:
-        yield
-    except (NilcertError, KeyError, ValueError, TypeError) as exc:
-        raise UnresolvableReference("cannot rebuild %s: %s" % (what, exc))
+# Inputs a certificate names that cannot be read at all are unresolvable.
+_UNREADABLE = (NilcertError, KeyError, ValueError, TypeError)
 
 
 def _rebuild_sol3(cert: SeriesCertificate, max_index: int | None) -> SeriesCertificate:
-    with _resolving("ambient group"):
+    try:
         gamma = SemidirectLattice.from_json(json.loads(cert.group_ref))
-    with _resolving("chain subgroups"):
+    except _UNREADABLE as exc:
+        raise UnresolvableReference("cannot rebuild ambient group: %s" % exc)
+    try:
         descs = [json.loads(level.subgroup) for level in cert.chain]
+    except _UNREADABLE as exc:
+        raise UnresolvableReference("cannot rebuild chain subgroups: %s" % exc)
     # The subgroup descriptions are inputs, not claims: keep their spelling.
     subs = [
         (SemidirectLattice.from_json(desc), level.subgroup) for desc, level in zip(descs, cert.chain)
@@ -94,17 +92,21 @@ def _rebuild_sol3(cert: SeriesCertificate, max_index: int | None) -> SeriesCerti
 
 
 def _rebuild_witness(cert: SeriesCertificate, max_index: int | None) -> SeriesCertificate:
-    with _resolving("witness parameters"):
+    try:
         params = json_field(json.loads(cert.group_ref), "witness")
-        k, p, a = (parse_int(json_field(params, key)) for key in ("k", "p", "a"))
+        k, p, a = [parse_int(json_field(params, key)) for key in ("k", "p", "a")]
+    except _UNREADABLE as exc:
+        raise UnresolvableReference("cannot rebuild witness parameters: %s" % exc)
     return nilpotent2.heisenberg_witness(k, p, a, max_index)
 
 
 def _rebuild_two_step(cert: SeriesCertificate, max_index: int | None) -> SeriesCertificate:
-    with _resolving("series data"):
+    try:
         group = json.loads(cert.group_ref)
         parent = TwoStepLattice.from_json(group)
         sub = NilSublattice.from_json(parent, json_field(group, "gamma"))
+    except _UNREADABLE as exc:
+        raise UnresolvableReference("cannot rebuild series data: %s" % exc)
     return nilpotent2.subnormal_series(parent, sub, max_index)
 
 
@@ -154,6 +156,11 @@ def _exact(a, b) -> bool:
         return False
     if isinstance(a, Record):
         a, b = a._values(), b._values()
-    if isinstance(a, tuple):
-        return len(a) == len(b) and all(map(_exact, a, b))
-    return a == b
+    elif not isinstance(a, tuple):
+        return a == b
+    if len(a) != len(b):
+        return False
+    for x, y in zip(a, b):  # only records and tuples recurse
+        if not (_exact(x, y) if isinstance(x, (Record, tuple)) else type(x) is type(y) and x == y):
+            return False
+    return True

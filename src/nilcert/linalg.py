@@ -53,32 +53,24 @@ def _width(rows: Sequence[Row], cols: int | None) -> int:
     return ncols
 
 
-# A row of decimal strings, comma-joined: what ``parse_int`` accepts of each.
+# Decimal strings, comma-joined: what ``parse_int`` accepts of each.
 _DECIMAL_ROW = re.compile(r"-?[0-9]+(?:,-?[0-9]+)*").fullmatch
-
-
-def _parse_row(row: list) -> Row:
-    """One JSON row as ints, by the rule of ``parse_int``.
-
-    A row of ASCII decimal strings is checked once, joined, and converted
-    by ``int``; any other row (JSON ints, a comma inside an entry, a number
-    past the digit limit) goes through ``parse_int`` entry by entry, which
-    accepts the same entries and names the first bad one.
-    """
-    try:
-        if _DECIMAL_ROW(",".join(row)):
-            return tuple(map(int, row))
-    except (TypeError, ValueError):
-        pass
-    return tuple(map(parse_int, row))
 
 
 def _parse_rows(obj, cols: int | None = None) -> tuple[list[Row], int]:
     """JSON rows (lists of ints or decimal strings) as rows of ints, and their
-    width (``cols`` if given); each entry is checked by the rule of ``parse_int``."""
+    width (``cols`` if given); each entry is checked by the rule of ``parse_int``:
+    by one match on all entries comma-joined, then ``int``, or else (JSON ints,
+    an empty row, past the digit limit) by ``parse_int``, which names the first bad one."""
     if not isinstance(obj, list) or not all(isinstance(row, list) for row in obj):
         raise InvalidParameters("a matrix must be a JSON list of rows")
-    rows = [_parse_row(row) for row in obj]
+    try:
+        if _DECIMAL_ROW(",".join(map(",".join, obj))):
+            rows = [tuple(map(int, row)) for row in obj]
+            return rows, _width(rows, cols)
+    except (TypeError, ValueError):
+        pass
+    rows = [tuple(map(parse_int, row)) for row in obj]
     return rows, _width(rows, cols)
 
 
@@ -493,15 +485,15 @@ def _smith(s: list[list[int]], n: int) -> tuple[int, ...]:
     divisibility sweep after each pivot guarantees d_i | d_{i+1}.  No
     transform is kept; :func:`_smith_transforms` builds them.
     """
-    m = len(s)
-    t = 0
-    while t < min(m, n):
+    m, k = len(s), min(len(s), n)
+    t, d = 0, []
+    while t < k:
         # The first entry of least absolute value in the tail block, row-major.
         best = pi = pj = 0
         for i in range(t, m):
             si = s[i]
             for j in range(t, n):
-                x = abs(si[j])
+                x = si[j] if si[j] >= 0 else -si[j]
                 if x and (not best or x < best):
                     best, pi, pj = x, i, j
             if best == 1:
@@ -534,15 +526,19 @@ def _smith(s: list[list[int]], n: int) -> tuple[int, ...]:
                     dirty = True
         if dirty:
             continue
-        # Row and column are clear; force the divisibility chain.
-        fix = next(
-            (i for i in range(t + 1, m) if any(x % p for x in s[i][t + 1 :])), None
-        )
-        if fix is not None:
-            s[t] = [a + b for a, b in zip(st, s[fix])]
-            continue
-        t += 1
-    return tuple(abs(s[i][i]) for i in range(min(m, n)) if s[i][i] != 0)
+        # Row and column are clear; add the first row with an entry p does not divide.
+        for i in range(t + 1, m):
+            for x in s[i]:
+                if x % p:
+                    break
+            else:
+                continue
+            s[t] = [a + b for a, b in zip(st, s[i])]
+            break
+        else:
+            d.append(p if p > 0 else -p)
+            t += 1
+    return tuple(d)
 
 
 def _smith_transforms(
@@ -715,12 +711,12 @@ class AbelianStructure(Record):
         instead, and a factor below 2 is reported before the divisibility
         chain is tested, so a zero factor is never a divisor."""
         free_rank = parse_int(free_rank)
-        torsion = tuple(parse_int(d) for d in torsion)
+        torsion = tuple(map(parse_int, torsion))
         if free_rank < 0:
             raise InvalidParameters("negative free rank")
-        if any(d <= 1 for d in torsion):
+        if torsion and min(torsion) <= 1:
             raise InvalidParameters("torsion factors must exceed 1")
-        if any(b % a for a, b in zip(torsion, torsion[1:])):
+        if any(map(operator.mod, torsion[1:], torsion)):
             raise InvalidParameters("torsion factors must form a divisibility chain")
         return AbelianStructure._trusted(free_rank, torsion)
 
@@ -922,12 +918,12 @@ def full_index(L: Lattice) -> int | None:
     """``[Z^n : L]`` from the diagonal of its row HNF basis, or None if infinite."""
     if not L.is_full_rank():
         return None
-    return math.prod(row[i] for i, row in enumerate(L.basis.data))
+    return math.prod(map(operator.getitem, L.basis.data, L._pivots))
 
 
 def _structure(n: int, factors: Sequence[int]) -> AbelianStructure:
-    """``Z^n`` modulo a relation matrix with invariant factors ``factors``."""
-    return AbelianStructure._trusted(n - len(factors), tuple(d for d in factors if d != 1))
+    """``Z^n`` modulo relations with invariant factors ``factors`` (a chain: ones first)."""
+    return AbelianStructure._trusted(n - len(factors), factors[factors.count(1) :])
 
 
 def cokernel(n: int, rows: Iterable[Sequence[int]]) -> AbelianStructure:

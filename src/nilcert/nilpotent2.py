@@ -58,14 +58,6 @@ from .linalg import (
 Vec = tuple[int, ...]
 
 
-def _table_terms(C: IntMatrix) -> tuple[tuple[int, int, int], ...]:
-    """Nonzero entries (i, j, T[i][j]) of the collection table T, the strict
-    upper part of C."""
-    return tuple(
-        (i, j, x) for i, row in enumerate(C.data) for j, x in enumerate(row) if j > i and x
-    )
-
-
 class TwoStepLattice:
     """A finitely generated torsion-free 2-step nilpotent group."""
 
@@ -86,7 +78,11 @@ class TwoStepLattice:
         self.f = f
         self.b = b
         self.forms = forms
-        self.terms = tuple(_table_terms(C) for C in forms)
+        # Nonzero entries (i, j, T[i][j]) of each collection table T, the strict upper part of C.
+        self.terms = tuple([
+            tuple([(i, j, x) for i, r in enumerate(C.data) for j, x in enumerate(r) if j > i and x])
+            for C in forms
+        ])
 
     @staticmethod
     def heisenberg(k: int) -> "TwoStepLattice":
@@ -253,7 +249,17 @@ class NilSublattice:
     def __init__(self, parent: TwoStepLattice, U: Lattice, W: Lattice):
         if U.ambient_dim != parent.b or W.ambient_dim != parent.f:
             raise DimensionMismatch("box data must live in Z^b x Z^f")
-        gram = tuple(tuple(parent.beta(ru, rv) for rv in U.basis.data) for ru in U.basis.data)
+        rows, mul, gram = U.basis.data, operator.mul, []
+        for ru in rows:
+            # beta(u, v)_l = (u^T T_l) . v: one sparse u^T T_l per form, zipped per v.
+            cols = []
+            for terms in parent.terms:
+                m = [0] * parent.b
+                for i, j, x in terms:
+                    m[j] += x * ru[i]
+                cols.append([sum(map(mul, m, rv)) for rv in rows])
+            gram.append(tuple(zip(*cols)) if cols else ((),) * len(rows))
+        gram = tuple(gram)
         # Every beta value lies in W = Z^f, so only a smaller W is scanned.
         if full_index(W) != 1 and not all(W.contains(v) for row in gram for v in row):
             raise ClosureViolation("beta(U, U) is not contained in W")

@@ -6,8 +6,9 @@ import random
 import pytest
 
 from nilcert import semidirect
-from nilcert.arith import factorize, is_prime
+from nilcert.arith import canonical_json, factorize, is_prime
 from nilcert.certificates import ChainLevel, SeriesCertificate
+from nilcert.cli import run
 from nilcert.errors import (
     InvalidParameters,
     QuotientTooLarge,
@@ -317,6 +318,14 @@ def _witness_with_group(edit):
     return d
 
 
+def _without(d, group_key, *keys):
+    """A certificate dict with a field of its group, and top-level fields, deleted."""
+    del d["group"][group_key]
+    for key in keys:
+        del d[key]
+    return d
+
+
 def _sol3_with(level=None, **fields):
     """sol3_tower(1) built in Python with some of its fields, or its level's, replaced."""
     cert = sol3_tower(1)
@@ -457,14 +466,45 @@ class TestStrictCertificateParsing:
         assert verify_certificate(make()) is False
 
     @pytest.mark.parametrize(
-        "subgroup", [lambda text: json.loads(text), lambda text: "not json"], ids=["dict", "not-json"]
+        "subgroup, detail",
+        [
+            (lambda text: json.loads(text), "the JSON object must be str, bytes or bytearray, not dict"),
+            (lambda text: "not json", "Expecting value: line 1 column 1 (char 0)"),
+        ],
+        ids=["dict", "not-json"],
     )
-    def test_unreadable_level_subgroup_is_unresolvable(self, subgroup):
+    def test_unreadable_level_subgroup_is_unresolvable(self, subgroup, detail):
         # A level of a certificate built in Python holds a dict, or text that
         # is not JSON: the chain cannot be read, as for an unreadable group.
+        # From JSON a level's subgroup is canonical text that always parses,
+        # so `nilcert verify` never prints this message; its text is pinned here.
         level = sol3_tower(1).chain[0]
-        with pytest.raises(UnresolvableReference, match="cannot rebuild chain subgroups"):
+        with pytest.raises(UnresolvableReference) as info:
             verify_certificate(_sol3_with(level={"subgroup": subgroup(level.subgroup)}))
+        assert str(info.value) == "cannot rebuild chain subgroups: " + detail
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: dict(sol3_tower(1).to_json_dict(), group={"type": "twostep"}),
+             "cannot rebuild ambient group: not a semidirect group description"),
+            (lambda: _without(heisenberg_witness(1, 3, 2).to_json_dict(), "witness", "profile"),
+             "cannot rebuild witness parameters: missing field 'witness' in {'b': 2, 'f': 1, "
+             "'forms': [[['0', '1'], ['-1', '0']]], 'type"),
+            (lambda: _witness_with_group(lambda g: g["witness"].update(k="one")),
+             "cannot rebuild witness parameters: expected an integer or a decimal string, got 'one'"),
+            (lambda: _without(_two_step_cert().to_json_dict(), "gamma"),
+             "cannot rebuild series data: missing field 'gamma' in {'b': 2, 'f': 1, "
+             "'forms': [[['0', '1'], ['-1', '0']]], 'type"),
+        ],
+        ids=["ambient-group", "witness-missing", "witness-unparsed", "series-data"],
+    )
+    def test_verify_prints_each_rebuild_failure(self, make, message, capsys):
+        # The exact stdout of `nilcert verify` for a certificate that names
+        # an input its rebuild cannot read.
+        assert run(["verify", "--input", json.dumps(make())]) == 1
+        report = {"error": {"message": message, "type": "UnresolvableReference"}, "schema": "nilcert/1"}
+        assert capsys.readouterr().out == canonical_json(report) + "\n"
 
     def test_level_subgroup_of_another_kind_is_rejected(self):
         # Readable text naming the wrong group is a false claim, not an unreadable one.

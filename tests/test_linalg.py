@@ -511,6 +511,14 @@ def _relations(rng):
     return n, rows
 
 
+def _sympy_factors(sympy, rows, n):
+    """The nonzero Smith diagonal of an m x n matrix (m may be 0) by sympy."""
+    from sympy.matrices.normalforms import smith_normal_form
+
+    S = smith_normal_form(sympy.Matrix(len(rows), n, [x for r in rows for x in r]), domain=sympy.ZZ)
+    return tuple(abs(int(S[i, i])) for i in range(min(S.rows, S.cols)) if S[i, i])
+
+
 class TestInvariantFactorsOnly:
     """Structure-only quotients: the Smith elimination without transforms."""
 
@@ -540,6 +548,32 @@ class TestInvariantFactorsOnly:
             else:
                 factors = []
             assert got == AbelianStructure(n - len(factors), tuple(d for d in factors if d > 1))
+
+    def test_smith_matches_sympy_on_empty_shapes(self):
+        # 0 x n and m x 0: no pivot, so no factor and no divisibility fix.
+        sympy = pytest.importorskip("sympy")
+        for m, n in [(0, n) for n in range(6)] + [(m, 0) for m in range(1, 6)]:
+            rows = [[] for _ in range(m)]
+            assert linalg._smith([list(r) for r in rows], n) == _sympy_factors(sympy, rows, n) == ()
+            assert cokernel(n, rows) == AbelianStructure(n)
+
+    def test_smith_matches_sympy_where_the_divisibility_fix_runs(self):
+        # Upper-triangular Hermite bases from 1 x 1 to 6 x 6 whose diagonals
+        # are no divisibility chain, so the pivots must be fixed up.
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(71)
+        cases = [[[6, 0], [0, 4]], [[2, 1], [0, 4]], [[4]], [[3, 0, 0], [0, 2, 1], [0, 0, 5]]]
+        for _ in range(120):
+            n = rng.randint(1, 6)
+            diag = [rng.choice([2, 3, 4, 5, 6, 9, 10]) for _ in range(n)]
+            above = lambda j: rng.choice([0, 0, rng.randrange(diag[j])])
+            cases.append([[diag[j] if i == j else above(j) if i < j else 0 for j in range(n)]
+                          for i in range(n)])
+        for rows in cases:
+            n = len(rows[0])
+            got = linalg._smith([list(r) for r in rows], n)
+            assert got == _sympy_factors(sympy, rows, n)
+            assert all(b % a == 0 for a, b in zip(got, got[1:]))
 
     def test_cokernel_validates_like_from_rows(self):
         for rows, exc in (
@@ -755,6 +789,45 @@ _SIGNS = st.sampled_from(["", "-", "+", "--", " ", "-\u00a0", "\u2212"])
 _BODIES = st.text(alphabet="0123456789_ \t\n-+.e\u0663\u00b2\u0967\u07c0\U0001d7d9", max_size=12)
 
 
+def _rows_by_entry(obj):
+    """The old rule row by row: the list-of-lists check, ``parse_int`` of the
+    oracle on every entry in row-major order, then one width."""
+    if not isinstance(obj, list) or not all(isinstance(row, list) for row in obj):
+        raise InvalidParameters("a matrix must be a JSON list of rows")
+    rows = [tuple(map(oracle.parse_int, row)) for row in obj]
+    if len({len(row) for row in rows}) > 1:
+        raise DimensionMismatch("ragged rows")
+    return rows, len(rows[0]) if rows else 0
+
+
+def _outcome(parse, obj):
+    try:
+        return parse(obj)
+    except (InvalidParameters, DimensionMismatch) as exc:
+        return (type(exc).__name__, str(exc))
+
+
+_ENTRIES = st.one_of(
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from(["1,2", "-", "", "007", "-0", " 3", "\u0663"]),
+    st.builds(lambda sign, n: sign + "9" * n, st.sampled_from(["", "-"]), st.sampled_from([4299, 4300, 4301])),
+    st.integers(), st.booleans(), st.floats(), st.none(),
+)
+
+
+@st.composite
+def _json_matrices(draw):
+    """0 to 4 rows, mostly of one width and of decimal strings, with ragged
+    rows, rows that are not lists and bad entries in any row mixed in."""
+    width = draw(st.integers(0, 4))
+    valid = st.lists(st.integers(-99, 99).map(str), min_size=width, max_size=width)
+    row = st.one_of(
+        valid, valid, st.lists(_ENTRIES, min_size=width, max_size=width), st.lists(_ENTRIES, max_size=4),
+        st.sampled_from(["12", 5, None, {"1": 2}, ("1",)]),
+    )
+    return draw(st.lists(row, max_size=4))
+
+
 class TestParserMatchesTheOldRule:
     @settings(max_examples=500, deadline=None)
     @given(st.one_of(
@@ -783,6 +856,25 @@ class TestParserMatchesTheOldRule:
             return tuple(map(oracle.parse_int, r))
 
         assert _parsed(by_row, row) == _parsed(by_entry, row)
+
+    @settings(max_examples=500, deadline=None)
+    @given(_json_matrices())
+    def test_matrices_parse_like_their_entries_row_by_row(self, obj):
+        # One match on the whole matrix gives the rows, or the error, that
+        # the old rule gives entry by entry: the first bad entry in
+        # row-major order, and a ragged matrix only once every entry parses.
+        assert _outcome(_parse_rows, obj) == _outcome(_rows_by_entry, obj)
+
+    @pytest.mark.parametrize("obj, want", [
+        ([["1", "2"], ["3", "x"], ["5"]], ("InvalidParameters", "expected an integer or a decimal string, got 'x'")),
+        ([["1", "2"], ["3"]], ("DimensionMismatch", "ragged rows")),
+        ([["1", "2"], [3, True]], ("InvalidParameters", "expected an integer or a decimal string, got True")),
+        ([["1"], "2"], ("InvalidParameters", "a matrix must be a JSON list of rows")),
+        ([["1", 2], ["-3", "4"]], ([(1, 2), (-3, 4)], 2)),
+        ([[], []], ([(), ()], 0)),
+    ])
+    def test_named_cases(self, obj, want):
+        assert _outcome(_parse_rows, obj) == want
 
 
 class TestSympyOracle:

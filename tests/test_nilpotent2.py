@@ -745,6 +745,31 @@ class TestGramTable:
             sum(u[i] * C.data[i][j] * v[j] for i in range(G.b) for j in range(G.b)) for C in G.forms
         )
 
+    def test_sparse_gram_table_matches_beta_entry_by_entry(self):
+        # The table comes from the products u^T T_l, not from beta: random
+        # alternating forms with f <= 3 and b <= 6 (f = 0 or b = 0 included)
+        # and random U bases of any rank.
+        rng = random.Random(83)
+        for _ in range(300):
+            f, b = rng.randint(0, 3), rng.randint(0, 6)
+            forms = []
+            for _ in range(f):
+                c = [[0] * b for _ in range(b)]
+                for i in range(b):
+                    for j in range(i + 1, b):
+                        c[i][j] = rng.choice([0, 0, rng.randint(-5, 5)])
+                        c[j][i] = -c[i][j]
+                forms.append(IntMatrix(c))
+            G = TwoStepLattice(f, b, forms)
+            U = Lattice.from_rows(b, [[rng.randint(-4, 4) for _ in range(b)] for _ in range(rng.randint(0, b + 1))])
+            box = NilSublattice(G, U, Lattice.standard(f))
+            basis = U.basis.data
+            assert len(box.gram) == len(basis)
+            for row, a in zip(box.gram, basis):
+                assert len(row) == len(basis)
+                for value, c in zip(row, basis):
+                    assert type(value) is tuple and value == G.beta(a, c)
+
     @settings(max_examples=200, deadline=None)
     @given(two_step_lattices(), st.data())
     def test_collected_w_matches_the_group_law(self, G, data):
@@ -993,9 +1018,10 @@ class TestBoxLayerOracle:
         assert calls == {"_echelon": 2, "_validated": 0}
 
     def test_series_levels_in_closed_form(self, monkeypatch):
-        # The same series, Gamma built inside the count: its Gram table is
-        # the only beta work, and the two quotients Z^f/W and Z^b/U are one
-        # Smith elimination each, with no box quotient and no full box.
+        # The same series, Gamma built inside the count: its Gram table comes
+        # from sparse row products with no call to beta, and the two
+        # quotients Z^f/W and Z^b/U are one Smith elimination each, with no
+        # box quotient and no full box.
         calls = count_calls(
             monkeypatch,
             [(nilpotent2, "box_quotient"), (TwoStepLattice, "beta"), (linalg, "_smith")],
@@ -1003,7 +1029,7 @@ class TestBoxLayerOracle:
         L = TwoStepLattice.heisenberg(1)
         cert = subnormal_series(L, NilSublattice(L, Lattice.scaled(2, 2), Lattice.scaled(1, 4)))
         assert [lvl.quotient.torsion for lvl in cert.chain] == [(4,), (2, 2)]
-        assert calls == {"box_quotient": 0, "beta": 4, "_smith": 2}
+        assert calls == {"box_quotient": 0, "beta": 0, "_smith": 2}
 
     def test_series_spans_u_plus_k_once(self, monkeypatch):
         # [x1, x2] = z with x3 central, so K = Z e3 is not inside U = 2Z^3:
