@@ -21,6 +21,7 @@ report ``min_length`` 1 (or 0 for a trivial chain).
 from __future__ import annotations
 
 import json
+import re
 
 from .arith import SCHEMA, canonical_json, decimals, json_field, parse_int
 from .errors import InvalidParameters, Record, SelfCheckFailed
@@ -34,6 +35,14 @@ KIND_TWO_STEP = "two-step-series"
 _LAYOUT = {KIND_SOL3: ("levels", "normalizer_verified"), KIND_WITNESS: ("chain", "normality_verified")}
 _CERT_KEYS = ("schema", "kind", "group", "total_index", "min_length", "max_quotient_order")
 _LEVEL_KEYS = ("subgroup", "quotient_factors", "quotient_free_rank", "index", "central")
+_BOOL = {True: "true", False: "false"}
+# The fields that sort after "kind" and the levels; "profile" is a witness's only.
+_TAIL = '"max_quotient_order":"%s","min_length":%d,%s"schema":"' + SCHEMA + '","total_index":"%s"}'
+# A top-level "witness" object that ends the group text, holding no object or
+# list but its "profile", which it ends with.  In canonical text a quote after
+# "," or "{" opens a string, so these quotes spell keys.  Compiled on first
+# use (re's cache), so a process that writes no witness never compiles it.
+_WITNESS_PROFILE = r'"witness":\{(?:[^][{}]*,)?"profile":(\[[^][{}]*\])\}\}'
 
 
 def _known_fields(obj: dict, *keys: str) -> None:
@@ -76,6 +85,19 @@ class ChainLevel(Record):
             out["central"] = self.central
         return out
 
+    def canonical_text(self, flag_key: str = "normality_verified") -> str:
+        """``canonical_json(self.to_json_dict(flag_key))``, with the subgroup text as held."""
+        index, *factors = decimals((self.index, *self.quotient.torsion))
+        return '{%s"index":"%s","%s":%s,"quotient_factors":[%s]%s,"subgroup":%s}' % (
+            "" if self.central is None else '"central":%s,' % _BOOL[self.central],
+            index,
+            flag_key,
+            _BOOL[self.normality_verified],
+            '"%s"' % '","'.join(factors) if factors else "",
+            ',"quotient_free_rank":%d' % self.quotient.free_rank if self.quotient.free_rank else "",
+            self.subgroup,
+        )
+
     @staticmethod
     def from_json_dict(obj: dict, flag_key: str = "normality_verified") -> "ChainLevel":
         subgroup = canonical_json(json_field(obj, "subgroup"))
@@ -85,6 +107,13 @@ class ChainLevel(Record):
         )
         index = parse_int(json_field(obj, "index"))
         return ChainLevel(subgroup, quotient, index, bool(_flag(obj, flag_key)), _flag(obj, "central"))
+
+
+def plain_lists(obj: dict) -> bool:
+    """Are a certificate dict's levels, and each level's factors, plain lists?
+    ``canonical_json`` writes a tuple as a list; ``from_json_dict`` refuses it."""
+    levels = obj[_LAYOUT.get(obj["kind"], ("levels",))[0]]
+    return type(levels) is list and all([type(level["quotient_factors"]) is list for level in levels])
 
 
 def _flag(obj: dict, key: str) -> bool | None:
@@ -153,6 +182,28 @@ class SeriesCertificate(Record):
         if self.kind == KIND_WITNESS:
             out["profile"] = list(group.get("witness", {}).get("profile", []))
         return out
+
+    def canonical_text(self) -> str:
+        """``canonical_json(self.to_json_dict())``, written from the texts the
+        certificate holds and the decimals of its scalars, with no description
+        parsed or encoded again.  The texts must be canonical JSON, as every
+        builder and ``from_json_dict`` makes them."""
+        levels_key, flag_key = _LAYOUT.get(self.kind, ("levels", "normality_verified"))
+        total_index, max_quotient_order = decimals((self.total_index, self.max_quotient_order))
+        levels = "[%s]" % ",".join([level.canonical_text(flag_key) for level in self.chain])
+        profile = ""
+        if self.kind == KIND_WITNESS:
+            text = self.group_ref
+            at = text.rfind('"witness":{')
+            found = at > 0 and text[at - 1] in ",{" and re.compile(_WITNESS_PROFILE).fullmatch(text, at)
+            if not found:  # a group a builder never writes: no profile to copy
+                return canonical_json(self.to_json_dict())
+            profile = '"profile":%s,' % found[1]
+        tail = _TAIL % (max_quotient_order, self.min_length, profile, total_index)
+        kind = json.encoder.encode_basestring(self.kind)
+        if levels_key == "chain":
+            return '{"chain":%s,"group":%s,"kind":%s,%s' % (levels, self.group_ref, kind, tail)
+        return '{"group":%s,"kind":%s,"%s":%s,%s' % (self.group_ref, kind, levels_key, levels, tail)
 
     @staticmethod
     def from_json_dict(obj: dict) -> "SeriesCertificate":

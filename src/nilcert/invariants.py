@@ -12,9 +12,9 @@ import functools
 import json
 
 from . import nilpotent2, semidirect
-from .arith import json_field, parse_int
+from .arith import canonical_json, json_field, parse_int
 from .arith import euler_length_bound, minkowski_bound  # noqa: F401  (public names of this module)
-from .certificates import KIND_SOL3, KIND_TWO_STEP, KIND_WITNESS, SeriesCertificate
+from .certificates import KIND_SOL3, KIND_TWO_STEP, KIND_WITNESS, SeriesCertificate, plain_lists
 from .errors import (
     NilcertError,
     QuotientTooLarge,
@@ -75,34 +75,41 @@ def discsym2_upper(G) -> DiscSym2Bound:
 _UNREADABLE = (NilcertError, KeyError, ValueError, TypeError)
 
 
-def _rebuild_sol3(cert: SeriesCertificate, max_index: int | None) -> SeriesCertificate:
+def _parsed(desc, text: str):
+    """A description as the caller holds it, or, given None, the one its text spells."""
+    return json.loads(text) if desc is None else desc
+
+
+# Each routine rebuilds one kind from the group text, the group parsed (None
+# to parse the text) and, for the tower, its levels' (subgroup, text) pairs.
+
+
+def _rebuild_sol3(group_ref: str, group, subgroups, max_index: int | None) -> SeriesCertificate:
     try:
-        gamma = SemidirectLattice.from_json(json.loads(cert.group_ref))
+        gamma = SemidirectLattice.from_json(_parsed(group, group_ref))
     except _UNREADABLE as exc:
         raise UnresolvableReference("cannot rebuild ambient group: %s" % exc)
     try:
-        descs = [json.loads(level.subgroup) for level in cert.chain]
+        descs = [_parsed(desc, text) for desc, text in subgroups]
     except _UNREADABLE as exc:
         raise UnresolvableReference("cannot rebuild chain subgroups: %s" % exc)
     # The subgroup descriptions are inputs, not claims: keep their spelling.
-    subs = [
-        (SemidirectLattice.from_json(desc), level.subgroup) for desc, level in zip(descs, cert.chain)
-    ]
-    return semidirect.tower_certificate(gamma, subs, cert.group_ref)
+    subs = [(SemidirectLattice.from_json(desc), text) for desc, (_, text) in zip(descs, subgroups)]
+    return semidirect.tower_certificate(gamma, subs, group_ref)
 
 
-def _rebuild_witness(cert: SeriesCertificate, max_index: int | None) -> SeriesCertificate:
+def _rebuild_witness(group_ref: str, group, subgroups, max_index: int | None) -> SeriesCertificate:
     try:
-        params = json_field(json.loads(cert.group_ref), "witness")
+        params = json_field(_parsed(group, group_ref), "witness")
         k, p, a = [parse_int(json_field(params, key)) for key in ("k", "p", "a")]
     except _UNREADABLE as exc:
         raise UnresolvableReference("cannot rebuild witness parameters: %s" % exc)
     return nilpotent2.heisenberg_witness(k, p, a, max_index)
 
 
-def _rebuild_two_step(cert: SeriesCertificate, max_index: int | None) -> SeriesCertificate:
+def _rebuild_two_step(group_ref: str, group, subgroups, max_index: int | None) -> SeriesCertificate:
     try:
-        group = json.loads(cert.group_ref)
+        group = _parsed(group, group_ref)
         parent = TwoStepLattice.from_json(group)
         sub = NilSublattice.from_json(parent, json_field(group, "gamma"))
     except _UNREADABLE as exc:
@@ -117,19 +124,44 @@ _REBUILD = {
 }
 
 
+def _rebuilds_to_itself(claim: dict, max_index: int | None) -> bool:
+    """Is the claim, byte for byte, the canonical text of its rebuild from
+    the inputs it names?  Its inputs are read from the dict as they stand."""
+    kind = claim["kind"]
+    if type(kind) is not str or not plain_lists(claim):
+        return False  # canonical_json would spell these as the reader refuses or keeps
+    group = claim["group"]
+    if kind == KIND_SOL3:
+        subgroups = [(level["subgroup"], canonical_json(level["subgroup"])) for level in claim["levels"]]
+        fresh = _rebuild_sol3(canonical_json(group), group, subgroups, max_index)
+    else:
+        fresh = _REBUILD[kind](None, group, (), max_index)
+    return fresh.canonical_text() == canonical_json(claim)
+
+
 def verify_certificate(cert, max_index: int | None = None) -> bool:
     """Re-derive every claim in a certificate from scratch.
 
     The certificate is rebuilt from its own inputs (ambient group, chain
-    subgroups or witness parameters) by the routine that built it, and the
-    result must equal it field for field: the group and subgroup
-    descriptions as canonical JSON text, every other value with its exact
-    type, so that true or 4.0 never passes for 1 or 4.  Returns False
-    when any claim differs or the rebuild fails; raises UnresolvableReference
-    when the certificate or the groups it names cannot be read at all, and
-    QuotientTooLarge when a witness or series index exceeds ``max_index``.
+    subgroups or witness parameters) by the routine that built it.  A dict
+    whose canonical JSON is byte for byte that of its rebuild is accepted
+    there: the rebuild is sealed and deterministic, and reading its JSON
+    gives it back, so the steps below could only agree.  Otherwise, and for
+    a ``SeriesCertificate``, the certificate is read, checked for internal
+    consistency, rebuilt, and must equal its rebuild field for field: the
+    group and subgroup descriptions as canonical JSON text, every other
+    value with its exact type, so that true or 4.0 never passes for 1 or 4.
+    Returns False when any claim differs or the rebuild fails; raises
+    UnresolvableReference when the certificate or the groups it names
+    cannot be read at all, and QuotientTooLarge when a witness or series
+    index exceeds ``max_index``.
     """
     if isinstance(cert, dict):
+        try:
+            if _rebuilds_to_itself(cert, max_index):
+                return True
+        except Exception:
+            pass  # the steps below decide the verdict and name the error
         try:
             cert = SeriesCertificate.from_json_dict(cert)
         except (NilcertError, ValueError, TypeError) as exc:
@@ -141,8 +173,9 @@ def verify_certificate(cert, max_index: int | None = None) -> bool:
     rebuild = _REBUILD.get(cert.kind)
     if rebuild is None:
         raise UnresolvableReference("unknown certificate kind %r" % cert.kind)
+    subgroups = [(None, level.subgroup) for level in cert.chain]
     try:
-        fresh = rebuild(cert, max_index)
+        fresh = rebuild(cert.group_ref, None, subgroups, max_index)
     except (UnresolvableReference, QuotientTooLarge):
         raise
     except NilcertError:
