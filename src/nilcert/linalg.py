@@ -15,8 +15,9 @@ and rows the package computes itself reach the normal forms through
 ``_span`` and ``_cokernel``, unchecked.  Transforms are accumulated only for
 callers that read them, and only by the Hermite elimination: ``hnf`` always
 returns ``U``, while lattice construction runs the same elimination without
-one, and ``_kernel_lattice`` ranks a matrix without one and reads a nonzero
-kernel off the elimination of ``[A | I]``.  ``snf`` and
+one.  Kernels, preimages, intersections and saturations build no ``U``
+either: each is read off one elimination of an augmented matrix by
+``_zero_left``, and ``left_kernel`` is the basis of such a kernel.  ``snf`` and
 ``quotient_with_generators`` take their Smith transforms from row and
 column Hermite passes, and only ``quotient_with_generators``, which lifts
 the rows of ``V^-1``, inverts ``V``; ``cokernel`` and ``quotient_structure``
@@ -594,31 +595,30 @@ def snf(A: IntMatrix) -> SmithForm:
 
 
 def left_kernel(A: IntMatrix) -> IntMatrix:
-    """Basis (rows) of ``{v : v*A = 0}``; always a saturated lattice."""
-    form = hnf(A)
-    rank = sum(1 for row in form.H.data if any(row))
-    return IntMatrix._trusted(form.U.data[rank:], A.rows)
+    """Canonical Hermite basis (rows) of ``{v : v*A = 0}``, a saturated lattice."""
+    return _kernel(A.cols, A.data).basis
+
+
+def _zero_left(n: int, rows: list, width: int) -> Lattice:
+    """The lattice of the right parts (width ``width``) of the combinations of
+    ``rows`` whose left ``n`` entries are zero, with no transform: pivots are
+    sought in the left part only, every row operation runs on the whole row,
+    and the rows below the rank span those combinations (Cohen, GTM 138,
+    Section 2.4).  ``rows`` is reduced in place."""
+    r = _echelon(rows, n)
+    return _span(width, [row[n:] for row in rows[r:]])
+
+
+def _kernel(n: int, rows: Sequence[Row]) -> Lattice:
+    """``{v : v*A = 0}`` for the rows of ``A`` (width ``n``): the zero-left part of ``[A | I]``."""
+    return _zero_left(n, [row + e for row, e in zip(rows, _identity_rows(len(rows)))], len(rows))
 
 
 def _kernel_lattice(n: int, rows: Sequence[Row]) -> Lattice:
-    """The lattice ``{v : v*A = 0}`` of the rows of ``A`` (width ``n``, ints
-    that need no checking), in its canonical Hermite basis.
-
-    One Hermite pass without a transform ranks ``A``; at full row rank the
-    kernel is zero.  Otherwise the rows of ``[A | I]`` are eliminated once,
-    and those whose left part is zero are the kernel's Hermite basis on the
-    right (Cohen, GTM 138, Section 2.4): neither the ``U`` of ``hnf`` nor
-    a second elimination of the kernel rows is needed.
-    """
-    m = len(rows)
-    if _echelon(list(rows), n) == m:
-        return Lattice.zero(m)
-    w = [row + e for row, e in zip(rows, _identity_rows(m))]
-    pivots: list[int] = []
-    _echelon(w, n + m, None, pivots)
-    r = sum(1 for j in pivots if j < n)  # the rank of A
-    basis = IntMatrix._trusted([row[n:] for row in w[r:]], m)
-    return Lattice(m, basis, [j - n for j in pivots[r:]])
+    """:func:`_kernel`, or zero with nothing augmented when a rank pass finds full row rank."""
+    if _echelon(list(rows), n) == len(rows):
+        return Lattice.zero(len(rows))
+    return _kernel(n, rows)
 
 
 def solve_row_combination(R: IntMatrix, target: Sequence[int]) -> Row | None:
@@ -848,12 +848,13 @@ class Lattice:
     def intersect(self, other: "Lattice") -> "Lattice":
         if self.ambient_dim != other.ambient_dim:
             raise DimensionMismatch("ambient dimensions differ")
+        n = self.ambient_dim
         if self.rank == 0 or other.rank == 0:
-            return Lattice.zero(self.ambient_dim)
-        ker = left_kernel(vstack([self.basis, -other.basis]))
-        return _span(
-            self.ambient_dim, [_combine(k[: self.rank], self.basis.data) for k in ker.data]
-        )
+            return Lattice.zero(n)
+        # c1*B1 + c2*B2 = 0 exactly when c1*B1 = -c2*B2 lies in both.
+        zero = (0,) * n
+        rows = [row + row for row in self.basis.data] + [row + zero for row in other.basis.data]
+        return _zero_left(n, rows, n)
 
     def to_json(self) -> list[list[str]]:
         return self.basis.to_json()
@@ -887,22 +888,19 @@ def saturate(L: Lattice) -> Lattice:
         return Lattice.zero(n)
     if L.rank == n:  # the transposed basis is nonsingular: no complement
         return Lattice.standard(n)
-    comp = left_kernel(L.basis.transpose())
-    if comp.rows == 0:
-        return Lattice.standard(n)
-    return _span(n, left_kernel(comp.transpose()).data)
+    comp = _kernel(L.rank, L.basis.transpose().data)  # nonzero, as L.rank < n
+    return _kernel(comp.rank, comp.basis.transpose().data)
 
 
 def preimage_lattice(M: IntMatrix, L: Lattice) -> Lattice:
-    """The lattice ``{v in Z^n : M*v in L}`` for a k x n matrix ``M``."""
+    """The lattice ``{v in Z^n : M*v in L}`` for a k x n matrix ``M``: the
+    zero-left part of ``[M^T | I ; B | 0]``, ``B`` the basis of ``L``."""
     if M.rows != L.ambient_dim:
         raise DimensionMismatch("M maps into Z^%d but L lives in Z^%d" % (M.rows, L.ambient_dim))
     n = M.cols
-    mt = M.transpose()
-    if L.rank == 0:
-        return _span(n, left_kernel(mt).data)
-    ker = left_kernel(vstack([mt, -L.basis]))
-    return _span(n, [row[:n] for row in ker.data])
+    zero = (0,) * n
+    rows = [row + e for row, e in zip(M.transpose().data, _identity_rows(n))]
+    return _zero_left(M.rows, rows + [row + zero for row in L.basis.data], n)
 
 
 def maps_into(M: IntMatrix, src: Lattice, dst: Lattice) -> bool:

@@ -8,13 +8,20 @@ ways, with ``SeriesCertificate.canonical_text`` and with ``canonical_json`` of
 exception type.  The recorder returns what ``sealed`` returns and lets its
 exceptions through, so no test sees a difference; a certificate written two
 ways fails the test that built it, at teardown.
+
+``--hypothesis-profile=ci`` makes the property tests reproducible: their
+examples are seeded from a hash of each test function, not drawn at random,
+and no example database is read or written.  Example counts are unchanged.
 """
 
 import pytest
+from hypothesis import settings
 
 import nilpotent2_oracle
 from invariants_oracle import writer_mismatch
 from nilcert import certificates, nilpotent2, semidirect
+
+settings.register_profile("ci", derandomize=True, database=None)
 
 
 @pytest.fixture(autouse=True)

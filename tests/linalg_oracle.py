@@ -10,6 +10,13 @@ and ``parse_int`` keeps the regular-expression rule for decimal strings.
 ``det`` is an elimination of its own, the tests' reference for
 unimodularity and singularity, which the library reads off the Hermite
 form.
+
+The kernels are computed as the library computed them before it read them
+off one elimination of an augmented matrix: ``left_kernel`` takes the rows
+of ``U`` under the zero rows of ``H``, and ``preimage``, ``intersect`` and
+``saturate`` solve through it and span the result again.  All of them
+return the canonical Hermite basis of their lattice as row tuples, from the
+elimination here, so they share no code with the library's.
 """
 
 import re
@@ -150,6 +157,57 @@ def hnf(rows, n):
     u = _eye(len(w))
     _echelon(w, n, u)
     return _rows(w), _rows(u)
+
+
+def left_kernel(rows, n):
+    """A basis of ``{v : v*A = 0}`` for the rows of width ``n``: the rows of
+    ``U`` under the zero rows of ``H``."""
+    H, U = hnf(rows, n)
+    return U[sum(1 for row in H if any(row)) :]
+
+
+def span(rows, n):
+    """The canonical Hermite basis of the rows of width ``n``."""
+    return tuple(row for row in hnf(rows, n)[0] if any(row))
+
+
+def _transpose(rows, n):
+    return [tuple(row[j] for row in rows) for j in range(n)]
+
+
+def kernel(rows, n):
+    """``left_kernel`` as a lattice: its canonical Hermite basis."""
+    return span(left_kernel(rows, n), len(rows))
+
+
+def preimage(M, k, n, basis):
+    """``{v in Z^n : M*v in L}`` for the k x n rows ``M`` and the basis of ``L``."""
+    mt = _transpose(M, n)
+    if not basis:
+        return kernel(mt, k)
+    ker = left_kernel(mt + [tuple(-x for x in row) for row in basis], k)
+    return span([row[:n] for row in ker], n)
+
+
+def intersect(a, b, n):
+    """The intersection of the lattices with bases ``a`` and ``b`` in Z^n."""
+    if not a or not b:
+        return ()
+    ker = left_kernel(list(a) + [tuple(-x for x in row) for row in b], n)
+    return span(
+        [tuple(sum(c * x for c, x in zip(k[: len(a)], col)) for col in zip(*a)) for k in ker], n
+    )
+
+
+def saturate(basis, n):
+    """The saturation of the lattice with basis ``basis`` in Z^n, a double
+    orthogonal complement."""
+    if not basis:
+        return ()
+    comp = left_kernel(_transpose(basis, n), len(basis))
+    if not comp:
+        return span(_eye(n), n)
+    return span(left_kernel(_transpose(comp, n), len(comp)), n)
 
 
 def snf(rows, n):

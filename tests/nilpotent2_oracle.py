@@ -16,12 +16,14 @@ reused its spans (:func:`subnormal_series` and the helpers it calls):
 - :func:`checked_box` scans every beta value against W, also for W = Z^f;
 - :func:`central_layer` forms lower.U + K with a Hermite form at every level;
 - :func:`center` and :func:`box_quotient` pass their rows through the
-  validating ``Lattice.from_rows`` and ``cokernel``;
+  validating ``Lattice.from_rows`` and ``cokernel``, and the centre's
+  kernel comes from the ``hnf`` transform of ``linalg_oracle.left_kernel``;
 - Lambda_1 gets a Gram table of its own.
 """
 
 import itertools
 
+import linalg_oracle
 from nilcert.certificates import KIND_TWO_STEP, ChainLevel, canonical_json, sealed
 from nilcert.errors import (
     ClosureViolation,
@@ -32,7 +34,7 @@ from nilcert.errors import (
     NotNormal,
     QuotientTooLarge,
 )
-from nilcert.linalg import Lattice, cokernel, hstack, left_kernel
+from nilcert.linalg import Lattice, cokernel, hstack
 from nilcert.nilpotent2 import NilElement, NilSublattice
 
 
@@ -81,8 +83,8 @@ def checked_box(G, U: Lattice, W: Lattice) -> NilSublattice:
 def center(G):
     if G.f == 0 or G.b == 0:
         return G.f + G.b, Lattice.standard(G.b)
-    kernel = left_kernel(hstack(G.b, list(G.forms)))
-    klattice = Lattice.from_rows(G.b, kernel.data)
+    kernel = linalg_oracle.left_kernel(hstack(G.b, list(G.forms)).data, G.b * G.f)
+    klattice = Lattice.from_rows(G.b, kernel)
     return G.f + klattice.rank, klattice
 
 

@@ -166,6 +166,13 @@ class TestKernelAndSolve:
             assert (K * A).is_zero() if K.rows else True
             assert K.rows == A.rows - len(snf(A).factors)
 
+    def test_left_kernel_is_the_canonical_hermite_basis(self):
+        # The same lattice as before, now in its canonical Hermite basis,
+        # where the rows of hnf's transform gave ((1, -2, 0), (0, -3, 1)).
+        A = IntMatrix([[2, 4], [1, 2], [3, 6]])
+        assert left_kernel(A).data == ((1, 1, -1), (0, 3, -1))
+        assert oracle.left_kernel(A.data, 2) == ((1, -2, 0), (0, -3, 1))
+
     def test_solve_row_combination(self):
         R = IntMatrix([[2, 0, 1], [0, 3, 1]])
         target = (4, 3, 3)
@@ -714,6 +721,58 @@ class TestSameBytesAsTheOldPivotSearch:
         S, _, _, _, factors = oracle.snf(rows, n)
         assert (form.S.data, form.factors) == (S, factors)
         _assert_smith_transforms(A, form)
+
+
+def _with_a_repeat(draw, rows):
+    """``rows``, its last one maybe replaced by a copy of another."""
+    if len(rows) > 1 and draw(st.booleans()):
+        rows[-1] = draw(st.sampled_from(rows[:-1]))
+    return rows
+
+
+def _rows(n, **size):
+    return st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), **size)
+
+
+@st.composite
+def lattice_rows(draw, n):
+    """Rows of a lattice in Z^n: none, a full-rank triangle, or up to n + 1
+    small rows."""
+    kind = draw(st.sampled_from(["zero", "full", "rows"]))
+    if kind == "zero":
+        return []
+    if kind == "full":
+        return [[draw(st.integers(1, 3)) if i == j else draw(st.integers(-3, 3)) * (i < j)
+                 for j in range(n)] for i in range(n)]
+    return _with_a_repeat(draw, draw(_rows(n, max_size=n + 1)))
+
+
+@st.composite
+def kernel_cases(draw):
+    """A k x n map with k and n in 0..8, a lattice of Z^k and two of Z^n;
+    shapes k x 0, 0 x n and Z^0 included."""
+    k, n = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    M = _with_a_repeat(draw, draw(_rows(n, min_size=k, max_size=k)))
+    return k, n, M, draw(lattice_rows(k)), draw(lattice_rows(n)), draw(lattice_rows(n))
+
+
+class TestKernelsMatchTheTransformOracle:
+    """Preimages, intersections, saturations and kernels read off one
+    augmented elimination against the same lattices solved through the
+    rows of an independent Hermite transform: equal canonical bases."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(kernel_cases())
+    def test_equal_bases(self, case):
+        k, n, M, l_rows, a_rows, b_rows = case
+        A = IntMatrix(M, cols=n)
+        L, a, b = Lattice.from_rows(k, l_rows), Lattice.from_rows(n, a_rows), Lattice.from_rows(n, b_rows)
+        assert preimage_lattice(A, L).basis.data == oracle.preimage(M, k, n, L.basis.data)
+        assert a.intersect(b).basis.data == oracle.intersect(a.basis.data, b.basis.data, n)
+        assert saturate(a).basis.data == oracle.saturate(a.basis.data, n)
+        kernel = oracle.kernel(M, n)
+        assert left_kernel(A).data == kernel
+        assert Lattice.from_rows(k, left_kernel(A).data).basis.data == kernel
 
 
 def _assert_smith_transforms(A, form):

@@ -206,11 +206,16 @@ class TestCenter:
     def test_abelian(self):
         assert center(TwoStepLattice.free_abelian(2, 3))[0] == 5
 
-    def test_degenerate_block(self):
+    def test_degenerate_block(self, monkeypatch):
+        # A joint kernel costs the rank pass, one elimination of
+        # [C_1 ... C_f | I] with pivots in its left part, and the Hermite
+        # span of the kernel rows; no transform is built.
         J = IntMatrix(
             [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
         )
+        calls = count_calls(monkeypatch, [(linalg, "_echelon"), (linalg, "hnf")])
         rank, kernel = center(TwoStepLattice(1, 4, [J]))
+        assert calls == {"_echelon": 3, "hnf": 0}
         assert rank == 3
         assert kernel == Lattice.from_rows(4, [[0, 0, 1, 0], [0, 0, 0, 1]])
 
@@ -239,7 +244,7 @@ class TestCenter:
     @given(degenerate_groups())
     def test_degenerate_centre_matches_the_spanned_kernel(self, G):
         # The kernel read off [C_1 ... C_f | I] against the Hermite span of
-        # left_kernel's rows.
+        # the rows of the oracle's hnf transform.
         assert center(G) == oracle.center(G)
 
 
@@ -1034,11 +1039,12 @@ class TestBoxLayerOracle:
     def test_series_spans_u_plus_k_once(self, monkeypatch):
         # [x1, x2] = z with x3 central, so K = Z e3 is not inside U = 2Z^3:
         # U + K is spanned once, for Lambda_1, and only level 1 needs a box
-        # quotient.  The other Hermite forms are the two of the centre.
+        # quotient.  The other three eliminations are the centre's: a rank
+        # pass, the left part of [C | I] and the span of the kernel rows.
         L = TwoStepLattice(1, 3, [IntMatrix([[0, 1, 0], [-1, 0, 0], [0, 0, 0]])])
         sub = NilSublattice(L, Lattice.scaled(3, 2), Lattice.scaled(1, 4))
         calls = count_calls(monkeypatch, [(linalg, "_echelon"), (nilpotent2, "box_quotient")])
         cert = subnormal_series(L, sub)
         assert [lvl.quotient.torsion for lvl in cert.chain] == [(2, 4), (2, 2)]
         assert [lvl.central for lvl in cert.chain] == [True, False]
-        assert calls == {"_echelon": 3, "box_quotient": 1}
+        assert calls == {"_echelon": 4, "box_quotient": 1}

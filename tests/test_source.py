@@ -106,6 +106,28 @@ def test_transforms_only_where_read():
     assert found == []
 
 
+def test_hermite_transform_only_where_read():
+    # hnf builds U, so only the callers that read U call it: the hnf verb
+    # prints it, unimodular_inverse returns it, solve_row_combination maps a
+    # reduction back through it and _module_inverse reads an inverse off it.
+    # Kernels, preimages, intersections and saturations are read off one
+    # elimination of an augmented matrix, so nothing here calls left_kernel.
+    hnf_readers = [
+        ("cli.py", "_cmd_hnf"),
+        ("cohomology.py", "_module_inverse"),
+        ("linalg.py", "solve_row_combination"),
+        ("linalg.py", "unimodular_inverse"),
+    ]
+    calls = [
+        (name, function, _callee(call))
+        for name, tree in _trees()
+        for function, call in _calls(tree)
+        if _callee(call) in ("hnf", "left_kernel")
+    ]
+    assert sorted((name, f) for name, f, callee in calls if callee == "hnf") == hnf_readers
+    assert [c for c in calls if c[2] == "left_kernel"] == []
+
+
 def test_smith_keeps_no_transform():
     # _smith reduces to invariant factors only.  Transforms come from the
     # Hermite elimination: _smith_transforms alternates _echelon on the rows
