@@ -35,7 +35,8 @@ _EXPORTS = {
     "sol3_tower": "semidirect",
 }
 _SUBMODULES = (
-    "arith", "certificates", "cohomology", "errors", "invariants", "linalg", "nilpotent2", "semidirect"
+    "arith", "certificates", "cohomology", "errors", "invariants", "linalg", "nilpotent2", "semidirect",
+    "usage",
 )
 
 __all__ = [

@@ -8,15 +8,17 @@ flag adds a human-readable line on stderr so stdout stays byte-stable.
 
 Each verb reaches the library through the package (``nilcert.linalg.hnf``),
 whose PEP 562 ``__getattr__`` imports a submodule on first use, so a verb
-loads only the modules it runs.
+loads only the modules it runs.  A plain argv is read straight off the verb
+table (``_read_argv``); argparse, in ``nilcert.usage``, is loaded only for
+help, usage errors and the spellings that reader leaves to it.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
+import types
 
 import nilcert
 
@@ -309,26 +311,54 @@ _VERBS = {
 }
 
 
-def _build_parser(verbs) -> argparse.ArgumentParser:
-    """The root parser with the sub-parsers of ``verbs`` only.
+def _is_value(arg: str) -> bool:
+    """Does argparse read ``arg`` after an option as its value on every
+    Python?  Anything not starting with ``-``, and ASCII negative integers."""
+    return arg[:1] != "-" or (arg[1:].isdigit() and arg[1:].isascii())
 
-    With one verb built, the metavar keeps the root usage listing every
-    verb; with all of them argparse spells out the same list itself, and
-    errors about the verb argument still name it ``verb``.
+
+def _read_argv(argv: list[str]):
+    """The namespace argparse gives a plain argv, read off the verb table;
+    None for anything else, which argparse then parses itself.
+
+    Plain means: a verb, then exact option names, each at most once, each
+    value-taking one followed by its value (see ``_is_value``), every
+    required option present, every ``type`` and ``choices`` satisfied.
     """
-    parser = argparse.ArgumentParser(
-        prog="nilcert",
-        description="Exact certificates for lattice invariants in nilpotent and solvable groups.",
-    )
-    metavar = "{%s}" % ",".join(_VERBS) if len(verbs) == 1 else None
-    sub = parser.add_subparsers(dest="verb", required=True, metavar=metavar)
-    for name in verbs:
-        fn, helptext, options = _VERBS[name]
-        p = sub.add_parser(name, help=helptext)
-        for flag, kwargs in _COMMON + options:
-            p.add_argument(flag, **kwargs)
-        p.set_defaults(fn=fn)
-    return parser
+    if not argv or argv[0] not in _VERBS:
+        return None
+    fn, _, options = _VERBS[argv[0]]
+    table = dict(_COMMON + options)
+    given = {}
+    rest = iter(argv[1:])
+    for flag in rest:
+        kwargs = table.get(flag)
+        if kwargs is None or flag in given:
+            return None
+        if kwargs.get("action") == "store_true":
+            given[flag] = True
+            continue
+        value = next(rest, None)
+        if value is None or not _is_value(value):
+            return None
+        if "type" in kwargs:
+            try:
+                value = kwargs["type"](value)
+            except (TypeError, ValueError):
+                return None
+        if value not in kwargs.get("choices", (value,)):
+            return None
+        given[flag] = value
+    args = types.SimpleNamespace(verb=argv[0], fn=fn)
+    for flag, kwargs in table.items():
+        if flag in given:
+            value = given[flag]
+        elif kwargs.get("required"):
+            return None
+        else:
+            value = kwargs.get("default", False if kwargs.get("action") == "store_true" else None)
+        setattr(args, flag[2:].replace("-", "_"), value)
+    return args
 
 
 def _summarize(verb: str, result: dict) -> str:
@@ -363,9 +393,11 @@ def _max_index(flag: int | None) -> int:
 
 def run(argv: list[str]) -> int:
     """Parse argv, execute, and print the JSON report; returns the exit code."""
-    # Only a verb's own parser is built; no verb (or -h) needs them all.
-    verbs = argv[:1] if argv and argv[0] in _VERBS else _VERBS
-    args = _build_parser(verbs).parse_args(argv)
+    args = _read_argv(argv)
+    if args is None:
+        # Only a verb's own parser is built; no verb (or -h) needs them all.
+        verbs = argv[:1] if argv and argv[0] in _VERBS else _VERBS
+        args = nilcert.usage.build_parser(_VERBS, _COMMON, verbs).parse_args(argv)
     try:
         args.max_index = _max_index(args.max_index)
         result = args.fn(args)

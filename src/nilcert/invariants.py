@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import functools
 import json
+import sys
 
-from . import nilpotent2, semidirect
+import nilcert  # the group families through the package: a verb loads only the one it reads
+
 from .arith import canonical_json, json_field, parse_int
 from .arith import euler_length_bound, minkowski_bound  # noqa: F401  (public names of this module)
 from .certificates import KIND_SOL3, KIND_TWO_STEP, KIND_WITNESS, SeriesCertificate, plain_lists
@@ -22,8 +24,6 @@ from .errors import (
     UnresolvableReference,
     UnsupportedGroupShape,
 )
-from .nilpotent2 import NilSublattice, TwoStepLattice
-from .semidirect import SemidirectLattice
 
 
 @functools.total_ordering
@@ -56,10 +56,14 @@ def discsym2_upper(G) -> DiscSym2Bound:
     kernel directions of the pairing, which is abelian; for a semidirect
     lattice both come from one cyclotomic split of the holonomy.
     """
-    if isinstance(G, TwoStepLattice):
+    # A group of a family exists only once its module is loaded, so a family
+    # not yet loaded is not loaded just to be ruled out.
+    nilpotent2 = sys.modules.get("nilcert.nilpotent2")
+    if nilpotent2 is not None and isinstance(G, nilpotent2.TwoStepLattice):
         rank, kernel = nilpotent2.center(G)
         return DiscSym2Bound(rank, G.b - kernel.rank)
-    if isinstance(G, SemidirectLattice):
+    semidirect = sys.modules.get("nilcert.semidirect")
+    if semidirect is not None and isinstance(G, semidirect.SemidirectLattice):
         return DiscSym2Bound(*semidirect.center_ranks(G))
     raise UnsupportedGroupShape(
         "disc-sym_2 bound supports two-step and semidirect lattices only"
@@ -85,8 +89,9 @@ def _parsed(desc, text: str):
 
 
 def _rebuild_sol3(group_ref: str, group, subgroups, max_index: int | None) -> SeriesCertificate:
+    read = nilcert.semidirect.SemidirectLattice.from_json
     try:
-        gamma = SemidirectLattice.from_json(_parsed(group, group_ref))
+        gamma = read(_parsed(group, group_ref))
     except _UNREADABLE as exc:
         raise UnresolvableReference("cannot rebuild ambient group: %s" % exc)
     try:
@@ -94,8 +99,8 @@ def _rebuild_sol3(group_ref: str, group, subgroups, max_index: int | None) -> Se
     except _UNREADABLE as exc:
         raise UnresolvableReference("cannot rebuild chain subgroups: %s" % exc)
     # The subgroup descriptions are inputs, not claims: keep their spelling.
-    subs = [(SemidirectLattice.from_json(desc), text) for desc, (_, text) in zip(descs, subgroups)]
-    return semidirect.tower_certificate(gamma, subs, group_ref)
+    subs = [(read(desc), text) for desc, (_, text) in zip(descs, subgroups)]
+    return nilcert.semidirect.tower_certificate(gamma, subs, group_ref)
 
 
 def _rebuild_witness(group_ref: str, group, subgroups, max_index: int | None) -> SeriesCertificate:
@@ -104,14 +109,15 @@ def _rebuild_witness(group_ref: str, group, subgroups, max_index: int | None) ->
         k, p, a = [parse_int(json_field(params, key)) for key in ("k", "p", "a")]
     except _UNREADABLE as exc:
         raise UnresolvableReference("cannot rebuild witness parameters: %s" % exc)
-    return nilpotent2.heisenberg_witness(k, p, a, max_index)
+    return nilcert.nilpotent2.heisenberg_witness(k, p, a, max_index)
 
 
 def _rebuild_two_step(group_ref: str, group, subgroups, max_index: int | None) -> SeriesCertificate:
+    nilpotent2 = nilcert.nilpotent2
     try:
         group = _parsed(group, group_ref)
-        parent = TwoStepLattice.from_json(group)
-        sub = NilSublattice.from_json(parent, json_field(group, "gamma"))
+        parent = nilpotent2.TwoStepLattice.from_json(group)
+        sub = nilpotent2.NilSublattice.from_json(parent, json_field(group, "gamma"))
     except _UNREADABLE as exc:
         raise UnresolvableReference("cannot rebuild series data: %s" % exc)
     return nilpotent2.subnormal_series(parent, sub, max_index)
@@ -124,19 +130,18 @@ _REBUILD = {
 }
 
 
-def _rebuilds_to_itself(claim: dict, max_index: int | None) -> bool:
-    """Is the claim, byte for byte, the canonical text of its rebuild from
-    the inputs it names?  Its inputs are read from the dict as they stand."""
+def _rebuild_as_it_stands(claim: dict, max_index: int | None) -> SeriesCertificate | None:
+    """The rebuild of a claim from the inputs it names, read from the dict as
+    they stand; None for a claim that ``canonical_json`` would spell as the
+    reader refuses or keeps (a kind that is not a string, tuples for lists)."""
     kind = claim["kind"]
     if type(kind) is not str or not plain_lists(claim):
-        return False  # canonical_json would spell these as the reader refuses or keeps
+        return None
     group = claim["group"]
     if kind == KIND_SOL3:
         subgroups = [(level["subgroup"], canonical_json(level["subgroup"])) for level in claim["levels"]]
-        fresh = _rebuild_sol3(canonical_json(group), group, subgroups, max_index)
-    else:
-        fresh = _REBUILD[kind](None, group, (), max_index)
-    return fresh.canonical_text() == canonical_json(claim)
+        return _rebuild_sol3(canonical_json(group), group, subgroups, max_index)
+    return _REBUILD[kind](None, group, (), max_index)
 
 
 def verify_certificate(cert, max_index: int | None = None) -> bool:
@@ -151,15 +156,22 @@ def verify_certificate(cert, max_index: int | None = None) -> bool:
     consistency, rebuilt, and must equal its rebuild field for field: the
     group and subgroup descriptions as canonical JSON text, every other
     value with its exact type, so that true or 4.0 never passes for 1 or 4.
+    A dict's rebuild from its inputs as they stand, when it completed, is
+    that rebuild: its inputs read as the canonical texts it is compared
+    through, which the text check above relies on too, so a claim is
+    rebuilt at most once.
     Returns False when any claim differs or the rebuild fails; raises
     UnresolvableReference when the certificate or the groups it names
     cannot be read at all, and QuotientTooLarge when a witness or series
     index exceeds ``max_index``.
     """
+    fresh = None
     if isinstance(cert, dict):
         try:
-            if _rebuilds_to_itself(cert, max_index):
+            attempt = _rebuild_as_it_stands(cert, max_index)
+            if attempt is not None and attempt.canonical_text() == canonical_json(cert):
                 return True
+            fresh = attempt
         except Exception:
             pass  # the steps below decide the verdict and name the error
         try:
@@ -173,13 +185,14 @@ def verify_certificate(cert, max_index: int | None = None) -> bool:
     rebuild = _REBUILD.get(cert.kind)
     if rebuild is None:
         raise UnresolvableReference("unknown certificate kind %r" % cert.kind)
-    subgroups = [(None, level.subgroup) for level in cert.chain]
-    try:
-        fresh = rebuild(cert.group_ref, None, subgroups, max_index)
-    except (UnresolvableReference, QuotientTooLarge):
-        raise
-    except NilcertError:
-        return False
+    if fresh is None:
+        subgroups = [(None, level.subgroup) for level in cert.chain]
+        try:
+            fresh = rebuild(cert.group_ref, None, subgroups, max_index)
+        except (UnresolvableReference, QuotientTooLarge):
+            raise
+        except NilcertError:
+            return False
     return _exact(fresh, cert)
 
 

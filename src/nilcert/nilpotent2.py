@@ -19,14 +19,9 @@ from __future__ import annotations
 import itertools
 import operator
 
+import nilcert  # certificates through the package: verbs that build none never compile it
+
 from .arith import canonical_json, is_prime, json_field, parse_int
-from .certificates import (
-    KIND_TWO_STEP,
-    KIND_WITNESS,
-    ChainLevel,
-    SeriesCertificate,
-    sealed,
-)
 from .errors import (
     ClosureViolation,
     DimensionMismatch,
@@ -359,7 +354,7 @@ def box_quotient(P: NilSublattice, Q: NilSublattice) -> AbelianStructure:
 
 def series_levels(
     sub: NilSublattice, kernel: Lattice, box: dict | None = None
-) -> list[ChainLevel]:
+) -> list[nilcert.certificates.ChainLevel]:
     """The two levels of Gamma = ``sub`` < Lambda_1 = (U + K) x Z^f < Lambda,
     K the u part of the centre as :func:`center` returns it.  Each level
     records the lower box, the abelian quotient of the upper one by it and
@@ -380,15 +375,16 @@ def series_levels(
         lam1 = NilSublattice(L, sub.U.sum(kernel), Lattice.standard(L.f))
         span, first, middle = lam1.U, box_quotient(lam1, sub), lam1.to_json()
     second = _cokernel(L.b, span.basis.data)
+    level = nilcert.certificates.ChainLevel
     return [
-        ChainLevel(canonical_json(box), first, first.order(), True, True),
-        ChainLevel(canonical_json(middle), second, second.order(), True, second.is_trivial),
+        level(canonical_json(box), first, first.order(), True, True),
+        level(canonical_json(middle), second, second.order(), True, second.is_trivial),
     ]
 
 
 def subnormal_series(
     L: TwoStepLattice, sub: NilSublattice, max_index: int | None = None
-) -> SeriesCertificate:
+) -> nilcert.certificates.SeriesCertificate:
     """Two-layer subnormal chain Gamma <| Lambda_1 <| Lambda for finite index.
 
     Lambda_1 is the preimage in Lambda of Gamma's image modulo the center,
@@ -409,8 +405,9 @@ def subnormal_series(
     first, second = series_levels(sub, kernel, box)
     if first.quotient.rank() > crank or second.quotient.rank() > L.b - kernel.rank:
         raise NotAbelianQuotient("layer rank exceeds the upper central series bound")
-    return sealed(
-        KIND_TWO_STEP,
+    certificates = nilcert.certificates
+    return certificates.sealed(
+        certificates.KIND_TWO_STEP,
         canonical_json(dict(L.to_json(), gamma=box)),
         [level for level in (first, second) if not level.quotient.is_trivial],
         index,
@@ -463,7 +460,9 @@ class RationalScale(Record):
         return NilSublattice(ambient, U, W)
 
 
-def heisenberg_witness(k: int, p: int, a: int, max_index: int | None = None) -> SeriesCertificate:
+def heisenberg_witness(
+    k: int, p: int, a: int, max_index: int | None = None
+) -> nilcert.certificates.SeriesCertificate:
     """Overlattice chain Gamma < Lambda < Lambda' realizing the (1, 2) profile.
 
     Lambda divides the central direction by p^a, Lambda' divides both base
@@ -494,8 +493,9 @@ def heisenberg_witness(k: int, p: int, a: int, max_index: int | None = None) -> 
     expected = [AbelianStructure(0, (p**a,)), AbelianStructure(0, (p, p))]
     if [level.quotient for level in chain] != expected:
         raise InvalidParameters("witness quotients did not verify")
-    return sealed(
-        KIND_WITNESS,
+    certificates = nilcert.certificates
+    return certificates.sealed(
+        certificates.KIND_WITNESS,
         canonical_json(dict(ambient.to_json(), witness={"k": k, "p": p, "a": a, "profile": [1, 2]})),
         chain,
         p ** (a + 2),

@@ -15,14 +15,9 @@ from __future__ import annotations
 import itertools
 import math
 
+import nilcert  # certificates through the package: verbs that build none never compile it
+
 from .arith import canonical_json, json_field, parse_int
-from .certificates import (
-    KIND_SOL3,
-    ChainLevel,
-    SeriesCertificate,
-    length_lower_bound,
-    sealed,
-)
 from .errors import (
     DimensionMismatch,
     InvalidParameters,
@@ -391,7 +386,9 @@ def sol3_gamma(k: int, group: SemidirectGroup | None = None) -> SemidirectLattic
     return SemidirectLattice(group, Lattice.scaled(2, 2**k), 1)
 
 
-def tower_certificate(gamma: SemidirectLattice, subs, group_ref: str) -> SeriesCertificate:
+def tower_certificate(
+    gamma: SemidirectLattice, subs, group_ref: str
+) -> nilcert.certificates.SeriesCertificate:
     """Certificate for a normalizer chain gamma = S_0 >= S_1 >= ... >= S_k.
 
     Verifies N_gamma(S_j) = S_{j-1} at every level and records the abelian
@@ -400,20 +397,24 @@ def tower_certificate(gamma: SemidirectLattice, subs, group_ref: str) -> SeriesC
     length from below.  ``subs`` pairs each S_j with the canonical JSON text
     of its description, and ``group_ref`` is the text of gamma's.
     """
+    certificates = nilcert.certificates
     levels = []
     prev = gamma
     for j, (sub, text) in enumerate(subs, 1):
         if normalizer(gamma, sub) != prev:
             raise NotNormal("normalizer chain broke at level %d" % j)
         q = quotient(prev, sub)
-        levels.append(ChainLevel(subgroup=text, quotient=q, index=q.order(), normality_verified=True))
+        levels.append(
+            certificates.ChainLevel(subgroup=text, quotient=q, index=q.order(), normality_verified=True)
+        )
         prev = sub
     total = math.prod(level.index for level in levels)
     max_q = max((level.index for level in levels), default=1)
-    return sealed(KIND_SOL3, group_ref, levels, total, length_lower_bound(total, max_q))
+    bound = certificates.length_lower_bound(total, max_q)
+    return certificates.sealed(certificates.KIND_SOL3, group_ref, levels, total, bound)
 
 
-def sol3_tower(k: int) -> SeriesCertificate:
+def sol3_tower(k: int) -> nilcert.certificates.SeriesCertificate:
     """Certificate for the length-k Sol3 tower Gamma >= Gamma_1 >= ... >= Gamma_k.
 
     Each Gamma_{j-1}/Gamma_j has type [2, 2]: every normalizer has index 4

@@ -1,13 +1,15 @@
 """Checks that run around every test.
 
 Every certificate a test builds, through a library builder or an oracle,
-passes ``certificates.sealed``.  While a test runs, the modules that call
-``sealed`` call it through a recorder that also writes the certificate both
-ways, with ``SeriesCertificate.canonical_text`` and with ``canonical_json`` of
+passes ``certificates.sealed``.  While a test runs, ``sealed`` is a recorder
+in ``certificates`` itself, which the library's builders reach through the
+package, and in the oracle that imports it by name.  The recorder also
+writes each certificate both ways, with ``SeriesCertificate.canonical_text`` and with ``canonical_json`` of
 ``to_json_dict``.  The two must give the same text, or raise the same
 exception type.  The recorder returns what ``sealed`` returns and lets its
 exceptions through, so no test sees a difference; a certificate written two
-ways fails the test that built it, at teardown.
+ways fails the test that built it, at teardown.  A test that asks for the
+fixture by name gets the list of certificates recorded so far.
 
 ``--hypothesis-profile=ci`` makes the property tests reproducible: their
 examples are seeded from a hash of each test function, not drawn at random,
@@ -19,7 +21,7 @@ from hypothesis import settings
 
 import nilpotent2_oracle
 from invariants_oracle import writer_mismatch
-from nilcert import certificates, nilpotent2, semidirect
+from nilcert import certificates
 
 settings.register_profile("ci", derandomize=True, database=None)
 
@@ -27,16 +29,17 @@ settings.register_profile("ci", derandomize=True, database=None)
 @pytest.fixture(autouse=True)
 def every_sealed_certificate_has_one_text(monkeypatch):
     real = certificates.sealed
-    mismatches = []
+    recorded, mismatches = [], []
 
     def recording(*args, **kwargs):
         cert = real(*args, **kwargs)
+        recorded.append(cert)
         found = writer_mismatch(cert)
         if found:
             mismatches.append((cert,) + found)
         return cert
 
-    for module in (semidirect, nilpotent2, nilpotent2_oracle):
+    for module in (certificates, nilpotent2_oracle):
         monkeypatch.setattr(module, "sealed", recording)
-    yield
+    yield recorded
     assert not mismatches, mismatches[:3]

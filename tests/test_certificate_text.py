@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 import invariants_oracle
 from invariants_oracle import writer_mismatch
-from nilcert import invariants
+from nilcert import invariants, nilpotent2, semidirect
 from nilcert.arith import canonical_json
 from nilcert.certificates import (
     KIND_SOL3,
@@ -201,7 +201,7 @@ def test_verify_agrees_with_the_read_first_oracle(data):
 def test_every_pool_certificate_verifies_as_written():
     assert {d["kind"] for d in POOL} == {KIND_SOL3, KIND_WITNESS, KIND_TWO_STEP}
     for d in POOL:
-        assert invariants._rebuilds_to_itself(d, None) is True
+        assert invariants._rebuild_as_it_stands(d, None).canonical_text() == canonical_json(d)
 
 
 class TestTextFirstAccept:
@@ -243,6 +243,22 @@ class TestTextFirstAccept:
     def test_a_certificate_built_in_python_is_compared(self, calls):
         assert verify_certificate(sol3_tower(2)) is True
         assert calls == {"from_json_dict": 0, "exact": 1}
+
+    @pytest.mark.parametrize("kind, module, builder, make", [
+        (KIND_SOL3, semidirect, "tower_certificate", lambda: sol3_tower(2)),
+        (KIND_WITNESS, nilpotent2, "heisenberg_witness", lambda: heisenberg_witness(1, 2, 2)),
+        (KIND_TWO_STEP, nilpotent2, "subnormal_series", lambda: _series(1, [[2, 0], [0, 2]], [[4]])),
+    ], ids=[KIND_SOL3, KIND_WITNESS, KIND_TWO_STEP])
+    def test_another_spelling_is_rebuilt_once(self, kind, module, builder, make, calls, monkeypatch):
+        d = make().to_json_dict()
+        level = _levels(d)[0]
+        level.update(index=int(level["index"]))
+        rebuilds = []
+        real = getattr(module, builder)
+        monkeypatch.setattr(module, builder, lambda *args: rebuilds.append(kind) or real(*args))
+        assert verify_certificate(d) is True
+        assert rebuilds == [kind]
+        assert calls == {"from_json_dict": 1, "exact": 1}
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +355,16 @@ def test_writer_matches_the_encoder_on_certificates_built_in_python(cert):
     # 300 examples, groups whose texts spell "witness" and "profile" in
     # keys, strings and nested objects as well as where the builder does.
     assert writer_mismatch(cert) is None
+
+
+def test_the_recorder_sees_every_builder(every_sealed_certificate_has_one_text):
+    # The builders reach certificates.sealed through the package, where
+    # conftest's recorder replaces it, so each certificate they build is
+    # written both ways.
+    recorded = every_sealed_certificate_has_one_text
+    built = [sol3_tower(2), heisenberg_witness(1, 3, 2), _series(1, [[2, 0], [0, 2]], [[4]])]
+    assert [cert.kind for cert in recorded] == [KIND_SOL3, KIND_WITNESS, KIND_TWO_STEP]
+    assert all(a is b for a, b in zip(recorded, built))
 
 
 def test_writer_matches_the_encoder_on_the_goldens():

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import nilcert
+from nilcert import cli, usage
 from nilcert.arith import decimals
 from nilcert.certificates import SeriesCertificate
 from nilcert.cli import preset_description, presets, run
@@ -824,7 +825,8 @@ class TestHelpText:
         assert err.startswith("usage: nilcert [-h]\n               %s\n" % ALL_VERBS)
         assert err.endswith("nilcert: error: %s\n" % message)
 
-    @pytest.mark.parametrize("argv, built", [(["hnf", "--input", "[[1]]"], 1), (["--help"], 17)])
+    # A plain argv is read off the verb table and builds no parser at all.
+    @pytest.mark.parametrize("argv, built", [(["hnf", "--input", "[[1]]"], 0), (["--help"], 17)])
     def test_one_sub_parser_per_verb(self, capsys, monkeypatch, argv, built):
         calls = []
         add_parser = argparse._SubParsersAction.add_parser
@@ -840,6 +842,102 @@ class TestHelpText:
             pass
         capsys.readouterr()
         assert len(calls) == built
+
+
+# ---------------------------------------------------------------------------
+# The plain-argv reader: argparse's namespace on its subset, None elsewhere
+# ---------------------------------------------------------------------------
+
+# Values argparse takes after an option on every Python, and int() reads.
+PLAIN_INTS = ["0", "5", "-5", "-12", " 5", "+5", "\u0663", "1_0"]
+PLAIN_STRS = ["[[1]]", "{}", "x", "", " 5", "+5", "\u0663", "-5", "a=b", "h1"]
+# Values argparse refuses, or takes where the reader leaves them to it.
+ODD_VALUES = ["-5.0", "-x", "-", "--", "-h", "--help", "-\u0663", "5.0", "x", "h2", "", "1" * 5000]
+ODD_FLAGS = ["--in", "--max", "--input=[[1]]", "--k=2", "-h", "--help", "--", "-", "", "--no-such-option"]
+ALL_FLAGS = sorted({flag for _, _, options in cli._VERBS.values() for flag, _ in cli._COMMON + options})
+
+
+def _argparse_vars(argv):
+    """vars() of the namespace run's argparse fallback gives, None where it exits."""
+    verbs = argv[:1] if argv and argv[0] in cli._VERBS else cli._VERBS
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return vars(usage.build_parser(cli._VERBS, cli._COMMON, verbs).parse_args(argv))
+    except SystemExit:
+        return None
+
+
+def _plain_value(kwargs):
+    if "choices" in kwargs:
+        return st.sampled_from(kwargs["choices"])
+    return st.sampled_from(PLAIN_INTS if kwargs.get("type") is int else PLAIN_STRS)
+
+
+@st.composite
+def plain_argvs(draw):
+    """A verb and each of its options at most once, every required one, plain values."""
+    verb = draw(st.sampled_from(sorted(cli._VERBS)))
+    table = dict(cli._COMMON + cli._VERBS[verb][2])
+    flags = [f for f, kw in table.items() if kw.get("required") or draw(st.booleans())]
+    argv = [verb]
+    for flag in draw(st.permutations(flags)):
+        argv.append(flag)
+        if table[flag].get("action") != "store_true":
+            argv.append(draw(_plain_value(table[flag])))
+    return argv
+
+
+@st.composite
+def any_argvs(draw):
+    """(argv, plain): a plain argv, one with odd tokens put in, dropped or
+    repeated, or any mix of tokens."""
+    argv = draw(plain_argvs())
+    mode = draw(st.sampled_from(["plain", "edited", "tokens"]))
+    if mode == "tokens":
+        tokens = sorted(cli._VERBS) + ALL_FLAGS + ODD_FLAGS + ODD_VALUES + PLAIN_INTS + PLAIN_STRS
+        return draw(st.lists(st.sampled_from(tokens), max_size=7)), False
+    for _ in range(draw(st.integers(1, 3)) if mode == "edited" else 0):
+        at = draw(st.integers(0, len(argv) - 1))
+        edit = draw(st.sampled_from(["insert", "drop", "repeat", "replace"]))
+        if edit == "drop":
+            del argv[at]
+        elif edit == "repeat":
+            argv[at:at] = argv[at:at + 2]
+        elif edit == "replace":
+            argv[at] = draw(st.sampled_from(ODD_FLAGS + ODD_VALUES))
+        else:
+            argv.insert(at, draw(st.sampled_from(ODD_FLAGS + ODD_VALUES + ALL_FLAGS)))
+        if not argv:
+            break
+    return argv, mode == "plain"
+
+
+class TestPlainReader:
+    @settings(max_examples=500, deadline=None)
+    @example((["euler-bound", "--chi", "-\u0663"], False))
+    @example((["minkowski", "--n", "1" * 5000], False))
+    @example((["cohomology", "--input", "{}", "--op", "h2"], False))
+    @example((["hnf", "--input", "--", "[[1]]"], False))
+    @given(any_argvs())
+    def test_the_reader_is_argparse_or_none(self, drawn):
+        """The reader gives argparse's namespace or None, None wherever
+        argparse exits, and reads every plain argv itself."""
+        argv, plain = drawn
+        args = cli._read_argv(argv)
+        assert args is not None or not plain, argv
+        assert args is None or vars(args) == _argparse_vars(argv), argv
+
+    def test_every_benchmark_argv_takes_the_reader(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(GOLDEN.parent.parent / "perfbench"))
+        import workloads
+
+        wl = workloads.WORKLOADS["cli"](str(GOLDEN.parent.parent))
+        argvs = [json.loads(item["input"]) for seed in (601, 602)
+                 for item in wl.make_round(random.Random("cli:%d" % seed))]
+        assert len(argvs) == 44
+        for argv in argvs:
+            args = cli._read_argv(argv)
+            assert args is not None and vars(args) == _argparse_vars(argv), argv
 
 
 # ---------------------------------------------------------------------------
