@@ -15,6 +15,7 @@ help, usage errors and the spellings that reader leaves to it.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import sys
@@ -69,12 +70,17 @@ def preset_description(name: str, k: int | None = None, n: int | None = None) ->
 
 
 def presets() -> dict[str, dict]:
-    """All embedded presets at their default parameters."""
+    """All embedded presets at their default parameters: the descriptions
+    ``preset_description`` builds, written out so that listing them loads
+    no group family (``tests/test_cli.py`` checks that they agree)."""
     return {
-        "sol3": preset_description("sol3"),
-        "heisenberg:k": preset_description("heisenberg", k=1),
-        "torus:n": preset_description("torus", n=3),
-        "kxs1": preset_description("kxs1"),
+        "sol3": {"type": "semidirect", "n": 2, "matrix": [["5", "2"], ["2", "1"]],
+                 "sublattice": [["1", "0"], ["0", "1"]], "m": 1, "schema": SCHEMA},
+        "heisenberg:k": {"type": "twostep", "f": 1, "b": 2, "forms": [[["0", "1"], ["-1", "0"]]],
+                         "schema": SCHEMA},
+        "torus:n": {"type": "twostep", "f": 3, "b": 0, "forms": [[], [], []], "schema": SCHEMA},
+        "kxs1": {"type": "semidirect", "n": 2, "matrix": [["-1", "0"], ["0", "1"]],
+                 "sublattice": [["1", "0"], ["0", "1"]], "m": 1, "schema": SCHEMA},
     }
 
 
@@ -414,7 +420,20 @@ def run(argv: list[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    """The console script: ``run`` on the process's argv, then exit.
+
+    Everything the run created survives until exit, so the collection the
+    interpreter makes at shutdown would only traverse it.  ``gc.freeze``
+    moves it to the permanent generation, which that collection skips;
+    ``atexit`` hooks, stream flushes and the exit code are unchanged.  The
+    ``finally`` gives argparse's exits (help, usage errors) the same path.
+    ``run`` itself keeps normal collection for in-process callers.
+    """
+    try:
+        code = run(sys.argv[1:])
+    finally:
+        gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -17,7 +17,6 @@ p-power torsion counts instead of a Smith form.
 from __future__ import annotations
 
 import itertools
-import string
 from functools import cached_property
 
 from .arith import decimals, factorize, json_field, parse_int
@@ -45,14 +44,18 @@ from .linalg import (
 Vec = tuple[int, ...]
 
 
+# Generator j is the j-th of these letters; its inverse is the uppercase one.
+_LETTERS = "abcdefghijklmnopqrstuvwxyz"
+
+
 def _word_symbols(word: str, ngens: int) -> list[int]:
     """Encode a relator word: generator j -> 2j, its inverse -> 2j + 1."""
     symbols = []
     for ch in word:
         low = ch.lower()
-        if low not in string.ascii_lowercase:
+        if low not in _LETTERS:
             raise InvalidParameters("bad letter %r in relator %r" % (ch, word))
-        j = string.ascii_lowercase.index(low)
+        j = _LETTERS.index(low)
         if j >= ngens:
             raise InvalidParameters("letter %r exceeds generator count %d" % (ch, ngens))
         symbols.append(2 * j + (0 if ch.islower() else 1))

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import copy
+import gc
 import io
 import json
 import os
@@ -603,6 +604,52 @@ def _fresh(timeout, *argv):
     )
 
 
+# The console script in a new interpreter, with an atexit hook that reports
+# on stderr whether anything sits in the collector's permanent generation.
+_MAIN_WITH_FREEZE_PROBE = (
+    "import atexit, gc, sys\n"
+    "atexit.register(lambda: sys.stderr.write('frozen %s\\n' % (gc.get_freeze_count() > 0)))\n"
+    "import nilcert.cli\n"
+    "nilcert.cli.main()\n"
+)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["minkowski", "--n", "3"], 0),
+    (["euler-bound", "--chi", "0"], 1),
+    (["minkowski"], 2),
+    (["--help"], 0),
+], ids=["report", "domain-error", "usage-error", "help"])
+def test_main_freezes_before_every_exit(capsys, monkeypatch, argv, code):
+    """main() moves what the run created out of the shutdown collection's
+    reach on every exit path; atexit hooks still run and the bytes are
+    those of an in-process cli.run."""
+    monkeypatch.setenv("COLUMNS", "80")  # help and usage text wrap to it
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(nilcert.__file__).resolve().parents[1]))
+    env.pop("NILCERT_MAX_INDEX", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", _MAIN_WITH_FREEZE_PROBE, *argv],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    try:
+        returned = run(list(argv))
+    except SystemExit as exc:
+        returned = exc.code
+    out = capsys.readouterr()
+    assert returned == code
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.out, out.err + "frozen True\n")
+
+
+def test_run_leaves_the_collector_alone(capsys):
+    # In-process callers (tests, workloads, library users) keep normal collection.
+    frozen = gc.get_freeze_count()
+    assert run(["minkowski", "--n", "3"]) == 0
+    assert run(["euler-bound", "--chi", "0"]) == 1
+    with pytest.raises(SystemExit):
+        run(["minkowski"])
+    assert (gc.get_freeze_count(), gc.isenabled()) == (frozen, True)
+
+
 def test_snf_of_a_seeded_60x60_prints_in_a_fresh_process():
     """The alternating Hermite passes keep the Smith transforms of a random
     60 x 60 matrix to about 550 bits, under the default digit limit."""
@@ -722,6 +769,16 @@ class TestPresets:
     def test_listing(self, capsys):
         result = result_of(capsys, "presets")
         assert set(result["presets"]) == {"sol3", "heisenberg:k", "torus:n", "kxs1"}
+
+    def test_literals_are_the_built_descriptions(self):
+        # presets() writes out dict(group.to_json(), schema=SCHEMA) of each
+        # built preset, so that listing them loads no group family.
+        assert presets() == {
+            "sol3": preset_description("sol3"),
+            "heisenberg:k": preset_description("heisenberg", k=1),
+            "torus:n": preset_description("torus", n=3),
+            "kxs1": preset_description("kxs1"),
+        }
 
     def test_round_trip_through_parsers(self):
         sol3 = SemidirectLattice.from_json(preset_description("sol3"))

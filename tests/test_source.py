@@ -294,6 +294,21 @@ def test_no_typing_imports():
     assert _imports_of("typing") == []
 
 
+def test_only_the_console_script_touches_the_collector():
+    # cli.main freezes the heap before the process exits; run() and the
+    # library keep normal collection for in-process callers.
+    assert [where.split(":")[0] for where in _imports_of("gc")] == ["cli.py"]
+    found = [
+        (name, function, _callee(call))
+        for name, tree in _trees()
+        for function, call in _calls(tree)
+        if isinstance(call.func, ast.Attribute)
+        and isinstance(call.func.value, ast.Name)
+        and call.func.value.id == "gc"
+    ]
+    assert found == [("cli.py", "main", "freeze")]
+
+
 def test_cli_import_leaves_out_dataclasses_and_inspect():
     # -S keeps site hooks from importing either module on their own.
     env = dict(os.environ, PYTHONPATH=str(SOURCE.parent))
