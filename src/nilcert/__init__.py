@@ -39,53 +39,7 @@ _SUBMODULES = (
     "usage",
 )
 
-__all__ = [
-    "AbelianStructure",
-    "ChainLevel",
-    "CocycleSpace",
-    "DiscSym2Bound",
-    "HermiteForm",
-    "IntMatrix",
-    "Lattice",
-    "ModuleAction",
-    "NilElement",
-    "NilSublattice",
-    "RationalScale",
-    "SemidirectElement",
-    "SemidirectGroup",
-    "SemidirectLattice",
-    "SeriesCertificate",
-    "SmithForm",
-    "TwoStepLattice",
-    "b1",
-    "center_rank",
-    "cokernel",
-    "discsym2_upper",
-    "euler_length_bound",
-    "h1",
-    "h1_brute",
-    "hbar1",
-    "heisenberg_witness",
-    "hnf",
-    "intermediates",
-    "isolator",
-    "lattice_index",
-    "left_kernel",
-    "minkowski_bound",
-    "nil_mul",
-    "nilpotency_check",
-    "normalizer",
-    "preimage_lattice",
-    "quotient",
-    "quotient_structure",
-    "saturate",
-    "scaling_iso_check",
-    "snf",
-    "sol3_tower",
-    "subnormal_series",
-    "verify_certificate",
-    "z1",
-]
+__all__ = sorted(_EXPORTS)
 
 __version__ = "0.1.0"
 

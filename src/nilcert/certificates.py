@@ -72,21 +72,11 @@ class ChainLevel(Record):
         object.__setattr__(self, "central", central)
 
     def to_json_dict(self, flag_key: str = "normality_verified") -> dict:
-        index, *factors = decimals((self.index, *self.quotient.torsion))
-        out = {
-            "subgroup": json.loads(self.subgroup),
-            "quotient_factors": factors,
-            "index": index,
-            flag_key: self.normality_verified,
-        }
-        if self.quotient.free_rank:
-            out["quotient_free_rank"] = self.quotient.free_rank
-        if self.central is not None:
-            out["central"] = self.central
-        return out
+        """The level as JSON, its dicts and lists new: its :meth:`canonical_text`, parsed."""
+        return json.loads(self.canonical_text(flag_key))
 
     def canonical_text(self, flag_key: str = "normality_verified") -> str:
-        """``canonical_json(self.to_json_dict(flag_key))``, with the subgroup text as held."""
+        """The level's canonical JSON; "quotient_free_rank" only when not 0, "central" only when not None."""
         index, *factors = decimals((self.index, *self.quotient.torsion))
         return '{%s"index":"%s","%s":%s,"quotient_factors":[%s]%s,"subgroup":%s}' % (
             "" if self.central is None else '"central":%s,' % _BOOL[self.central],
@@ -165,29 +155,14 @@ class SeriesCertificate(Record):
         return True
 
     def to_json_dict(self) -> dict:
-        """The certificate as JSON, its dicts and lists new: the descriptions
-        are parsed from the texts the certificate holds."""
-        levels_key, flag_key = _LAYOUT.get(self.kind, ("levels", "normality_verified"))
-        total_index, max_quotient_order = decimals((self.total_index, self.max_quotient_order))
-        group = json.loads(self.group_ref)
-        out = {
-            "schema": SCHEMA,
-            "kind": self.kind,
-            "group": group,
-            levels_key: [level.to_json_dict(flag_key) for level in self.chain],
-            "total_index": total_index,
-            "min_length": self.min_length,
-            "max_quotient_order": max_quotient_order,
-        }
-        if self.kind == KIND_WITNESS:
-            out["profile"] = list(group.get("witness", {}).get("profile", []))
-        return out
+        """The certificate as JSON, its dicts and lists new: its :meth:`canonical_text`, parsed."""
+        return json.loads(self.canonical_text())
 
     def canonical_text(self) -> str:
-        """``canonical_json(self.to_json_dict())``, written from the texts the
-        certificate holds and the decimals of its scalars, with no description
-        parsed or encoded again.  The texts must be canonical JSON, as every
-        builder and ``from_json_dict`` makes them."""
+        """The certificate's canonical JSON, the one place its layout is written:
+        from the texts it holds, which must be canonical JSON as every builder
+        and ``from_json_dict`` makes them, and the decimals of its scalars.  A
+        witness certificate repeats its witness's profile at the top level."""
         levels_key, flag_key = _LAYOUT.get(self.kind, ("levels", "normality_verified"))
         total_index, max_quotient_order = decimals((self.total_index, self.max_quotient_order))
         levels = "[%s]" % ",".join([level.canonical_text(flag_key) for level in self.chain])
@@ -196,9 +171,11 @@ class SeriesCertificate(Record):
             text = self.group_ref
             at = text.rfind('"witness":{')
             found = at > 0 and text[at - 1] in ",{" and re.compile(_WITNESS_PROFILE).fullmatch(text, at)
-            if not found:  # a group a builder never writes: no profile to copy
-                return canonical_json(self.to_json_dict())
-            profile = '"profile":%s,' % found[1]
+            if found:
+                profile = found[1]
+            else:  # a group a builder never writes: read the profile, if any
+                profile = canonical_json(list(json.loads(text).get("witness", {}).get("profile", [])))
+            profile = '"profile":%s,' % profile
         tail = _TAIL % (max_quotient_order, self.min_length, profile, total_index)
         kind = json.encoder.encode_basestring(self.kind)
         if levels_key == "chain":

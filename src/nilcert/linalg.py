@@ -667,11 +667,11 @@ class AbelianStructure(Record):
         object.__setattr__(self, "torsion", torsion)
         if free_rank < 0:
             raise ValueError("negative free rank")
+        if any(d <= 1 for d in torsion):
+            raise ValueError("torsion factors must exceed 1")
         for a, b in zip(torsion, torsion[1:]):
             if b % a != 0:
                 raise ValueError("torsion factors must form a divisibility chain")
-        if any(d <= 1 for d in torsion):
-            raise ValueError("torsion factors must exceed 1")
 
     @property
     def is_trivial(self) -> bool:

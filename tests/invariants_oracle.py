@@ -9,14 +9,17 @@ the certificate from its own inputs with the routine that built it, and
 compare the two field by field with exact types.  The property tests hold
 the library to it: the same verdict, or the same exception type and message.
 
-:func:`writer_mismatch` holds ``SeriesCertificate.canonical_text`` to the
-encoder it replaces, ``canonical_json`` of ``to_json_dict``.
+:func:`reference_json_dict` is the certificate layout as a dict builder,
+the way the library wrote it before ``canonical_text`` became its one
+writer.  :func:`writer_mismatch` holds ``SeriesCertificate.canonical_text``
+to ``canonical_json`` of that reference, and :func:`dict_mismatch` holds
+``to_json_dict`` to it with exact types and sorted keys.
 """
 
 import json
 
 from nilcert import nilpotent2, semidirect
-from nilcert.arith import canonical_json, json_field, parse_int
+from nilcert.arith import SCHEMA, canonical_json, decimals, json_field, parse_int
 from nilcert.certificates import KIND_SOL3, KIND_TWO_STEP, KIND_WITNESS, SeriesCertificate
 from nilcert.errors import NilcertError, QuotientTooLarge, Record, UnresolvableReference
 from nilcert.nilpotent2 import NilSublattice, TwoStepLattice
@@ -107,8 +110,56 @@ def _written(write):
         return type(exc)
 
 
+# kind -> (key of its levels, key of their flag), as the reference writes them
+_LAYOUT = {KIND_SOL3: ("levels", "normalizer_verified"), KIND_WITNESS: ("chain", "normality_verified")}
+
+
+def reference_level_dict(level, flag_key="normality_verified"):
+    index, *factors = decimals((level.index, *level.quotient.torsion))
+    out = {
+        "subgroup": json.loads(level.subgroup),
+        "quotient_factors": factors,
+        "index": index,
+        flag_key: level.normality_verified,
+    }
+    if level.quotient.free_rank:
+        out["quotient_free_rank"] = level.quotient.free_rank
+    if level.central is not None:
+        out["central"] = level.central
+    return out
+
+
+def reference_json_dict(cert):
+    """The certificate as JSON, the descriptions parsed from the texts it holds."""
+    levels_key, flag_key = _LAYOUT.get(cert.kind, ("levels", "normality_verified"))
+    total_index, max_quotient_order = decimals((cert.total_index, cert.max_quotient_order))
+    group = json.loads(cert.group_ref)
+    out = {
+        "schema": SCHEMA,
+        "kind": cert.kind,
+        "group": group,
+        levels_key: [reference_level_dict(level, flag_key) for level in cert.chain],
+        "total_index": total_index,
+        "min_length": cert.min_length,
+        "max_quotient_order": max_quotient_order,
+    }
+    if cert.kind == KIND_WITNESS:
+        out["profile"] = list(group.get("witness", {}).get("profile", []))
+    return out
+
+
 def writer_mismatch(cert):
-    """None when both writers give ``cert`` the same text, else the two results."""
-    want = _written(lambda: canonical_json(cert.to_json_dict()))
+    """None when ``canonical_text`` gives ``cert`` the reference's text, else the two results."""
+    want = _written(lambda: canonical_json(reference_json_dict(cert)))
     got = _written(cert.canonical_text)
+    return None if got == want else (want, got)
+
+
+def dict_mismatch(cert):
+    """None when ``to_json_dict`` gives ``cert`` the reference's value, else the two results.
+
+    The dict is written with its keys in the order it holds them, so a key
+    out of sorted order, or ``true`` for ``1``, is a mismatch."""
+    want = _written(lambda: canonical_json(reference_json_dict(cert)))
+    got = _written(lambda: json.dumps(cert.to_json_dict(), ensure_ascii=False, separators=(",", ":")))
     return None if got == want else (want, got)

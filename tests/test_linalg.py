@@ -387,6 +387,8 @@ class TestAbelianStructure:
             AbelianStructure(0, (4, 2))
         with pytest.raises(ValueError):
             AbelianStructure(0, (1,))
+        with pytest.raises(ValueError, match="must exceed 1"):
+            AbelianStructure(0, (0, 2))  # a zero factor is never a divisor
 
     def test_order_and_rank(self):
         a = AbelianStructure(1, (2, 6))

@@ -39,13 +39,14 @@ class AbelianStructure:
     torsion: tuple = ()
 
     def __post_init__(self):
+        # Factors above 1 are checked before the chain, so no zero factor divides.
         if self.free_rank < 0:
             raise ValueError("negative free rank")
+        if any(d <= 1 for d in self.torsion):
+            raise ValueError("torsion factors must exceed 1")
         for a, b in zip(self.torsion, self.torsion[1:]):
             if b % a != 0:
                 raise ValueError("torsion factors must form a divisibility chain")
-        if any(d <= 1 for d in self.torsion):
-            raise ValueError("torsion factors must exceed 1")
 
 
 @dataclass(frozen=True)
