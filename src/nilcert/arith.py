@@ -9,8 +9,9 @@ missing field is a structured error naming it, not a ``KeyError``.
 becomes a decimal string through it, and one past the interpreter's digit
 limit is a structured ``TooLarge`` instead of a ``ValueError`` traceback.
 ``canonical_json`` and ``SCHEMA`` give every report and certificate its
-bytes.  ``factorize`` is the one trial-division routine behind the p-power
-counts and the Minkowski bound; ``is_prime`` is a deterministic Miller-Rabin
+bytes.  ``prime_factors`` is the one trial-division routine, behind the
+cyclotomic polynomials and the brute-force H^1's p-power counts;
+``is_prime``, behind the Minkowski bound, is a deterministic Miller-Rabin
 test.  ``minkowski_bound`` and ``euler_length_bound`` are the scalar bounds,
 here so that the CLI verbs that print them load no other module.
 """
@@ -80,18 +81,16 @@ def json_field(obj, key: str, kind: type = object):
     return obj[key]
 
 
-def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of ``n >= 1`` by trial division: {prime: exponent}."""
-    out: dict[int, int] = {}
-    d = 2
+def prime_factors(n: int) -> list[int]:
+    """The primes dividing ``n >= 1``, ascending, by trial division."""
+    primes, d = [], 2
     while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
+        if n % d == 0:
+            primes.append(d)
+            while n % d == 0:
+                n //= d
         d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
+    return primes + [n] if n > 1 else primes
 
 
 # Miller-Rabin to the prime bases up to 41 decides every p below the bound

@@ -65,11 +65,7 @@ class ChainLevel(Record):
         normality_verified: bool,
         central: bool | None = None,
     ):
-        object.__setattr__(self, "subgroup", subgroup)
-        object.__setattr__(self, "quotient", quotient)
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "normality_verified", normality_verified)
-        object.__setattr__(self, "central", central)
+        Record.__init__(self, subgroup, quotient, index, normality_verified, central)
 
     def to_json_dict(self, flag_key: str = "normality_verified") -> dict:
         """The level as JSON, its dicts and lists new: its :meth:`canonical_text`, parsed."""
@@ -120,22 +116,6 @@ class SeriesCertificate(Record):
     __slots__ = _fields = (
         "kind", "group_ref", "chain", "total_index", "min_length", "max_quotient_order"
     )
-
-    def __init__(
-        self,
-        kind: str,
-        group_ref: str,
-        chain: tuple[ChainLevel, ...],
-        total_index: int,
-        min_length: int,
-        max_quotient_order: int,
-    ):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "group_ref", group_ref)
-        object.__setattr__(self, "chain", chain)
-        object.__setattr__(self, "total_index", total_index)
-        object.__setattr__(self, "min_length", min_length)
-        object.__setattr__(self, "max_quotient_order", max_quotient_order)
 
     def structural_ok(self) -> bool:
         """Internal consistency: index product, flags, length bound."""

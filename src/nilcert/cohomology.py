@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from functools import cached_property
 
-from .arith import decimals, factorize, json_field, parse_int
+from .arith import decimals, json_field, parse_int, prime_factors
 from .errors import (
     EnumerationFailed,
     IllDefinedAction,
@@ -83,10 +83,7 @@ class ModuleAction(Record):
         module: AbelianStructure,
         matrices: tuple[IntMatrix, ...],
     ):
-        object.__setattr__(self, "ngens", ngens)
-        object.__setattr__(self, "relators", relators)
-        object.__setattr__(self, "module", module)
-        object.__setattr__(self, "matrices", matrices)
+        Record.__init__(self, ngens, relators, module, matrices)
         if ngens < 0 or len(matrices) != ngens:
             raise InvalidParameters("need one action matrix per generator")
         dim = self.dim
@@ -198,10 +195,6 @@ class CocycleSpace(Record):
     """A space of cocycles: generator tuples plus the abstract structure."""
 
     __slots__ = _fields = ("structure", "basis")
-
-    def __init__(self, structure: AbelianStructure, basis: tuple[tuple[Vec, ...], ...]):
-        object.__setattr__(self, "structure", structure)
-        object.__setattr__(self, "basis", basis)
 
 
 def _cocycle_lattice(act: ModuleAction) -> Lattice:
@@ -352,7 +345,7 @@ def _structure_from_subgroup_counts(zset: set, bset: set, torsion: Lattice) -> A
         return torsion.reduce([x * c for x in flat])
 
     partitions: dict[int, list[int]] = {}
-    for p in factorize(order):
+    for p in prime_factors(order):
         # counts[j] = order of the p^j-torsion subgroup of zset/bset.
         counts = [1]
         power = 1

@@ -14,13 +14,14 @@ class Record:
     """Immutable value: equality, hash and repr over the fields ``_fields``.
 
     A subclass lists its two or more fields in ``_fields`` (and, unless it
-    needs a ``__dict__``, as its ``__slots__``) and sets each once in
-    ``__init__`` with ``object.__setattr__``.  The semantics are those of a frozen
-    dataclass: instances of one class are equal when their fields are, the
-    hash is that of the field tuple, the repr is ``Name(field=value, ...)``
-    and assignment or deletion raises ``AttributeError``.  Plain classes
-    keep ``dataclasses`` (and the ``inspect`` it imports) out of every
-    process and generate no methods at import.
+    needs a ``__dict__``, as its ``__slots__``).  ``Record.__init__`` binds
+    them by position or by name, raising ``TypeError`` where a dataclass
+    would.  A subclass with defaults or checks writes an ``__init__`` that
+    calls it once and then checks; ``_trusted`` skips the checks.  Equality
+    between instances of one class, the hash of the field tuple, the repr
+    ``Name(field=value, ...)`` and ``AttributeError`` on assignment or
+    deletion are those of a frozen dataclass, which would load
+    ``dataclasses`` and ``inspect`` into every process.
     """
 
     __slots__ = ()
@@ -28,6 +29,40 @@ class Record:
 
     def __init_subclass__(cls):
         cls._getter = operator.attrgetter(*cls._fields)
+        # A slot's descriptor sets its field; a class without slots keeps them in its instance dict.
+        cls._setters = tuple(
+            getattr(cls, name).__set__ if hasattr(cls, name)
+            else lambda record, value, name=name: vars(record).__setitem__(name, value)
+            for name in cls._fields
+        )
+
+    def __init__(self, *values, **named):
+        setters = self._setters
+        if named or len(values) != len(setters):
+            values = self._arguments(values, named)
+        for set_field, value in zip(setters, values):
+            set_field(self, value)
+
+    @classmethod
+    def _trusted(cls, *values):
+        """An instance with the field values ``values``, the subclass's checks not run."""
+        self = object.__new__(cls)
+        for set_field, value in zip(cls._setters, values):  # __init__'s loop: a call costs more
+            set_field(self, value)
+        return self
+
+    @classmethod
+    def _arguments(cls, values: tuple, named: dict) -> tuple:
+        """The field values of a call with names or a wrong count, bound as a dataclass binds them."""
+        call, fields, rest = cls.__qualname__ + ".__init__()", cls._fields, cls._fields[len(values) :]
+        for key in named:
+            if key not in rest:
+                problem = "multiple values for" if key in fields else "an unexpected keyword"
+                raise TypeError("%s got %s argument %r" % (call, problem, key))
+        if len(values) + len(named) != len(fields):  # each name now binds one field of rest
+            counts = (call, len(fields), fields, len(values) + len(named))
+            raise TypeError("%s takes %d arguments %r but %d were given" % counts)
+        return values + tuple(map(named.__getitem__, rest))
 
     def _values(self) -> tuple:
         return self._getter(self)

@@ -33,10 +33,6 @@ class DiscSym2Bound(Record):
 
     __slots__ = _fields = ("f_bound", "b_bound")
 
-    def __init__(self, f_bound: int, b_bound: int):
-        object.__setattr__(self, "f_bound", f_bound)
-        object.__setattr__(self, "b_bound", b_bound)
-
     def __lt__(self, other: "DiscSym2Bound") -> bool:
         if self.f_bound != other.f_bound:
             return self.f_bound < other.f_bound

@@ -32,7 +32,7 @@ import re
 from functools import lru_cache
 from collections.abc import Iterable, Sequence
 
-from .arith import decimals, factorize, json_field, parse_int
+from .arith import decimals, json_field, parse_int, prime_factors
 from .errors import DimensionMismatch, InvalidParameters, NotASublattice, Record
 
 Row = tuple[int, ...]
@@ -270,7 +270,7 @@ def _cyclotomic(d: int, degree: int) -> list[int]:
     (x^(d/e) - 1)^mu(e) as a power series cut at that degree.  For d > 1 the
     mu(e) sum to 0, so each factor may be written 1 - x^(d/e)."""
     c, signed = [1] + [0] * degree, [(1, 1)]
-    for p in factorize(d):
+    for p in prime_factors(d):
         signed += [(e * p, -mu) for e, mu in signed]
     for e, mu in signed:
         k = d // e
@@ -360,10 +360,6 @@ class HermiteForm(Record):
     """Canonical row HNF ``H`` with unimodular ``U`` satisfying ``U*A = H``."""
 
     __slots__ = _fields = ("H", "U")
-
-    def __init__(self, H: IntMatrix, U: IntMatrix):
-        object.__setattr__(self, "H", H)
-        object.__setattr__(self, "U", U)
 
 
 def _echelon(w: list, n: int, u: list | None = None, pivots: list | None = None) -> int:
@@ -470,12 +466,6 @@ class SmithForm(Record):
     """
 
     __slots__ = _fields = ("S", "U", "V", "factors")
-
-    def __init__(self, S: IntMatrix, U: IntMatrix, V: IntMatrix, factors: tuple[int, ...]):
-        object.__setattr__(self, "S", S)
-        object.__setattr__(self, "U", U)
-        object.__setattr__(self, "V", V)
-        object.__setattr__(self, "factors", factors)
 
 
 def _smith(s: list[list[int]], n: int) -> tuple[int, ...]:
@@ -663,15 +653,14 @@ class AbelianStructure(Record):
     __slots__ = _fields = ("free_rank", "torsion")
 
     def __init__(self, free_rank: int, torsion: tuple[int, ...] = ()):
-        object.__setattr__(self, "free_rank", free_rank)
-        object.__setattr__(self, "torsion", torsion)
+        Record.__init__(self, free_rank, torsion)
+        # Factors above 1 are checked before the chain, so no zero factor divides.
         if free_rank < 0:
             raise ValueError("negative free rank")
-        if any(d <= 1 for d in torsion):
+        if torsion and min(torsion) <= 1:
             raise ValueError("torsion factors must exceed 1")
-        for a, b in zip(torsion, torsion[1:]):
-            if b % a != 0:
-                raise ValueError("torsion factors must form a divisibility chain")
+        if any(map(operator.mod, torsion[1:], torsion)):
+            raise ValueError("torsion factors must form a divisibility chain")
 
     @property
     def is_trivial(self) -> bool:
@@ -705,28 +694,14 @@ class AbelianStructure(Record):
 
     @staticmethod
     def from_json_fields(free_rank, torsion: list) -> "AbelianStructure":
-        """The structure read from a JSON free rank and factor list.
-
-        Input that the constructor would reject raises InvalidParameters
-        instead, and a factor below 2 is reported before the divisibility
-        chain is tested, so a zero factor is never a divisor."""
+        """The structure read from a JSON free rank and factor list; input
+        that the constructor rejects raises InvalidParameters, same message."""
         free_rank = parse_int(free_rank)
         torsion = tuple(map(parse_int, torsion))
-        if free_rank < 0:
-            raise InvalidParameters("negative free rank")
-        if torsion and min(torsion) <= 1:
-            raise InvalidParameters("torsion factors must exceed 1")
-        if any(map(operator.mod, torsion[1:], torsion)):
-            raise InvalidParameters("torsion factors must form a divisibility chain")
-        return AbelianStructure._trusted(free_rank, torsion)
-
-    @staticmethod
-    def _trusted(free_rank: int, torsion: tuple[int, ...]) -> "AbelianStructure":
-        """A structure whose fields have passed the constructor's checks."""
-        A = object.__new__(AbelianStructure)
-        object.__setattr__(A, "free_rank", free_rank)
-        object.__setattr__(A, "torsion", torsion)
-        return A
+        try:
+            return AbelianStructure(free_rank, torsion)
+        except ValueError as exc:
+            raise InvalidParameters(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------

@@ -148,11 +148,6 @@ class NilElement(Record):
 
     __slots__ = _fields = ("group", "u", "w")
 
-    def __init__(self, group: TwoStepLattice, u: Vec, w: Vec):
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "w", w)
-
     def is_identity(self) -> bool:
         return all(x == 0 for x in self.u) and all(x == 0 for x in self.w)
 
@@ -431,8 +426,7 @@ class RationalScale(Record):
     __slots__ = _fields = ("du", "dw")
 
     def __init__(self, du: Vec, dw: Vec):
-        object.__setattr__(self, "du", du)
-        object.__setattr__(self, "dw", dw)
+        Record.__init__(self, du, dw)
         if any(d < 1 for d in du) or any(d < 1 for d in dw):
             raise InvalidParameters("denominators must be positive")
 

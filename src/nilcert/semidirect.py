@@ -99,11 +99,6 @@ class SemidirectElement(Record):
 
     __slots__ = _fields = ("group", "v", "t")
 
-    def __init__(self, group: SemidirectGroup, v: Vec, t: int):
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "t", t)
-
     def is_identity(self) -> bool:
         return self.t == 0 and all(x == 0 for x in self.v)
 

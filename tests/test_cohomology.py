@@ -287,6 +287,23 @@ class TestH1Brute:
         with pytest.raises(TooLarge):
             h1_brute(act, max_module_order=1)
 
+    @pytest.mark.parametrize(
+        "relators,torsion,matrices,known",
+        [
+            # Z/6 on Z/7 by 4, of order 3: 4 - 1 is a unit, so H^1 = 0.
+            (("aaaaaa",), (7,), [[[4]]], ()),
+            # Z/2 x Z/4 on (Z/4)^2: a by -1, b by [[1, 2], [3, 1]].
+            (("aa", "bbbb", "abAB"), (4, 4), [[[3, 0], [0, 3]], [[1, 2], [3, 1]]], (2, 2)),
+        ],
+        ids=["z6-on-z7", "z2xz4-on-z4^2"],
+    )
+    def test_forward_letters_act_by_their_matrices(self, relators, torsion, matrices, known):
+        # From the seed-0 and seed-1 rounds of the cohomology benchmark workload:
+        # a coset walk that steps along a forward letter by the inverse matrix fails both.
+        module = AbelianStructure(0, torsion)
+        act = ModuleAction(len(matrices), relators, module, tuple(map(IntMatrix, matrices)))
+        assert h1_brute(act) == h1(act) == AbelianStructure(0, known)
+
     def test_agreement_spot_checks(self):
         rng = random.Random(31337)
         presentations = [

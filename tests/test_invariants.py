@@ -6,8 +6,8 @@ import random
 import pytest
 
 from nilcert import semidirect
-from nilcert.arith import canonical_json, factorize, is_prime
-from nilcert.certificates import ChainLevel, SeriesCertificate
+from nilcert.arith import canonical_json, is_prime, prime_factors
+from nilcert.certificates import ChainLevel, SeriesCertificate, length_lower_bound
 from nilcert.cli import run
 from nilcert.errors import (
     InvalidParameters,
@@ -43,7 +43,11 @@ from semidirect_oracle import root_order_lcm
 class TestIsPrime:
     def test_agrees_with_trial_division_below_1e5(self):
         for n in range(10**5):
-            assert is_prime(n) == (n >= 2 and factorize(n) == {n: 1}), n
+            assert is_prime(n) == (n >= 2 and prime_factors(n) == [n]), n
+
+    def test_prime_factors_are_the_primes_dividing_n(self):
+        for n in range(1, 1000):
+            assert prime_factors(n) == [p for p in range(2, n + 1) if n % p == 0 and is_prime(p)], n
 
     def test_strong_pseudoprimes_and_the_bound(self):
         # Strong pseudoprimes to the prime bases up to 7, 23 and 37; the bound
@@ -101,6 +105,25 @@ class TestEulerBound:
             r = euler_length_bound(chi)
             assert 2**r <= chi < 2 ** (r + 1)
             assert euler_length_bound(-chi) == r
+
+
+class TestLengthLowerBound:
+    """``length_lower_bound(N, q)`` is the least n with q**n >= N."""
+
+    def test_examples(self):
+        assert length_lower_bound(8, 4) == 2
+        for q in range(2, 12):
+            assert length_lower_bound(1, q) == 0
+            for k in range(10):
+                assert length_lower_bound(q**k, q) == k
+                assert length_lower_bound(q**k + 1, q) == k + 1
+
+    def test_sandwich_over_range(self):
+        # n = 0 exactly when N <= 1; otherwise q**(n - 1) < N <= q**n.
+        for q in range(2, 10):
+            for N in range(1, 2000):
+                n = length_lower_bound(N, q)
+                assert q**n >= N and (n == 0 or q ** (n - 1) < N), (N, q)
 
 
 class TestDiscSym2Order:

@@ -14,6 +14,7 @@ from nilcert.certificates import SeriesCertificate, canonical_json
 from nilcert.invariants import verify_certificate
 from nilcert.errors import (
     ClosureViolation,
+    DimensionMismatch,
     InfiniteOrder,
     InvalidParameters,
     NilcertError,
@@ -189,6 +190,9 @@ class TestGroupLaw:
             TwoStepLattice(1, 2, [IntMatrix([[0, 1], [1, 0]])])
         with pytest.raises(InvalidParameters, match="alternating"):
             TwoStepLattice(1, 2, [IntMatrix([[1, 1], [-1, 0]])])
+        # Square in its rows only: alternating on the columns it has.
+        with pytest.raises(DimensionMismatch, match="forms must be 2 x 2"):
+            TwoStepLattice(1, 2, [IntMatrix([[0, 1, 0], [-1, 0, 0]])])
 
     @pytest.mark.parametrize("f, b", [(0, -3), (-1, 2), (-1, -1)], ids=["b-3", "f-1", "both"])
     def test_negative_ranks_rejected_first(self, f, b):

@@ -3,12 +3,13 @@
 Each library class is a plain ``Record`` subclass.  The twins below are the
 ``@dataclass(frozen=True)`` definitions those classes replaced, with the
 same names so that their reprs can be compared, and the test holds the two
-to the same equality, hash, repr, immutability and validation errors.
+to the same construction, binding errors, equality, hash, repr, immutability
+and validation errors.
 """
 
 import copy
 import pickle
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
 from functools import cached_property
 from typing import Optional
 
@@ -215,6 +216,36 @@ def test_value_semantics_match_the_dataclass(cls, twin, args, other):
         value.extra = 1
     for clone in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
         assert type(clone) is cls and clone == value
+
+
+@pytest.mark.parametrize("cls,twin,args", [c[:3] for c in CASES], ids=[cls.__name__ for cls, *_ in CASES])
+def test_construction_matches_the_dataclass(cls, twin, args):
+    fields = cls._fields
+    required = [f.name for f in twin.__dataclass_fields__.values() if f.default is MISSING]
+    values = args + tuple(twin.__dataclass_fields__[name].default for name in fields[len(args) :])
+
+    def same(*given, **named):
+        got, want = _outcome(lambda: cls(*given, **named)), _outcome(lambda: twin(*given, **named))
+        assert isinstance(got, tuple) is isinstance(want, tuple), (got, want)
+        if isinstance(got, tuple):
+            assert got[0] is want[0] is TypeError, (got, want)
+            return got[1], want[1]
+        assert repr(got) == repr(want)
+
+    # By position, by name in any order, mixed, and with the defaults left out.
+    same(*values)
+    same(**dict(reversed(list(zip(fields, values)))))
+    same(values[0], **dict(zip(fields[1:], values[1:])))
+    same(*values[: len(required)])
+    same(**dict(zip(required, values)))
+    # A repeated or unknown name gets the dataclass's message; a missing or
+    # extra field its error type.
+    for named in ({fields[0]: values[0]}, {"bogus": 1}):
+        got, want = same(*values, **named)
+        assert got == want
+    same(*values[: len(required) - 1])
+    same(**dict(zip(required[1:], values[1:])))
+    same(*values, None)
 
 
 @pytest.mark.parametrize("cls,twin,args", INVALID, ids=[cls.__name__ for cls, *_ in INVALID])

@@ -287,6 +287,19 @@ def test_no_dataclasses():
     assert _imports_of("dataclasses") == []
 
 
+def test_only_record_binds_fields():
+    # Record.__init__ and Record._trusted bind the fields of every value
+    # class; an object.__setattr__ anywhere else is a second copy of them.
+    found = [
+        "%s:%d" % (name, node.lineno)
+        for name, tree in _trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+        and isinstance(node.value, ast.Name) and node.value.id == "object"
+    ]
+    assert [where for where in found if not where.startswith("errors.py:")] == []
+
+
 def test_no_typing_imports():
     # Annotations are never evaluated (from __future__ import annotations),
     # so they name collections.abc types and X | None; importing typing
