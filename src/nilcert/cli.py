@@ -43,45 +43,33 @@ MAX_MINKOWSKI_N = 1331
 # ---------------------------------------------------------------------------
 
 
-def _preset_group(name: str, k: int | None = None, n: int | None = None):
-    """(type, group): the library group behind an embedded preset."""
-    if name == "sol3":
-        return "semidirect", nilcert.semidirect.sol3_gamma(0)
-    if name == "heisenberg":
-        kk = 1 if k is None else k
-        if kk < 1:
-            raise InvalidParameters("heisenberg preset needs k >= 1")
-        return "twostep", nilcert.nilpotent2.TwoStepLattice.heisenberg(kk)
-    if name == "torus":
-        nn = 3 if n is None else n
-        if nn < 1:
-            raise InvalidParameters("torus preset needs n >= 1")
-        return "twostep", nilcert.nilpotent2.TwoStepLattice.free_abelian(nn, 0)
-    if name == "kxs1":
-        sd, linalg = nilcert.semidirect, nilcert.linalg
-        holonomy = sd.SemidirectGroup(linalg.IntMatrix([[-1, 0], [0, 1]]))
-        return "semidirect", sd.SemidirectLattice(holonomy, linalg.Lattice.standard(2), 1)
-    raise InvalidParameters("unknown preset %r" % name)
-
-
 def preset_description(name: str, k: int | None = None, n: int | None = None) -> dict:
-    """Embedded group descriptions for the worked examples."""
-    return dict(_preset_group(name, k, n)[1].to_json(), schema=SCHEMA)
+    """Embedded group descriptions for the worked examples, written out so
+    that listing them loads no group family."""
+    if name in ("sol3", "kxs1"):
+        matrix = [["5", "2"], ["2", "1"]] if name == "sol3" else [["-1", "0"], ["0", "1"]]
+        desc = {"type": "semidirect", "n": 2, "matrix": matrix,
+                "sublattice": [["1", "0"], ["0", "1"]], "m": 1}
+    elif name == "heisenberg":
+        k = 1 if k is None else k
+        if k < 1:
+            raise InvalidParameters("heisenberg preset needs k >= 1")
+        plus, minus = decimals((k, -k))
+        desc = {"type": "twostep", "f": 1, "b": 2, "forms": [[["0", plus], [minus, "0"]]]}
+    elif name == "torus":
+        n = 3 if n is None else n
+        if n < 1:
+            raise InvalidParameters("torus preset needs n >= 1")
+        desc = {"type": "twostep", "f": n, "b": 0, "forms": [[] for _ in range(n)]}
+    else:
+        raise InvalidParameters("unknown preset %r" % name)
+    return dict(desc, schema=SCHEMA)
 
 
 def presets() -> dict[str, dict]:
-    """All embedded presets at their default parameters: the descriptions
-    ``preset_description`` builds, written out so that listing them loads
-    no group family (``tests/test_cli.py`` checks that they agree)."""
-    return {
-        "sol3": {"type": "semidirect", "n": 2, "matrix": [["5", "2"], ["2", "1"]],
-                 "sublattice": [["1", "0"], ["0", "1"]], "m": 1, "schema": SCHEMA},
-        "heisenberg:k": {"type": "twostep", "f": 1, "b": 2, "forms": [[["0", "1"], ["-1", "0"]]],
-                         "schema": SCHEMA},
-        "torus:n": {"type": "twostep", "f": 3, "b": 0, "forms": [[], [], []], "schema": SCHEMA},
-        "kxs1": {"type": "semidirect", "n": 2, "matrix": [["-1", "0"], ["0", "1"]],
-                 "sublattice": [["1", "0"], ["0", "1"]], "m": 1, "schema": SCHEMA},
-    }
+    """All embedded presets at their default parameters."""
+    names = ("sol3", "heisenberg:k", "torus:n", "kxs1")
+    return {name: preset_description(name.partition(":")[0]) for name in names}
 
 
 def _load_json_arg(value: str):
@@ -114,7 +102,8 @@ def _group_from_description(desc: dict):
 
 def _resolve_group(args) -> tuple[str, object]:
     if getattr(args, "preset", None):
-        return _preset_group(args.preset, k=getattr(args, "k", None), n=getattr(args, "n", None))
+        desc = preset_description(args.preset, k=getattr(args, "k", None), n=getattr(args, "n", None))
+        return _group_from_description(desc)
     if getattr(args, "input", None):
         return _group_from_description(_load_json_arg(args.input))
     raise InvalidParameters("provide --preset or --input")

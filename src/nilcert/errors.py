@@ -2,33 +2,54 @@
 
 Every domain failure raises a subclass of :class:`NilcertError` so the CLI can
 map it to a structured error report (exit code 1) while genuine usage errors
-stay on the argparse path (exit code 2).  :class:`Record` gives the small
-result and element classes their immutable value semantics; it lives here
+stay on the argparse path (exit code 2).  :class:`Value` and :class:`Record`
+give the value classes their equality, hash and immutability; they live here
 because every module already imports this one.
 """
 
 import operator
 
 
-class Record:
-    """Immutable value: equality, hash and repr over the fields ``_fields``.
+class Value:
+    """Equality between instances of one class, and the hash, over the field tuple ``_fields``."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        if cls._fields:
+            cls._getter = operator.attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        if other is self:
+            return True
+        if other.__class__ is self.__class__:
+            getter = self._getter
+            return getter(self) == getter(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._getter(self))
+
+
+class Record(Value):
+    """Immutable value: fields bound once, and the repr over ``_fields``.
 
     A subclass lists its two or more fields in ``_fields`` (and, unless it
     needs a ``__dict__``, as its ``__slots__``).  ``Record.__init__`` binds
     them by position or by name, raising ``TypeError`` where a dataclass
     would.  A subclass with defaults or checks writes an ``__init__`` that
     calls it once and then checks; ``_trusted`` skips the checks.  Equality
-    between instances of one class, the hash of the field tuple, the repr
-    ``Name(field=value, ...)`` and ``AttributeError`` on assignment or
-    deletion are those of a frozen dataclass, which would load
-    ``dataclasses`` and ``inspect`` into every process.
+    and hash (from :class:`Value`), the repr ``Name(field=value, ...)`` and
+    ``AttributeError`` on assignment or deletion are those of a frozen
+    dataclass, which would load ``dataclasses`` and ``inspect`` into every
+    process.
     """
 
     __slots__ = ()
-    _fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls):
-        cls._getter = operator.attrgetter(*cls._fields)
+        super().__init_subclass__()
         # A slot's descriptor sets its field; a class without slots keeps them in its instance dict.
         cls._setters = tuple(
             getattr(cls, name).__set__ if hasattr(cls, name)
@@ -66,14 +87,6 @@ class Record:
 
     def _values(self) -> tuple:
         return self._getter(self)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values() == other._values()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._values())
 
     def __repr__(self):
         fields = ", ".join("%s=%r" % (name, getattr(self, name)) for name in self._fields)

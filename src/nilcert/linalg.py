@@ -33,7 +33,7 @@ from functools import lru_cache
 from collections.abc import Iterable, Sequence
 
 from .arith import decimals, json_field, parse_int, prime_factors
-from .errors import DimensionMismatch, InvalidParameters, NotASublattice, Record
+from .errors import DimensionMismatch, InvalidParameters, NotASublattice, Record, Value
 
 Row = tuple[int, ...]
 
@@ -85,10 +85,10 @@ def _validated(data: Iterable[Iterable[int]], cols: int | None) -> tuple[tuple[R
     return rows, _width(rows, cols)
 
 
-class IntMatrix:
+class IntMatrix(Value):
     """Dense matrix of arbitrary-precision integers (row-major)."""
 
-    __slots__ = ("rows", "cols", "data")
+    __slots__ = _fields = ("rows", "cols", "data")
 
     def __init__(self, data: Iterable[Iterable[int]], cols: int | None = None):
         rows, ncols = _validated(data, cols)
@@ -128,17 +128,6 @@ class IntMatrix:
     def entries(self) -> tuple[int, ...]:
         """Row-major flattened entries."""
         return tuple(x for row in self.data for x in row)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, IntMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.data == other.data
-        )
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.data))
 
     def __repr__(self):
         return "IntMatrix(%r)" % (list(map(list, self.data)),)
@@ -714,7 +703,7 @@ def _combine(coeffs: Sequence[int], rows: Sequence[Row]) -> Row:
     return tuple([sum([c * x for c, x in zip(coeffs, col)]) for col in zip(*rows)])
 
 
-class Lattice:
+class Lattice(Value):
     """Sublattice of Z^n stored as a canonical row-HNF basis (no zero rows).
 
     Canonicality makes equality of lattices a byte-wise comparison of the
@@ -724,6 +713,7 @@ class Lattice:
     """
 
     __slots__ = ("ambient_dim", "basis", "_pivots", "_identity")
+    _fields = ("ambient_dim", "basis")
 
     def __init__(self, ambient_dim: int, basis: IntMatrix, _pivots: list[int] | None = None):
         if basis.cols != ambient_dim:
@@ -763,16 +753,6 @@ class Lattice:
 
     def is_full_rank(self) -> bool:
         return self.rank == self.ambient_dim
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Lattice)
-            and self.ambient_dim == other.ambient_dim
-            and self.basis == other.basis
-        )
-
-    def __hash__(self):
-        return hash((self.ambient_dim, self.basis))
 
     def __repr__(self):
         return "Lattice(%d, %r)" % (self.ambient_dim, list(map(list, self.basis.data)))

@@ -34,6 +34,7 @@ from .errors import (
     NotNormal,
     QuotientTooLarge,
     Record,
+    Value,
 )
 from .linalg import (
     AbelianStructure,
@@ -53,10 +54,11 @@ from .linalg import (
 Vec = tuple[int, ...]
 
 
-class TwoStepLattice:
+class TwoStepLattice(Value):
     """A finitely generated torsion-free 2-step nilpotent group."""
 
     __slots__ = ("f", "b", "forms", "terms")
+    _fields = ("f", "b", "forms")
 
     def __init__(self, f: int, b: int, forms):
         if f < 0 or b < 0:
@@ -109,17 +111,6 @@ class TwoStepLattice:
         return tuple(
             sum(x * (u[i] * up[j] - u[j] * up[i]) for i, j, x in terms) for terms in self.terms
         )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TwoStepLattice)
-            and self.f == other.f
-            and self.b == other.b
-            and self.forms == other.forms
-        )
-
-    def __hash__(self):
-        return hash((self.f, self.b, self.forms))
 
     def __repr__(self):
         return "TwoStepLattice(f=%d, b=%d)" % (self.f, self.b)
@@ -228,13 +219,14 @@ def hbar1(G: TwoStepLattice) -> AbelianStructure:
 # ---------------------------------------------------------------------------
 
 
-class NilSublattice:
+class NilSublattice(Value):
     """Box subgroup U x W; closed under the law iff beta(U, U) lies in W.
 
     ``gram[i][j]`` is beta(r_i, r_j) for the rows r_i of the U basis.
     """
 
     __slots__ = ("parent", "U", "W", "gram")
+    _fields = ("parent", "U", "W")
 
     def __init__(self, parent: TwoStepLattice, U: Lattice, W: Lattice):
         if U.ambient_dim != parent.b or W.ambient_dim != parent.f:
@@ -279,17 +271,6 @@ class NilSublattice:
         iu = full_index(self.U)
         iw = full_index(self.W)
         return None if iu is None or iw is None else iu * iw
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, NilSublattice)
-            and self.parent == other.parent
-            and self.U == other.U
-            and self.W == other.W
-        )
-
-    def __hash__(self):
-        return hash((self.parent, self.U, self.W))
 
     def __repr__(self):
         return "NilSublattice(U=%r, W=%r)" % (self.U, self.W)

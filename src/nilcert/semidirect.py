@@ -28,6 +28,7 @@ from .errors import (
     Record,
     SelfCheckFailed,
     UnsupportedSubgroupShape,
+    Value,
 )
 from .linalg import (
     AbelianStructure,
@@ -51,10 +52,11 @@ from .linalg import (
 Vec = tuple[int, ...]
 
 
-class SemidirectGroup:
+class SemidirectGroup(Value):
     """The ambient group Z^n x|_A Z for a fixed unimodular holonomy A."""
 
-    __slots__ = ("n", "A", "_powers")
+    __slots__ = ("n", "A")
+    _fields = ("A",)
 
     def __init__(self, A: IntMatrix):
         if A.rows != A.cols:
@@ -63,13 +65,10 @@ class SemidirectGroup:
             raise InvalidParameters("holonomy matrix must lie in GL(n, Z)")
         self.n = A.rows
         self.A = A
-        self._powers: dict[int, IntMatrix] = {0: IntMatrix.identity(self.n), 1: A}
 
     def power(self, t: int) -> IntMatrix:
         """A^t with negative exponents via the exact integer inverse."""
-        if t not in self._powers:
-            self._powers[t] = self.A.power(t)
-        return self._powers[t]
+        return self.A.power(t)
 
     def element(self, v, t: int) -> "SemidirectElement":
         v = tuple(int(x) for x in v)
@@ -83,12 +82,6 @@ class SemidirectGroup:
     def holonomy_order(self):
         """Multiplicative order of A, or None when infinite."""
         return finite_order(self.A)
-
-    def __eq__(self, other):
-        return isinstance(other, SemidirectGroup) and self.A == other.A
-
-    def __hash__(self):
-        return hash(self.A)
 
     def __repr__(self):
         return "SemidirectGroup(%r)" % (self.A,)
@@ -132,10 +125,10 @@ def conj(g: SemidirectElement, h: SemidirectElement) -> SemidirectElement:
     return SemidirectElement(G, tuple(a + b for a, b in zip(left, right)), s)
 
 
-class SemidirectLattice:
+class SemidirectLattice(Value):
     """Subgroup of the box shape L x| mZ with L full rank and A-invariant."""
 
-    __slots__ = ("parent", "L", "m")
+    __slots__ = _fields = ("parent", "L", "m")
 
     def __init__(self, parent: SemidirectGroup, L: Lattice, m: int):
         if L.ambient_dim != parent.n:
@@ -150,17 +143,6 @@ class SemidirectLattice:
         self.parent = parent
         self.L = L
         self.m = m
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SemidirectLattice)
-            and self.parent == other.parent
-            and self.L == other.L
-            and self.m == other.m
-        )
-
-    def __hash__(self):
-        return hash((self.parent, self.L, self.m))
 
     def __repr__(self):
         return "SemidirectLattice(L=%r, m=%d)" % (self.L, self.m)

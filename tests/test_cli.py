@@ -15,13 +15,13 @@ from hypothesis import example, given, settings, strategies as st
 
 import nilcert
 from nilcert import cli, usage
-from nilcert.arith import decimals
+from nilcert.arith import SCHEMA, decimals
 from nilcert.certificates import SeriesCertificate
 from nilcert.cli import preset_description, presets, run
 from nilcert.errors import TooLarge
 from nilcert.linalg import IntMatrix, Lattice
 from nilcert.nilpotent2 import NilSublattice, TwoStepLattice, heisenberg_witness, subnormal_series
-from nilcert.semidirect import SemidirectLattice, sol3_gamma, sol3_tower
+from nilcert.semidirect import SemidirectGroup, SemidirectLattice, sol3_gamma, sol3_tower
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 HEIS_DESC = {"type": "twostep", "f": 1, "b": 2, "forms": [[["0", "1"], ["-1", "0"]]]}
@@ -771,14 +771,22 @@ class TestPresets:
         assert set(result["presets"]) == {"sol3", "heisenberg:k", "torus:n", "kxs1"}
 
     def test_literals_are_the_built_descriptions(self):
-        # presets() writes out dict(group.to_json(), schema=SCHEMA) of each
-        # built preset, so that listing them loads no group family.
+        # preset_description writes each description out, so that listing
+        # presets loads no group family; each is its library group's to_json.
+        def described(group):
+            return dict(group.to_json(), schema=SCHEMA)
+
+        kxs1 = SemidirectLattice(SemidirectGroup(IntMatrix([[-1, 0], [0, 1]])), Lattice.standard(2), 1)
         assert presets() == {
-            "sol3": preset_description("sol3"),
-            "heisenberg:k": preset_description("heisenberg", k=1),
-            "torus:n": preset_description("torus", n=3),
-            "kxs1": preset_description("kxs1"),
+            "sol3": described(sol3_gamma(0)),
+            "heisenberg:k": described(TwoStepLattice.heisenberg(1)),
+            "torus:n": described(TwoStepLattice.free_abelian(3, 0)),
+            "kxs1": described(kxs1),
         }
+        assert preset_description("heisenberg", k=4) == described(TwoStepLattice.heisenberg(4))
+        assert preset_description("torus", n=5) == described(TwoStepLattice.free_abelian(5, 0))
+        with pytest.raises(TooLarge):  # as the built group's to_json raises
+            preset_description("heisenberg", k=10**4300)
 
     def test_round_trip_through_parsers(self):
         sol3 = SemidirectLattice.from_json(preset_description("sol3"))

@@ -4,10 +4,13 @@ Each library class is a plain ``Record`` subclass.  The twins below are the
 ``@dataclass(frozen=True)`` definitions those classes replaced, with the
 same names so that their reprs can be compared, and the test holds the two
 to the same construction, binding errors, equality, hash, repr, immutability
-and validation errors.
+and validation errors.  The six value classes with their own constructors
+take equality and hash from ``Value`` alone; ``IDENTITIES`` holds them to
+the fields that identify them.
 """
 
 import copy
+import operator
 import pickle
 from dataclasses import MISSING, dataclass
 from functools import cached_property
@@ -186,6 +189,58 @@ INVALID = [
     (nilpotent2.RationalScale, RationalScale, ((1, 0), (1,))),
     (nilpotent2.RationalScale, RationalScale, ((1,), (-2,))),
 ]
+
+# (value class, the attrgetter its hash applies, two equal values built
+# different ways, a value with one field changed)
+IDENTITIES = [
+    (
+        IntMatrix, ("rows", "cols", "data"),
+        IntMatrix([[1, 2], [3, 4]]), IntMatrix.from_json([["1", "2"], ["3", "4"]]),
+        IntMatrix([[1, 2], [3, 5]]),
+    ),
+    (
+        linalg.Lattice, ("ambient_dim", "basis"),
+        linalg.Lattice.from_rows(2, [[2, 0], [0, 3]]), linalg.Lattice.from_rows(2, [[0, 3], [2, 3]]),
+        linalg.Lattice.from_rows(2, [[2, 0], [0, 6]]),
+    ),
+    (
+        nilpotent2.TwoStepLattice, ("f", "b", "forms"),
+        nilpotent2.TwoStepLattice.heisenberg(2),
+        nilpotent2.TwoStepLattice.from_json(
+            {"type": "twostep", "f": 1, "b": 2, "forms": [[["0", "2"], ["-2", "0"]]]}
+        ),
+        nilpotent2.TwoStepLattice.heisenberg(3),
+    ),
+    (
+        nilpotent2.NilSublattice, ("parent", "U", "W"),
+        nilpotent2.NilSublattice(HEIS, linalg.Lattice.scaled(2, 2), linalg.Lattice.scaled(1, 4)),
+        nilpotent2.NilSublattice.from_json(
+            nilpotent2.TwoStepLattice.heisenberg(1), {"U": [["2", "0"], ["0", "2"]], "W": [["4"]]}
+        ),
+        nilpotent2.NilSublattice(HEIS, linalg.Lattice.scaled(2, 4), linalg.Lattice.scaled(1, 4)),
+    ),
+    (
+        semidirect.SemidirectGroup, ("A",),
+        SOL3, semidirect.sol3_group(), semidirect.SemidirectGroup(IntMatrix([[2, 1], [1, 1]])),
+    ),
+    (
+        semidirect.SemidirectLattice, ("parent", "L", "m"),
+        semidirect.sol3_gamma(1, SOL3),
+        semidirect.SemidirectLattice.from_json(semidirect.sol3_gamma(1).to_json()),
+        semidirect.SemidirectLattice(SOL3, linalg.Lattice.scaled(2, 2), 2),
+    ),
+]
+
+
+@pytest.mark.parametrize("cls,fields,value,same,changed", IDENTITIES, ids=[c[0].__name__ for c in IDENTITIES])
+def test_value_identity_is_the_field_tuple(cls, fields, value, same, changed):
+    assert type(value) is type(same) is type(changed) is cls and value is not same
+    assert value == same and same == value and not value != same and hash(value) == hash(same)
+    # The hash of the field tuple; a class with one field hashes as that field.
+    assert hash(value) == hash(operator.attrgetter(*fields)(value))
+    assert value != changed and changed != value and not value == changed
+    assert value != object() and object() != value and value.__eq__(object()) is NotImplemented
+
 
 def _outcome(f):
     try:

@@ -300,6 +300,19 @@ def test_only_record_binds_fields():
     assert [where for where in found if not where.startswith("errors.py:")] == []
 
 
+def test_only_value_compares_and_hashes():
+    # errors.Value compares and hashes every value class over its _fields;
+    # an __eq__ or __hash__ anywhere else is a second copy of it.
+    found = [
+        "%s:%d" % (name, node.lineno)
+        for name, tree in _trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name in ("__eq__", "__hash__")
+        or isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store) and node.id in ("__eq__", "__hash__")
+    ]
+    assert [where for where in found if not where.startswith("errors.py:")] == []
+
+
 def test_no_typing_imports():
     # Annotations are never evaluated (from __future__ import annotations),
     # so they name collections.abc types and X | None; importing typing

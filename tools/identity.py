@@ -1,0 +1,74 @@
+"""Digests of what nilcert outputs on the benchmark's inputs, for byte-identity checks.
+
+Run ``python3 tools/identity.py`` from a checkout (it takes no options) and
+compare its one JSON line across two commits on the same Python: equal
+digests mean equal bytes.  The line holds
+
+- ``python``: the interpreter version;
+- ``cli``: SHA-256 over the argv, exit code and stdout of the 44 argvs of the
+  ``cli`` workload's rounds at seeds 601 and 602, each run in a fresh
+  ``python -m nilcert.cli`` child;
+- ``workloads``: per workload, SHA-256 over the input and in-process output
+  of every op of its rounds at seeds 0 to 5 (``cli`` through ``cli.run``).
+
+The inputs come from ``perfbench/workloads.py``, which this script only
+imports.
+"""
+
+import hashlib
+import json
+import os
+import pathlib
+import platform
+import random
+import subprocess
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import workloads  # noqa: E402  (found through the path set above)
+
+CLI_SEEDS = (601, 602)
+WORKLOAD_SEEDS = range(6)
+
+
+def _round(wl, seed: int) -> list[dict]:
+    """The workload's round at ``seed``, seeded as the benchmark seeds it."""
+    return wl.make_round(random.Random("%s:%d" % (wl.name, seed)))
+
+
+def cli_digest() -> str:
+    wl = workloads.Cli(str(ROOT))
+    digest = hashlib.sha256()
+    for seed in CLI_SEEDS:
+        for item in _round(wl, seed):
+            argv = item["meta"]["argv"]
+            proc = subprocess.run([sys.executable, "-m", "nilcert.cli"] + argv, cwd=ROOT,
+                                  env=wl.env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+            digest.update(workloads.dumps([argv, proc.returncode]).encode() + b"\n" + proc.stdout)
+    return digest.hexdigest()
+
+
+def workload_digest(name: str) -> str:
+    wl = workloads.WORKLOADS[name](str(ROOT))
+    run = (lambda item: wl.run_in_process(item["meta"]["argv"])) if name == "cli" else wl.run
+    digest = hashlib.sha256()
+    for seed in WORKLOAD_SEEDS:
+        for item in _round(wl, seed):
+            digest.update(workloads.dumps([item["input"], run(item)]).encode() + b"\n")
+    return digest.hexdigest()
+
+
+def main() -> None:
+    os.environ.pop("NILCERT_MAX_INDEX", None)  # as the benchmark does: the verbs' default guard
+    report = {
+        "python": platform.python_version(),
+        "cli": cli_digest(),
+        "workloads": {name: workload_digest(name) for name in workloads.WORKLOADS},
+    }
+    print(json.dumps(report, sort_keys=True))
+
+
+if __name__ == "__main__":
+    main()
