@@ -1,10 +1,10 @@
-"""Exception hierarchy shared by all nilcert modules, and their value base.
+"""Exception hierarchy shared by all nilcert modules, and their value bases.
 
 Every domain failure raises a subclass of :class:`NilcertError` so the CLI can
 map it to a structured error report (exit code 1) while genuine usage errors
-stay on the argparse path (exit code 2).  :class:`Value` and :class:`Record`
-give the value classes their equality, hash and immutability; they live here
-because every module already imports this one.
+stay on the argparse path (exit code 2).  :class:`Value` (equality and hash)
+and its subclass :class:`Record` (fields bound once, immutable) are the value
+bases; they live here because every module already imports this one.
 """
 
 import operator
