@@ -21,7 +21,6 @@ report ``min_length`` 1 (or 0 for a trivial chain).
 from __future__ import annotations
 
 import json
-import re
 
 from .arith import SCHEMA, canonical_json, decimals, json_field, parse_int
 from .errors import InvalidParameters, Record, SelfCheckFailed
@@ -38,11 +37,6 @@ _LEVEL_KEYS = ("subgroup", "quotient_factors", "quotient_free_rank", "index", "c
 _BOOL = {True: "true", False: "false"}
 # The fields that sort after "kind" and the levels; "profile" is a witness's only.
 _TAIL = '"max_quotient_order":"%s","min_length":%d,%s"schema":"' + SCHEMA + '","total_index":"%s"}'
-# A top-level "witness" object that ends the group text, holding no object or
-# list but its "profile", which it ends with.  In canonical text a quote after
-# "," or "{" opens a string, so these quotes spell keys.  Compiled on first
-# use (re's cache), so a process that writes no witness never compiles it.
-_WITNESS_PROFILE = r'"witness":\{(?:[^][{}]*,)?"profile":(\[[^][{}]*\])\}\}'
 
 
 def _known_fields(obj: dict, *keys: str) -> None:
@@ -148,14 +142,8 @@ class SeriesCertificate(Record):
         levels = "[%s]" % ",".join([level.canonical_text(flag_key) for level in self.chain])
         profile = ""
         if self.kind == KIND_WITNESS:
-            text = self.group_ref
-            at = text.rfind('"witness":{')
-            found = at > 0 and text[at - 1] in ",{" and re.compile(_WITNESS_PROFILE).fullmatch(text, at)
-            if found:
-                profile = found[1]
-            else:  # a group a builder never writes: read the profile, if any
-                profile = canonical_json(list(json.loads(text).get("witness", {}).get("profile", [])))
-            profile = '"profile":%s,' % profile
+            witness = json.loads(self.group_ref).get("witness", {})
+            profile = '"profile":%s,' % canonical_json(list(witness.get("profile", [])))
         tail = _TAIL % (max_quotient_order, self.min_length, profile, total_index)
         kind = json.encoder.encode_basestring(self.kind)
         if levels_key == "chain":

@@ -386,8 +386,8 @@ def _max_index(flag: int | None) -> int:
         raise InvalidParameters("NILCERT_MAX_INDEX: %s" % exc) from None
 
 
-def run(argv: list[str]) -> int:
-    """Parse argv, execute, and print the JSON report; returns the exit code."""
+def _report(argv: list[str]):
+    """The parsed argv, None after an error, and the JSON report of running it."""
     args = _read_argv(argv)
     if args is None:
         # Only a verb's own parser is built; no verb (or -h) needs them all.
@@ -398,13 +398,26 @@ def run(argv: list[str]) -> int:
         result = args.fn(args)
     except (NilcertError, OSError, json.JSONDecodeError) as exc:
         kind = type(exc).__name__ if isinstance(exc, NilcertError) else "InputError"
-        report = {"schema": SCHEMA, "error": {"type": kind, "message": str(exc)}}
-        sys.stdout.write(canonical_json(report) + "\n")
+        return None, {"schema": SCHEMA, "error": {"type": kind, "message": str(exc)}}
+    return args, {"schema": SCHEMA, "verb": args.verb, "result": result}
+
+
+def run(argv: list[str]) -> int:
+    """Parse argv, execute, and print the JSON report; returns the exit code.
+    Out of memory, the report is a TooLarge error, written once the exception
+    has released the frames its traceback held."""
+    try:
+        args, report = _report(argv)
+        text = canonical_json(report)
+    except MemoryError:
+        args = report = text = None
+    if text is None:
+        text = canonical_json({"schema": SCHEMA, "error": {"type": "TooLarge", "message": "out of memory"}})
+    sys.stdout.write(text + "\n")
+    if args is None:
         return 1
-    report = {"schema": SCHEMA, "verb": args.verb, "result": result}
-    sys.stdout.write(canonical_json(report) + "\n")
     if args.summary:
-        sys.stderr.write(_summarize(args.verb, result) + "\n")
+        sys.stderr.write(_summarize(args.verb, report["result"]) + "\n")
     return 0
 
 

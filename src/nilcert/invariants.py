@@ -193,13 +193,12 @@ def verify_certificate(cert, max_index: int | None = None) -> bool:
 
 
 def _exact(a, b) -> bool:
-    """Equal values of one type, through records and tuples: 4.0 or True is not 4."""
+    """Records or tuples of one type with equal values, through records and
+    tuples: 4.0 or True is not 4."""
     if type(a) is not type(b):
         return False
     if isinstance(a, Record):
         a, b = a._values(), b._values()
-    elif not isinstance(a, tuple):
-        return a == b
     if len(a) != len(b):
         return False
     for x, y in zip(a, b):  # only records and tuples recurse

@@ -190,10 +190,7 @@ class IntMatrix(Value):
         return power_mod(self if t >= 0 else unimodular_inverse(self), abs(t), 0)
 
     def to_json(self) -> list[list[str]]:
-        try:
-            return [list(map(str, row)) for row in self.data]
-        except ValueError:  # past the digit limit: decimals names it
-            return [decimals(row) for row in self.data]
+        return [decimals(row) for row in self.data]
 
 
 @lru_cache(maxsize=None)

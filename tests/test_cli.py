@@ -324,6 +324,29 @@ class TestExitCodes:
         assert error["type"] == "InvalidParameters"
         assert error["message"].startswith("ranks f and b must be >= 0")
 
+    @pytest.mark.parametrize("argv, kind, message", [
+        (["center", "--input", '{"type":"twostep","f":1,"b":2,"forms":[]}'],
+         "DimensionMismatch", "expected 1 forms, got 0"),
+        (["center", "--input", json.dumps(dict(SOL3_DESC, n=3))],
+         "DimensionMismatch", "matrix size does not match declared rank"),
+        (["center", "--input", json.dumps(dict(SOL3_DESC, m="0"))],
+         "InvalidParameters", "translation index m must be >= 1"),
+        (["cohomology", "--op", "h1", "--input", json.dumps(dict(ACTION_DESC, relators=["a1"]))],
+         "InvalidParameters", "bad letter '1' in relator 'a1'"),
+        (["cohomology", "--op", "h1-brute", "--input", json.dumps(
+            {"generators": 1, "relators": ["a" * 600], "module": {"free": 0, "torsion": ["2"]},
+             "action": [[["1"]]]})],
+         "TooLarge", "group order 600 exceeds guard 512"),
+        (["cohomology", "--op", "h1-brute", "--input", json.dumps(
+            {"generators": 2, "relators": [], "module": {"free": 0, "torsion": ["4096"]},
+             "action": [[["1"]], [["1"]]]})],
+         "TooLarge", "generator tuple space exceeds guard"),
+    ], ids=["forms-count", "matrix-rank", "m-0", "relator-letter", "brute-order", "brute-tuples"])
+    def test_description_errors_name_the_fault(self, capsys, argv, kind, message):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, err) == (1, "")
+        assert json.loads(out)["error"] == {"type": kind, "message": message}
+
     @pytest.mark.parametrize("relator", [5, ["a", "a"], None])
     def test_relators_must_be_strings(self, capsys, relator):
         action = dict(ACTION_DESC, relators=[relator])
@@ -648,6 +671,40 @@ def test_run_leaves_the_collector_alone(capsys):
     with pytest.raises(SystemExit):
         run(["minkowski"])
     assert (gc.get_freeze_count(), gc.isenabled()) == (frozen, True)
+
+
+# The console script in a new interpreter whose address space is capped at
+# the megabytes its first argument gives.
+_MAIN_UNDER_A_MEMORY_CAP = (
+    "import resource, sys\n"
+    "cap = int(sys.argv.pop(1)) << 20\n"
+    "resource.setrlimit(resource.RLIMIT_AS, (cap, cap))\n"
+    "import nilcert.cli\n"
+    "nilcert.cli.main()\n"
+)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS caps a child's memory on Linux")
+def test_out_of_memory_is_a_structured_error_in_a_fresh_process():
+    """Writing out the 2000 x 2000 kernel basis of a rank-2000 centre does not
+    fit in 200 MB: the report is a TooLarge error, not a traceback, while a
+    rank-2 centre fits under the same cap."""
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(nilcert.__file__).resolve().parents[1]))
+
+    def centre(b):
+        desc = '{"type":"twostep","f":0,"b":%d,"forms":[]}' % b
+        return subprocess.run(
+            [sys.executable, "-c", _MAIN_UNDER_A_MEMORY_CAP, "200", "center", "--input", desc],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+
+    small, large = centre(2), centre(2000)
+    assert (small.returncode, small.stderr) == (0, "")
+    assert json.loads(small.stdout)["result"]["rank"] == 2
+    assert (large.returncode, large.stderr) == (1, "")
+    assert large.stdout == (
+        '{"error":{"message":"out of memory","type":"TooLarge"},"schema":"nilcert/1"}\n'
+    )
 
 
 def test_snf_of_a_seeded_60x60_prints_in_a_fresh_process():

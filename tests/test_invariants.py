@@ -256,6 +256,35 @@ class TestVerifyCertificate:
         with pytest.raises(UnresolvableReference):
             verify_certificate({"schema": "nilcert/1"})
 
+    # The Heisenberg(1) series through U = 2Z^2, W = 4Z: level indices 4 and 4, total 16.
+    def test_max_quotient_order_below_a_level_index_rejected(self):
+        # The rebuild would differ too; the consistency check is what refuses it first.
+        d = _two_step_cert().to_json_dict()
+        d["max_quotient_order"] = "1"
+        assert SeriesCertificate.from_json_dict(d).structural_ok() is False
+        assert verify_certificate(d) is False
+
+    @pytest.mark.parametrize("edit", [
+        lambda levels: levels.pop(),
+        lambda levels: levels.append(dict(levels[-1], index="1", quotient_factors=[])),
+    ], ids=["level-dropped", "trivial-level-appended"])
+    def test_chain_of_another_length_than_its_rebuild_rejected(self, edit):
+        # Every structural relation holds, and the rebuild's levels start the
+        # chain; only its length differs.
+        d = _two_step_cert().to_json_dict()
+        edit(d["levels"])
+        d["total_index"] = "%d" % math.prod(int(level["index"]) for level in d["levels"])
+        d["max_quotient_order"] = "4"
+        assert SeriesCertificate.from_json_dict(d).structural_ok() is True
+        assert verify_certificate(d) is False
+
+    def test_unknown_kind_of_a_readable_certificate(self):
+        # A series level reads under any kind, so the kind itself is refused.
+        d = _two_step_cert().to_json_dict()
+        d["kind"] = "nope"
+        with pytest.raises(UnresolvableReference, match=r"^unknown certificate kind 'nope'$"):
+            verify_certificate(d)
+
     def test_json_round_trip_is_lossless(self):
         H = TwoStepLattice.heisenberg(1)
         sub = NilSublattice(H, Lattice.scaled(2, 2), Lattice.scaled(1, 4))

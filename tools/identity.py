@@ -12,7 +12,10 @@ digests mean equal bytes.  The line holds
   of every op of its rounds at seeds 0 to 5 (``cli`` through ``cli.run``).
 
 The inputs come from ``perfbench/workloads.py``, which this script only
-imports.
+imports.  After printing the line it compares the digests with
+``tools/identity.json`` and exits 1, naming each one that differs, so CI
+fails on any change of output bytes.  A change that alters them on purpose
+commits the new digests there.
 """
 
 import hashlib
@@ -60,7 +63,17 @@ def workload_digest(name: str) -> str:
     return digest.hexdigest()
 
 
-def main() -> None:
+def _named(digests: dict) -> dict:
+    return {"cli": digests["cli"], **{"workloads " + k: v for k, v in digests["workloads"].items()}}
+
+
+def differing(report: dict, expected: dict) -> list[str]:
+    """The names of the digests that differ between ``report`` and ``expected``."""
+    got, want = _named(report), _named(expected)
+    return sorted(name for name in got.keys() | want.keys() if got.get(name) != want.get(name))
+
+
+def main() -> int:
     os.environ.pop("NILCERT_MAX_INDEX", None)  # as the benchmark does: the verbs' default guard
     report = {
         "python": platform.python_version(),
@@ -68,7 +81,11 @@ def main() -> None:
         "workloads": {name: workload_digest(name) for name in workloads.WORKLOADS},
     }
     print(json.dumps(report, sort_keys=True))
+    changed = differing(report, json.loads((ROOT / "tools" / "identity.json").read_text()))
+    for name in changed:
+        print("identity: %s digest differs from tools/identity.json" % name, file=sys.stderr)
+    return 1 if changed else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
