@@ -1,0 +1,106 @@
+"""The pure parts of the scripts in ``tools/``: no benchmark or CLI child runs here."""
+
+import importlib.util
+import pathlib
+import sys
+
+import pytest
+
+TOOLS = pathlib.Path(__file__).resolve().parent.parent / "tools"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location("tools_" + name, TOOLS / (name + ".py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+pairs = _load("pairs")
+
+METRICS = [
+    {"name": "op_p50_ref", "better": "lower", "bound": 0.25},
+    {"name": "ops_per_ref", "better": "higher", "bound": 0.25},
+]
+
+
+def _line(p50, per_ref, failed=0):
+    return {"correct": failed == 0, "attempted": 100, "failed": failed, "metrics": {
+        "op_p50_ref": {"value": p50, "unit": "ref"}, "ops_per_ref": {"value": per_ref, "unit": "op/ref"}}}
+
+
+def _runs(parent, change, workload="series"):
+    """Result lines of alternating pairs: ``parent[i]`` against ``change[i]``."""
+    runs = []
+    for pair, (p, c) in enumerate(zip(parent, change)):
+        for side, line in (("parent", p), ("change", c))[:: 1 if pair % 2 == 0 else -1]:
+            runs.append({"workload": workload, "pair": pair, "seed": 601 + pair, "side": side, "result": line})
+    return runs
+
+
+def test_seeds():
+    assert pairs.parse_seeds("601-605") == [601, 602, 603, 604, 605]
+    assert pairs.parse_seeds("7,3,10-11") == [7, 3, 10, 11]
+
+
+def test_quartiles_are_the_inclusive_ones():
+    assert pairs.quartiles([1.0, 2.0, 3.0, 4.0, 5.0]) == {"q1": 2.0, "median": 3.0, "q3": 4.0}
+    assert pairs.quartiles([7.0]) == {"q1": 7.0, "median": 7.0, "q3": 7.0}
+
+
+def test_verdicts_against_the_parent_quartiles():
+    # The change's p50 is 30 % higher in every pair: worse, past the 0.25 bound.
+    # Its ops_per_ref is higher in four of five pairs, with the median inside
+    # the parent's quartiles: unresolved.
+    parent = [_line(v, r) for v, r in zip([1.0, 1.1, 0.9, 1.0, 1.05], [10, 11, 9, 10, 12])]
+    change = [_line(1.3 * v, r) for v, r in zip([1.0, 1.1, 0.9, 1.0, 1.05], [11, 12, 10, 11, 11])]
+    summary = pairs.summarize(_runs(parent, change), METRICS)
+    assert list(summary) == ["series"]
+    series = summary["series"]
+    assert series["attempted"] == {"parent": 500, "change": 500}
+    assert series["failed"] == {"parent": 0, "change": 0}
+    p50 = series["metrics"]["op_p50_ref"]
+    assert p50["parent"] == {"q1": 1.0, "median": 1.0, "q3": 1.05}
+    assert p50["change"]["median"] == pytest.approx(1.3)
+    assert p50["shift"] == pytest.approx(0.3)
+    assert (p50["pairs_won"], p50["pairs"], p50["verdict"], p50["past_bound"]) == (0, 5, "worse", True)
+    per_ref = series["metrics"]["ops_per_ref"]
+    assert per_ref["parent"] == {"q1": 10.0, "median": 10.0, "q3": 11.0}
+    assert per_ref["change"]["median"] == 11.0
+    assert (per_ref["pairs_won"], per_ref["verdict"], per_ref["past_bound"]) == (4, "unresolved", False)
+
+
+def test_a_higher_is_better_metric_that_falls_is_worse():
+    parent = [_line(1.0, r) for r in (10, 10, 10, 10)]
+    change = [_line(0.5, r, failed=1) for r in (5, 5, 5, 5)]
+    series = pairs.summarize(_runs(parent, change), METRICS)["series"]
+    assert series["failed"] == {"parent": 0, "change": 4}
+    assert series["metrics"]["op_p50_ref"]["verdict"] == "better"
+    assert series["metrics"]["op_p50_ref"]["past_bound"] is False
+    assert series["metrics"]["ops_per_ref"]["verdict"] == "worse"
+    assert series["metrics"]["ops_per_ref"]["past_bound"] is True
+
+
+def test_a_pair_missing_a_side_is_left_out():
+    runs = _runs([_line(1.0, 10)] * 3, [_line(2.0, 10)] * 3)
+    runs = [run for run in runs if not (run["pair"] == 2 and run["side"] == "change")]
+    assert pairs.summarize(runs, METRICS)["series"]["metrics"]["op_p50_ref"]["pairs"] == 2
+
+
+def test_medians_are_held_to_the_recorded_quartiles():
+    recorded = pairs.summarize(_runs([_line(v, 10) for v in (1.0, 2.0, 3.0)],
+                                     [_line(v, 10) for v in (1.0, 2.0, 3.0)]), METRICS)
+    again = pairs.summarize(_runs([_line(v, 10) for v in (1.4, 1.5, 1.6)],
+                                  [_line(v, 10) for v in (2.6, 2.7, 2.8)]), METRICS)
+    inside = pairs.against(again, recorded)
+    assert inside["series"]["op_p50_ref"] == {"parent": True, "change": False}
+    assert inside["series"]["ops_per_ref"] == {"parent": True, "change": True}
+
+
+def test_identity_names_each_differing_digest(monkeypatch):
+    monkeypatch.setattr(sys, "path", sys.path[:])  # identity.py puts src and perfbench first
+    identity = _load("identity")
+    expected = {"cli": "a", "workloads": {"series": "b", "tower": "c"}}
+    assert identity.differing(dict(expected, python="3.11.7"), expected) == []
+    report = {"cli": "x", "python": "3.11.7", "workloads": {"series": "b", "tower": "y", "new": "z"}}
+    assert identity.differing(report, expected) == ["cli", "workloads new", "workloads tower"]

@@ -1,15 +1,16 @@
 """Alternating benchmark pairs of two revisions, recorded as ``BENCH_<issue>.json``.
 
     python3 tools/pairs.py --parent 1348456 --issue 36
-    python3 tools/pairs.py --parent HEAD~1 --change HEAD --issue 36 \\
+    python3 tools/pairs.py --parent HEAD~1 --issue 36 \\
         --workloads series,cli --seeds 601-610 --seconds 30 --pairs 10
 
-Run from a checkout.  Both revisions are exported with ``git archive`` into
-one temporary directory, and each runs its own ``perfbench/run.py`` in a
-child process, one at a time.  Pair ``i`` runs both trees on seed
-``seeds[i]``, the parent first in even pairs and the change first in odd
-ones, then times ``--probes`` fresh ``run.py --setup-probe`` children per
-tree, alternating in the same order (ready line, as ``setup_s`` is timed).
+Run from a checkout; the change measured is its ``HEAD``.  Both revisions
+are exported with ``git archive`` into one temporary directory, and each
+runs its own ``perfbench/run.py`` in a child process, one at a time.  Pair
+``i`` runs both trees on seed ``seeds[i]``, the parent first in even pairs
+and the change first in odd ones, then times three fresh
+``run.py --setup-probe`` children per tree, alternating in the same order
+(to the ready line, as ``setup_s`` is timed).
 
 The file written holds every result line; per workload and end-to-end
 metric the median and quartiles of each side, the change's relative shift
@@ -38,6 +39,7 @@ import time
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+PROBES = 3  # set-up probes per tree and pair
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -167,14 +169,11 @@ def machine() -> dict:
 def parse_args(argv):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--parent", required=True, help="the revision compared against")
-    p.add_argument("--change", default="HEAD", help="the revision measured (default HEAD)")
     p.add_argument("--issue", required=True, help="names the output, BENCH_<issue>.json")
     p.add_argument("--workloads", default="series,cli", help="comma-separated (default series,cli)")
     p.add_argument("--seeds", default="601-610", help="one per pair, e.g. 601-610 (default)")
     p.add_argument("--seconds", type=float, default=30.0, help="per run (default 30)")
     p.add_argument("--pairs", type=int, default=10, help="pairs per workload (default 10)")
-    p.add_argument("--probes", type=int, default=3, help="set-up probes per tree and pair (default 3)")
-    p.add_argument("--out", help="output path (default BENCH_<issue>.json in the checkout)")
     p.add_argument("--against", help="an earlier BENCH file whose quartiles the medians are held to")
     args = p.parse_args(argv)
     args.workloads = args.workloads.split(",")
@@ -187,13 +186,12 @@ def parse_args(argv):
 def main(argv=None) -> int:
     args = parse_args(argv)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    out = pathlib.Path(args.out) if args.out else ROOT / ("BENCH_%s.json" % args.issue)
     started = os.getloadavg()
     runs = []
     probes = {workload: {side: [] for side in SIDES} for workload in args.workloads}
     with tempfile.TemporaryDirectory(prefix="nilcert-pairs-") as tmp:
         trees = {side: pathlib.Path(tmp) / side for side in SIDES}
-        revisions = {side: export(getattr(args, side), trees[side]) for side in SIDES}
+        revisions = {"parent": export(args.parent, trees["parent"]), "change": export("HEAD", trees["change"])}
         for workload in args.workloads:
             for pair in range(args.pairs):
                 seed = args.seeds[pair]
@@ -204,7 +202,7 @@ def main(argv=None) -> int:
                                  "result": result})
                     print("%s pair %d %s: %s" % (workload, pair, side, json.dumps(result["metrics"])),
                           file=sys.stderr, flush=True)
-                for _ in range(args.probes):
+                for _ in range(PROBES):
                     for side in order:
                         probes[workload][side].append(setup_probe(trees[side], workload, seed))
     summary = summarize(runs, bench["end_to_end"])
@@ -231,9 +229,9 @@ def main(argv=None) -> int:
         "runs": runs,
     }
     if args.against:
-        record["against"] = {"file": args.against,
-                             "inside": against(summary, json.loads(pathlib.Path(args.against).read_text())["summary"])}
-    out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
+        recorded = json.loads(pathlib.Path(args.against).read_text())["summary"]
+        record["against"] = {"file": args.against, "inside": against(summary, recorded)}
+    (ROOT / ("BENCH_%s.json" % args.issue)).write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     print(json.dumps(summary, sort_keys=True))
     return 0 if all(row["failed"][side] == 0 for row in summary.values() for side in SIDES) else 1
 
