@@ -331,10 +331,7 @@ def hstack(rows: int, mats: Sequence[IntMatrix]) -> IntMatrix:
 
 
 def vstack(mats: Sequence[IntMatrix]) -> IntMatrix:
-    cols = mats[0].cols
-    if any(m.cols != cols for m in mats):
-        raise DimensionMismatch("vstack column mismatch")
-    return IntMatrix._trusted([row for m in mats for row in m.data], cols)
+    return IntMatrix._trusted([row for m in mats for row in m.data], mats[0].cols)
 
 
 # ---------------------------------------------------------------------------
@@ -736,8 +733,6 @@ class Lattice(Value):
 
     @staticmethod
     def scaled(n: int, c: int) -> "Lattice":
-        if c == 0:
-            return Lattice.zero(n)
         return Lattice.from_rows(n, [[c if i == j else 0 for j in range(n)] for i in range(n)])
 
     @staticmethod

@@ -297,8 +297,6 @@ def box_quotient(P: NilSublattice, Q: NilSublattice) -> AbelianStructure:
     g[i][j] - g[j][i].  These values lie in W_Q, so their relations are
     already spanned by those of Q's W rows.
     """
-    if P.parent != Q.parent:
-        raise DimensionMismatch("different parent groups")
     # Coordinates of Q's U and W rows in P, also the subgroup test.
     xs = [P.U.coords_of(qu) for qu in Q.U.basis.data]
     ys = [P.W.coords_of(qw) for qw in Q.W.basis.data]

@@ -420,6 +420,4 @@ def scaling_map_check(c: int, target: SemidirectLattice) -> bool:
 
 def scaling_iso_check(k: int) -> bool:
     """Verify f_k(v, t) = (2^k v, t) is an isomorphism Gamma -> Gamma_k."""
-    if k < 0:
-        raise InvalidParameters("k must be >= 0")
     return scaling_map_check(2**k, sol3_gamma(k))

@@ -34,6 +34,18 @@ ACTION_DESC = {
 }
 
 
+KXS1_DESC = preset_description("kxs1")
+
+
+def _series_claim_on_sol3():
+    """A two-step-series claim, its group the Sol3 description with the claim's gamma."""
+    heis = TwoStepLattice.from_json(HEIS_DESC)
+    gamma = NilSublattice.from_json(heis, {"U": [["2", "0"], ["0", "2"]], "W": [["4"]]})
+    claim = subnormal_series(heis, gamma).to_json_dict()
+    claim["group"] = dict(SOL3_DESC, gamma=claim["group"]["gamma"])
+    return json.dumps(claim)
+
+
 def invoke(capsys, *argv):
     code = run(list(argv))
     out = capsys.readouterr()
@@ -341,7 +353,32 @@ class TestExitCodes:
             {"generators": 2, "relators": [], "module": {"free": 0, "torsion": ["4096"]},
              "action": [[["1"]], [["1"]]]})],
          "TooLarge", "generator tuple space exceeds guard"),
-    ], ids=["forms-count", "matrix-rank", "m-0", "relator-letter", "brute-order", "brute-tuples"])
+        (["center", "--preset", "foo"], "InvalidParameters", "unknown preset 'foo'"),
+        (["center", "--preset", "heisenberg", "--k", "0"], "InvalidParameters", "heisenberg preset needs k >= 1"),
+        (["center", "--preset", "torus", "--n", "0"], "InvalidParameters", "torus preset needs n >= 1"),
+        (["center"], "InvalidParameters", "provide --preset or --input"),
+        (["isolator", "--preset", "sol3"], "UnsupportedGroupShape", "isolator needs a twostep group"),
+        (["normalizer", "--group", json.dumps(HEIS_DESC), "--subgroup", json.dumps(HEIS_DESC)],
+         "UnsupportedGroupShape", "this verb needs two semidirect groups"),
+        (["normalizer", "--group", json.dumps(SOL3_DESC), "--subgroup", json.dumps(KXS1_DESC)],
+         "DimensionMismatch", "different parent groups"),
+        (["quotient", "--group", json.dumps(SOL3_DESC), "--subgroup", json.dumps(KXS1_DESC)],
+         "DimensionMismatch", "different parent groups"),
+        (["intermediates", "--group", json.dumps(SOL3_DESC), "--subgroup", json.dumps(KXS1_DESC)],
+         "DimensionMismatch", "different parent groups"),
+        (["center", "--input", json.dumps(dict(SOL3_DESC, matrix=[["1", "0"]]))],
+         "DimensionMismatch", "holonomy matrix must be square"),
+        (["sol3-tower", "--k", "-1"], "InvalidParameters", "k must be >= 0"),
+        (["heisenberg-witness", "--k", "0", "--p", "3", "--a", "2"], "InvalidParameters", "k must be >= 1"),
+        (["verify", "--input", _series_claim_on_sol3()],
+         "UnresolvableReference", "cannot rebuild series data: not a twostep group description"),
+        # a JSON syntax error keeps the decoder's own message, not a re-wrapped one
+        (["hnf", "--input", "[1,"], "InputError", "Expecting value: line 1 column 4 (char 3)"),
+    ], ids=["forms-count", "matrix-rank", "m-0", "relator-letter", "brute-order", "brute-tuples",
+            "unknown-preset", "heisenberg-k-0", "torus-n-0", "no-group", "isolator-of-sol3",
+            "normalizer-of-twostep", "normalizer-parents", "quotient-parents", "intermediates-parents",
+            "non-square-holonomy", "tower-k-negative", "witness-k-0", "series-claim-on-semidirect",
+            "json-syntax"])
     def test_description_errors_name_the_fault(self, capsys, argv, kind, message):
         code, out, err = invoke(capsys, *argv)
         assert (code, err) == (1, "")
@@ -431,6 +468,23 @@ class TestExitCodes:
         assert code == 0
         assert "minkowski(2) = 24" in err
         assert "minkowski(2)" not in out
+
+    @pytest.mark.parametrize("argv, summary", [
+        (["sol3-tower", "--k", "2"], "sol3-tower: total index 16, 2 levels, min length 2"),
+        (["discsym2-bound", "--preset", "heisenberg"], "disc-sym_2 upper bound (1, 2)"),
+        (["hnf", "--input", "[[2]]"], "hnf: ok"),
+    ], ids=["sol3-tower", "discsym2-bound", "hnf"])
+    def test_summary_line_per_verb(self, capsys, argv, summary):
+        code, out, err = invoke(capsys, *argv, "--summary")
+        assert (code, err) == (0, summary + "\n")
+        assert invoke(capsys, *argv)[1] == out
+
+    def test_summary_of_verify(self, capsys):
+        claim = result_of(capsys, "sol3-tower", "--k", "1")
+        for verdict, summary in ((True, "certificate verified"), (False, "certificate REJECTED")):
+            claim["total_index"] = "4" if verdict else "5"
+            code, out, err = invoke(capsys, "verify", "--input", json.dumps(claim), "--summary")
+            assert (code, json.loads(out)["result"], err) == (0, {"verified": verdict}, summary + "\n")
 
     def test_max_index_flag_guards_tower(self, capsys):
         code, out, _ = invoke(capsys, "sol3-tower", "--k", "5", "--max-index", "100")

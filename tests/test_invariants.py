@@ -308,6 +308,22 @@ class TestVerifyCertificate:
         assert broken.structural_ok() is False
         assert verify_certificate(broken) is False
 
+    def test_max_quotient_order_below_a_level_index_fails_the_structural_check(self):
+        # structural_ok is public and reads certificates built outside the
+        # library; here that bound is the only field out of line.
+        cert = _two_step_cert()
+        fields = dict(zip(SeriesCertificate._fields, cert._values()))
+        assert SeriesCertificate(**fields).structural_ok() is True
+        assert SeriesCertificate(**dict(fields, max_quotient_order=3)).structural_ok() is False
+
+    def test_chain_of_another_type_than_its_rebuild_rejected(self):
+        # Only a certificate built in Python can hold a list; its rebuild holds a tuple.
+        cert = _two_step_cert()
+        fields = dict(zip(SeriesCertificate._fields, cert._values()))
+        listed = SeriesCertificate(**dict(fields, chain=list(cert.chain)))
+        assert listed.structural_ok() is True
+        assert verify_certificate(listed) is False
+
 
 def _two_step_cert():
     H = TwoStepLattice.heisenberg(1)

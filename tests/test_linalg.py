@@ -179,6 +179,10 @@ class TestKernelAndSolve:
         c = solve_row_combination(R, target)
         assert c == (2, 1)
         assert solve_row_combination(R, (1, 0, 0)) is None
+        # every pivot divides, but a residual is left past the last one
+        assert solve_row_combination(IntMatrix([[2, 0]]), (2, 1)) is None
+        with pytest.raises(DimensionMismatch, match=r"^target length 2 != cols 3$"):
+            solve_row_combination(R, (1, 0))
 
     def test_unimodular_inverse(self):
         rng = random.Random(17)
@@ -226,6 +230,39 @@ class TestLattice:
         a = Lattice.from_rows(2, [[2, 0]])
         b = Lattice.from_rows(2, [[0, 3]])
         assert a.sum(b) == Lattice.from_rows(2, [[2, 0], [0, 3]])
+
+
+    @pytest.mark.parametrize("n", range(4))
+    def test_scaled_by_zero_is_the_zero_lattice(self, n):
+        got, zero = Lattice.scaled(n, 0), Lattice.zero(n)
+        assert (got.basis, got._pivots, got._identity, repr(got)) == (
+            zero.basis, zero._pivots, zero._identity, repr(zero))
+
+
+# Shape checks of the public matrix and lattice API (``nilcert.__all__``):
+# a Python caller's mistake is a DimensionMismatch naming the fault.
+_M12, _M21, _L2, _L3 = IntMatrix([[1, 2]]), IntMatrix([[1], [2]]), Lattice.standard(2), Lattice.standard(3)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: _M12 + _M21, DimensionMismatch, "matrix addition shape mismatch"),
+    (lambda: _M12 - _M21, DimensionMismatch, "matrix subtraction shape mismatch"),
+    (lambda: _M12 * _M12, DimensionMismatch, "cannot multiply 1x2 by 1x2"),
+    (lambda: _M12.apply((1,)), DimensionMismatch, "vector length 1 != cols 2"),
+    (lambda: _M12.power(2), DimensionMismatch, "power of a non-square matrix"),
+    (lambda: IntMatrix([[2]]).power(-1), DimensionMismatch, "matrix is not unimodular"),
+    (lambda: Lattice(3, IntMatrix.identity(2)), DimensionMismatch, "basis width != ambient dimension"),
+    (lambda: Lattice(2, IntMatrix([[0, 0]])), InvalidParameters, "lattice basis rows must be nonzero"),
+    (lambda: _L2.is_sublattice_of(_L3), DimensionMismatch, "ambient dimensions differ"),
+    (lambda: _L2.sum(_L3), DimensionMismatch, "ambient dimensions differ"),
+    (lambda: _L2.intersect(_L3), DimensionMismatch, "ambient dimensions differ"),
+    (lambda: preimage_lattice(_M12, _L2), DimensionMismatch, "M maps into Z^1 but L lives in Z^2"),
+], ids=["add", "sub", "mul", "apply", "power", "inverse-power", "lattice-width", "lattice-zero-row",
+        "is-sublattice-of", "sum", "intersect", "preimage"])
+def test_public_shape_checks_name_the_fault(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert (type(exc.value), str(exc.value)) == (error, message)
 
 
 class TestContainment:

@@ -552,6 +552,26 @@ class TestSubnormalSeries:
         assert prod == cert.total_index == sub.index_in_full()
 
 
+# Checks on arguments of public names (``nilcert.__all__``) that no JSON or
+# argv reaches: a Python caller's mistake raises an error naming the fault.
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: TwoStepLattice.heisenberg(0), InvalidParameters, "heisenberg parameter k must be >= 1"),
+    (lambda: RationalScale((3,), (3,)).apply(TwoStepLattice.heisenberg(1)),
+     DimensionMismatch, "denominator counts must match (b, f)"),
+    (lambda: nilpotency_check(TwoStepLattice.heisenberg(1), IntMatrix.identity(1), IntMatrix.identity(1), 1),
+     DimensionMismatch, "automorphism blocks must be b x b and f x f"),
+], ids=["heisenberg-k-0", "scale-counts", "nilpotency-blocks"])
+def test_public_argument_checks_name_the_fault(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert (type(exc.value), str(exc.value)) == (error, message)
+
+
+def test_box_subgroup_repr():
+    sub = NilSublattice(TwoStepLattice.heisenberg(1), Lattice.scaled(2, 2), Lattice.scaled(1, 4))
+    assert repr(sub) == "NilSublattice(U=%r, W=%r)" % (Lattice.scaled(2, 2), Lattice.scaled(1, 4))
+
+
 class TestRationalScale:
     def test_integrality_enforced(self):
         H = TwoStepLattice.heisenberg(1)

@@ -8,6 +8,7 @@ import semidirect_oracle as oracle
 from linalg_oracle import det
 from nilcert import linalg, semidirect
 from nilcert.errors import (
+    DimensionMismatch,
     InvalidParameters,
     NilcertError,
     NotAbelianQuotient,
@@ -756,7 +757,7 @@ class TestScalingIso:
         assert not scaling_map_check(3, sol3_gamma(1))
 
     def test_negative_k_rejected(self):
-        with pytest.raises(InvalidParameters):
+        with pytest.raises(InvalidParameters, match=r"^k must be >= 0$"):
             scaling_iso_check(-1)
 
 
@@ -764,6 +765,11 @@ class TestGroupValidation:
     def test_non_unimodular_rejected(self):
         with pytest.raises(InvalidParameters):
             SemidirectGroup(IntMatrix([[2, 0], [0, 1]]))
+
+    def test_sublattice_of_another_rank_rejected(self):
+        # from_json reads the sublattice at the declared rank; only a Python caller gets here
+        with pytest.raises(DimensionMismatch, match=r"^sublattice ambient dimension mismatch$"):
+            SemidirectLattice(sol3_group(), Lattice.standard(3), 1)
 
     def test_holonomy_order(self):
         assert SemidirectGroup(IntMatrix([[-1, 0], [0, 1]])).holonomy_order() == 2

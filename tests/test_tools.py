@@ -104,3 +104,91 @@ def test_identity_names_each_differing_digest(monkeypatch):
     assert identity.differing(dict(expected, python="3.11.7"), expected) == []
     report = {"cli": "x", "python": "3.11.7", "workloads": {"series": "b", "tower": "y", "new": "z"}}
     assert identity.differing(report, expected) == ["cli", "workloads new", "workloads tower"]
+
+
+coverage = _load("coverage")
+
+# A fixed module: a raise over three lines, one on a line of its own, a
+# decorated function, a function docstring (no bytecode) and a nested class.
+SNIPPET = '''\
+import functools
+
+
+@functools.lru_cache
+def check(x):
+    """Docstring."""
+    if x < 0:
+        raise ValueError(
+            "negative: %d"
+            % x)
+    if x == 0:
+        raise ZeroDivisionError("zero")
+    return x
+
+
+class Box:
+    def open(self):
+        raise NotImplementedError
+'''
+
+
+def test_raises_are_counted_at_their_first_line():
+    owner, scope, raises = coverage.statements(SNIPPET)
+    assert raises == {8, 12, 18}
+    assert [owner[line] for line in (8, 9, 10)] == [8, 8, 8]
+    assert (owner[4], owner[5]) == (5, 5)  # the decorator belongs to its def
+    assert (scope[8], scope[18], scope[1]) == ("check", "Box.open", "<module>")
+
+
+def test_executable_lines_are_statements_with_bytecode():
+    owner, _, _ = coverage.statements(SNIPPET)
+    # The function's docstring compiles to no bytecode; the module's code and
+    # every statement in a body do.
+    assert coverage.executable(SNIPPET, owner) == {1, 5, 7, 8, 11, 12, 13, 16, 17, 18}
+
+
+def test_report_from_fixed_hits():
+    # check(-1) and check(2) ran, and Box was defined; line 9 stands for the raise at 8.
+    hits = {1, 4, 5, 7, 9, 11, 13, 16, 17}
+    labels = [
+        {"module": "m.py", "function": "Box.open", "statement": "raise NotImplementedError",
+         "label": "self-check", "reason": "r1"},
+        {"module": "m.py", "function": "check", "statement": "if x < 0:", "label": "public API", "reason": "r2"},
+        {"module": "m.py", "function": "gone", "statement": "raise KeyError", "label": "self-check", "reason": "r3"},
+    ]
+    report = coverage.build_report({"m.py": SNIPPET}, {"m.py": hits}, labels)
+    module = report["modules"]["m.py"]
+    assert module["executed"] == [1, 5, 7, 8, 11, 13, 16, 17]
+    assert module["missed"] == [12, 18]
+    assert module["raises"] == 3
+    assert module["never_raised"] == [
+        {"line": 12, "function": "check", "statement": 'raise ZeroDivisionError("zero")'},
+        {"line": 18, "function": "Box.open", "statement": "raise NotImplementedError",
+         "label": "self-check", "reason": "r1"},
+    ]
+    assert module["labelled_ran"] == [
+        {"line": 7, "function": "check", "statement": "if x < 0:", "label": "public API", "reason": "r2"}]
+    assert report["unused_labels"] == [labels[2]]
+
+
+class _Report:
+    def __init__(self, nodeid, when, outcome):
+        self.nodeid, self.when = nodeid, when
+        self.failed, self.passed = outcome == "failed", outcome == "passed"
+
+
+def test_a_failed_test_is_named():
+    outcome = coverage.Outcome()
+    for nodeid, when, result in [("t.py::a", "setup", "passed"), ("t.py::a", "call", "passed"),
+                                 ("t.py::b", "call", "failed"), ("t.py::c", "teardown", "failed")]:
+        outcome.pytest_runtest_logreport(_Report(nodeid, when, result))
+    outcome.pytest_collectreport(_Report("t2.py", "collect", "failed"))
+    assert coverage.outcome_json(1, outcome) == {
+        "exit_code": 1, "passed": 1, "failed": ["t.py::b", "t.py::c (teardown)", "t2.py (collection)"]}
+
+
+def test_child_hits_are_merged_by_path_under_src(tmp_path):
+    (tmp_path / "1.hits").write_text("/x/src/nilcert/a.py\t1 3\n")
+    (tmp_path / "2.hits").write_text("/x/src/nilcert/a.py\t2 3\n/x/src/nilcert/b.py\t7\n")
+    assert coverage.read_child_hits(tmp_path, "/x/src") == (
+        2, {"nilcert/a.py": {1, 2, 3}, "nilcert/b.py": {7}})
