@@ -187,8 +187,8 @@ def test_a_failed_test_is_named():
         "exit_code": 1, "passed": 1, "failed": ["t.py::b", "t.py::c (teardown)", "t2.py (collection)"]}
 
 
-def test_child_hits_are_merged_by_path_under_src(tmp_path):
+def test_hits_are_merged_by_path_under_src(tmp_path):
     (tmp_path / "1.hits").write_text("/x/src/nilcert/a.py\t1 3\n")
     (tmp_path / "2.hits").write_text("/x/src/nilcert/a.py\t2 3\n/x/src/nilcert/b.py\t7\n")
-    assert coverage.read_child_hits(tmp_path, "/x/src") == (
+    assert coverage.read_hits(tmp_path, "/x/src") == (
         2, {"nilcert/a.py": {1, 2, 3}, "nilcert/b.py": {7}})

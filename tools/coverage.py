@@ -27,7 +27,7 @@ The output is one JSON document: per module the executed lines, the missed
 lines and the ``raise`` lines that never raised; the pytest exit code, the
 passed count and the ids of the tests that failed under tracing; the
 followed children; the wall time.  The probe is not a gate: it exits 0
-whatever the tests' verdicts.  Tracing makes the suite about three times
+whatever the tests' verdicts.  Tracing makes the suite three to four times
 slower, so wall-clock bounds in the tests can fail under it; such a failure
 is reported, not a reason to change the bound.
 """
@@ -35,6 +35,7 @@ is reported, not a reason to change the bound.
 from __future__ import annotations
 
 import ast
+import importlib.util
 import json
 import os
 import pathlib
@@ -49,14 +50,17 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 HITS_VAR = "NILCERT_COVERAGE_HITS"
 NOT_FOLLOWED = "children started with -S skip sitecustomize and are not followed"
 
-# Written into the copy's src/.  It imports nothing that site has not, bar
-# atexit, and prints nothing, so a child's output stays what the tests expect.
+# Written into the copy's src/, and loaded from there by this process too.
+# It imports nothing that site has not, bar atexit, and prints nothing, so
+# a child's output stays what the tests expect.
 SITECUSTOMIZE = '''\
 import os
 import sys
 
 
-def _follow(out, prefix):
+def follow(out, prefix):
+    """Record the lines run in code under prefix; the function returned
+    stops that and writes them to a file in the directory out."""
     hits = {}
 
     def local(frame, event, arg):
@@ -73,13 +77,14 @@ def _follow(out, prefix):
             for name, lines in hits.items():
                 f.write("%s\\t%s\\n" % (name, " ".join(map(str, sorted(lines)))))
 
-    import atexit
-    atexit.register(dump)
     sys.settrace(start)
+    return dump
 
 
 if os.environ.get("{var}"):
-    _follow(os.environ["{var}"], os.path.join(os.path.dirname(os.path.abspath(__file__)), "nilcert", ""))
+    import atexit
+    prefix = os.path.join(os.path.dirname(os.path.abspath(__file__)), "nilcert", "")
+    atexit.register(follow(os.environ["{var}"], prefix))
 '''.replace("{var}", HITS_VAR)
 
 
@@ -180,8 +185,9 @@ def outcome_json(code: int, outcome: Outcome) -> dict:
     return {"exit_code": code, "passed": outcome.passed, "failed": outcome.failed}
 
 
-def read_child_hits(directory: pathlib.Path, src: str) -> tuple[int, dict[str, set[int]]]:
-    """The number of hit files the followed children wrote, and their hits by path under ``src``."""
+def read_hits(directory: pathlib.Path, src: str) -> tuple[int, dict[str, set[int]]]:
+    """The number of hit files written (this process's and each followed
+    child's), and their hits merged by path under ``src``."""
     files = sorted(directory.glob("*.hits"))
     hits: dict[str, set[int]] = {}
     for path in files:
@@ -191,30 +197,24 @@ def read_child_hits(directory: pathlib.Path, src: str) -> tuple[int, dict[str, s
     return len(files), hits
 
 
-def traced_pytest(copy: pathlib.Path, prefix: str) -> tuple[int, Outcome, dict[str, set[int]]]:
-    """Tier-1 in this process with the line hook installed; the hits by absolute path."""
+def traced_pytest(copy: pathlib.Path, hits: pathlib.Path) -> tuple[int, Outcome]:
+    """Tier-1 in this process under the hook of the copy's ``sitecustomize.py``, its hits written to ``hits``."""
     import pytest
 
-    hits: dict[str, set[int]] = {}
-
-    def local(frame, event, arg):
-        if event == "line":
-            hits.setdefault(frame.f_code.co_filename, set()).add(frame.f_lineno)
-        return local
-
-    def start(frame, event, arg):
-        return local if frame.f_code.co_filename.startswith(prefix) else None
-
+    spec = importlib.util.spec_from_file_location("coverage_hook", copy / "src" / "sitecustomize.py")
+    hook = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(hook)  # installs nothing: HITS_VAR is not set yet
+    os.environ[HITS_VAR] = str(hits)
     outcome = Outcome()
-    threading.settrace(start)
-    sys.settrace(start)
+    dump = hook.follow(str(hits), str(copy / "src" / "nilcert") + os.sep)
+    threading.settrace(sys.gettrace())
     try:
         code = pytest.main(["-q", "--continue-on-collection-errors", "--hypothesis-profile=ci",
                             "-p", "no:cacheprovider", str(copy / "tests")], plugins=[outcome])
     finally:
-        sys.settrace(None)
         threading.settrace(None)
-    return int(code), outcome, hits
+        dump()
+    return int(code), outcome
 
 
 def main() -> int:
@@ -228,9 +228,8 @@ def main() -> int:
         subprocess.run(["tar", "-x", "-C", str(copy)], input=archive, check=True)
         src = copy / "src"
         (src / "sitecustomize.py").write_text(SITECUSTOMIZE)
-        child_dir = pathlib.Path(tmp) / "hits"
-        child_dir.mkdir()
-        os.environ[HITS_VAR] = str(child_dir)
+        hit_dir = pathlib.Path(tmp) / "hits"
+        hit_dir.mkdir()
         os.environ["PYTHONPATH"] = str(src)
         os.environ["PYTHONDONTWRITEBYTECODE"] = "1"
         sys.dont_write_bytecode = True
@@ -239,12 +238,10 @@ def main() -> int:
         # Stdout carries the document alone: pytest's report goes to stderr.
         stdout, sys.stdout = sys.stdout, sys.stderr
         try:
-            code, outcome, own = traced_pytest(copy, str(src / "nilcert") + os.sep)
+            code, outcome = traced_pytest(copy, hit_dir)
         finally:
             sys.stdout = stdout
-        children, hits = read_child_hits(child_dir, str(src))
-        for name, lines in own.items():
-            hits.setdefault(os.path.relpath(name, src), set()).update(lines)
+        files, hits = read_hits(hit_dir, str(src))
         sources = {"nilcert/" + p.name: p.read_text() for p in sorted((src / "nilcert").glob("*.py"))}
         labels = json.loads((copy / "tools" / "coverage_labels.json").read_text())
     report = {
@@ -252,7 +249,7 @@ def main() -> int:
         "python": platform.python_version(),
         "wall_s": round(time.perf_counter() - started, 1),
         "pytest": outcome_json(code, outcome),
-        "children": {"followed": children, "not_followed": NOT_FOLLOWED},
+        "children": {"followed": files - 1, "not_followed": NOT_FOLLOWED},
         **build_report(sources, hits, labels),
     }
     print(json.dumps(report, indent=1, sort_keys=True))
