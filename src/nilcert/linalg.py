@@ -201,8 +201,6 @@ def _identity_rows(n: int) -> tuple[Row, ...]:
 def power_mod(M: IntMatrix, t: int, d: int) -> IntMatrix:
     """``M^t`` for ``t >= 0`` by repeated squaring, every product reduced into
     ``[0, d)``; ``d = 0`` keeps the entries exact (Z/0Z is Z)."""
-    if M.rows != M.cols:
-        raise DimensionMismatch("power of a non-square matrix")
     if t < 0 or d < 0:
         raise InvalidParameters("power_mod needs t >= 0 and d >= 0")
 
@@ -277,8 +275,6 @@ def cyclotomic_kernels(A: IntMatrix) -> dict[int, tuple[IntMatrix, int]]:
     divides it modulo one prime are evaluated at ``A``, by Horner's rule in
     degree at most n; the others cannot divide it over Z.
     """
-    if A.rows != A.cols:
-        raise DimensionMismatch("cyclotomic factors of a non-square matrix")
     n, I = A.rows, IntMatrix.identity(A.rows)
     chi = _charpoly_mod(A, _PRIME)
     phi = list(range(2 * n * n + 1))

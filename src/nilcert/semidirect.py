@@ -184,8 +184,6 @@ def normalizer(G: SemidirectLattice, S: SemidirectLattice) -> SemidirectLattice:
         raise DimensionMismatch("different parent groups")
     if G.m != 1 or S.m != 1:
         raise InvalidParameters("normalizer requires full translation parts (m = 1)")
-    if not S.is_subgroup_of(G):
-        raise NotASubgroup("S is not contained in G")
     A = G.parent.A
     condition = preimage_lattice(IntMatrix.identity(G.parent.n) - A, S.L)
     LN = condition.intersect(G.L)

@@ -35,6 +35,7 @@ ACTION_DESC = {
 
 
 KXS1_DESC = preset_description("kxs1")
+TORUS3_DESC = {"type": "semidirect", "n": 3, "matrix": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}
 
 
 def _series_claim_on_sol3():
@@ -362,6 +363,12 @@ class TestExitCodes:
          "UnsupportedGroupShape", "this verb needs two semidirect groups"),
         (["normalizer", "--group", json.dumps(SOL3_DESC), "--subgroup", json.dumps(KXS1_DESC)],
          "DimensionMismatch", "different parent groups"),
+        (["normalizer", "--group", json.dumps(SOL3_DESC), "--subgroup", json.dumps(TORUS3_DESC)],
+         "DimensionMismatch", "different parent groups"),
+        (["normalizer", "--group", json.dumps(SOL3_DESC), "--subgroup", json.dumps(dict(SOL3_DESC, m=2))],
+         "InvalidParameters", "normalizer requires full translation parts (m = 1)"),
+        (["normalizer", "--group", json.dumps(sol3_gamma(1).to_json()), "--subgroup", json.dumps(SOL3_DESC)],
+         "NotASubgroup", "S is not contained in G"),
         (["quotient", "--group", json.dumps(SOL3_DESC), "--subgroup", json.dumps(KXS1_DESC)],
          "DimensionMismatch", "different parent groups"),
         (["intermediates", "--group", json.dumps(SOL3_DESC), "--subgroup", json.dumps(KXS1_DESC)],
@@ -370,14 +377,17 @@ class TestExitCodes:
          "DimensionMismatch", "holonomy matrix must be square"),
         (["sol3-tower", "--k", "-1"], "InvalidParameters", "k must be >= 0"),
         (["heisenberg-witness", "--k", "0", "--p", "3", "--a", "2"], "InvalidParameters", "k must be >= 1"),
+        (["heisenberg-witness", "--k", "1", "--p", "3", "--a", "1"],
+         "InvalidParameters", "a must be >= 2 (second-layer forms k*p^(a-2))"),
         (["verify", "--input", _series_claim_on_sol3()],
          "UnresolvableReference", "cannot rebuild series data: not a twostep group description"),
         # a JSON syntax error keeps the decoder's own message, not a re-wrapped one
         (["hnf", "--input", "[1,"], "InputError", "Expecting value: line 1 column 4 (char 3)"),
     ], ids=["forms-count", "matrix-rank", "m-0", "relator-letter", "brute-order", "brute-tuples",
             "unknown-preset", "heisenberg-k-0", "torus-n-0", "no-group", "isolator-of-sol3",
-            "normalizer-of-twostep", "normalizer-parents", "quotient-parents", "intermediates-parents",
-            "non-square-holonomy", "tower-k-negative", "witness-k-0", "series-claim-on-semidirect",
+            "normalizer-of-twostep", "normalizer-parents", "normalizer-ranks", "normalizer-m-2",
+            "normalizer-not-contained", "quotient-parents", "intermediates-parents",
+            "non-square-holonomy", "tower-k-negative", "witness-k-0", "witness-a-1", "series-claim-on-semidirect",
             "json-syntax"])
     def test_description_errors_name_the_fault(self, capsys, argv, kind, message):
         code, out, err = invoke(capsys, *argv)

@@ -11,6 +11,7 @@ from nilcert.certificates import ChainLevel, SeriesCertificate, length_lower_bou
 from nilcert.cli import run
 from nilcert.errors import (
     InvalidParameters,
+    NotNormal,
     QuotientTooLarge,
     TooLarge,
     UnresolvableReference,
@@ -277,6 +278,20 @@ class TestVerifyCertificate:
         d["max_quotient_order"] = "4"
         assert SeriesCertificate.from_json_dict(d).structural_ok() is True
         assert verify_certificate(d) is False
+
+    def test_tower_claim_repeating_a_level_rejected(self):
+        # Gamma_1 twice, the second level of index 1: every structural
+        # relation holds, and only the rebuild's normalizer check refuses it,
+        # since N(Gamma_1) in Gamma_0 is Gamma_0, not Gamma_1.
+        d = sol3_tower(1).to_json_dict()
+        d["levels"].append(dict(d["levels"][0], index="1", quotient_factors=[]))
+        d["group"]["k"] = 2
+        d.update(total_index="4", min_length=1, max_quotient_order="4")
+        assert verify_certificate(d) is False
+        level = (sol3_gamma(1), canonical_json(d["levels"][0]["subgroup"]))
+        with pytest.raises(NotNormal) as exc:
+            semidirect.tower_certificate(sol3_gamma(0), [level, level], canonical_json(d["group"]))
+        assert str(exc.value) == "normalizer chain broke at level 2"
 
     def test_unknown_kind_of_a_readable_certificate(self):
         # A series level reads under any kind, so the kind itself is refused.

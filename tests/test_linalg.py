@@ -256,9 +256,11 @@ _M12, _M21, _L2, _L3 = IntMatrix([[1, 2]]), IntMatrix([[1], [2]]), Lattice.stand
     (lambda: _L2.is_sublattice_of(_L3), DimensionMismatch, "ambient dimensions differ"),
     (lambda: _L2.sum(_L3), DimensionMismatch, "ambient dimensions differ"),
     (lambda: _L2.intersect(_L3), DimensionMismatch, "ambient dimensions differ"),
+    (lambda: quotient_structure(_L2, _L3), DimensionMismatch, "ambient dimensions differ"),
+    (lambda: lattice_index(_L3, _L2), DimensionMismatch, "ambient dimensions differ"),
     (lambda: preimage_lattice(_M12, _L2), DimensionMismatch, "M maps into Z^1 but L lives in Z^2"),
 ], ids=["add", "sub", "mul", "apply", "power", "inverse-power", "lattice-width", "lattice-zero-row",
-        "is-sublattice-of", "sum", "intersect", "preimage"])
+        "is-sublattice-of", "sum", "intersect", "quotient-structure", "lattice-index", "preimage"])
 def test_public_shape_checks_name_the_fault(call, error, message):
     with pytest.raises(error) as exc:
         call()

@@ -558,9 +558,11 @@ class TestSubnormalSeries:
     (lambda: TwoStepLattice.heisenberg(0), InvalidParameters, "heisenberg parameter k must be >= 1"),
     (lambda: RationalScale((3,), (3,)).apply(TwoStepLattice.heisenberg(1)),
      DimensionMismatch, "denominator counts must match (b, f)"),
+    (lambda: RationalScale((2, 2), (1,)).apply(TwoStepLattice.heisenberg(1)),
+     InvalidParameters, "overlattice form entry 1/4 is not integral"),
     (lambda: nilpotency_check(TwoStepLattice.heisenberg(1), IntMatrix.identity(1), IntMatrix.identity(1), 1),
      DimensionMismatch, "automorphism blocks must be b x b and f x f"),
-], ids=["heisenberg-k-0", "scale-counts", "nilpotency-blocks"])
+], ids=["heisenberg-k-0", "scale-counts", "scale-integrality", "nilpotency-blocks"])
 def test_public_argument_checks_name_the_fault(call, error, message):
     with pytest.raises(error) as exc:
         call()

@@ -1,6 +1,7 @@
 """The pure parts of the scripts in ``tools/``: no benchmark or CLI child runs here."""
 
 import importlib.util
+import json
 import pathlib
 import sys
 
@@ -192,3 +193,97 @@ def test_hits_are_merged_by_path_under_src(tmp_path):
     (tmp_path / "2.hits").write_text("/x/src/nilcert/a.py\t2 3\n/x/src/nilcert/b.py\t7\n")
     assert coverage.read_hits(tmp_path, "/x/src") == (
         2, {"nilcert/a.py": {1, 2, 3}, "nilcert/b.py": {7}})
+
+
+def test_every_label_names_a_statement_under_src():
+    src = TOOLS.parent / "src"
+    sources = {"nilcert/" + p.name: p.read_text() for p in sorted((src / "nilcert").glob("*.py"))}
+    labels = json.loads((TOOLS / "coverage_labels.json").read_text())
+    assert coverage.build_report(sources, {}, labels)["unused_labels"] == []
+
+
+def test_pair_plan_defaults_to_the_benchmark_file():
+    bench = {"workloads": [{"name": "a"}, {"name": "b"}], "run_seconds": 12}
+    args = pairs.parse_args(["--parent", "HEAD~1", "--issue", "0"], bench)
+    assert (args.workloads, args.seconds, args.pairs, args.seeds) == (["a", "b"], 12.0, 10, list(range(601, 611)))
+    committed = json.loads((TOOLS.parent / "BENCHMARK.json").read_text())
+    args = pairs.parse_args(["--parent", "HEAD~1", "--issue", "0", "--workloads", "cli", "--seconds", "3"], committed)
+    assert (args.workloads, args.seconds) == (["cli"], 3.0)
+    assert pairs.parse_args(["--parent", "x", "--issue", "0"], committed).workloads == [
+        w["name"] for w in committed["workloads"]]
+
+
+guards = _load("guards")
+
+# A fixed module: a guard whose condition spans two lines, an if with an
+# else and an if whose body holds two statements (neither a guard), and a
+# one-line guard in a method whose condition holds a non-ASCII character.
+GUARDED = '''\
+def check(x, y):
+    if (x < 0
+            or y < 0):  # negative
+        raise ValueError("negative")
+    if x == y:
+        raise ValueError("equal")
+    else:
+        x += 1
+    if x > 9:
+        y = 0
+        raise ValueError("large")
+    return x
+
+
+class Box:
+    def open(self, é):
+        if é is None: raise TypeError("none")
+'''
+
+
+def test_guards_are_ifs_with_no_else_and_a_lone_raise():
+    found = guards.guards(GUARDED)
+    assert [(g["line"], g["function"], g["statement"]) for g in found] == [
+        (2, "check", 'raise ValueError("negative")'),
+        (17, "Box.open", 'if é is None: raise TypeError("none")'),
+    ]
+    # The parentheses lie outside the condition; columns count bytes, and é takes two.
+    assert [g["condition"] for g in found] == [(2, 8, 3, 20), (17, 11, 17, 21)]
+
+
+def test_a_dropped_guard_changes_its_condition_alone():
+    first, method = guards.guards(GUARDED)
+    for guard, condition in [(first, "x < 0\n            or y < 0"), (method, "é is None")]:
+        out = guards.dropped(GUARDED.encode(), guard["condition"])
+        assert out == GUARDED.replace(condition, "False").encode()
+        compile(out, "<mutant>", "exec")
+
+
+def test_report_labels_guards_by_their_raise():
+    results = [
+        {"module": "m.py", "line": 2, "function": "check", "statement": 'raise ValueError("negative")',
+         "outcome": "killed", "seconds": 1.5, "test": "tests/t.py::test_a"},
+        {"module": "m.py", "line": 17, "function": "Box.open", "statement": 'if é is None: raise TypeError("none")',
+         "outcome": "survived", "seconds": 9.0, "test": None},
+        {"module": "m.py", "line": 20, "function": "f", "statement": "raise KeyError",
+         "outcome": "survived", "seconds": 9.0, "test": None},
+        {"module": "m.py", "line": 24, "function": "g", "statement": "raise KeyError",
+         "outcome": "timed out", "seconds": 180.0, "test": None},
+    ]
+    labels = [
+        {"module": "m.py", "function": "Box.open", "statement": 'if é is None: raise TypeError("none")',
+         "label": "self-check", "reason": "r1"},
+        {"module": "n.py", "function": "f", "statement": "raise KeyError", "label": "self-check", "reason": "r2"},
+    ]
+    report = guards.build_report(results, labels)
+    assert report["guards"][1] == dict(results[1], label="self-check", reason="r1")
+    assert [g.get("label") for g in report["guards"]] == [None, "self-check", None, None]
+    assert report["unlabelled_survivors"] == [results[2]]
+    assert report["counts"] == {"killed": 1, "survived": 2, "timed out": 1}
+
+
+def test_the_first_failing_test_is_named():
+    output = ("..F\n=== short test summary info ===\n"
+              "FAILED tests/t.py::test_b[x-1] - AssertionError: assert 1 == 2\n"
+              "FAILED tests/t.py::test_c\n!!! stopping after 1 failures !!!\n1 failed, 2 passed in 0.1s\n")
+    assert guards.first_failure(output) == "tests/t.py::test_b[x-1]"
+    assert guards.first_failure("ERROR tests/u.py\n") == "tests/u.py"
+    assert guards.first_failure("3 passed in 0.1s\n") is None

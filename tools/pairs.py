@@ -2,7 +2,7 @@
 
     python3 tools/pairs.py --parent 1348456 --issue 36
     python3 tools/pairs.py --parent HEAD~1 --issue 36 \\
-        --workloads series,cli --seeds 601-610 --seconds 30 --pairs 10
+        --workloads series --seeds 601-610 --seconds 10 --pairs 10
 
 Run from a checkout; the change measured is its ``HEAD``.  Both revisions
 are exported with ``git archive`` into one temporary directory, and each
@@ -20,8 +20,9 @@ start and the end, the seeds and both revisions.  A change median inside
 the parent's quartiles is ``unresolved``: on a shared host such a shift is
 not told apart from noise.  With ``--against FILE`` the file also says,
 per median, whether it lies inside the quartiles recorded in that earlier
-file.  The metrics, their direction and their bounds come from
-``BENCHMARK.json``; nothing under ``perfbench/`` is read or edited here.
+file.  The default workloads and run length, the metrics, their direction
+and their bounds come from ``BENCHMARK.json``; nothing under ``perfbench/``
+is read or edited here.
 """
 
 from __future__ import annotations
@@ -166,13 +167,17 @@ def machine() -> dict:
             "python": platform.python_version()}
 
 
-def parse_args(argv):
+def parse_args(argv, bench: dict):
+    """The plan; ``bench`` (BENCHMARK.json) gives the default workloads and seconds per run."""
+    workloads = ",".join(w["name"] for w in bench["workloads"])
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--parent", required=True, help="the revision compared against")
     p.add_argument("--issue", required=True, help="names the output, BENCH_<issue>.json")
-    p.add_argument("--workloads", default="series,cli", help="comma-separated (default series,cli)")
+    p.add_argument("--workloads", default=workloads,
+                   help="comma-separated (default BENCHMARK.json's, %s)" % workloads)
     p.add_argument("--seeds", default="601-610", help="one per pair, e.g. 601-610 (default)")
-    p.add_argument("--seconds", type=float, default=30.0, help="per run (default 30)")
+    p.add_argument("--seconds", type=float, default=float(bench["run_seconds"]),
+                   help="per run (default BENCHMARK.json's run_seconds, %s)" % bench["run_seconds"])
     p.add_argument("--pairs", type=int, default=10, help="pairs per workload (default 10)")
     p.add_argument("--against", help="an earlier BENCH file whose quartiles the medians are held to")
     args = p.parse_args(argv)
@@ -184,8 +189,8 @@ def parse_args(argv):
 
 
 def main(argv=None) -> int:
-    args = parse_args(argv)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    args = parse_args(argv, bench)
     started = os.getloadavg()
     runs = []
     probes = {workload: {side: [] for side in SIDES} for workload in args.workloads}
