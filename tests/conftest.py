@@ -16,7 +16,13 @@ certificates recorded so far.
 ``--hypothesis-profile=ci`` makes the property tests reproducible: their
 examples are seeded from a hash of each test function, not drawn at random,
 and no example database is read or written.  Example counts are unchanged.
+
+A test that asks for ``time_limit`` can run a call under a time limit, so
+that a call that would never end without its guard fails the test instead.
 """
+
+import contextlib
+import signal
 
 import pytest
 from hypothesis import settings
@@ -45,3 +51,25 @@ def every_sealed_certificate_has_one_text(monkeypatch):
         monkeypatch.setattr(module, "sealed", recording)
     yield recorded
     assert not mismatches, mismatches[:3]
+
+
+@pytest.fixture
+def time_limit():
+    """``with time_limit(seconds):`` fails the test when its body runs
+    longer.  The alarm interrupts Python code only, not a single long C
+    call such as one huge ``**``; such a call needs a child process."""
+
+    def expired(signum, frame):
+        pytest.fail("still running after the time limit")
+
+    @contextlib.contextmanager
+    def limit(seconds):
+        previous = signal.signal(signal.SIGALRM, expired)
+        signal.setitimer(signal.ITIMER_REAL, seconds)
+        try:
+            yield
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+
+    return limit

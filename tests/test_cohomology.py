@@ -46,8 +46,9 @@ class TestCosetEnumeration:
     def test_orders(self, ngens, relators, order):
         assert len(coset_enumeration(ngens, relators, 4096)) == order
 
-    def test_infinite_group_guard(self):
-        with pytest.raises(EnumerationFailed):
+    def test_infinite_group_guard(self, time_limit):
+        # Z^2 is infinite: without the vertex bound the table grows forever
+        with pytest.raises(EnumerationFailed), time_limit(10):
             coset_enumeration(2, ("abAB",), 64)
 
     def test_table_is_consistent(self):

@@ -2,8 +2,10 @@
 
 import importlib.util
 import json
+import os
 import pathlib
 import sys
+import time
 
 import pytest
 
@@ -37,11 +39,6 @@ def _runs(parent, change, workload="series"):
         for side, line in (("parent", p), ("change", c))[:: 1 if pair % 2 == 0 else -1]:
             runs.append({"workload": workload, "pair": pair, "seed": 601 + pair, "side": side, "result": line})
     return runs
-
-
-def test_seeds():
-    assert pairs.parse_seeds("601-605") == [601, 602, 603, 604, 605]
-    assert pairs.parse_seeds("7,3,10-11") == [7, 3, 10, 11]
 
 
 def test_quartiles_are_the_inclusive_ones():
@@ -172,22 +169,6 @@ def test_report_from_fixed_hits():
     assert report["unused_labels"] == [labels[2]]
 
 
-class _Report:
-    def __init__(self, nodeid, when, outcome):
-        self.nodeid, self.when = nodeid, when
-        self.failed, self.passed = outcome == "failed", outcome == "passed"
-
-
-def test_a_failed_test_is_named():
-    outcome = coverage.Outcome()
-    for nodeid, when, result in [("t.py::a", "setup", "passed"), ("t.py::a", "call", "passed"),
-                                 ("t.py::b", "call", "failed"), ("t.py::c", "teardown", "failed")]:
-        outcome.pytest_runtest_logreport(_Report(nodeid, when, result))
-    outcome.pytest_collectreport(_Report("t2.py", "collect", "failed"))
-    assert coverage.outcome_json(1, outcome) == {
-        "exit_code": 1, "passed": 1, "failed": ["t.py::b", "t.py::c (teardown)", "t2.py (collection)"]}
-
-
 def test_hits_are_merged_by_path_under_src(tmp_path):
     (tmp_path / "1.hits").write_text("/x/src/nilcert/a.py\t1 3\n")
     (tmp_path / "2.hits").write_text("/x/src/nilcert/a.py\t2 3\n/x/src/nilcert/b.py\t7\n")
@@ -205,12 +186,12 @@ def test_every_label_names_a_statement_under_src():
 def test_pair_plan_defaults_to_the_benchmark_file():
     bench = {"workloads": [{"name": "a"}, {"name": "b"}], "run_seconds": 12}
     args = pairs.parse_args(["--parent", "HEAD~1", "--issue", "0"], bench)
-    assert (args.workloads, args.seconds, args.pairs, args.seeds) == (["a", "b"], 12.0, 10, list(range(601, 611)))
+    assert (args.workloads, args.seconds, args.against) == (["a", "b"], 12.0, None)
+    assert pairs.SEEDS == list(range(601, 611))
     committed = json.loads((TOOLS.parent / "BENCHMARK.json").read_text())
-    args = pairs.parse_args(["--parent", "HEAD~1", "--issue", "0", "--workloads", "cli", "--seconds", "3"], committed)
-    assert (args.workloads, args.seconds) == (["cli"], 3.0)
-    assert pairs.parse_args(["--parent", "x", "--issue", "0"], committed).workloads == [
-        w["name"] for w in committed["workloads"]]
+    args = pairs.parse_args(["--parent", "x", "--issue", "0", "--against", "BENCH_0.json"], committed)
+    assert (args.workloads, args.seconds, args.against) == (
+        [w["name"] for w in committed["workloads"]], float(committed["run_seconds"]), "BENCH_0.json")
 
 
 guards = _load("guards")
@@ -280,10 +261,77 @@ def test_report_labels_guards_by_their_raise():
     assert report["counts"] == {"killed": 1, "survived": 2, "timed out": 1}
 
 
-def test_the_first_failing_test_is_named():
-    output = ("..F\n=== short test summary info ===\n"
+def test_summary_names_every_failed_test():
+    output = ("..F.F\n=== short test summary info ===\n"
               "FAILED tests/t.py::test_b[x-1] - AssertionError: assert 1 == 2\n"
-              "FAILED tests/t.py::test_c\n!!! stopping after 1 failures !!!\n1 failed, 2 passed in 0.1s\n")
-    assert guards.first_failure(output) == "tests/t.py::test_b[x-1]"
-    assert guards.first_failure("ERROR tests/u.py\n") == "tests/u.py"
-    assert guards.first_failure("3 passed in 0.1s\n") is None
+              "FAILED tests/t.py::test_c\n"
+              "ERROR tests/t.py::test_d - RuntimeError: teardown\n"
+              "2 failed, 3 passed, 1 error in 0.12s\n")
+    assert coverage.summary(output) == (3, ["tests/t.py::test_b[x-1]", "tests/t.py::test_c", "tests/t.py::test_d"])
+
+
+def test_summary_names_a_collection_error():
+    output = ("==== ERRORS ====\n____ ERROR collecting tests/u.py ____\nE   ImportError: no x\n"
+              "=== short test summary info ===\nERROR tests/u.py - ImportError: no x\n"
+              "5 passed, 1 error in 0.30s\n")
+    assert coverage.summary(output) == (5, ["tests/u.py"])
+
+
+def test_summary_of_a_stop_after_the_first_failure():
+    output = ("..F\n=== short test summary info ===\n"
+              "FAILED tests/t.py::test_b - assert 0\n"
+              "!!!!!!!!!!!!!!!!!!!!!!!!!!!! stopping after 1 failures !!!!!!!!!!!!!!!!!!!!!!!!!!!!\n"
+              "1 failed, 2 passed in 0.10s\n")
+    assert coverage.summary(output) == (2, ["tests/t.py::test_b"])
+
+
+def test_summary_of_a_clean_and_of_a_cut_run():
+    assert coverage.summary("....\n762 passed in 58.50s\n") == (762, [])
+    # A run killed at its timeout prints no last line.
+    assert coverage.summary("..F..") == (0, [])
+    assert coverage.summary("") == (0, [])
+
+
+# Started at interpreter start-up by the runner's child, through the
+# sitecustomize.py that the child finds in the tree's src: the child and a
+# grandchild that would sleep for a minute write their pids first.
+_SLEEPER = """\
+import os, subprocess, sys
+child = subprocess.Popen([sys.executable, "-S", "-c", "import time; time.sleep(60)"])
+with open(os.path.join(os.path.dirname(__file__), "pids"), "w") as f:
+    f.write("%d %d" % (os.getpid(), child.pid))
+"""
+
+
+def _gone(pid):
+    """No process has ``pid``, or only one that has exited and waits to be reaped."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    try:
+        return pathlib.Path("/proc/%d/stat" % pid).read_text().rpartition(")")[2].split()[0] == "Z"
+    except OSError:
+        return True
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads process states under /proc")
+def test_tier1_runs_a_tree_in_a_child_and_kills_it_at_its_timeout(tmp_path):
+    (tmp_path / "pytest.ini").write_text("[pytest]\n")
+    (tmp_path / "conftest.py").write_text(
+        "from hypothesis import settings\n\nsettings.register_profile('ci', derandomize=True, database=None)\n")
+    (tmp_path / "test_verdicts.py").write_text(
+        "def test_passes():\n    pass\n\n\ndef test_fails():\n    assert 1 == 2\n")
+    (tmp_path / "test_sleeps.py").write_text("import time\n\n\ndef test_sleeps():\n    time.sleep(60)\n")
+    code, output, seconds = coverage.tier1(tmp_path, ["test_verdicts.py"])
+    assert code == 1, output
+    assert coverage.summary(output) == (1, ["test_verdicts.py::test_fails"])
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "sitecustomize.py").write_text(_SLEEPER)
+    code, output, seconds = coverage.tier1(tmp_path, ["test_sleeps.py"], timeout=1)
+    assert code is None and 1 <= seconds < 30
+    pids = [int(pid) for pid in (tmp_path / "src" / "pids").read_text().split()]
+    deadline = time.monotonic() + 10
+    while not all(map(_gone, pids)) and time.monotonic() < deadline:
+        time.sleep(0.1)
+    assert all(map(_gone, pids)), pids

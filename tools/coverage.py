@@ -4,16 +4,16 @@
 
 Run from a checkout; it takes no options.  ``HEAD`` is exported with
 ``git archive`` into a temporary directory, so the working tree is never
-run, and Tier-1 runs there in this process (the CI form, with
-``--hypothesis-profile=ci``) under a ``sys.settrace`` hook that follows only
-frames whose code lies under the copy's ``src/nilcert``.
-
-Children that a test starts with the copy's ``src`` on their ``PYTHONPATH``,
-such as ``python -m nilcert.cli``, are followed as well: a
-``sitecustomize.py`` written into the copy's ``src`` installs the same hook
-when ``NILCERT_COVERAGE_HITS`` names a directory, which the children
-inherit, and writes their hits there at exit.  Children started with ``-S``
-skip ``sitecustomize`` and are not followed; the output says so.
+run, and Tier-1 runs there in a child (the CI form, with
+``--hypothesis-profile=ci``).  A ``sitecustomize.py`` written into the
+copy's ``src`` installs a ``sys.settrace`` hook that follows only frames
+whose code lies under the copy's ``src/nilcert``, in every interpreter that
+starts with that ``src`` on its ``PYTHONPATH`` while ``NILCERT_COVERAGE_HITS``
+names a directory: the pytest child and the children its tests start, such
+as ``python -m nilcert.cli``, each write their hits there at exit.
+Children started with ``-S`` skip ``sitecustomize`` and are not followed;
+the output says so.  The hook is set on the main thread; no test starts
+another.
 
 The unit is the statement: a line counts as executed when any line of the
 innermost statement that holds it ran, and a ``raise`` spanning several
@@ -30,29 +30,34 @@ followed children; the wall time.  The probe is not a gate: it exits 0
 whatever the tests' verdicts.  Tracing makes the suite three to four times
 slower, so wall-clock bounds in the tests can fail under it; such a failure
 is reported, not a reason to change the bound.
+
+This module also holds what the probes under ``tools/`` share: ``export``
+writes a revision's tree, ``tier1`` runs the suite in a copy, ``summary``
+reads pytest's report and ``label_table`` reads the labels.
 """
 
 from __future__ import annotations
 
 import ast
-import importlib.util
 import json
 import os
 import pathlib
 import platform
+import re
+import signal
 import subprocess
 import sys
 import tempfile
-import threading
 import time
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+PYTEST = ["-m", "pytest", "-q", "-p", "no:cacheprovider", "--hypothesis-profile=ci"]
 HITS_VAR = "NILCERT_COVERAGE_HITS"
 NOT_FOLLOWED = "children started with -S skip sitecustomize and are not followed"
 
-# Written into the copy's src/, and loaded from there by this process too.
-# It imports nothing that site has not, bar atexit, and prints nothing, so
-# a child's output stays what the tests expect.
+# Written into the copy's src/, where the pytest child and the children of
+# its tests load it.  It imports nothing that site has not, bar atexit, and
+# prints nothing, so a child's output stays what the tests expect.
 SITECUSTOMIZE = '''\
 import os
 import sys
@@ -148,41 +153,23 @@ def module_report(source: str, hit_lines: set[int], labels: dict) -> dict:
             "labels_found": sorted({(scope[line], text[line - 1].strip()) for line in found})}
 
 
+def label_table(label_list: list[dict]) -> dict[tuple[str, str, str], dict]:
+    """``tools/coverage_labels.json`` as (module, function, statement) -> label and reason."""
+    return {(e["module"], e["function"], e["statement"]): {"label": e["label"], "reason": e["reason"]}
+            for e in label_list}
+
+
 def build_report(sources: dict[str, str], hits: dict[str, set[int]], label_list: list[dict]) -> dict:
     """``module_report`` per module (path under ``src``), and the labels that match no statement."""
-    by_module: dict[str, dict] = {}
-    for entry in label_list:
-        key = (entry["function"], entry["statement"])
-        by_module.setdefault(entry["module"], {})[key] = {"label": entry["label"], "reason": entry["reason"]}
+    labels = label_table(label_list)
     modules, used = {}, set()
     for name in sorted(sources):
-        report = module_report(sources[name], hits.get(name, set()), by_module.get(name, {}))
+        mine = {key[1:]: label for key, label in labels.items() if key[0] == name}
+        report = module_report(sources[name], hits.get(name, set()), mine)
         used.update((name,) + key for key in report.pop("labels_found"))
         modules[name] = report
     unused = [e for e in label_list if (e["module"], e["function"], e["statement"]) not in used]
     return {"modules": modules, "unused_labels": unused}
-
-
-class Outcome:
-    """A pytest plugin that counts passed tests and names failed ones."""
-
-    def __init__(self) -> None:
-        self.passed = 0
-        self.failed: list[str] = []
-
-    def pytest_runtest_logreport(self, report) -> None:
-        if report.failed:
-            self.failed.append(report.nodeid if report.when == "call" else "%s (%s)" % (report.nodeid, report.when))
-        elif report.passed and report.when == "call":
-            self.passed += 1
-
-    def pytest_collectreport(self, report) -> None:
-        if report.failed:
-            self.failed.append("%s (collection)" % report.nodeid)
-
-
-def outcome_json(code: int, outcome: Outcome) -> dict:
-    return {"exit_code": code, "passed": outcome.passed, "failed": outcome.failed}
 
 
 def read_hits(directory: pathlib.Path, src: str) -> tuple[int, dict[str, set[int]]]:
@@ -197,50 +184,61 @@ def read_hits(directory: pathlib.Path, src: str) -> tuple[int, dict[str, set[int
     return len(files), hits
 
 
-def traced_pytest(copy: pathlib.Path, hits: pathlib.Path) -> tuple[int, Outcome]:
-    """Tier-1 in this process under the hook of the copy's ``sitecustomize.py``, its hits written to ``hits``."""
-    import pytest
+def export(revision: str, into: pathlib.Path) -> str:
+    """Write the tree of ``revision`` into ``into``; returns its full hash."""
+    commit = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--verify", revision + "^{commit}"],
+                            check=True, capture_output=True, text=True).stdout.strip()
+    into.mkdir(parents=True)
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", commit], check=True, capture_output=True)
+    subprocess.run(["tar", "-x", "-C", str(into)], input=archive.stdout, check=True)
+    return commit
 
-    spec = importlib.util.spec_from_file_location("coverage_hook", copy / "src" / "sitecustomize.py")
-    hook = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(hook)  # installs nothing: HITS_VAR is not set yet
-    os.environ[HITS_VAR] = str(hits)
-    outcome = Outcome()
-    dump = hook.follow(str(hits), str(copy / "src" / "nilcert") + os.sep)
-    threading.settrace(sys.gettrace())
+
+def tier1(copy: pathlib.Path, args: list[str], timeout: float | None = None,
+          env: dict[str, str] | None = None) -> tuple[int | None, str, float]:
+    """Tier-1 in ``copy``, ``PYTEST`` plus ``args``, in a child of its own
+    session with the copy's ``src`` on ``PYTHONPATH``, no bytecode written and
+    ``env`` added.  Returns the exit code, or ``None`` when the run took more
+    than ``timeout`` seconds and its whole process group was killed; the
+    output, stdout and stderr together; and the seconds."""
+    env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1", **(env or {}))
+    started = time.perf_counter()
+    proc = subprocess.Popen([sys.executable, *PYTEST, *args], cwd=copy, env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.STDOUT, text=True, start_new_session=True)
     try:
-        code = pytest.main(["-q", "--continue-on-collection-errors", "--hypothesis-profile=ci",
-                            "-p", "no:cacheprovider", str(copy / "tests")], plugins=[outcome])
-    finally:
-        threading.settrace(None)
-        dump()
-    return int(code), outcome
+        output, _ = proc.communicate(timeout=timeout)
+        code = proc.returncode
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        output, code = proc.communicate()[0], None
+    return code, output, round(time.perf_counter() - started, 1)
+
+
+def summary(output: str) -> tuple[int, list[str]]:
+    """The passed count on pytest's last line, and the node id on each
+    ``FAILED`` or ``ERROR`` line of its short summary, in order."""
+    failed = []
+    for line in output.splitlines():
+        kind, _, rest = line.partition(" ")
+        if kind in ("FAILED", "ERROR") and rest:
+            failed.append(rest.split(" - ", 1)[0])
+    last = output.strip().rpartition("\n")[2]
+    passed = re.search(r"(\d+) passed", last)
+    return int(passed.group(1)) if passed else 0, failed
 
 
 def main() -> int:
-    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, check=True,
-                          capture_output=True, text=True).stdout.strip()
     started = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="nilcert-coverage-") as tmp:
         copy = pathlib.Path(tmp).resolve() / "tree"
-        copy.mkdir()
-        archive = subprocess.run(["git", "archive", "HEAD"], cwd=ROOT, check=True, capture_output=True).stdout
-        subprocess.run(["tar", "-x", "-C", str(copy)], input=archive, check=True)
+        head = export("HEAD", copy)
         src = copy / "src"
         (src / "sitecustomize.py").write_text(SITECUSTOMIZE)
         hit_dir = pathlib.Path(tmp) / "hits"
         hit_dir.mkdir()
-        os.environ["PYTHONPATH"] = str(src)
-        os.environ["PYTHONDONTWRITEBYTECODE"] = "1"
-        sys.dont_write_bytecode = True
-        sys.path.insert(0, str(src))
-        os.chdir(copy)
-        # Stdout carries the document alone: pytest's report goes to stderr.
-        stdout, sys.stdout = sys.stdout, sys.stderr
-        try:
-            code, outcome = traced_pytest(copy, hit_dir)
-        finally:
-            sys.stdout = stdout
+        code, output, _ = tier1(copy, ["--continue-on-collection-errors", "-rfE"], env={HITS_VAR: str(hit_dir)})
+        sys.stderr.write(output)  # stdout carries the document alone
+        passed, failed = summary(output)
         files, hits = read_hits(hit_dir, str(src))
         sources = {"nilcert/" + p.name: p.read_text() for p in sorted((src / "nilcert").glob("*.py"))}
         labels = json.loads((copy / "tools" / "coverage_labels.json").read_text())
@@ -248,7 +246,7 @@ def main() -> int:
         "head": head,
         "python": platform.python_version(),
         "wall_s": round(time.perf_counter() - started, 1),
-        "pytest": outcome_json(code, outcome),
+        "pytest": {"exit_code": code, "passed": passed, "failed": failed},
         "children": {"followed": files - 1, "not_followed": NOT_FOLLOWED},
         **build_report(sources, hits, labels),
     }

@@ -5,13 +5,14 @@
 Run from a checkout; it takes no options.  A guard is an ``if`` with no
 ``else`` whose body is a single ``raise``.  ``HEAD`` is exported with
 ``git archive`` into one temporary copy per worker, so the working tree is
-never run.  Tier-1 first runs unmutated in one copy, and the probe stops
-there, with exit code 1 and no document, when any test fails: no mutant's
-outcome would mean anything.
+never run; the export, the Tier-1 runner and the label table are those of
+``tools/coverage.py``.  Tier-1 first runs unmutated in one copy, and the
+probe stops there, with exit code 1 and no document, when any test fails:
+no mutant's outcome would mean anything.
 
 Then, two at a time, each guard's condition is replaced by ``False``, every
 other byte of its file unchanged; Tier-1 runs in that copy as
-``python -m pytest -q -x -p no:cacheprovider --hypothesis-profile=ci``; and
+``python -m pytest -q -p no:cacheprovider --hypothesis-profile=ci -x``; and
 the file is restored.  The mutant is ``killed`` when a test fails (the
 first one is named), ``timed out`` when the run takes more than 180 s, or
 else ``survived``.  Each run starts in a session of its own, and a timeout
@@ -35,21 +36,16 @@ from __future__ import annotations
 import ast
 import importlib.util
 import json
-import os
 import pathlib
 import platform
 import queue
-import signal
-import subprocess
 import sys
 import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
 
-ROOT = pathlib.Path(__file__).resolve().parent.parent
 WORKERS = 2
 TIMEOUT_S = 180
-PYTEST = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--hypothesis-profile=ci"]
 
 _spec = importlib.util.spec_from_file_location("tools_coverage", pathlib.Path(__file__).with_name("coverage.py"))
 coverage = importlib.util.module_from_spec(_spec)
@@ -82,32 +78,15 @@ def dropped(source: bytes, condition: tuple[int, int, int, int]) -> bytes:
     return source[:starts[first - 1] + col] + b"False" + source[starts[last - 1] + end_col:]
 
 
-def first_failure(output: str) -> str | None:
-    """The node id on the first ``FAILED`` or ``ERROR`` line of pytest's short summary."""
-    for line in output.splitlines():
-        kind, _, rest = line.partition(" ")
-        if kind in ("FAILED", "ERROR") and rest:
-            return rest.split(" - ", 1)[0]
-    return None
-
-
-def tier1(copy: pathlib.Path) -> dict:
-    """Tier-1 in ``copy``: its outcome, seconds and first failing test."""
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
-               PYTHONPATH=os.pathsep.join(filter(None, [str(copy / "src"), os.environ.get("PYTHONPATH")])))
-    started = time.perf_counter()
-    proc = subprocess.Popen(PYTEST, cwd=copy, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
-                            text=True, start_new_session=True)
-    try:
-        output, _ = proc.communicate(timeout=TIMEOUT_S)
-    except subprocess.TimeoutExpired:
-        os.killpg(proc.pid, signal.SIGKILL)
-        proc.communicate()
-        return {"outcome": "timed out", "seconds": round(time.perf_counter() - started, 1), "test": None}
-    seconds = round(time.perf_counter() - started, 1)
-    if proc.returncode == 0:
+def outcome(copy: pathlib.Path) -> dict:
+    """Tier-1 with ``-x`` in ``copy``: its outcome, seconds and first failing test."""
+    code, output, seconds = coverage.tier1(copy, ["-x"], TIMEOUT_S)
+    if code is None:
+        return {"outcome": "timed out", "seconds": seconds, "test": None}
+    if code == 0:
         return {"outcome": "survived", "seconds": seconds, "test": None}
-    return {"outcome": "killed", "seconds": seconds, "test": first_failure(output)}
+    failed = coverage.summary(output)[1]
+    return {"outcome": "killed", "seconds": seconds, "test": failed[0] if failed else None}
 
 
 def mutant(copy: pathlib.Path, module: str, guard: dict) -> dict:
@@ -116,7 +95,7 @@ def mutant(copy: pathlib.Path, module: str, guard: dict) -> dict:
     original = path.read_bytes()
     path.write_bytes(dropped(original, guard["condition"]))
     try:
-        result = tier1(copy)
+        result = outcome(copy)
     finally:
         path.write_bytes(original)
     entry = {"module": module, "line": guard["line"], "function": guard["function"],
@@ -128,8 +107,7 @@ def mutant(copy: pathlib.Path, module: str, guard: dict) -> dict:
 def build_report(results: list[dict], label_list: list[dict]) -> dict:
     """Each result with its label, if ``tools/coverage_labels.json`` has one for
     its ``raise``, the count per outcome, and the survivors with no label."""
-    labels = {(e["module"], e["function"], e["statement"]): {"label": e["label"], "reason": e["reason"]}
-              for e in label_list}
+    labels = coverage.label_table(label_list)
     entries = [dict(r, **labels.get((r["module"], r["function"], r["statement"]), {})) for r in results]
     counts: dict[str, int] = {}
     for entry in entries:
@@ -141,19 +119,15 @@ def build_report(results: list[dict], label_list: list[dict]) -> dict:
 def main() -> int:
     import pytest
 
-    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, check=True,
-                          capture_output=True, text=True).stdout.strip()
     started = time.perf_counter()
-    archive = subprocess.run(["git", "archive", "HEAD"], cwd=ROOT, check=True, capture_output=True).stdout
     with tempfile.TemporaryDirectory(prefix="nilcert-guards-") as tmp:
         trees = [pathlib.Path(tmp).resolve() / ("tree-%d" % i) for i in range(WORKERS)]
         copies: queue.Queue[pathlib.Path] = queue.Queue()
         for copy in trees:
-            copy.mkdir()
-            subprocess.run(["tar", "-x", "-C", str(copy)], input=archive, check=True)
+            head = coverage.export("HEAD", copy)
             copies.put(copy)
         first = trees[0]
-        unmutated = tier1(first)
+        unmutated = outcome(first)
         if unmutated["outcome"] != "survived":
             print("unmutated Tier-1 %(outcome)s after %(seconds)s s: %(test)s" % unmutated, file=sys.stderr)
             return 1
@@ -174,7 +148,7 @@ def main() -> int:
         "head": head,
         "python": platform.python_version(),
         "pytest": pytest.__version__,
-        "command": " ".join(["python"] + PYTEST[1:]),
+        "command": " ".join(["python", *coverage.PYTEST, "-x"]),
         "workers": WORKERS,
         "timeout_s": TIMEOUT_S,
         "unmutated_s": unmutated["seconds"],

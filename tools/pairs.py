@@ -1,16 +1,17 @@
 """Alternating benchmark pairs of two revisions, recorded as ``BENCH_<issue>.json``.
 
     python3 tools/pairs.py --parent 1348456 --issue 36
-    python3 tools/pairs.py --parent HEAD~1 --issue 36 \\
-        --workloads series --seeds 601-610 --seconds 10 --pairs 10
+    python3 tools/pairs.py --parent 1348456 --issue 36-rerun --against BENCH_36.json
 
 Run from a checkout; the change measured is its ``HEAD``.  Both revisions
-are exported with ``git archive`` into one temporary directory, and each
-runs its own ``perfbench/run.py`` in a child process, one at a time.  Pair
-``i`` runs both trees on seed ``seeds[i]``, the parent first in even pairs
-and the change first in odd ones, then times three fresh
-``run.py --setup-probe`` children per tree, alternating in the same order
-(to the ready line, as ``setup_s`` is timed).
+are exported with ``git archive`` (``tools/coverage.py``'s ``export``) into
+one temporary directory, and each runs its own ``perfbench/run.py`` in a
+child process, one at a time.  The plan is fixed: every workload that
+``BENCHMARK.json`` lists, runs of its ``run_seconds``, and ten pairs on
+seeds 601 to 610.  Pair ``i`` runs both trees on seed ``SEEDS[i]``, the
+parent first in even pairs and the change first in odd ones, then times
+three fresh ``run.py --setup-probe`` children per tree, alternating in the
+same order (to the ready line, as ``setup_s`` is timed).
 
 The file written holds every result line; per workload and end-to-end
 metric the median and quartiles of each side, the change's relative shift
@@ -20,14 +21,15 @@ start and the end, the seeds and both revisions.  A change median inside
 the parent's quartiles is ``unresolved``: on a shared host such a shift is
 not told apart from noise.  With ``--against FILE`` the file also says,
 per median, whether it lies inside the quartiles recorded in that earlier
-file.  The default workloads and run length, the metrics, their direction
-and their bounds come from ``BENCHMARK.json``; nothing under ``perfbench/``
-is read or edited here.
+file.  The workloads and run length, the metrics, their direction and
+their bounds come from ``BENCHMARK.json``; nothing under ``perfbench/`` is
+read or edited here.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import pathlib
@@ -41,15 +43,11 @@ import time
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 PROBES = 3  # set-up probes per tree and pair
+SEEDS = list(range(601, 611))  # one per pair
 
-
-def parse_seeds(text: str) -> list[int]:
-    """``601-610`` or ``601,605,609``: the seeds, in order."""
-    seeds = []
-    for part in text.split(","):
-        low, _, high = part.partition("-")
-        seeds.extend(range(int(low), int(high or low) + 1))
-    return seeds
+_spec = importlib.util.spec_from_file_location("tools_coverage", pathlib.Path(__file__).with_name("coverage.py"))
+coverage = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(coverage)
 
 
 def quartiles(values: list[float]) -> dict[str, float]:
@@ -120,16 +118,6 @@ def against(summary: dict, recorded: dict) -> dict:
     return inside
 
 
-def export(revision: str, into: pathlib.Path) -> str:
-    """Write the tree of ``revision`` into ``into``; returns its full hash."""
-    commit = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--verify", revision + "^{commit}"],
-                            check=True, capture_output=True, text=True).stdout.strip()
-    into.mkdir(parents=True)
-    archive = subprocess.run(["git", "-C", str(ROOT), "archive", commit], check=True, capture_output=True)
-    subprocess.run(["tar", "-x", "-C", str(into)], input=archive.stdout, check=True)
-    return commit
-
-
 def run_once(tree: pathlib.Path, workload: str, seed: int, seconds: float) -> dict:
     """One ``perfbench/run.py`` child in ``tree``: its last stdout line, parsed."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
@@ -168,23 +156,14 @@ def machine() -> dict:
 
 
 def parse_args(argv, bench: dict):
-    """The plan; ``bench`` (BENCHMARK.json) gives the default workloads and seconds per run."""
-    workloads = ",".join(w["name"] for w in bench["workloads"])
+    """The options, and the plan's workloads and seconds per run from ``bench`` (BENCHMARK.json)."""
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--parent", required=True, help="the revision compared against")
     p.add_argument("--issue", required=True, help="names the output, BENCH_<issue>.json")
-    p.add_argument("--workloads", default=workloads,
-                   help="comma-separated (default BENCHMARK.json's, %s)" % workloads)
-    p.add_argument("--seeds", default="601-610", help="one per pair, e.g. 601-610 (default)")
-    p.add_argument("--seconds", type=float, default=float(bench["run_seconds"]),
-                   help="per run (default BENCHMARK.json's run_seconds, %s)" % bench["run_seconds"])
-    p.add_argument("--pairs", type=int, default=10, help="pairs per workload (default 10)")
     p.add_argument("--against", help="an earlier BENCH file whose quartiles the medians are held to")
     args = p.parse_args(argv)
-    args.workloads = args.workloads.split(",")
-    args.seeds = parse_seeds(args.seeds)
-    if len(args.seeds) < args.pairs:
-        p.error("%d seeds for %d pairs" % (len(args.seeds), args.pairs))
+    args.workloads = [w["name"] for w in bench["workloads"]]
+    args.seconds = float(bench["run_seconds"])
     return args
 
 
@@ -196,10 +175,10 @@ def main(argv=None) -> int:
     probes = {workload: {side: [] for side in SIDES} for workload in args.workloads}
     with tempfile.TemporaryDirectory(prefix="nilcert-pairs-") as tmp:
         trees = {side: pathlib.Path(tmp) / side for side in SIDES}
-        revisions = {"parent": export(args.parent, trees["parent"]), "change": export("HEAD", trees["change"])}
+        revisions = {"parent": coverage.export(args.parent, trees["parent"]),
+                     "change": coverage.export("HEAD", trees["change"])}
         for workload in args.workloads:
-            for pair in range(args.pairs):
-                seed = args.seeds[pair]
+            for pair, seed in enumerate(SEEDS):
                 order = SIDES if pair % 2 == 0 else SIDES[::-1]
                 for side in order:
                     result = run_once(trees[side], workload, seed, args.seconds)
@@ -215,9 +194,9 @@ def main(argv=None) -> int:
         "issue": args.issue,
         "revisions": revisions,
         "workloads": args.workloads,
-        "seeds": args.seeds[:args.pairs],
+        "seeds": SEEDS,
         "seconds": args.seconds,
-        "pairs": args.pairs,
+        "pairs": len(SEEDS),
         "machine": machine(),
         "environment": {
             "PYTHONHASHSEED": os.environ.get("PYTHONHASHSEED"),
