@@ -11,12 +11,15 @@ once, for both its Fox derivatives and its matrix.
 ``h1_brute`` is a deliberately independent oracle for finite inputs: it
 enumerates the group with a Todd-Coxeter coset table, enumerates candidate
 cocycles by their generator values, and reads the quotient structure off
-p-power torsion counts instead of a Smith form.
+p-power torsion counts instead of a Smith form: the exponents of the
+successive count ratios form the conjugate of each p-exponent partition,
+which gives the invariant factors directly.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from functools import cached_property
 
 from .arith import decimals, json_field, parse_int, prime_factors
@@ -333,53 +336,30 @@ def coset_enumeration(
 def _structure_from_subgroup_counts(zset: set, bset: set, torsion: Lattice) -> AbelianStructure:
     """Invariant factors of zset/bset read off p-power torsion counts.
 
-    Independent of any Smith form: for each prime p the count of classes
-    killed by p^j determines the p-exponent partition.  The elements are
-    canonical modulo ``torsion``.
+    Independent of any Smith form.  For each prime p, e_j is the exponent
+    of p in |G[p^j]| / |G[p^(j-1)]|: the number of cyclic p-parts of order
+    at least p^j, so e_1 >= e_2 >= ... is the conjugate of the p-exponent
+    partition.  The s-th largest factor therefore has p-part p^#{j : e_j > s}
+    (Macdonald, Symmetric Functions and Hall Polynomials, II.1).  The
+    elements are canonical modulo ``torsion``.
     """
-    order = len(zset) // len(bset)
-    if order == 1:
-        return AbelianStructure(0, ())
-
-    def scale(flat, c):
-        return torsion.reduce([x * c for x in flat])
-
-    partitions: dict[int, list[int]] = {}
-    for p in prime_factors(order):
-        # counts[j] = order of the p^j-torsion subgroup of zset/bset.
-        counts = [1]
-        power = 1
+    exponents = {}
+    for p in prime_factors(len(zset) // len(bset)):
+        e, killed, power = [], len(bset), p
         while True:
-            power *= p
-            killed = sum(1 for z in zset if scale(z, power) in bset)
-            cnt = killed // len(bset)
-            if cnt == counts[-1]:
+            now = sum(1 for z in zset if torsion.reduce([x * power for x in z]) in bset)
+            if now == killed:
                 break
-            counts.append(cnt)
-        # counts[j]/counts[j-1] = p^(number of components with exponent >= j)
-        n_ge = []
-        for j in range(1, len(counts)):
-            ratio = counts[j] // counts[j - 1]
-            e = 0
+            ratio, k = now // killed, 0
             while ratio > 1:
                 ratio //= p
-                e += 1
-            n_ge.append(e)
-        parts = []
-        for j in range(1, len(n_ge) + 1):
-            exactly = n_ge[j - 1] - (n_ge[j] if j < len(n_ge) else 0)
-            parts.extend([j] * exactly)
-        partitions[p] = sorted(parts, reverse=True)
-
-    width = max(len(v) for v in partitions.values())
-    factors = []
-    for slot in range(width):
-        d = 1
-        for p, parts in partitions.items():
-            if slot < len(parts):
-                d *= p ** parts[slot]
-        factors.append(d)
-    return AbelianStructure(0, tuple(sorted(d for d in factors if d > 1)))
+                k += 1
+            e.append(k)
+            killed, power = now, power * p
+        exponents[p] = e
+    width = max((e[0] for e in exponents.values()), default=0)
+    factors = [math.prod(p ** sum(x > s for x in e) for p, e in exponents.items()) for s in range(width)]
+    return AbelianStructure(0, tuple(reversed(factors)))
 
 
 def h1_brute(
@@ -427,18 +407,18 @@ def h1_brute(
     reduce = act.torsion_lattice.reduce
 
     def check(values: list[Vec]) -> bool:
+        # steps[s] is the cocycle's value on symbol s: c(g^-1) = -psi(g)^-1 c(g).
+        steps = [
+            step
+            for value, inverse in zip(values, act.inverses)
+            for step in (value, tuple(-x for x in inverse.apply(value)))
+        ]
         cval = [None] * n
         cval[0] = (0,) * dim
         # Walking the cosets in the order found sets cval[c] before c is
         # reached and checks every edge of the coset graph.
         for c in order:
-            for s in range(2 * act.ngens):
-                d = table[c][s]
-                j = s // 2
-                if s % 2 == 0:
-                    step = values[j]
-                else:
-                    step = tuple(-x for x in act.inverses[j].apply(values[j]))
+            for d, step in zip(table[c], steps):
                 expected = reduce([a + x for a, x in zip(cval[c], psi_of[c].apply(step))])
                 if cval[d] is None:
                     cval[d] = expected

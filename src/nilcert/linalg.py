@@ -792,8 +792,6 @@ class Lattice(Value):
         if self.ambient_dim != other.ambient_dim:
             raise DimensionMismatch("ambient dimensions differ")
         n = self.ambient_dim
-        if self.rank == 0 or other.rank == 0:
-            return Lattice.zero(n)
         # c1*B1 + c2*B2 = 0 exactly when c1*B1 = -c2*B2 lies in both.
         zero = (0,) * n
         rows = [row + row for row in self.basis.data] + [row + zero for row in other.basis.data]
@@ -827,8 +825,6 @@ def saturate(L: Lattice) -> Lattice:
     so the result is too.
     """
     n = L.ambient_dim
-    if L.rank == 0:
-        return Lattice.zero(n)
     if L.rank == n:  # the transposed basis is nonsingular: no complement
         return Lattice.standard(n)
     comp = _kernel(L.rank, L.basis.transpose().data)  # nonzero, as L.rank < n

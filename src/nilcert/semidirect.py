@@ -46,6 +46,7 @@ from .linalg import (
     nullity,
     power_mod,
     preimage_lattice,
+    quotient_structure,
     vstack,
 )
 
@@ -371,6 +372,10 @@ def tower_certificate(
     has quotients of order at most the largest level index, which bounds its
     length from below.  ``subs`` pairs each S_j with the canonical JSON text
     of its description, and ``group_ref`` is the text of gamma's.
+
+    Once the normalizer (m = 1) equals S_{j-1}, its definition already gives
+    S_j <= S_{j-1} with (Id - A) S_{j-1}.L inside S_j.L, so the quotient is
+    abelian and is read off the two lattices, with no second check.
     """
     certificates = nilcert.certificates
     levels = []
@@ -378,7 +383,7 @@ def tower_certificate(
     for j, (sub, text) in enumerate(subs, 1):
         if normalizer(gamma, sub) != prev:
             raise NotNormal("normalizer chain broke at level %d" % j)
-        q = quotient(prev, sub)
+        q = quotient_structure(prev.L, sub.L)
         levels.append(
             certificates.ChainLevel(subgroup=text, quotient=q, index=q.order(), normality_verified=True)
         )

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import cohomology_oracle as oracle
@@ -10,6 +11,7 @@ from nilcert.cohomology import (
     ModuleAction,
     _coboundary_lattice,
     _cocycle_lattice,
+    _structure_from_subgroup_counts,
     b1,
     coset_enumeration,
     h1,
@@ -327,6 +329,36 @@ class TestH1Brute:
                 continue
             assert h1(act) == h1_brute(act), (rels, d, mats)
             checked += 1
+
+    @pytest.mark.parametrize(
+        "prime_powers",
+        [
+            (),
+            ((2, 1), (2, 1), (2, 1)),
+            ((2, 1), (2, 2), (2, 2), (3, 1), (3, 2)),
+            ((2, 3), (2, 1), (3, 1), (3, 1), (5, 1)),
+            ((2, 2), (2, 2), (3, 1), (5, 2)),
+        ],
+        ids=["trivial", "2+2+2", "2+4+4+3+9", "8+2+3+3+5", "4+4+3+25"],
+    )
+    def test_counts_give_the_invariant_factors(self, prime_powers):
+        # The whole group Z/p^a + ..., canonical modulo its diagonal torsion
+        # lattice, over {0}.  The reference pairs the s-th largest exponent
+        # of every prime into one factor (Chinese remainders), with no Smith form.
+        moduli = [p**a for p, a in prime_powers]
+        n = len(moduli)
+        torsion = linalg.Lattice.from_rows(n, [[d * (i == j) for j in range(n)] for i, d in enumerate(moduli)])
+        zset = set(itertools.product(*map(range, moduli)))
+        exponents = {}
+        for p, a in prime_powers:
+            exponents.setdefault(p, []).append(a)
+        width = max(map(len, exponents.values()), default=0)
+        factors = [1] * width
+        for p, exps in exponents.items():
+            for s, a in enumerate(sorted(exps, reverse=True)):
+                factors[s] *= p**a
+        expected = AbelianStructure(0, tuple(sorted(factors)))
+        assert _structure_from_subgroup_counts(zset, {(0,) * n}, torsion) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -168,6 +168,25 @@ def test_inverse_only_where_read():
     assert callers == [("linalg.py", "power"), ("linalg.py", "quotient_with_generators")]
 
 
+def test_brute_force_oracle_uses_no_smith_form():
+    # h1_brute checks h1, which reads H^1 off a Smith form, so the oracle
+    # and the counts it reads its structure from call no Smith elimination,
+    # in their own bodies or in the functions nested there.
+    smith = {"snf", "_smith", "_smith_transforms", "cokernel", "_cokernel",
+             "quotient_structure", "quotient_with_generators"}
+    tree = dict(_trees())["cohomology.py"]
+    oracle = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+              and node.name in ("_structure_from_subgroup_counts", "h1_brute")]
+    assert len(oracle) == 2
+    found = [
+        "cohomology.py:%d %s in %s" % (call.lineno, _callee(call), function.name)
+        for function in oracle
+        for call in ast.walk(function)
+        if isinstance(call, ast.Call) and _callee(call) in smith
+    ]
+    assert found == []
+
+
 def test_semidirect_checks_use_no_element_arithmetic():
     # Invariance, normality and abelianness of box subgroups are lattice
     # containments (linalg.maps_into); conjugates and inverses of elements
