@@ -159,7 +159,7 @@ class SeriesCertificate(Record):
         _known_fields(obj, levels_key, *_CERT_KEYS, *(("profile",) if kind == KIND_WITNESS else ()))
         group = json_field(obj, "group", dict)
         levels = json_field(obj, levels_key, list)
-        if kind == KIND_WITNESS and "profile" in obj:
+        if "profile" in obj:
             # The top-level profile repeats the witness's, which the rebuild checks.
             claimed = json_field(json_field(group, "witness"), "profile")
             if canonical_json(obj["profile"]) != canonical_json(claimed):

@@ -87,7 +87,7 @@ class ModuleAction(Record):
         matrices: tuple[IntMatrix, ...],
     ):
         Record.__init__(self, ngens, relators, module, matrices)
-        if ngens < 0 or len(matrices) != ngens:
+        if len(matrices) != ngens:
             raise InvalidParameters("need one action matrix per generator")
         dim = self.dim
         for psi in matrices:
@@ -310,13 +310,11 @@ def coset_enumeration(
     add_vertex()
     visit = 0
     while visit < len(labels):
-        c = find(visit)
-        if c == visit:
-            for rel in rels:
-                end = visit
-                for s in rel:
-                    end = follow(end, s)
-                unify(end, visit)
+        for rel in rels:
+            end = visit
+            for s in rel:
+                end = follow(end, s)
+            unify(end, visit)
         visit += 1
 
     live = [c for c in range(len(labels)) if find(c) == c]

@@ -21,8 +21,6 @@ class Value:
             cls._getter = operator.attrgetter(*cls._fields)
 
     def __eq__(self, other):
-        if other is self:
-            return True
         if other.__class__ is self.__class__:
             getter = self._getter
             return getter(self) == getter(other)

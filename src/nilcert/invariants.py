@@ -126,13 +126,14 @@ _REBUILD = {
 }
 
 
-def _rebuild_as_it_stands(claim: dict, max_index: int | None) -> SeriesCertificate | None:
+def _rebuild_as_it_stands(claim: dict, max_index: int | None) -> SeriesCertificate:
     """The rebuild of a claim from the inputs it names, read from the dict as
-    they stand; None for a claim that ``canonical_json`` would spell as the
-    reader refuses or keeps (a kind that is not a string, tuples for lists)."""
+    they stand; UnresolvableReference for a claim that ``canonical_json``
+    would spell as the reader refuses or keeps (a kind that is not a string,
+    tuples for lists)."""
     kind = claim["kind"]
     if type(kind) is not str or not plain_lists(claim):
-        return None
+        raise UnresolvableReference("the claim is not spelled as the reader reads it")
     group = claim["group"]
     if kind == KIND_SOL3:
         subgroups = [(level["subgroup"], canonical_json(level["subgroup"])) for level in claim["levels"]]
@@ -165,7 +166,7 @@ def verify_certificate(cert, max_index: int | None = None) -> bool:
     if isinstance(cert, dict):
         try:
             attempt = _rebuild_as_it_stands(cert, max_index)
-            if attempt is not None and attempt.canonical_text() == canonical_json(cert):
+            if attempt.canonical_text() == canonical_json(cert):
                 return True
             fresh = attempt
         except Exception:

@@ -80,8 +80,7 @@ def _validated(data: Iterable[Iterable[int]], cols: int | None) -> tuple[tuple[R
     rows = tuple(map(tuple, data))
     for row in rows:
         for x in row:
-            if type(x) is not int:
-                _as_int(x)
+            _as_int(x)
     return rows, _width(rows, cols)
 
 
@@ -232,17 +231,16 @@ def _charpoly_mod(M: IntMatrix, p: int) -> list[int]:
         t = pow(H[m][m - 1], -1, p)
         for i in range(m + 1, n):
             u = H[i][m - 1] * t % p
-            if u:
-                H[i] = [(a - u * b) % p for a, b in zip(H[i], H[m])]
-                for row in H:
-                    row[m] = (row[m] + u * row[i]) % p
+            H[i] = [(a - u * b) % p for a, b in zip(H[i], H[m])]
+            for row in H:
+                row[m] = (row[m] + u * row[i]) % p
     chi = [[1]]  # chi[m]: the leading m x m block, expanded along its last column
     for m in range(n):
         q, t = [0] + chi[m], 1
         for i in range(m, -1, -1):
             c = H[i][m] * t
             q[: i + 1] = [a - c * b for a, b in zip(q, chi[i])]
-            t = t * H[i][i - 1] % p if i else 0
+            t = t * H[i][i - 1] % p
             if not t:
                 break
         chi.append([x % p for x in q])
@@ -341,15 +339,14 @@ class HermiteForm(Record):
     __slots__ = _fields = ("H", "U")
 
 
-def _echelon(w: list, n: int, u: list | None = None, pivots: list | None = None) -> int:
+def _echelon(w: list, n: int, u: list | None = None) -> int:
     """Reduce the rows ``w`` (width ``n``) in place to canonical row HNF.
 
     Pivots are positive, entries above each pivot are reduced into
     ``[0, pivot)`` and zero rows sink to the bottom, so the result is the
     unique representative of the row span.  Every row operation (swaps,
     negations and integer row additions) is repeated on ``u`` when one is
-    given, and the pivot columns are appended to ``pivots`` when it is.
-    Rows are replaced, never written into.  Returns the rank (nonzero rows).
+    given.  Rows are replaced, never written into.  Returns the rank (nonzero rows).
     """
     m = len(w)
     r = 0
@@ -366,10 +363,9 @@ def _echelon(w: list, n: int, u: list | None = None, pivots: list | None = None)
                     best, i0 = x, i
             if not best:
                 break
-            if i0 != r:
-                w[r], w[i0] = w[i0], w[r]
-                if u is not None:
-                    u[r], u[i0] = u[i0], u[r]
+            w[r], w[i0] = w[i0], w[r]
+            if u is not None:
+                u[r], u[i0] = u[i0], u[r]
             wr = w[r]
             p = wr[j]
             done = True
@@ -377,13 +373,13 @@ def _echelon(w: list, n: int, u: list | None = None, pivots: list | None = None)
                 wi = w[i]
                 if wi[j] == 0:
                     continue
+                # |p| <= |wi[j]|, so q is nonzero.  Rows r.. are zero left of
+                # column j, so whole rows can be combined.
                 q = wi[j] // p
-                if q:
-                    # Rows r.. are zero left of column j, so whole rows can be combined.
-                    wi = w[i] = [a - q * b for a, b in zip(wi, wr)]
-                    if u is not None:
-                        u[i] = [a - q * b for a, b in zip(u[i], u[r])]
-                if wi[j] != 0:
+                w[i] = [a - q * b for a, b in zip(wi, wr)]
+                if u is not None:
+                    u[i] = [a - q * b for a, b in zip(u[i], u[r])]
+                if w[i][j] != 0:
                     done = False
             if done:
                 break
@@ -401,8 +397,6 @@ def _echelon(w: list, n: int, u: list | None = None, pivots: list | None = None)
                 w[i] = [a - q * b for a, b in zip(w[i], wr)]
                 if u is not None:
                     u[i] = [a - q * b for a, b in zip(u[i], u[r])]
-        if pivots is not None:
-            pivots.append(j)
         r += 1
     return r
 
@@ -470,28 +464,24 @@ def _smith(s: list[list[int]], n: int) -> tuple[int, ...]:
                 break
         if not best:
             break
-        if pi != t:
-            s[t], s[pi] = s[pi], s[t]
-        if pj != t:
-            for row in s:
-                row[t], row[pj] = row[pj], row[t]
+        s[t], s[pi] = s[pi], s[t]
+        for row in s:
+            row[t], row[pj] = row[pj], row[t]
         st = s[t]
         p = st[t]
         dirty = False
         for i in range(t + 1, m):
             si = s[i]
-            if si[t] != 0:
+            if si[t] != 0:  # |p| <= |si[t]|, so q is nonzero
                 q = si[t] // p
-                if q:
-                    si = s[i] = [a - q * b for a, b in zip(si, st)]
+                si = s[i] = [a - q * b for a, b in zip(si, st)]
                 if si[t] != 0:
                     dirty = True
         for j in range(t + 1, n):
             if st[j] != 0:
                 q = st[j] // p
-                if q:
-                    for row in s:
-                        row[j] -= q * row[t]
+                for row in s:
+                    row[j] -= q * row[t]
                 if st[j] != 0:
                     dirty = True
         if dirty:
@@ -607,15 +597,12 @@ def solve_row_combination(R: IntMatrix, target: Sequence[int]) -> Row | None:
         j = next((k for k, x in enumerate(row) if x != 0), None)
         if j is None:
             break
-        if v[j] % row[j] != 0:
-            return None
         q = v[j] // row[j]
-        if q:
-            for k in range(j, R.cols):
-                v[k] -= q * row[k]
-            urow = form.U.data[i]
-            for k in range(R.rows):
-                coeff[k] += q * urow[k]
+        for k in range(j, R.cols):
+            v[k] -= q * row[k]
+        urow = form.U.data[i]
+        for k in range(R.rows):
+            coeff[k] += q * urow[k]
     if any(x != 0 for x in v):
         return None
     return tuple(coeff)
@@ -705,14 +692,12 @@ class Lattice(Value):
     __slots__ = ("ambient_dim", "basis", "_pivots", "_identity")
     _fields = ("ambient_dim", "basis")
 
-    def __init__(self, ambient_dim: int, basis: IntMatrix, _pivots: list[int] | None = None):
+    def __init__(self, ambient_dim: int, basis: IntMatrix):
         if basis.cols != ambient_dim:
             raise DimensionMismatch("basis width != ambient dimension")
-        pivots = _pivots  # given by an elimination of this module, else found here
-        if pivots is None:
-            pivots = [next((j for j, x in enumerate(row) if x), -1) for row in basis.data]
-            if -1 in pivots:
-                raise InvalidParameters("lattice basis rows must be nonzero")
+        pivots = [next((j for j, x in enumerate(row) if x), -1) for row in basis.data]
+        if -1 in pivots:
+            raise InvalidParameters("lattice basis rows must be nonzero")
         self.ambient_dim = ambient_dim
         self.basis = basis
         # The basis is immutable row HNF, so its pivot columns are fixed.
@@ -761,8 +746,7 @@ class Lattice(Value):
             if rem:
                 return None
             coords.append(q)
-            if q:
-                w = [a - q * b for a, b in zip(w, row)]
+            w = [a - q * b for a, b in zip(w, row)]
         if any(w):
             return None
         return tuple(coords)
@@ -774,8 +758,7 @@ class Lattice(Value):
         w = v
         for row, j in zip(self.basis.data, self._pivots):
             q = w[j] // row[j]
-            if q:
-                w = [a - q * b for a, b in zip(w, row)]
+            w = [a - q * b for a, b in zip(w, row)]
         return tuple(w)
 
     def is_sublattice_of(self, other: "Lattice") -> bool:
@@ -809,13 +792,11 @@ def _span(n: int, rows: Iterable[Sequence[int]]) -> Lattice:
     """Lattice spanned by rows of ints of width ``n`` that need no checking.
 
     The Hermite elimination runs on the rows themselves, without a
-    transform; a lattice keeps the nonzero rows of ``H`` and their pivot
-    columns.
+    transform; a lattice keeps the nonzero rows of ``H``.
     """
     w = list(rows)
-    pivots: list[int] = []
-    rank = _echelon(w, n, None, pivots)
-    return Lattice(n, IntMatrix._trusted(w[:rank], n), pivots)
+    rank = _echelon(w, n)
+    return Lattice(n, IntMatrix._trusted(w[:rank], n))
 
 
 def saturate(L: Lattice) -> Lattice:
@@ -846,9 +827,9 @@ def maps_into(M: IntMatrix, src: Lattice, dst: Lattice) -> bool:
     """Does ``M`` map ``src`` into ``dst``?  ``M`` acts on column vectors.
 
     The image of ``src`` is spanned by the images of its basis rows, so it
-    is enough that each of those lies in ``dst``; all do when ``dst`` is Z^n.
+    is enough that each of those lies in ``dst``.
     """
-    return dst._identity or all(dst.contains(M.apply(r)) for r in src.basis.data)
+    return all(dst.contains(M.apply(r)) for r in src.basis.data)
 
 
 def full_index(L: Lattice) -> int | None:

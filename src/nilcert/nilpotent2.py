@@ -242,8 +242,7 @@ class NilSublattice(Value):
                 cols.append([sum(map(mul, m, rv)) for rv in rows])
             gram.append(tuple(zip(*cols)) if cols else ((),) * len(rows))
         gram = tuple(gram)
-        # Every beta value lies in W = Z^f, so only a smaller W is scanned.
-        if full_index(W) != 1 and not all(W.contains(v) for row in gram for v in row):
+        if not all(W.contains(v) for row in gram for v in row):
             raise ClosureViolation("beta(U, U) is not contained in W")
         self.parent = parent
         self.U = U
@@ -263,8 +262,7 @@ class NilSublattice(Value):
         for i, xi in enumerate(x):
             for j in range(i, len(x)):
                 e = xi * (xi - 1) // 2 if j == i else xi * x[j]
-                if e:
-                    w = [a + e * b for a, b in zip(w, g[i][j])]
+                w = [a + e * b for a, b in zip(w, g[i][j])]
         return tuple(w)
 
     def index_in_full(self):
@@ -366,7 +364,7 @@ def subnormal_series(
     center (rank <= rank of the center) and the second is a quotient of Z^b
     modulo the kernel directions (rank <= b).
     """
-    if sub.parent is not L and sub.parent != L:
+    if sub.parent != L:
         raise DimensionMismatch("sublattice belongs to another group")
     index = sub.index_in_full()
     if index is None:

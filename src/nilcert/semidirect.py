@@ -354,12 +354,11 @@ def sol3_group() -> SemidirectGroup:
     return SemidirectGroup(SOL3_MATRIX)
 
 
-def sol3_gamma(k: int, group: SemidirectGroup | None = None) -> SemidirectLattice:
+def sol3_gamma(k: int) -> SemidirectLattice:
     """Gamma_k = 2^k Z^2 x| Z inside the Sol3 lattice."""
     if k < 0:
         raise InvalidParameters("k must be >= 0")
-    group = group or sol3_group()
-    return SemidirectLattice(group, Lattice.scaled(2, 2**k), 1)
+    return SemidirectLattice(sol3_group(), Lattice.scaled(2, 2**k), 1)
 
 
 def tower_certificate(
@@ -403,9 +402,8 @@ def sol3_tower(k: int) -> nilcert.certificates.SeriesCertificate:
     """
     if k < 0:
         raise InvalidParameters("k must be >= 0")
-    group = sol3_group()
-    gamma = sol3_gamma(0, group)
-    subs = [sol3_gamma(j, group) for j in range(1, k + 1)]
+    gamma = sol3_gamma(0)
+    subs = [sol3_gamma(j) for j in range(1, k + 1)]
     texts = [canonical_json(sub.to_json()) for sub in subs]
     return tower_certificate(gamma, zip(subs, texts), canonical_json(dict(gamma.to_json(), k=k)))
 
@@ -414,11 +412,12 @@ def scaling_map_check(c: int, target: SemidirectLattice) -> bool:
     """Does (v, t) |-> (c v, t) define an isomorphism Gamma -> target?
 
     c Id commutes with A, so the map respects the group law
-    (v, t)(w, s) = (v + A^t w, t + s) for every c.  It is injective iff
-    c != 0, and onto the target iff c Z^n is the target lattice (HNF
-    equality) and the target's translation index is 1.
+    (v, t)(w, s) = (v + A^t w, t + s) for every c.  It is onto the target
+    iff c Z^n is the target lattice (HNF equality) and the target's
+    translation index is 1; the target lattice has full rank, so that
+    equality also makes c != 0 on n >= 1, which makes the map injective.
     """
-    return c != 0 and target.m == 1 and Lattice.scaled(target.parent.n, c) == target.L
+    return target.m == 1 and Lattice.scaled(target.parent.n, c) == target.L
 
 
 def scaling_iso_check(k: int) -> bool:

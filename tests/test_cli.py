@@ -15,10 +15,10 @@ from hypothesis import example, given, settings, strategies as st
 
 import nilcert
 from nilcert import cli, usage
-from nilcert.arith import SCHEMA, decimals
+from nilcert.arith import SCHEMA, decimals, json_field
 from nilcert.certificates import SeriesCertificate
 from nilcert.cli import preset_description, presets, run
-from nilcert.errors import TooLarge
+from nilcert.errors import InvalidParameters, TooLarge
 from nilcert.linalg import IntMatrix, Lattice
 from nilcert.nilpotent2 import NilSublattice, TwoStepLattice, heisenberg_witness, subnormal_series
 from nilcert.semidirect import SemidirectGroup, SemidirectLattice, sol3_gamma, sol3_tower
@@ -361,11 +361,15 @@ class TestExitCodes:
         (["isolator", "--preset", "sol3"], "UnsupportedGroupShape", "isolator needs a twostep group"),
         (["normalizer", "--group", json.dumps(HEIS_DESC), "--subgroup", json.dumps(HEIS_DESC)],
          "UnsupportedGroupShape", "this verb needs two semidirect groups"),
+        (["normalizer", "--group", json.dumps(HEIS_DESC), "--subgroup", json.dumps(SOL3_DESC)],
+         "UnsupportedGroupShape", "this verb needs two semidirect groups"),
         (["normalizer", "--group", json.dumps(SOL3_DESC), "--subgroup", json.dumps(KXS1_DESC)],
          "DimensionMismatch", "different parent groups"),
         (["normalizer", "--group", json.dumps(SOL3_DESC), "--subgroup", json.dumps(TORUS3_DESC)],
          "DimensionMismatch", "different parent groups"),
         (["normalizer", "--group", json.dumps(SOL3_DESC), "--subgroup", json.dumps(dict(SOL3_DESC, m=2))],
+         "InvalidParameters", "normalizer requires full translation parts (m = 1)"),
+        (["normalizer", "--group", json.dumps(dict(SOL3_DESC, m=2)), "--subgroup", json.dumps(SOL3_DESC)],
          "InvalidParameters", "normalizer requires full translation parts (m = 1)"),
         (["normalizer", "--group", json.dumps(sol3_gamma(1).to_json()), "--subgroup", json.dumps(SOL3_DESC)],
          "NotASubgroup", "S is not contained in G"),
@@ -376,8 +380,14 @@ class TestExitCodes:
         (["center", "--input", json.dumps(dict(SOL3_DESC, matrix=[["1", "0"]]))],
          "DimensionMismatch", "holonomy matrix must be square"),
         (["sol3-tower", "--k", "-1"], "InvalidParameters", "k must be >= 0"),
+        (["sol3-tower", "--k", "-1", "--max-index", "0"], "InvalidParameters", "k must be >= 0"),
         (["heisenberg-witness", "--k", "0", "--p", "3", "--a", "2"], "InvalidParameters", "k must be >= 1"),
         (["heisenberg-witness", "--k", "1", "--p", "3", "--a", "1"],
+         "InvalidParameters", "a must be >= 2 (second-layer forms k*p^(a-2))"),
+        # Parameters out of range are named before a small --max-index is compared.
+        (["heisenberg-witness", "--k", "1", "--p", "-3", "--a", "2", "--max-index", "5"],
+         "InvalidParameters", "p must be prime"),
+        (["heisenberg-witness", "--k", "1", "--p", "3", "--a", "-1", "--max-index", "2"],
          "InvalidParameters", "a must be >= 2 (second-layer forms k*p^(a-2))"),
         (["verify", "--input", _series_claim_on_sol3()],
          "UnresolvableReference", "cannot rebuild series data: not a twostep group description"),
@@ -385,9 +395,10 @@ class TestExitCodes:
         (["hnf", "--input", "[1,"], "InputError", "Expecting value: line 1 column 4 (char 3)"),
     ], ids=["forms-count", "matrix-rank", "m-0", "relator-letter", "brute-order", "brute-tuples",
             "unknown-preset", "heisenberg-k-0", "torus-n-0", "no-group", "isolator-of-sol3",
-            "normalizer-of-twostep", "normalizer-parents", "normalizer-ranks", "normalizer-m-2",
+            "normalizer-of-twostep", "normalizer-in-a-twostep-group", "normalizer-parents", "normalizer-ranks", "normalizer-m-2", "normalizer-of-an-m-2-group",
             "normalizer-not-contained", "quotient-parents", "intermediates-parents",
-            "non-square-holonomy", "tower-k-negative", "witness-k-0", "witness-a-1", "series-claim-on-semidirect",
+            "non-square-holonomy", "tower-k-negative", "tower-k-negative-max-index-0", "witness-k-0", "witness-a-1",
+            "witness-p-negative-max-index-5", "witness-a-negative-max-index-2", "series-claim-on-semidirect",
             "json-syntax"])
     def test_description_errors_name_the_fault(self, capsys, argv, kind, message):
         code, out, err = invoke(capsys, *argv)
@@ -640,6 +651,12 @@ class TestJsonBoundary:
         for rows, error in _boundary_cases(1):
             assert _raised(NilSublattice.from_json, H, {"U": [["2", "0"], ["0", "2"]], "W": rows}) == error
 
+    @pytest.mark.parametrize("obj", ["type", ["type"], None])
+    def test_a_field_of_anything_but_an_object_is_missing(self, obj):
+        # "type" in "type" and in ["type"] holds, but neither is an object.
+        with pytest.raises(InvalidParameters, match=r"^missing field 'type' in "):
+            json_field(obj, "type")
+
     def test_cli_verbs(self, capsys):
         heis = json.dumps(HEIS_DESC)
         calls = []
@@ -825,6 +842,29 @@ def test_a_large_prime_is_decided_in_a_fresh_process():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=5, env=env)
     assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "False\n")
+
+
+@pytest.mark.parametrize("family, group, expected", [
+    ("semidirect", "sol3_gamma(0)", "(0, 0)"),
+    ("nilpotent2", "TwoStepLattice.heisenberg(1)", "(1, 2)"),
+    (None, "None", "UnsupportedGroupShape"),
+], ids=["sol3", "heisenberg", "neither"])
+def test_discsym2_upper_loads_no_other_family_in_a_fresh_process(family, group, expected):
+    code = (
+        "import sys\n"
+        "from nilcert.errors import UnsupportedGroupShape\n"
+        "from nilcert.invariants import discsym2_upper\n"
+        + ("from nilcert.%s import *\n" % family if family else "")
+        + "try:\n"
+        "    print(discsym2_upper(%s).as_pair())\n"
+        "except UnsupportedGroupShape:\n"
+        "    print('UnsupportedGroupShape')\n"
+        "print(sorted(m for m in ('nilcert.nilpotent2', 'nilcert.semidirect') if m in sys.modules))\n" % group
+    )
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(nilcert.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=10, env=env)
+    loaded = ["nilcert.%s" % family] if family else []
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "%s\n%r\n" % (expected, loaded))
 
 
 @pytest.mark.parametrize(

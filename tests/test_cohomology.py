@@ -65,6 +65,13 @@ class TestActionValidation:
         with pytest.raises(IllDefinedAction):
             ModuleAction(1, ("aa",), AbelianStructure(2, ()), (IntMatrix([[0, -1], [1, -1]]),))
 
+    @pytest.mark.parametrize("shape", [(3, 2), (2, 3)])
+    def test_action_matrices_are_square_of_the_module_rank(self, shape):
+        rows, cols = shape
+        psi = IntMatrix([[int(i == j) for j in range(cols)] for i in range(rows)])
+        with pytest.raises(IllDefinedAction, match=r"^action matrices must be 2 x 2$"):
+            ModuleAction(1, ("a",), AbelianStructure(2, ()), (psi,))
+
     def test_torsion_respect(self):
         # Z -> Z/2 coordinate mixing that does not respect torsion
         bad = IntMatrix([[1, 1], [0, 1]])

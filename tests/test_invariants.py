@@ -331,6 +331,24 @@ class TestVerifyCertificate:
         assert SeriesCertificate(**fields).structural_ok() is True
         assert SeriesCertificate(**dict(fields, max_quotient_order=3)).structural_ok() is False
 
+    @pytest.mark.parametrize("broken", ["normality", "quotient-order", "min-length"])
+    def test_each_other_structural_relation_fails_the_check_alone(self, broken):
+        # A certificate built outside the library, with one relation out of
+        # line and every other field kept consistent with it.
+        cert = _two_step_cert()
+        fields = dict(zip(SeriesCertificate._fields, cert._values()))
+        levels = [dict(zip(ChainLevel._fields, level._values())) for level in cert.chain]
+        if broken == "normality":
+            levels[0]["normality_verified"] = False
+        elif broken == "quotient-order":
+            levels[0]["index"] *= 2
+        else:
+            fields["min_length"] = len(levels) + 1
+        chain = tuple(ChainLevel(**level) for level in levels)
+        fields.update(chain=chain, total_index=math.prod(level.index for level in chain),
+                      max_quotient_order=max(level.index for level in chain))
+        assert SeriesCertificate(**fields).structural_ok() is False
+
     def test_chain_of_another_type_than_its_rebuild_rejected(self):
         # Only a certificate built in Python can hold a list; its rebuild holds a tuple.
         cert = _two_step_cert()

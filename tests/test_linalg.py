@@ -22,6 +22,7 @@ from nilcert.linalg import (
     full_index,
     hnf,
     hstack,
+    is_unimodular,
     lattice_index,
     left_kernel,
     maps_into,
@@ -265,6 +266,20 @@ def test_public_shape_checks_name_the_fault(call, error, message):
     with pytest.raises(error) as exc:
         call()
     assert (type(exc.value), str(exc.value)) == (error, message)
+
+
+@pytest.mark.parametrize("call, expected", [
+    (lambda: AbelianStructure(1, ()).is_trivial, False),
+    (lambda: AbelianStructure(0, ()).is_trivial, True),
+    (lambda: IntMatrix([], cols=3).is_identity(), False),
+    (lambda: is_unimodular(IntMatrix([[1, 0], [0, 1], [1, 1]])), False),
+    (lambda: IntMatrix([[], []], cols=0) * IntMatrix([], cols=3), IntMatrix([[0, 0, 0], [0, 0, 0]])),
+], ids=["Z-is-not-trivial", "0-is-trivial", "0x3-is-not-the-identity", "3x2-spanning-Z2-is-not-unimodular", "2x0-times-0x3-is-2x3-zero"])
+def test_empty_and_non_square_shapes(call, expected):
+    # A free part alone makes a group nontrivial; rows that match the
+    # identity's, or span Z^n, decide nothing unless the matrix is square;
+    # a product through an empty dimension is zero.
+    assert call() == expected
 
 
 class TestContainment:

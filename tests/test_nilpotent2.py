@@ -193,6 +193,9 @@ class TestGroupLaw:
         # Square in its rows only: alternating on the columns it has.
         with pytest.raises(DimensionMismatch, match="forms must be 2 x 2"):
             TwoStepLattice(1, 2, [IntMatrix([[0, 1, 0], [-1, 0, 0]])])
+        # Square in its columns only: zero, so alternating on the rows it has.
+        with pytest.raises(DimensionMismatch, match="forms must be 2 x 2"):
+            TwoStepLattice(1, 2, [IntMatrix([[0, 0]])])
 
     @pytest.mark.parametrize("f, b", [(0, -3), (-1, 2), (-1, -1)], ids=["b-3", "f-1", "both"])
     def test_negative_ranks_rejected_first(self, f, b):
@@ -562,11 +565,28 @@ class TestSubnormalSeries:
      InvalidParameters, "overlattice form entry 1/4 is not integral"),
     (lambda: nilpotency_check(TwoStepLattice.heisenberg(1), IntMatrix.identity(1), IntMatrix.identity(1), 1),
      DimensionMismatch, "automorphism blocks must be b x b and f x f"),
-], ids=["heisenberg-k-0", "scale-counts", "scale-integrality", "nilpotency-blocks"])
+    # One dimension of one block wrong at a time.
+    (lambda: nilpotency_check(TwoStepLattice.heisenberg(1), IntMatrix([[1, 0]]), IntMatrix.identity(1), 1),
+     DimensionMismatch, "automorphism blocks must be b x b and f x f"),
+    (lambda: nilpotency_check(TwoStepLattice.heisenberg(1), IntMatrix([[1], [0]]), IntMatrix.identity(1), 1),
+     DimensionMismatch, "automorphism blocks must be b x b and f x f"),
+    (lambda: nilpotency_check(TwoStepLattice.heisenberg(1), IntMatrix.identity(2), IntMatrix([[1], [0]]), 1),
+     DimensionMismatch, "automorphism blocks must be b x b and f x f"),
+    (lambda: TwoStepLattice.heisenberg(1).element((0,), (0,)),
+     DimensionMismatch, "coordinate lengths must be (b, f) = (2, 1)"),
+    (lambda: TwoStepLattice.from_json(["type"]), InvalidParameters, "not a twostep group description"),
+], ids=["heisenberg-k-0", "scale-counts", "scale-integrality", "nilpotency-blocks",
+        "nilpotency-p-rows", "nilpotency-p-cols", "nilpotency-q-rows", "element-u-length",
+        "from-json-of-a-list"])
 def test_public_argument_checks_name_the_fault(call, error, message):
     with pytest.raises(error) as exc:
         call()
     assert (type(exc.value), str(exc.value)) == (error, message)
+
+
+@pytest.mark.parametrize("u, w, identity", [((0, 0), (0,), True), ((1, 0), (0,), False), ((0, 0), (1,), False)])
+def test_an_element_is_the_identity_when_both_parts_are_zero(u, w, identity):
+    assert TwoStepLattice.heisenberg(1).element(u, w).is_identity() is identity
 
 
 def test_box_subgroup_repr():

@@ -225,7 +225,7 @@ IDENTITIES = [
     ),
     (
         semidirect.SemidirectLattice, ("parent", "L", "m"),
-        semidirect.sol3_gamma(1, SOL3),
+        semidirect.sol3_gamma(1),
         semidirect.SemidirectLattice.from_json(semidirect.sol3_gamma(1).to_json()),
         semidirect.SemidirectLattice(SOL3, linalg.Lattice.scaled(2, 2), 2),
     ),

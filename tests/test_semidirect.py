@@ -72,6 +72,19 @@ class TestGroupLaw:
         assert mul(g, G.identity()) == g
         assert mul(G.identity(), g) == g
 
+    @pytest.mark.parametrize("m, sub", [(2, True), (4, True), (3, False)])
+    def test_a_subgroup_needs_a_multiple_of_the_translation_index(self, G, m, sub):
+        L = Lattice.standard(2)
+        assert SemidirectLattice(G, L, m).is_subgroup_of(SemidirectLattice(G, L, 2)) is sub
+
+    def test_a_description_is_a_json_object(self):
+        with pytest.raises(InvalidParameters, match=r"^not a semidirect group description$"):
+            SemidirectLattice.from_json(["type"])
+
+    @pytest.mark.parametrize("v, t, identity", [((0, 0), 0, True), ((0, 0), 1, False), ((1, 0), 0, False)])
+    def test_the_identity_has_both_parts_zero(self, G, v, t, identity):
+        assert G.element(v, t).is_identity() is identity
+
     def test_abelian_fiber(self, G):
         assert mul(G.element((1, 0), 0), G.element((0, 1), 0)) == G.element((1, 1), 0)
 
@@ -759,6 +772,13 @@ class TestScalingIso:
     def test_negative_k_rejected(self):
         with pytest.raises(InvalidParameters, match=r"^k must be >= 0$"):
             scaling_iso_check(-1)
+
+    def test_zero_scale(self):
+        # On n >= 1 the zero map is not onto a full-rank lattice; on Z^0 x| Z
+        # it is the identity.
+        assert not scaling_map_check(0, sol3_gamma(0))
+        empty = SemidirectLattice(SemidirectGroup(IntMatrix([], cols=0)), Lattice.standard(0), 1)
+        assert scaling_map_check(0, empty)
 
 
 class TestGroupValidation:

@@ -79,6 +79,25 @@ def test_a_higher_is_better_metric_that_falls_is_worse():
     assert series["metrics"]["ops_per_ref"]["past_bound"] is True
 
 
+@pytest.mark.parametrize("change, won, lost, verdict", [
+    # BENCH_40.json's setup_s: the median leaves the quartiles, but 6 of 10 pairs is not enough.
+    ([1.1, 1.2, 1.3, 1.35, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0], 6, 4, "unresolved"),
+    ([1.1, 0.9, 1.0, 1.1, 1.2, 1.3, 1.0, 1.0, 1.0, 1.0], 9, 1, "better"),
+    ([0.9, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0], 1, 9, "worse"),
+    # A tie counts for neither side: 8 won and 2 tied is not nine tenths.
+    ([1.0, 1.1, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5], 8, 0, "unresolved"),
+])
+def test_a_verdict_needs_nine_tenths_of_the_pairs(change, won, lost, verdict):
+    parent = [1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8, 1.9]
+    series = pairs.summarize(_runs([_line(v, 10) for v in parent], [_line(v, 10) for v in change]),
+                             METRICS)["series"]
+    p50 = series["metrics"]["op_p50_ref"]
+    assert not p50["parent"]["q1"] <= p50["change"]["median"] <= p50["parent"]["q3"]
+    assert (p50["pairs_won"], p50["pairs_lost"], p50["pairs"], p50["verdict"]) == (won, lost, 10, verdict)
+    per_ref = series["metrics"]["ops_per_ref"]  # every pair tied
+    assert (per_ref["pairs_won"], per_ref["pairs_lost"], per_ref["verdict"]) == (0, 0, "unresolved")
+
+
 def test_a_pair_missing_a_side_is_left_out():
     runs = _runs([_line(1.0, 10)] * 3, [_line(2.0, 10)] * 3)
     runs = [run for run in runs if not (run["pair"] == 2 and run["side"] == "change")]
@@ -196,9 +215,11 @@ def test_pair_plan_defaults_to_the_benchmark_file():
 
 guards = _load("guards")
 
-# A fixed module: a guard whose condition spans two lines, an if with an
-# else and an if whose body holds two statements (neither a guard), and a
-# one-line guard in a method whose condition holds a non-ASCII character.
+# A fixed module: a guard whose condition spans two lines and opens with an
+# or operand, an if with an else, an if whose body holds two statements
+# (around other work), a one-line guard in a method whose condition holds a
+# non-ASCII character, an early return behind an and, and a conditional
+# expression.
 GUARDED = '''\
 def check(x, y):
     if (x < 0
@@ -217,37 +238,62 @@ def check(x, y):
 class Box:
     def open(self, é):
         if é is None: raise TypeError("none")
+        if é and é.closed:
+            return None
+        return é if é.full else é.fill()
 '''
 
 
-def test_guards_are_ifs_with_no_else_and_a_lone_raise():
-    found = guards.guards(GUARDED)
-    assert [(g["line"], g["function"], g["statement"]) for g in found] == [
-        (2, "check", 'raise ValueError("negative")'),
-        (17, "Box.open", 'if é is None: raise TypeError("none")'),
+def test_sites_are_the_branches_of_each_kind():
+    found = guards.sites(GUARDED)
+    assert [(s["kind"], s["line"], s["function"], s["statement"]) for s in found] == [
+        ("or operand", 2, "check", 'raise ValueError("negative")'),
+        ("guard", 2, "check", 'raise ValueError("negative")'),
+        ("if/else", 5, "check", "if x == y:"),
+        ("if", 9, "check", "if x > 9:"),
+        ("guard", 17, "Box.open", 'if é is None: raise TypeError("none")'),
+        ("and operand", 18, "Box.open", "if é and é.closed:"),
+        ("early exit", 18, "Box.open", "if é and é.closed:"),
+        ("conditional expression", 20, "Box.open", "return é if é.full else é.fill()"),
     ]
     # The parentheses lie outside the condition; columns count bytes, and é takes two.
-    assert [g["condition"] for g in found] == [(2, 8, 3, 20), (17, 11, 17, 21)]
+    assert [s["span"] for s in found] == [(2, 8, 2, 13), (2, 8, 3, 20), (5, 7, 5, 13), (9, 7, 9, 12),
+                                          (17, 11, 17, 21), (18, 11, 18, 13), (18, 11, 18, 27),
+                                          (20, 21, 20, 28)]
 
 
-def test_a_dropped_guard_changes_its_condition_alone():
-    first, method = guards.guards(GUARDED)
-    for guard, condition in [(first, "x < 0\n            or y < 0"), (method, "é is None")]:
-        out = guards.dropped(GUARDED.encode(), guard["condition"])
-        assert out == GUARDED.replace(condition, "False").encode()
-        compile(out, "<mutant>", "exec")
+def test_each_mutant_compiles_and_changes_its_span_alone():
+    source = GUARDED.encode()
+    starts = [0]
+    for line in source.splitlines(keepends=True):
+        starts.append(starts[-1] + len(line))
+    mutants = 0
+    for site in guards.sites(GUARDED):
+        first, col, last, end_col = site["span"]
+        begin, end = starts[first - 1] + col, starts[last - 1] + end_col
+        for value in guards.MUTATIONS[site["kind"]]:
+            out = guards.mutated(source, site["span"], value)
+            assert out == source[:begin] + value.encode() + source[end:]
+            compile(out, "<mutant>", "exec")
+            mutants += 1
+    assert mutants == 10  # the if/else and the conditional expression are tried both ways
+    first, method = guards.sites(GUARDED)[1], guards.sites(GUARDED)[4]
+    for site, condition in [(first, "x < 0\n            or y < 0"), (method, "é is None")]:
+        assert guards.mutated(source, site["span"], "False") == GUARDED.replace(condition, "False").encode()
 
 
-def test_report_labels_guards_by_their_raise():
+def test_report_labels_sites_by_their_statement():
     results = [
         {"module": "m.py", "line": 2, "function": "check", "statement": 'raise ValueError("negative")',
-         "outcome": "killed", "seconds": 1.5, "test": "tests/t.py::test_a"},
+         "kind": "guard", "mutation": "False", "outcome": "killed", "seconds": 1.5, "test": "tests/t.py::test_a"},
         {"module": "m.py", "line": 17, "function": "Box.open", "statement": 'if é is None: raise TypeError("none")',
-         "outcome": "survived", "seconds": 9.0, "test": None},
+         "kind": "guard", "mutation": "False", "outcome": "same bytes", "seconds": 9.0, "test": None},
         {"module": "m.py", "line": 20, "function": "f", "statement": "raise KeyError",
-         "outcome": "survived", "seconds": 9.0, "test": None},
-        {"module": "m.py", "line": 24, "function": "g", "statement": "raise KeyError",
-         "outcome": "timed out", "seconds": 180.0, "test": None},
+         "kind": "guard", "mutation": "False", "outcome": "different bytes", "seconds": 9.0, "test": None},
+        {"module": "m.py", "line": 24, "function": "g", "statement": "if x:",
+         "kind": "if/else", "mutation": "True", "outcome": "timed out", "seconds": 180.0, "test": None},
+        {"module": "m.py", "line": 24, "function": "g", "statement": "if x:",
+         "kind": "if/else", "mutation": "False", "outcome": "same bytes", "seconds": 9.0, "test": None},
     ]
     labels = [
         {"module": "m.py", "function": "Box.open", "statement": 'if é is None: raise TypeError("none")',
@@ -256,9 +302,11 @@ def test_report_labels_guards_by_their_raise():
     ]
     report = guards.build_report(results, labels)
     assert report["guards"][1] == dict(results[1], label="self-check", reason="r1")
-    assert [g.get("label") for g in report["guards"]] == [None, "self-check", None, None]
-    assert report["unlabelled_survivors"] == [results[2]]
-    assert report["counts"] == {"killed": 1, "survived": 2, "timed out": 1}
+    assert [g.get("label") for g in report["guards"]] == [None, "self-check", None, None, None]
+    assert report["unlabelled_survivors"] == [results[2], results[4]]
+    assert report["counts"] == {"killed": 1, "same bytes": 2, "different bytes": 1, "timed out": 1}
+    assert report["kinds"] == {"guard": {"killed": 1, "same bytes": 1, "different bytes": 1},
+                               "if/else": {"timed out": 1, "same bytes": 1}}
 
 
 def test_summary_names_every_failed_test():

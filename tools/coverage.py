@@ -32,8 +32,9 @@ slower, so wall-clock bounds in the tests can fail under it; such a failure
 is reported, not a reason to change the bound.
 
 This module also holds what the probes under ``tools/`` share: ``export``
-writes a revision's tree, ``tier1`` runs the suite in a copy, ``summary``
-reads pytest's report and ``label_table`` reads the labels.
+writes a revision's tree, ``run`` runs a Python child in a copy and
+``tier1`` runs the suite there, ``summary`` reads pytest's report and
+``label_table`` reads the labels.
 """
 
 from __future__ import annotations
@@ -194,16 +195,16 @@ def export(revision: str, into: pathlib.Path) -> str:
     return commit
 
 
-def tier1(copy: pathlib.Path, args: list[str], timeout: float | None = None,
-          env: dict[str, str] | None = None) -> tuple[int | None, str, float]:
-    """Tier-1 in ``copy``, ``PYTEST`` plus ``args``, in a child of its own
-    session with the copy's ``src`` on ``PYTHONPATH``, no bytecode written and
-    ``env`` added.  Returns the exit code, or ``None`` when the run took more
-    than ``timeout`` seconds and its whole process group was killed; the
-    output, stdout and stderr together; and the seconds."""
+def run(copy: pathlib.Path, args: list[str], timeout: float | None = None,
+        env: dict[str, str] | None = None) -> tuple[int | None, str, float]:
+    """``python`` with ``args`` in ``copy``, in a child of its own session with
+    the copy's ``src`` on ``PYTHONPATH``, no bytecode written and ``env``
+    added.  Returns the exit code, or ``None`` when the run took more than
+    ``timeout`` seconds and its whole process group was killed; the output,
+    stdout and stderr together; and the seconds."""
     env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1", **(env or {}))
     started = time.perf_counter()
-    proc = subprocess.Popen([sys.executable, *PYTEST, *args], cwd=copy, env=env, stdout=subprocess.PIPE,
+    proc = subprocess.Popen([sys.executable, *args], cwd=copy, env=env, stdout=subprocess.PIPE,
                             stderr=subprocess.STDOUT, text=True, start_new_session=True)
     try:
         output, _ = proc.communicate(timeout=timeout)
@@ -212,6 +213,12 @@ def tier1(copy: pathlib.Path, args: list[str], timeout: float | None = None,
         os.killpg(proc.pid, signal.SIGKILL)
         output, code = proc.communicate()[0], None
     return code, output, round(time.perf_counter() - started, 1)
+
+
+def tier1(copy: pathlib.Path, args: list[str], timeout: float | None = None,
+          env: dict[str, str] | None = None) -> tuple[int | None, str, float]:
+    """Tier-1 in ``copy``: ``run`` with ``PYTEST`` plus ``args``."""
+    return run(copy, [*PYTEST, *args], timeout, env)
 
 
 def summary(output: str) -> tuple[int, list[str]]:

@@ -17,9 +17,13 @@ The file written holds every result line; per workload and end-to-end
 metric the median and quartiles of each side, the change's relative shift
 from the parent's median, the pairs the change won and a verdict; the
 set-up probe medians; the machine, the environment, the load average at the
-start and the end, the seeds and both revisions.  A change median inside
-the parent's quartiles is ``unresolved``: on a shared host such a shift is
-not told apart from noise.  With ``--against FILE`` the file also says,
+start and the end, the seeds and both revisions.  The verdict is
+``better`` when the change's median lies outside the parent's quartiles on
+the better side and the change won at least nine tenths of the pairs,
+``worse`` when it lies outside on the worse side and the change lost at
+least nine tenths of them, and ``unresolved`` otherwise; a tied pair counts
+for neither side.  On a shared host a shift that fails either test is not
+told apart from noise.  With ``--against FILE`` the file also says,
 per median, whether it lies inside the quartiles recorded in that earlier
 file.  The workloads and run length, the metrics, their direction and
 their bounds come from ``BENCHMARK.json``; nothing under ``perfbench/`` is
@@ -44,6 +48,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 PROBES = 3  # set-up probes per tree and pair
 SEEDS = list(range(601, 611))  # one per pair
+SHARE = 0.9  # of the pairs that a verdict other than unresolved must win (or lose)
 
 _spec = importlib.util.spec_from_file_location("tools_coverage", pathlib.Path(__file__).with_name("coverage.py"))
 coverage = importlib.util.module_from_spec(_spec)
@@ -79,16 +84,21 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
             parent, change = quartiles(values["parent"]), quartiles(values["change"])
             shift = change["median"] / parent["median"] - 1 if parent["median"] else 0.0
             worse = shift if lower else -shift
-            if parent["q1"] <= change["median"] <= parent["q3"]:
-                verdict = "unresolved"
+            won = sum((c < p) if lower else (c > p) for p, c in zip(values["parent"], values["change"]))
+            lost = sum((c > p) if lower else (c < p) for p, c in zip(values["parent"], values["change"]))
+            outside = not parent["q1"] <= change["median"] <= parent["q3"]
+            if outside and worse < 0 and won >= SHARE * len(pairs):
+                verdict = "better"
+            elif outside and worse > 0 and lost >= SHARE * len(pairs):
+                verdict = "worse"
             else:
-                verdict = "worse" if worse > 0 else "better"
+                verdict = "unresolved"
             rows[name] = {
                 "parent": parent,
                 "change": change,
                 "shift": shift,
-                "pairs_won": sum((c < p) if lower else (c > p)
-                                 for p, c in zip(values["parent"], values["change"])),
+                "pairs_won": won,
+                "pairs_lost": lost,
                 "pairs": len(pairs),
                 "verdict": verdict,
                 "past_bound": worse > metric["bound"],
