@@ -512,6 +512,12 @@ class TestStrictCertificateParsing:
         with pytest.raises(UnresolvableReference):
             verify_certificate(d)
 
+    def test_a_profile_outside_a_witness_is_an_unknown_field(self):
+        d = sol3_tower(2).to_json_dict()
+        d["profile"] = [1, 2]
+        with pytest.raises(UnresolvableReference, match=r"^malformed certificate: unknown field 'profile'$"):
+            verify_certificate(d)
+
     def test_float_index_and_total_together(self):
         # int() would truncate these to the true values 16 and 4
         d = sol3_tower(2).to_json_dict()
