@@ -472,11 +472,10 @@ def _smith(s: list[list[int]], n: int) -> tuple[int, ...]:
         dirty = False
         for i in range(t + 1, m):
             si = s[i]
-            if si[t] != 0:  # |p| <= |si[t]|, so q is nonzero
-                q = si[t] // p
-                si = s[i] = [a - q * b for a, b in zip(si, st)]
-                if si[t] != 0:
-                    dirty = True
+            q = si[t] // p
+            si = s[i] = [a - q * b for a, b in zip(si, st)]
+            if si[t] != 0:
+                dirty = True
         for j in range(t + 1, n):
             if st[j] != 0:
                 q = st[j] // p
@@ -702,7 +701,7 @@ class Lattice(Value):
         self.basis = basis
         # The basis is immutable row HNF, so its pivot columns are fixed.
         self._pivots = tuple(pivots)
-        self._identity = len(pivots) == ambient_dim and basis.data == _identity_rows(ambient_dim)
+        self._identity = basis.data == _identity_rows(ambient_dim)
 
     @staticmethod
     def from_rows(ambient_dim: int, rows: Iterable[Sequence[int]]) -> "Lattice":

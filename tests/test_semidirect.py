@@ -773,6 +773,10 @@ class TestScalingIso:
         with pytest.raises(InvalidParameters, match=r"^k must be >= 0$"):
             scaling_iso_check(-1)
 
+    def test_a_target_with_a_translation_index_is_not_onto(self):
+        assert scaling_map_check(2, sol3_gamma(1))
+        assert not scaling_map_check(2, SemidirectLattice(sol3_gamma(1).parent, Lattice.scaled(2, 2), 2))
+
     def test_zero_scale(self):
         # On n >= 1 the zero map is not onto a full-rank lattice; on Z^0 x| Z
         # it is the identity.
